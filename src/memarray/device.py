@@ -13,7 +13,6 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .errors import ConfigError
 
@@ -245,8 +244,3 @@ def window_capture_fraction(shape: PulseShape, window: float) -> float:
     # square: uniform over [-f/2, f/2]
     return min(window / f, 1.0)
 
-
-def mean_total_efficiency(cells: Iterable[CellParams], tau: float) -> float:
-    """Average total device efficiency over a set of cells."""
-    cells = list(cells)
-    return sum(total_device_efficiency(c, tau) for c in cells) / len(cells)

@@ -418,7 +418,9 @@ class CountsFile:
         trials: dict[tuple[int, int], int] = {}
         for i, j, k, total, n in self.rows:
             counts.setdefault((i, j), {})[(j, k)] = total
-            trials[(i, j)] = n
+            if trials.setdefault((i, j), n) != n:
+                raise ConfigError(f"inconsistent n_trials across rows of "
+                                  f"pair ({i}, {j})")
         return {pair: TrialCounts(kind=RunKind.CROSSTALK, counts=tallies,
                                   n_trials=trials[pair], pair=pair)
                 for pair, tallies in counts.items()}
@@ -438,6 +440,7 @@ def read_counts_csv(path) -> CountsFile:
             raise ConfigError(f"unexpected counts header {header}", path=path, line=1)
         kinds = set()
         rows = []
+        key_lines: dict[tuple[int, int, int], int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -448,6 +451,13 @@ def read_counts_csv(path) -> CountsFile:
             except (ValueError, IndexError) as exc:
                 raise ConfigError(f"bad counts row: {row}", path=path,
                                   line=lineno) from exc
+            key = rows[-1][:3]
+            if key in key_lines:
+                raise ConfigError(
+                    f"duplicate row for (input_cell, output_cell, "
+                    f"temporal_index) = {key}: lines {key_lines[key]} and "
+                    f"{lineno}", path=path, line=lineno)
+            key_lines[key] = lineno
     if not rows:
         raise ConfigError("counts file has no data rows", path=path)
     if len(kinds) != 1:

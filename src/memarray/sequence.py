@@ -45,6 +45,7 @@ _CHANNEL_FOR_KIND = {
     EventKind.CONTROL2: Channel.CONTROL,
     EventKind.ECHO_WINDOW: Channel.DEMUX,
 }
+_CONTROL_KINDS = (EventKind.CONTROL1, EventKind.CONTROL2)
 
 
 @dataclass(frozen=True)
@@ -67,10 +68,10 @@ class TimelineEvent:
             raise ConfigError(f"{self.kind.value} events belong on "
                               f"{_CHANNEL_FOR_KIND[self.kind].value}, "
                               f"not {self.channel.value}")
-        if self.duration <= 0:
+        if not self.duration > 0:  # also rejects NaN
             raise ConfigError(f"{self.kind.value} duration must be positive, "
                               f"got {self.duration}")
-        if self.start < 0:
+        if not self.start >= 0:  # also rejects NaN
             raise ConfigError(f"{self.kind.value} start must be >= 0, "
                               f"got {self.start}")
 
@@ -88,18 +89,14 @@ class TimingConstraints:
     switch_mux: float = 2.2         # us, MuxAOD tone change
     switch_demux: float = 2.3       # us, DemuxAOD tone change
     control_pulse_duration: float = 3.5  # us
-    control_chirp_mhz: float = 3.2
-    prep_repeats: int = 51
     prep_duration: float = 1.0      # us, single array-wide preparation slot
 
     def __post_init__(self):
         for name in ("switch_prep", "switch_mux", "switch_control",
                      "switch_demux", "control_pulse_duration",
-                     "control_chirp_mhz", "prep_duration"):
+                     "prep_duration"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.prep_repeats < 1:
-            raise ConfigError("prep_repeats must be >= 1")
 
     def switching_time(self, channel: Channel) -> float:
         return {
@@ -176,11 +173,17 @@ def max_temporal_modes(tau: float, mode_period: float,
 
 @dataclass(frozen=True)
 class Timeline:
-    """A compiled trial: events sorted by start time, plus its inputs."""
+    """A compiled trial: events sorted by start time, plus its inputs.
+
+    Echo windows are indexed by (kind, cell, temporal index) and control
+    pulses by (kind, cell); where several events share a key, the earliest
+    in ``events`` wins.
+    """
 
     events: tuple[TimelineEvent, ...]
     plan: SequencePlan | None = None
     constraints: TimingConstraints | None = None
+    _first: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.events,
@@ -188,6 +191,13 @@ class Timeline:
                                               e.cell_id,
                                               e.temporal_index or 0)))
         object.__setattr__(self, "events", ordered)
+        first: dict = {}
+        for ev in ordered:
+            if ev.kind is EventKind.ECHO_WINDOW:
+                first.setdefault((ev.kind, ev.cell_id, ev.temporal_index), ev)
+            elif ev.kind in _CONTROL_KINDS:
+                first.setdefault((ev.kind, ev.cell_id), ev)
+        object.__setattr__(self, "_first", first)
 
     def of_kind(self, kind: EventKind) -> list[TimelineEvent]:
         return [ev for ev in self.events if ev.kind is kind]
@@ -195,11 +205,24 @@ class Timeline:
     def echo_windows(self) -> list[TimelineEvent]:
         return self.of_kind(EventKind.ECHO_WINDOW)
 
+    def echo_window(self, cell_id: int, temporal_index: int) -> TimelineEvent:
+        """The detection window of mode (cell, temporal index)."""
+        try:
+            return self._first[(EventKind.ECHO_WINDOW, cell_id,
+                                temporal_index)]
+        except KeyError:
+            raise ConfigError(f"mode (cell {cell_id}, temporal "
+                              f"{temporal_index}) is not in the "
+                              f"timeline") from None
+
     def control_pulse(self, cell_id: int, kind: EventKind) -> TimelineEvent:
-        for ev in self.events:
-            if ev.kind is kind and ev.cell_id == cell_id:
-                return ev
-        raise ConfigError(f"no {kind.value} event for cell {cell_id}")
+        """The first ``kind`` control pulse on ``cell_id``, whatever its
+        temporal index."""
+        try:
+            return self._first[(kind, cell_id)]
+        except KeyError:
+            raise ConfigError(f"no {kind.value} event for cell "
+                              f"{cell_id}") from None
 
 
 def control_gap(plan: SequencePlan, constraints: TimingConstraints,
@@ -327,10 +350,27 @@ def _overlaps(a: TimelineEvent, b: TimelineEvent) -> bool:
     return hi - lo > _TOL  # touching intervals do not overlap
 
 
+def _pairs_within(group: list[tuple[int, TimelineEvent]], reach: float):
+    """Yield ``(i, a, j, b)`` for the pairs of ``group`` (timeline index,
+    event; in timeline order), skipping pairs in which ``b`` starts
+    ``reach`` or more after ``a`` ends.
+
+    The scan from ``a`` stops at the first such ``b``: later events start no
+    earlier, and floating-point subtraction is monotonic, so every later
+    pair would be skipped too.
+    """
+    for n, (i, a) in enumerate(group):
+        for m in range(n + 1, len(group)):
+            j, b = group[m]
+            if b.start - a.end >= reach:
+                break
+            yield i, a, j, b
+
+
 def validate_timeline(timeline: Timeline,
                       constraints: TimingConstraints | None = None,
                       ) -> list[Violation]:
-    """Exhaustive pairwise timing check of a compiled timeline.
+    """Timing check of a compiled timeline, by a sweep over its events.
 
     Rules:
       switching  - events on one channel addressing different cells must be
@@ -338,33 +378,50 @@ def validate_timeline(timeline: Timeline,
       prep-control - preparation must never overlap a control pulse;
       echo-control - an echo window must never overlap a control pulse on
                    the same cell.
+
+    Each event is compared only with the later events of its group that
+    start within reach of its end: on its channel, within the switching
+    time; for the overlap rules, before it ends.  The result lists every
+    violated pair in timeline order, exactly as a check of all pairs would.
     """
     constraints = constraints or timeline.constraints or TimingConstraints()
-    events = timeline.events
-    out: list[Violation] = []
-    for i, a in enumerate(events):
-        for b in events[i + 1:]:
-            first, second = (a, b) if a.start <= b.start else (b, a)
-            if a.channel is b.channel and a.cell_id != b.cell_id:
-                need = constraints.switching_time(a.channel)
-                gap = second.start - first.end
-                if gap < need - _TOL:
-                    out.append(Violation(
-                        rule="switching", first=first, second=second,
-                        message=(f"{a.channel.value} retargets cell "
-                                 f"{first.cell_id} -> {second.cell_id} after "
-                                 f"{gap:.6g} us; needs {need} us")))
-            if {a.kind, b.kind} & {EventKind.CONTROL1, EventKind.CONTROL2}:
-                other = b if a.kind in (EventKind.CONTROL1,
-                                        EventKind.CONTROL2) else a
-                if other.kind is EventKind.PREPARE and _overlaps(a, b):
-                    out.append(Violation(
-                        rule="prep-control", first=first, second=second,
-                        message="preparation overlaps a control pulse"))
-                if (other.kind is EventKind.ECHO_WINDOW
-                        and a.cell_id == b.cell_id and _overlaps(a, b)):
-                    out.append(Violation(
-                        rule="echo-control", first=first, second=second,
-                        message=(f"echo window overlaps a control pulse on "
-                                 f"cell {a.cell_id}")))
-    return out
+    channels: dict = {}
+    prep_control: list = []
+    echo_control: dict = {}
+    for i, ev in enumerate(timeline.events):
+        channels.setdefault(ev.channel, []).append((i, ev))
+        if ev.kind in _CONTROL_KINDS or ev.kind is EventKind.PREPARE:
+            prep_control.append((i, ev))
+        if ev.kind in _CONTROL_KINDS or ev.kind is EventKind.ECHO_WINDOW:
+            echo_control.setdefault(ev.cell_id, []).append((i, ev))
+
+    found: list[tuple[int, int, Violation]] = []
+    for channel, group in channels.items():
+        need = constraints.switching_time(channel)
+        for i, a, j, b in _pairs_within(group, need - _TOL):
+            gap = b.start - a.end
+            if a.cell_id != b.cell_id and gap < need - _TOL:
+                found.append((i, j, Violation(
+                    rule="switching", first=a, second=b,
+                    message=(f"{channel.value} retargets cell "
+                             f"{a.cell_id} -> {b.cell_id} after "
+                             f"{gap:.6g} us; needs {need} us"))))
+    # Two intervals overlap only if the later one starts more than _TOL
+    # before the earlier one ends.
+    for i, a, j, b in _pairs_within(prep_control, -_TOL):
+        if ((a.kind in _CONTROL_KINDS) != (b.kind in _CONTROL_KINDS)
+                and _overlaps(a, b)):
+            found.append((i, j, Violation(
+                rule="prep-control", first=a, second=b,
+                message="preparation overlaps a control pulse")))
+    for cell_id, group in echo_control.items():
+        for i, a, j, b in _pairs_within(group, -_TOL):
+            if ((a.kind in _CONTROL_KINDS) != (b.kind in _CONTROL_KINDS)
+                    and _overlaps(a, b)):
+                found.append((i, j, Violation(
+                    rule="echo-control", first=a, second=b,
+                    message=(f"echo window overlaps a control pulse on "
+                             f"cell {cell_id}"))))
+    # Each rule pairs its own combination of channels, so no pair breaks two.
+    found.sort(key=lambda item: item[:2])
+    return [v for _, _, v in found]

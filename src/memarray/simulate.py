@@ -166,15 +166,7 @@ def expected_noise_per_mode(mode: tuple[int, int], timeline: Timeline,
     control pulse and the window, so early temporal modes are the noisiest.
     """
     cell_id, k = mode
-    window = None
-    for ev in timeline.events:
-        if (ev.kind is EventKind.ECHO_WINDOW and ev.cell_id == cell_id
-                and ev.temporal_index == k):
-            window = ev
-            break
-    if window is None:
-        raise ConfigError(f"mode (cell {cell_id}, temporal {k}) is not in "
-                          f"the timeline")
+    window = timeline.echo_window(cell_id, k)
     cp2 = timeline.control_pulse(cell_id, EventKind.CONTROL2)
     dt = window.start - cp2.end
     if dt < 0:

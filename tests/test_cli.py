@@ -233,6 +233,32 @@ class TestAnalyze:
         assert code == 2
         assert "no-input" in capsys.readouterr().err
 
+    def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        lines = sig.read_text().splitlines()
+        sig.write_text("\n".join(lines + [lines[2]]) + "\n")
+        code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "dup"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "duplicate row" in err
+        assert f"lines 3 and {len(lines) + 1}" in err
+
+    def test_scan_pair_n_trials_mismatch_exits_two(self, tmp_path, capsys):
+        for mode, seed in (("crosstalk", "6"), ("noise", "7")):
+            run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
+                    "--mode", mode, "--trials", "50", "--seed", seed,
+                    "--out-dir", str(tmp_path))
+        scan_csv = tmp_path / "counts_crosstalk.csv"
+        with scan_csv.open("a") as fh:
+            fh.write("crosstalk,1,2,2,0,51\n")
+        code = run_cli("analyze", "--signal", str(scan_csv),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--out-dir", str(tmp_path / "xt"))
+        assert code == 2
+        assert "inconsistent n_trials" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_version_flag(self, capsys):
