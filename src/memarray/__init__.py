@@ -59,7 +59,6 @@ from .simulate import (
     mode_expectations,
     run_crosstalk_scan,
     run_trials,
-    trial_rng,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,7 @@ __all__ = [
     "max_temporal_modes", "trial_duration", "validate_timeline",
     "LeakageMatrix", "ModeExpectations", "NoiseParams", "RunKind",
     "TrialCounts", "expected_noise_per_mode", "expected_signal_per_mode",
-    "mode_expectations", "run_crosstalk_scan", "run_trials", "trial_rng",
+    "mode_expectations", "run_crosstalk_scan", "run_trials",
     "CrossTalkMatrix", "ModeStats", "NetworkProjection", "adjusted_snr",
     "crosstalk_matrix", "cumulative_counts", "fidelity_bound", "g2_inferred",
     "per_mode_stats", "project_cells", "rescale_signal",

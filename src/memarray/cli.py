@@ -51,7 +51,7 @@ from .io import (
     write_timeline_csv,
 )
 from .sequence import compile_plan, trial_duration, validate_timeline
-from .simulate import RunKind, run_crosstalk_scan, run_trials
+from .simulate import ENGINE, RunKind, run_crosstalk_scan, run_trials
 
 
 def _positive_int(text: str) -> int:
@@ -120,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run kind (default signal)")
     p_run.add_argument("--out-dir", default=Path("."), type=Path,
                        help="output directory (default .)")
-    p_run.add_argument("--workers", default=1, type=_positive_int,
-                       help="parallel workers; never changes the counts")
     p_run.set_defaults(func=cmd_run)
 
     p_an = sub.add_parser("analyze",
@@ -182,14 +180,12 @@ def cmd_run(args) -> int:
             raise ConfigError("cross-talk runs need a [leakage] matrix in "
                               "the noise file", path=args.noise)
         result = run_crosstalk_scan(device, leak, noise, plan.storage,
-                                    n_trials=args.trials, seed=args.seed,
-                                    workers=args.workers)
+                                    n_trials=args.trials, seed=args.seed)
         n_rows = len(result)
     else:
         result = run_trials(plan, device, noise, n_trials=args.trials,
                             seed=args.seed,
-                            with_input=(args.mode == "signal"),
-                            workers=args.workers)
+                            with_input=(args.mode == "signal"))
         n_rows = len(result.counts)
 
     counts_path = write_counts_csv(args.out_dir / f"counts_{args.mode}.csv",
@@ -202,7 +198,7 @@ def cmd_run(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
         "trials": args.trials,
-        "workers": args.workers,
+        "engine": ENGINE,
         "inputs": {
             "plan": {"path": args.plan, "sha256": file_sha256(args.plan)},
             "device": {"path": args.device,
@@ -218,14 +214,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _analyze_scan(args) -> int:
-    scan = read_counts_csv(args.signal).to_scan()
-    noise_file = read_counts_csv(args.noise)
-    if noise_file.kind is not RunKind.NOISE:
-        raise ConfigError("the --noise file of a scan analysis must be a "
-                          "no-input run over the same cells",
-                          path=args.noise)
-    matrix = crosstalk_matrix(scan, noise_file.to_trial_counts())
+def _read_noise_run(path: Path):
+    """Read the counts CSV given as ``--noise``: it must be a no-input run."""
+    counts = read_counts_csv(path)
+    if counts.kind is not RunKind.NOISE:
+        raise ConfigError(f"--noise needs a noise (no-input) run, but this "
+                          f"file holds a {counts.kind.value} run", path=path)
+    return counts.to_trial_counts()
+
+
+def _analyze_scan(args, scan_file) -> int:
+    matrix = crosstalk_matrix(scan_file.to_scan(),
+                              _read_noise_run(args.noise))
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
                                  args.out_dir / "crosstalk_matrix_err.csv",
                                  args.out_dir / "crosstalk_summary.csv",
@@ -238,16 +238,21 @@ def _analyze_scan(args) -> int:
 
 def cmd_analyze(args) -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    if read_counts_csv(args.signal).kind is RunKind.CROSSTALK:
-        return _analyze_scan(args)
+    signal_file = read_counts_csv(args.signal)
+    if signal_file.kind is RunKind.CROSSTALK:
+        return _analyze_scan(args, signal_file)
+    if signal_file.kind is not RunKind.SIGNAL:
+        raise ConfigError(f"--signal needs a signal or crosstalk run, but "
+                          f"this file holds a {signal_file.kind.value} run",
+                          path=args.signal)
 
     if args.plan is None or args.device is None:
         raise ConfigError("signal/noise analysis needs --plan and --device "
                           "for mode ordering and network projections")
     plan = load_plan(args.plan)
     device = load_device(args.device)
-    signal = read_counts_csv(args.signal).to_trial_counts()
-    noise = read_counts_csv(args.noise).to_trial_counts()
+    signal = signal_file.to_trial_counts()
+    noise = _read_noise_run(args.noise)
 
     stats = per_mode_stats(signal, noise, args.snr_definition)
     modes = [(cell, k) for cell in plan.cell_order

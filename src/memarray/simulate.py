@@ -1,16 +1,17 @@
 """Single-photon-level counting simulation.
 
-Each trial draws Poisson counts for every detection window from the expected
-per-mode means.  Every trial owns an independent, reproducible random
-substream keyed by (seed, trial index), so results never depend on how
-trials are batched or parallelised.
+Every detection window sees Poisson counts with its expected per-mode mean
+in every trial.  The sum of n independent Poisson(lambda) draws is exactly
+Poisson(n * lambda), so a run draws one seeded Poisson total per window:
+``default_rng(seed).poisson(n_trials * lambda)`` over the mode vector.  The
+same seed always gives the same totals.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ from .sequence import (EventKind, SequencePlan, Timeline, TimingConstraints,
 __all__ = [
     "RunKind", "NoiseParams", "LeakageMatrix", "TrialCounts",
     "ModeExpectations", "expected_signal_per_mode", "expected_noise_per_mode",
-    "mode_expectations", "run_trials", "run_crosstalk_scan", "trial_rng",
+    "mode_expectations", "run_trials", "run_crosstalk_scan", "ENGINE",
 ]
 
 
@@ -215,67 +216,55 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
 # --------------------------------------------------------------------------
 # trial engine
 
+# Recorded in run manifests, so that counts files drawn by a different
+# counting engine can be told apart.
+ENGINE = "poisson-total"
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The random substream of one trial: keyed by (seed, trial) so any
-    partitioning of trials over workers reproduces identical draws."""
-    return np.random.default_rng([seed, trial])
-
-
-def _sum_poisson_range(lam: np.ndarray, seed: int, start: int,
-                       stop: int) -> np.ndarray:
-    total = np.zeros(lam.shape, dtype=np.int64)
-    for trial in range(start, stop):
-        total += trial_rng(seed, trial).poisson(lam)
-    return total
+# Largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
 
 
-def _partition(n_trials: int, workers: int) -> list[tuple[int, int]]:
-    chunk = -(-n_trials // workers)  # ceil
-    return [(lo, min(lo + chunk, n_trials))
-            for lo in range(0, n_trials, chunk)]
-
-
-def _accumulate(lam: np.ndarray, n_trials: int, seed: int,
-                workers: int) -> np.ndarray:
-    if workers <= 1 or n_trials < 2 * workers:
-        return _sum_poisson_range(lam, seed, 0, n_trials)
-    parts = _partition(n_trials, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sum_poisson_range, lam, seed, lo, hi)
-                   for lo, hi in parts]
-        return sum(f.result() for f in futures)
-
-
-def _check_run_args(n_trials: int, seed: int, workers: int) -> None:
+def _check_run_args(n_trials: int, seed: int) -> None:
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
+def _poisson_totals(lam: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
+    """Window totals over ``n_trials`` trials: one Poisson(n_trials * lam)
+    draw per window from the generator keyed by ``seed``."""
+    peak = float(lam.max(initial=0.0))
+    # Most trials the sampler accepts; comparing the int with this float
+    # never converts (and so never overflows) the trial count.
+    limit = _POISSON_LAM_MAX / peak if peak > 0.0 else sys.float_info.max
+    if n_trials > limit:
+        raise ConfigError(
+            f"n_trials (--trials) {n_trials} is too large: at most "
+            f"{limit:.4g} trials fit this run (the Poisson sampler takes "
+            f"window means up to {_POISSON_LAM_MAX:.4g})")
+    return np.random.default_rng(seed).poisson(lam * n_trials)
 
 
 def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
                n_trials: int, seed: int, with_input: bool = True,
                constraints: TimingConstraints = TimingConstraints(),
-               workers: int = 1) -> TrialCounts:
-    """Accumulate Poisson counts over ``n_trials`` independent trials.
+               ) -> TrialCounts:
+    """Total Poisson counts of every window over ``n_trials`` independent
+    trials, drawn as one Poisson(n_trials * mean) total per window.
 
     With inputs on, each window draws from echo + noise means; with inputs
     blocked (``with_input=False``, the noise-floor measurement) from the
     noise means alone.  Compilation errors from an infeasible plan
     propagate.
     """
-    _check_run_args(n_trials, seed, workers)
+    _check_run_args(n_trials, seed)
     exp = mode_expectations(device, plan, noise, constraints)
     keys = exp.keys()
+    lam = np.fromiter(exp.noise.values(), float, len(keys))
     if with_input:
-        lam = np.array([exp.total(key) for key in keys])
-    else:
-        lam = np.array([exp.noise[key] for key in keys])
-    totals = _accumulate(lam, n_trials, seed, workers)
-    counts = {key: int(t) for key, t in zip(keys, totals)}
+        lam += np.fromiter(exp.signal.values(), float, len(keys))
+    counts = dict(zip(keys, _poisson_totals(lam, n_trials, seed).tolist()))
     kind = RunKind.SIGNAL if with_input else RunKind.NOISE
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
@@ -284,17 +273,17 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
                        noise: NoiseParams, config: StorageConfig,
                        n_trials: int, seed: int,
                        constraints: TimingConstraints = TimingConstraints(),
-                       workers: int = 1,
                        ) -> dict[tuple[int, int], TrialCounts]:
     """Sweep every ordered (input cell, output cell) pair of the leakage
     matrix: the input enters cell i while collection is set to output j.
 
     Expected counts per window:
         leak[i][j] * signal_i + noise + offresonant_echo_leak[i, j]
-    All pairs are drawn from one vector per trial (substream (seed, trial)),
-    so scan results are reproducible and worker-count independent.
+    The totals of all pairs are one Poisson(n_trials * mean) draw over the
+    pair vector from the generator keyed by ``seed``, so a scan is
+    reproducible from its seed.
     """
-    _check_run_args(n_trials, seed, workers)
+    _check_run_args(n_trials, seed)
     if config.n_temporal != 1:
         raise ConfigError(f"cross-talk scans use a single input pulse per "
                           f"trial; got n_temporal={config.n_temporal}")
@@ -315,7 +304,7 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
             extra = noise.offresonant_echo_leak.get((i, j), 0.0)
             index.append((i, j))
             lam.append(leak.leak(i, j) * sig[i] + noise_per_window + extra)
-    totals = _accumulate(np.array(lam), n_trials, seed, workers)
+    totals = _poisson_totals(np.array(lam), n_trials, seed)
 
     return {(i, j): TrialCounts(kind=RunKind.CROSSTALK,
                                 counts={(j, 1): int(total)},

@@ -1,8 +1,10 @@
 """Release gate: one test per acceptance criterion, one printed verdict each.
 
-Monte Carlo criteria pin their seeds.  The pinned values were chosen once
-from a short seed scan and frozen here; worker counts never change the
-drawn counts, so parallelism is purely a speed knob.
+Monte Carlo criteria fix their seeds only so that a failure reproduces: no
+seed was chosen to make a test pass.  Each statistical check states the
+probability that a correct engine fails it, and keeps it at or below 1e-4
+at any seed.  A window total over n trials costs one Poisson draw, so the
+trial counts are set for statistical power, not for run time.
 """
 
 import math
@@ -46,6 +48,7 @@ from memarray.simulate import (
     run_crosstalk_scan,
     run_trials,
 )
+from stat_gates import poisson_gate
 
 DEVICE = load_device(default_device_path())
 STORAGE_NOISE, _ = load_noise(default_noise_path("storage"),
@@ -109,34 +112,48 @@ def test_criterion_3_mode_capacity():
     print("criterion 3: PASS — capacities 6 and 25, mode totals 60 and 250")
 
 
-def test_criterion_4_monte_carlo_matches_analytic():
-    n, seed = 100_000, 1  # frozen: worst mode at this seed sits at 2.52 SE
-    started = time.monotonic()
-    run = run_trials(PLAN_250, DEVICE, STORAGE_NOISE, n_trials=n, seed=seed,
-                     workers=4)
-    elapsed = time.monotonic() - started
+def _criterion_4_means(n):
     exp = mode_expectations(DEVICE, PLAN_250, STORAGE_NOISE)
-    worst = 0.0
-    for key in exp.keys():
-        lam = exp.total(key)
-        se = math.sqrt(lam / n)
-        z = abs(run.counts[key] / n - lam) / se
-        worst = max(worst, z)
-        assert z <= 3.0, f"mode {key} off by {z:.2f} standard errors"
+    return {key: n * exp.total(key) for key in exp.keys()}
+
+
+def test_criterion_4_monte_carlo_matches_analytic():
+    # All 250 window totals against their exact Poisson means: a correct
+    # engine fails the gate with probability <= 1e-4 (stat_gates).
+    n, seed = 10 ** 8, 1
+    started = time.monotonic()
+    run = run_trials(PLAN_250, DEVICE, STORAGE_NOISE, n_trials=n, seed=seed)
+    elapsed = time.monotonic() - started
+    problems = poisson_gate(run.counts, _criterion_4_means(n))
+    assert problems == [], problems
     assert elapsed < 60.0
-    print(f"criterion 4: PASS — all 250 modes within 3 SE "
-          f"(worst {worst:.2f}) in {elapsed:.1f} s")
+    print(f"criterion 4: PASS — 250 modes at {n:.0e} trials consistent with "
+          f"their Poisson means (false-alarm rate <= 1e-4) in {elapsed:.3f} s")
+
+
+def test_criterion_4_gate_catches_two_percent_bias():
+    # Counts drawn with every mean scaled by 1.02 shift G^2 by ~5500 against
+    # a threshold of ~355 (sd ~150): the gate misses this bias with
+    # probability far below 1e-100, so every seed must fail it.
+    n = 10 ** 8
+    means = _criterion_4_means(n)
+    lam = np.array(list(means.values()))
+    for seed in range(20):
+        biased = np.random.default_rng(seed).poisson(1.02 * lam)
+        assert poisson_gate(dict(zip(means, biased)), means) != [], seed
 
 
 def test_criterion_5_tuned_default_consistency():
-    n, seed = 14227, 1
+    # The bands check the tuned model, so n is large enough that counting
+    # error is negligible: a correct engine leaves a band with probability
+    # < 1e-30 (exact Poisson tails, union-bounded; see CHANGES.md).
+    n, seed = 10 ** 8, 1
     summaries = []
     for plan, target, snr_band in ((PLAN_60, 0.111, (22.0, 40.0)),
                                    (PLAN_250, 0.139, (8.0, 12.0))):
-        sig = run_trials(plan, DEVICE, STORAGE_NOISE, n_trials=n, seed=seed,
-                         workers=4)
+        sig = run_trials(plan, DEVICE, STORAGE_NOISE, n_trials=n, seed=seed)
         bkg = run_trials(plan, DEVICE, STORAGE_NOISE, n_trials=n,
-                         seed=seed + 100, with_input=False, workers=4)
+                         seed=seed + 100, with_input=False)
         stats = per_mode_stats(sig, bkg)
         modes = plan_modes(plan)
         cum_sig = cumulative_counts([stats[m].c_signal for m in modes])[-1]
@@ -148,9 +165,9 @@ def test_criterion_5_tuned_default_consistency():
                          f"SNR {avg_snr:.1f}")
 
     scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT.storage,
-                              n_trials=200_000, seed=0, workers=4)
-    bkg = run_trials(PLAN_XT, DEVICE, SCAN_NOISE, n_trials=200_000, seed=7,
-                     with_input=False, workers=4)
+                              n_trials=n, seed=0)
+    bkg = run_trials(PLAN_XT, DEVICE, SCAN_NOISE, n_trials=n, seed=7,
+                     with_input=False)
     xtalk = crosstalk_matrix(scan, bkg)
     assert not xtalk.invalid_rows
     assert 0.019 <= xtalk.mean_offdiagonal <= 0.039
@@ -236,19 +253,18 @@ def test_criterion_6_structural_properties():
 
 def test_criterion_7_byte_identical_reruns(tmp_path):
     shas = []
-    for name, workers in (("a", 1), ("b", 1), ("c", 2)):
+    for name in ("a", "b"):
         run = run_trials(PLAN_60, DEVICE, STORAGE_NOISE, n_trials=400,
-                         seed=42, workers=workers)
+                         seed=42)
         shas.append(file_sha256(write_counts_csv(tmp_path / f"{name}.csv",
                                                  run)))
-    assert shas[0] == shas[1] == shas[2]
+    assert shas[0] == shas[1]
 
     scan_shas = []
-    for name, workers in (("sa", 1), ("sb", 2)):
+    for name in ("sa", "sb"):
         scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT.storage,
-                                  n_trials=300, seed=11, workers=workers)
+                                  n_trials=300, seed=11)
         scan_shas.append(file_sha256(write_counts_csv(
             tmp_path / f"{name}.csv", scan)))
     assert scan_shas[0] == scan_shas[1]
-    print("criterion 7: PASS — byte-identical CSVs across reruns and "
-          "worker counts")
+    print("criterion 7: PASS — byte-identical CSVs across same-seed reruns")

@@ -99,6 +99,7 @@ class TestRun:
         counts = tmp_path / "counts_signal.csv"
         assert manifest["outputs"]["counts_signal.csv"] == file_sha256(counts)
         assert manifest["seed"] == 4 and manifest["trials"] == 20
+        assert manifest["engine"] == "poisson-total"
         assert manifest["resolved"]["plan"]["storage"]["tau"] == 10.0
         assert "duration_seconds" in manifest
 
@@ -106,13 +107,22 @@ class TestRun:
         noise = tmp_path / "noise.ini"
         noise.write_text(HIGH_NOISE)
         shas = []
-        for sub, workers in (("a", "1"), ("b", "1"), ("c", "3")):
+        for sub in ("a", "b"):
             out = tmp_path / sub
             assert run_cli("run", "--plan", str(small_plan), "--noise",
                            str(noise), "--trials", "400", "--seed", "77",
-                           "--workers", workers, "--out-dir", str(out)) == 0
+                           "--out-dir", str(out)) == 0
             shas.append(file_sha256(out / "counts_signal.csv"))
-        assert shas[0] == shas[1] == shas[2]
+        assert shas[0] == shas[1]
+
+    def test_oversized_trials_exits_two(self, tmp_path, capsys):
+        # 1e25 trials at ~1e-3 counts per window passes the Poisson
+        # sampler's ~9.2e18 limit on a window's mean.
+        code = run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--trials", str(10 ** 25), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "--trials" in capsys.readouterr().err
+        assert not (tmp_path / "counts_signal.csv").exists()
 
     def test_seed_changes_bytes(self, tmp_path, small_plan):
         noise = tmp_path / "noise.ini"
@@ -170,8 +180,11 @@ class TestAnalyze:
         assert len((stats_dir / "projections.csv").read_text().splitlines()) == 3
 
     def test_identical_inputs_give_unit_snr(self, tmp_path, small_plan):
+        # A signal run whose counts equal the noise run's, line for line.
         _, bkg = self.make_runs(tmp_path, small_plan)
-        assert run_cli("analyze", "--signal", str(bkg), "--noise", str(bkg),
+        same = tmp_path / "same_as_noise.csv"
+        same.write_text(bkg.read_text().replace("\nnoise,", "\nsignal,"))
+        assert run_cli("analyze", "--signal", str(same), "--noise", str(bkg),
                        "--plan", str(small_plan), "--device", "10cell",
                        "--out-dir", str(tmp_path / "unit")) == 0
         rows = (tmp_path / "unit" / "mode_stats.csv").read_text().splitlines()
@@ -179,6 +192,31 @@ class TestAnalyze:
         snr_col = header.index("snr")
         for row in rows[1:]:
             assert float(row.split(",")[snr_col]) == 1.0
+
+    def test_swapped_signal_and_noise_exit_two(self, tmp_path, small_plan,
+                                               capsys):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        code = run_cli("analyze", "--signal", str(bkg), "--noise", str(sig),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "swapped"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(bkg) in err and "--signal" in err
+        assert not (tmp_path / "swapped" / "mode_stats.csv").exists()
+
+    @pytest.mark.parametrize("kind,rejected_by", [("signal", "--noise"),
+                                                  ("noise", "--signal")],
+                             ids=["signal", "noise"])
+    def test_same_file_twice_exits_two(self, tmp_path, small_plan, capsys,
+                                       kind, rejected_by):
+        self.make_runs(tmp_path, small_plan)
+        path = tmp_path / f"counts_{kind}.csv"
+        code = run_cli("analyze", "--signal", str(path), "--noise", str(path),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "twice"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and rejected_by in err
 
     def test_mode_set_mismatch_exits_one(self, tmp_path, small_plan, capsys):
         sig, _ = self.make_runs(tmp_path, small_plan)
