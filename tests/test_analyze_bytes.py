@@ -1,0 +1,81 @@
+"""Pinned output bytes of ``memarray analyze``.
+
+The counts CSVs are written from fixed integer formulas (no random draws),
+so the sha256 of every analyze output is a constant of the analysis code.
+Zero noise totals and a zero scan diagonal are included on purpose: they
+exercise the ``inf`` and ``nan`` branches of the writers.
+"""
+
+import hashlib
+
+from memarray.cli import main
+
+HEADER = "run_kind,input_cell,output_cell,temporal_index,total_counts,n_trials\n"
+CELLS = range(1, 11)
+
+
+def write_storage_pair(tmp_path):
+    """Signal and noise counts of the shipped 60mode plan (10 cells x 6)."""
+    sig = tmp_path / "counts_signal.csv"
+    bkg = tmp_path / "counts_noise.csv"
+    sig.write_text(HEADER + "".join(
+        f"signal,{c},{c},{k},{20 + (7 * c + 3 * k) % 13},14227\n"
+        for c in CELLS for k in range(1, 7)))
+    bkg.write_text(HEADER + "".join(
+        f"noise,{c},{c},{k},{(c * k) % 4},14227\n"
+        for c in CELLS for k in range(1, 7)))
+    return sig, bkg
+
+
+def write_scan_pair(tmp_path):
+    """A 10x10 scan (cell 7's diagonal empty) and its no-input run."""
+    def total(i, j):
+        if i == j:
+            return 0 if i == 7 else 300 + 17 * i
+        return (3 * i + 5 * j) % 9
+    scan = tmp_path / "counts_crosstalk.csv"
+    bkg = tmp_path / "counts_noise.csv"
+    scan.write_text(HEADER + "".join(
+        f"crosstalk,{i},{j},1,{total(i, j)},20000\n"
+        for i in CELLS for j in CELLS))
+    bkg.write_text(HEADER + "".join(
+        f"noise,{c},{c},1,{c % 3},20000\n" for c in CELLS))
+    return scan, bkg
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_storage_analyze_bytes(tmp_path):
+    sig, bkg = write_storage_pair(tmp_path)
+    out = tmp_path / "stats"
+    assert main(["analyze", "--signal", str(sig), "--noise", str(bkg),
+                 "--plan", "60mode", "--device", "10cell",
+                 "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in
+            ("mode_stats.csv", "cumulative.csv", "projections.csv")} == {
+        "mode_stats.csv":
+            "81e48c21c7842c3f801109fbd8bfdf04b78d0e7e3a56b2cdc52931710eab2569",
+        "cumulative.csv":
+            "8cee0441b837ee27eaf546b7d71fc4a050cede46b7d820f7c54d4e47c306beb3",
+        "projections.csv":
+            "53ffc7bacf25e80e0421fbaac5a75323289c872b9eef128ff1c8942b488821d8",
+    }
+
+
+def test_scan_analyze_bytes(tmp_path):
+    scan, bkg = write_scan_pair(tmp_path)
+    out = tmp_path / "xt"
+    assert main(["analyze", "--signal", str(scan), "--noise", str(bkg),
+                 "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in
+            ("crosstalk_matrix.csv", "crosstalk_matrix_err.csv",
+             "crosstalk_summary.csv")} == {
+        "crosstalk_matrix.csv":
+            "365a7f938bdf489734b38c78289b29a556c211dc0aac1e4eb318d54a87f4c816",
+        "crosstalk_matrix_err.csv":
+            "af766b69e5dc304fa0ebe1ebb06dd9d2abefe79c36c07df08a8638970e234a8e",
+        "crosstalk_summary.csv":
+            "e5535cb1d8868f05ace3abaf1995090491657a46118a23c7875fec1fb7d9c0ec",
+    }
