@@ -26,7 +26,6 @@ from .analysis import (
     NetworkProjection,
     adjusted_snr,
     crosstalk_matrix,
-    cumulative_counts,
     fidelity_bound,
     g2_inferred,
     per_mode_stats,
@@ -75,7 +74,7 @@ __all__ = [
     "TrialCounts", "expected_noise_per_mode", "expected_signal_per_mode",
     "mode_expectations", "run_crosstalk_scan", "run_trials",
     "CrossTalkMatrix", "ModeStats", "NetworkProjection", "adjusted_snr",
-    "crosstalk_matrix", "cumulative_counts", "fidelity_bound", "g2_inferred",
+    "crosstalk_matrix", "fidelity_bound", "g2_inferred",
     "per_mode_stats", "project_cells", "rescale_signal",
     "__version__",
 ]

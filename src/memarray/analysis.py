@@ -1,10 +1,10 @@
 """Counting statistics and network-performance projections.
 
 Turns raw per-mode count tallies into rates with Poisson errors, SNR,
-cumulative counts, per-cell network projections (rescaled signal, adjusted
-SNR, inferred second-order correlation, time-bin fidelity bound) and the
-cross-talk ratio matrix.  All error bars are first-order (delta-method)
-propagation of Poisson standard errors.
+per-cell network projections (rescaled signal, adjusted SNR, inferred
+second-order correlation, time-bin fidelity bound) and the cross-talk ratio
+matrix.  All error bars are first-order (delta-method) propagation of
+Poisson standard errors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .simulate import RunKind, TrialCounts
 
 __all__ = [
     "ModeStats", "NetworkProjection", "CrossTalkMatrix",
-    "per_mode_stats", "cumulative_counts", "rescale_signal", "adjusted_snr",
+    "per_mode_stats", "rescale_signal", "adjusted_snr",
     "g2_inferred", "fidelity_bound", "project_cells", "crosstalk_matrix",
     "SNR_DEFINITIONS",
 ]
@@ -135,19 +135,6 @@ def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
                              err_signal=err_s, err_noise=err_b,
                              snr=snr, snr_err=snr_err,
                              snr_is_infinite=infinite)
-    return out
-
-
-def cumulative_counts(values) -> list[float]:
-    """Running sum over an ordered sequence of per-mode counts per trial."""
-    values = list(values)
-    if not values:
-        raise ConfigError("cumulative_counts needs at least one mode")
-    out = []
-    total = 0.0
-    for v in values:
-        total += v
-        out.append(total)
     return out
 
 
@@ -282,26 +269,27 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
 # cross-talk
 
 
-def crosstalk_matrix(scan: dict[tuple[int, int], TrialCounts],
+def crosstalk_matrix(scan: TrialCounts,
                      noise_diag: TrialCounts) -> CrossTalkMatrix:
     """Normalize a cross-talk scan: C_ij = c_ij / c_ii.
 
-    ``noise_diag`` is a matching no-input run; its per-cell counts give the
-    noise contribution C_N = n_ii / c_ii of each diagonal.  Rows with zero
-    diagonal counts are flagged invalid and skipped in the mean.
+    ``scan`` is a CROSSTALK run keyed by (input_cell, output_cell) and must
+    cover every pair of its cells.  ``noise_diag`` is a matching no-input
+    run; its per-cell counts give the noise contribution C_N = n_ii / c_ii
+    of each diagonal.  Rows with zero diagonal counts are flagged invalid
+    and skipped in the mean.
     """
-    ids = sorted({i for (i, _) in scan} | {j for (_, j) in scan})
+    if scan.kind is not RunKind.CROSSTALK:
+        raise ConfigError("crosstalk_matrix needs cross-talk scan counts")
+    ids = sorted({cell for pair in scan.counts for cell in pair})
     for i in ids:
         for j in ids:
-            if (i, j) not in scan:
+            if (i, j) not in scan.counts:
                 raise ConfigError(f"scan is missing the ({i}, {j}) pair")
-    for tc in scan.values():
-        if tc.kind is not RunKind.CROSSTALK:
-            raise ConfigError("crosstalk_matrix needs cross-talk scan counts")
 
-    def per_trial(tc: TrialCounts) -> tuple[float, float]:
-        total = tc.total()
-        return total / tc.n_trials, math.sqrt(total) / tc.n_trials
+    def per_trial(pair: tuple[int, int]) -> tuple[float, float]:
+        total = scan.counts[pair]
+        return total / scan.n_trials, math.sqrt(total) / scan.n_trials
 
     n = len(ids)
     c = [[0.0] * n for _ in range(n)]
@@ -310,7 +298,7 @@ def crosstalk_matrix(scan: dict[tuple[int, int], TrialCounts],
     offdiag = []
     noise_contribution = {}
     for a, i in enumerate(ids):
-        c_ii, err_ii = per_trial(scan[(i, i)])
+        c_ii, err_ii = per_trial((i, i))
         if c_ii == 0.0:
             invalid.append(i)
             for b in range(n):
@@ -321,7 +309,7 @@ def crosstalk_matrix(scan: dict[tuple[int, int], TrialCounts],
             if i == j:
                 c[a][b], cerr[a][b] = 1.0, 0.0
                 continue
-            c_ij, err_ij = per_trial(scan[(i, j)])
+            c_ij, err_ij = per_trial((i, j))
             c[a][b] = c_ij / c_ii
             cerr[a][b] = _ratio_err(c_ij, err_ij, c_ii, err_ii)
             offdiag.append(c[a][b])

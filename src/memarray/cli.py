@@ -20,11 +20,12 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     SNR_DEFINITIONS,
     crosstalk_matrix,
-    cumulative_counts,
     per_mode_stats,
     project_cells,
 )
@@ -173,7 +174,6 @@ def cmd_run(args) -> int:
     device = load_device(args.device)
     noise, leak = load_noise(args.noise,
                              default_dark_rate=device.dark_count_rate)
-    args.out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "crosstalk":
         if leak is None:
@@ -181,13 +181,12 @@ def cmd_run(args) -> int:
                               "the noise file", path=args.noise)
         result = run_crosstalk_scan(device, leak, noise, plan.storage,
                                     n_trials=args.trials, seed=args.seed)
-        n_rows = len(result)
     else:
         result = run_trials(plan, device, noise, n_trials=args.trials,
                             seed=args.seed,
                             with_input=(args.mode == "signal"))
-        n_rows = len(result.counts)
 
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     counts_path = write_counts_csv(args.out_dir / f"counts_{args.mode}.csv",
                                    result)
     manifest_path = args.out_dir / f"manifest_{args.mode}.json"
@@ -210,7 +209,8 @@ def cmd_run(args) -> int:
         "outputs": {counts_path.name: file_sha256(counts_path)},
         "duration_seconds": round(time.monotonic() - started, 3),
     })
-    print(f"wrote {counts_path} ({n_rows} rows) and {manifest_path}")
+    print(f"wrote {counts_path} ({len(result.counts)} rows) and "
+          f"{manifest_path}")
     return 0
 
 
@@ -220,12 +220,12 @@ def _read_noise_run(path: Path):
     if counts.kind is not RunKind.NOISE:
         raise ConfigError(f"--noise needs a noise (no-input) run, but this "
                           f"file holds a {counts.kind.value} run", path=path)
-    return counts.to_trial_counts()
+    return counts
 
 
-def _analyze_scan(args, scan_file) -> int:
-    matrix = crosstalk_matrix(scan_file.to_scan(),
-                              _read_noise_run(args.noise))
+def _analyze_scan(args, scan) -> int:
+    matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
                                  args.out_dir / "crosstalk_matrix_err.csv",
                                  args.out_dir / "crosstalk_summary.csv",
@@ -237,13 +237,12 @@ def _analyze_scan(args, scan_file) -> int:
 
 
 def cmd_analyze(args) -> int:
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    signal_file = read_counts_csv(args.signal)
-    if signal_file.kind is RunKind.CROSSTALK:
-        return _analyze_scan(args, signal_file)
-    if signal_file.kind is not RunKind.SIGNAL:
+    signal = read_counts_csv(args.signal)
+    if signal.kind is RunKind.CROSSTALK:
+        return _analyze_scan(args, signal)
+    if signal.kind is not RunKind.SIGNAL:
         raise ConfigError(f"--signal needs a signal or crosstalk run, but "
-                          f"this file holds a {signal_file.kind.value} run",
+                          f"this file holds a {signal.kind.value} run",
                           path=args.signal)
 
     if args.plan is None or args.device is None:
@@ -251,7 +250,6 @@ def cmd_analyze(args) -> int:
                           "for mode ordering and network projections")
     plan = load_plan(args.plan)
     device = load_device(args.device)
-    signal = signal_file.to_trial_counts()
     noise = _read_noise_run(args.noise)
 
     stats = per_mode_stats(signal, noise, args.snr_definition)
@@ -262,15 +260,17 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"counts do not cover the plan's modes "
                           f"(first missing: {missing[0]})", path=args.signal)
 
-    cum_s = cumulative_counts([stats[m].c_signal for m in modes])
-    cum_b = cumulative_counts([stats[m].c_noise for m in modes])
-    # Poisson errors add in quadrature along the running sum.
-    cum_s_err = [e ** 0.5 for e in
-                 cumulative_counts([stats[m].err_signal ** 2 for m in modes])]
-    cum_b_err = [e ** 0.5 for e in
-                 cumulative_counts([stats[m].err_noise ** 2 for m in modes])]
+    # Running sums over the plan's mode order.  Poisson errors add in
+    # quadrature, so the error series are running sums of variances.
+    cum_s, cum_b, var_s, var_b = np.cumsum(
+        [[stats[m].c_signal for m in modes], [stats[m].c_noise for m in modes],
+         [stats[m].err_signal ** 2 for m in modes],
+         [stats[m].err_noise ** 2 for m in modes]], axis=1).tolist()
+    cum_s_err = [v ** 0.5 for v in var_s]
+    cum_b_err = [v ** 0.5 for v in var_b]
     projections = project_cells(signal, noise, device, plan)
 
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = [
         write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),
         write_cumulative_csv(args.out_dir / "cumulative.csv", modes,

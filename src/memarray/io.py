@@ -362,74 +362,40 @@ COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
                  "total_counts", "n_trials"]
 
 
-def write_counts_csv(path, result) -> Path:
-    """Write a counts table.
+def write_counts_csv(path, result: TrialCounts) -> Path:
+    """Write a counts table, one row per window in sorted key order, so
+    identical runs produce byte-identical files.
 
-    ``result`` is either a single TrialCounts (signal/noise run) or a mapping
-    (input_cell, output_cell) -> TrialCounts from a cross-talk scan.
-    Rows are written in canonical sorted order so identical runs produce
-    byte-identical files.
+    A signal or noise run's (cell, k) key becomes input = output = cell at
+    temporal index k; a scan's (input, output) key is written at temporal
+    index 1.
     """
     path = Path(path)
-    rows = []
-    if isinstance(result, TrialCounts):
-        for (cell, k), total in sorted(result.counts.items()):
-            rows.append([result.kind.value, cell, cell, k, total, result.n_trials])
-    else:
-        for (i, j) in sorted(result):
-            tc = result[(i, j)]
-            for (_, k), total in sorted(tc.counts.items()):
-                rows.append([tc.kind.value, i, j, k, total, tc.n_trials])
+    scan = result.kind is RunKind.CROSSTALK
     with path.open("w", newline="") as fh:
         w = _writer(fh)
         w.writerow(COUNTS_HEADER)
-        w.writerows(rows)
+        for a, b in sorted(result.counts):
+            i, j, k = (a, b, 1) if scan else (a, a, b)
+            w.writerow([result.kind.value, i, j, k, result.counts[(a, b)],
+                        result.n_trials])
     return path
 
 
-class CountsFile:
-    """Parsed counts CSV: run kind plus per-row tallies."""
+def read_counts_csv(path) -> TrialCounts:
+    """Read a counts CSV back into the TrialCounts that wrote it.
 
-    def __init__(self, kind: RunKind, rows):
-        self.kind = kind
-        self.rows = rows  # list of (input_cell, output_cell, k, total, n_trials)
-
-    def to_trial_counts(self) -> TrialCounts:
-        """Reassemble a signal/noise run (input == output on every row)."""
-        if self.kind is RunKind.CROSSTALK:
-            raise ConfigError("this is a cross-talk scan, not a single run")
-        counts = {}
-        n_trials = None
-        for i, j, k, total, n in self.rows:
-            if i != j:
-                raise ConfigError(
-                    f"signal/noise rows must have input_cell == output_cell, "
-                    f"got ({i}, {j})")
-            counts[(i, k)] = total
-            n_trials = n if n_trials is None else n_trials
-            if n != n_trials:
-                raise ConfigError("inconsistent n_trials across rows")
-        return TrialCounts(kind=self.kind, counts=counts, n_trials=n_trials)
-
-    def to_scan(self) -> dict[tuple[int, int], TrialCounts]:
-        if self.kind is not RunKind.CROSSTALK:
-            raise ConfigError("not a cross-talk scan")
-        counts: dict[tuple[int, int], dict] = {}
-        trials: dict[tuple[int, int], int] = {}
-        for i, j, k, total, n in self.rows:
-            counts.setdefault((i, j), {})[(j, k)] = total
-            if trials.setdefault((i, j), n) != n:
-                raise ConfigError(f"inconsistent n_trials across rows of "
-                                  f"pair ({i}, {j})")
-        return {pair: TrialCounts(kind=RunKind.CROSSTALK, counts=tallies,
-                                  n_trials=trials[pair], pair=pair)
-                for pair, tallies in counts.items()}
-
-
-def read_counts_csv(path) -> CountsFile:
+    Every row must share one run kind and one n_trials.  Signal and noise
+    rows need input_cell == output_cell; scan rows need temporal_index 1.
+    A duplicated (input_cell, output_cell, temporal_index) key is refused.
+    Row errors name the file and the line.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError("file not found", path=path)
+    kind = n_trials = None
+    counts: dict[tuple[int, int], int] = {}
+    key_lines: dict[tuple[int, int], int] = {}
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -438,35 +404,45 @@ def read_counts_csv(path) -> CountsFile:
             raise ConfigError("empty counts file", path=path) from None
         if header != COUNTS_HEADER:
             raise ConfigError(f"unexpected counts header {header}", path=path, line=1)
-        kinds = set()
-        rows = []
-        key_lines: dict[tuple[int, int, int], int] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             try:
-                kinds.add(row[0])
-                rows.append((int(row[1]), int(row[2]), int(row[3]),
-                             int(row[4]), int(row[5])))
-            except (ValueError, IndexError) as exc:
+                i, j, k, total, n = map(int, row[1:6])
+                row_kind = RunKind(row[0])
+            except ValueError as exc:
                 raise ConfigError(f"bad counts row: {row}", path=path,
                                   line=lineno) from exc
-            key = rows[-1][:3]
-            if key in key_lines:
-                raise ConfigError(
-                    f"duplicate row for (input_cell, output_cell, "
-                    f"temporal_index) = {key}: lines {key_lines[key]} and "
-                    f"{lineno}", path=path, line=lineno)
-            key_lines[key] = lineno
-    if not rows:
+            if kind is None:
+                kind, n_trials = row_kind, n
+            scan = kind is RunKind.CROSSTALK
+            key = (i, j) if scan else (i, k)
+            if total < 0 or n < 1:
+                msg = (f"bad counts row: {row} (total_counts must be >= 0 "
+                       f"and n_trials >= 1)")
+            elif row_kind is not kind:
+                msg = (f"mixed run kinds in one file: {kind.value} and "
+                       f"{row_kind.value}")
+            elif n != n_trials:
+                msg = (f"inconsistent n_trials across rows: {n} here, "
+                       f"{n_trials} on the first row")
+            elif scan and k != 1:
+                msg = f"scan rows must have temporal_index 1, got {k}"
+            elif not scan and i != j:
+                msg = (f"{kind.value} rows must have input_cell == "
+                       f"output_cell, got ({i}, {j})")
+            elif key in key_lines:
+                msg = (f"duplicate row for (input_cell, output_cell, "
+                       f"temporal_index) = {(i, j, k)}: lines "
+                       f"{key_lines[key]} and {lineno}")
+            else:
+                key_lines[key] = lineno
+                counts[key] = total
+                continue
+            raise ConfigError(msg, path=path, line=lineno)
+    if kind is None:
         raise ConfigError("counts file has no data rows", path=path)
-    if len(kinds) != 1:
-        raise ConfigError(f"mixed run kinds in one file: {sorted(kinds)}", path=path)
-    try:
-        kind = RunKind(kinds.pop())
-    except ValueError as exc:
-        raise ConfigError(f"unknown run kind: {exc}", path=path) from exc
-    return CountsFile(kind, rows)
+    return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
 
 def write_timeline_csv(path, timeline: Timeline) -> Path:

@@ -116,24 +116,22 @@ class LeakageMatrix:
 
 @dataclass(frozen=True)
 class TrialCounts:
-    """Accumulated counts of one run: (cell_id, temporal_index) -> total."""
+    """Window totals of one run over ``n_trials`` trials.
+
+    A signal or noise run is keyed by (cell_id, temporal_index); a
+    cross-talk scan is keyed by (input_cell, output_cell), one window per
+    pair (temporal index 1).
+    """
 
     kind: RunKind
     counts: dict[tuple[int, int], int]
     n_trials: int
-    pair: tuple[int, int] | None = None  # (input, output) for scan entries
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
         if any(v < 0 for v in self.counts.values()):
             raise ConfigError("counts must be non-negative")
-
-    def mean(self, key: tuple[int, int]) -> float:
-        return self.counts[key] / self.n_trials
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
 
 # --------------------------------------------------------------------------
@@ -273,10 +271,11 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
                        noise: NoiseParams, config: StorageConfig,
                        n_trials: int, seed: int,
                        constraints: TimingConstraints = TimingConstraints(),
-                       ) -> dict[tuple[int, int], TrialCounts]:
+                       ) -> TrialCounts:
     """Sweep every ordered (input cell, output cell) pair of the leakage
     matrix: the input enters cell i while collection is set to output j.
 
+    Returns one CROSSTALK table keyed by (input_cell, output_cell).
     Expected counts per window:
         leak[i][j] * signal_i + noise + offresonant_echo_leak[i, j]
     The totals of all pairs are one Poisson(n_trials * mean) draw over the
@@ -297,16 +296,11 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     sig = {c: expected_signal_per_mode(device.cell(c), config, device)
            for c in cells}
 
-    index = []  # (input, output) in canonical order
-    lam = []
-    for i in cells:
-        for j in cells:
-            extra = noise.offresonant_echo_leak.get((i, j), 0.0)
-            index.append((i, j))
-            lam.append(leak.leak(i, j) * sig[i] + noise_per_window + extra)
-    totals = _poisson_totals(np.array(lam), n_trials, seed)
-
-    return {(i, j): TrialCounts(kind=RunKind.CROSSTALK,
-                                counts={(j, 1): int(total)},
-                                n_trials=n_trials, pair=(i, j))
-            for (i, j), total in zip(index, totals)}
+    pairs = [(i, j) for i in cells for j in cells]
+    lam = np.array([leak.leak(i, j) * sig[i] + noise_per_window
+                    + noise.offresonant_echo_leak.get((i, j), 0.0)
+                    for i, j in pairs])
+    totals = _poisson_totals(lam, n_trials, seed)
+    return TrialCounts(kind=RunKind.CROSSTALK,
+                       counts=dict(zip(pairs, totals.tolist())),
+                       n_trials=n_trials)

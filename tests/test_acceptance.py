@@ -16,7 +16,6 @@ import pytest
 from memarray.analysis import (
     adjusted_snr,
     crosstalk_matrix,
-    cumulative_counts,
     fidelity_bound,
     g2_inferred,
     per_mode_stats,
@@ -156,8 +155,8 @@ def test_criterion_5_tuned_default_consistency():
                          seed=seed + 100, with_input=False)
         stats = per_mode_stats(sig, bkg)
         modes = plan_modes(plan)
-        cum_sig = cumulative_counts([stats[m].c_signal for m in modes])[-1]
-        cum_bkg = cumulative_counts([stats[m].c_noise for m in modes])[-1]
+        cum_sig = sum(stats[m].c_signal for m in modes)
+        cum_bkg = sum(stats[m].c_noise for m in modes)
         avg_snr = cum_sig / cum_bkg  # pooled over all modes
         assert abs(cum_sig - target) <= 0.10 * target
         assert snr_band[0] <= avg_snr <= snr_band[1]

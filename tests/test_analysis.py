@@ -15,7 +15,6 @@ from memarray.analysis import (
     SNR_DEFINITIONS,
     adjusted_snr,
     crosstalk_matrix,
-    cumulative_counts,
     fidelity_bound,
     g2_inferred,
     per_mode_stats,
@@ -28,9 +27,8 @@ from memarray.sequence import SequencePlan
 from memarray.simulate import RunKind, TrialCounts
 
 
-def counts(kind, table, n_trials, pair=None):
-    return TrialCounts(kind=kind, counts=dict(table), n_trials=n_trials,
-                       pair=pair)
+def counts(kind, table, n_trials):
+    return TrialCounts(kind=kind, counts=dict(table), n_trials=n_trials)
 
 
 class TestPerModeStats:
@@ -84,26 +82,6 @@ class TestPerModeStats:
         with pytest.raises(ConfigError):
             per_mode_stats(sig, sig, "bogus")
         assert SNR_DEFINITIONS == ("ratio", "excess")
-
-
-class TestCumulativeCounts:
-    def test_all_zero(self):
-        assert cumulative_counts([0.0, 0.0, 0.0]) == [0.0, 0.0, 0.0]
-
-    def test_running_sum(self):
-        got = cumulative_counts([0.01, 0.02, 0.03])
-        assert got == pytest.approx([0.01, 0.03, 0.06])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            cumulative_counts([])
-
-    @given(st.lists(st.floats(0, 1), min_size=1, max_size=20),
-           st.lists(st.floats(0, 1), min_size=1, max_size=20))
-    def test_concatenation_additivity(self, a, b):
-        whole = cumulative_counts(a + b)
-        assert whole[-1] == pytest.approx(
-            cumulative_counts(a)[-1] + cumulative_counts(b)[-1])
 
 
 class TestRescaleSignal:
@@ -272,9 +250,8 @@ class TestProjectCells:
 
 
 def scan_table(totals, n_trials=1000):
-    return {pair: counts(RunKind.CROSSTALK, {(pair[1], 1): c}, n_trials,
-                         pair=pair)
-            for pair, c in totals.items()}
+    """A cross-talk scan: (input_cell, output_cell) -> total."""
+    return counts(RunKind.CROSSTALK, totals, n_trials)
 
 
 class TestCrossTalkMatrix:
@@ -320,8 +297,7 @@ class TestCrossTalkMatrix:
             crosstalk_matrix(scan, bkg)
 
     def test_wrong_kind_rejected(self):
-        scan = scan_table({(1, 1): 10})
-        scan[(1, 1)] = counts(RunKind.SIGNAL, {(1, 1): 10}, 1000)
+        scan = counts(RunKind.SIGNAL, {(1, 1): 10}, 1000)
         bkg = counts(RunKind.NOISE, {(1, 1): 0}, 1000)
         with pytest.raises(ConfigError):
             crosstalk_matrix(scan, bkg)

@@ -7,6 +7,7 @@ import pytest
 from memarray.cli import main
 from memarray.defaults import default_plan_path
 from memarray.io import file_sha256, read_counts_csv
+from memarray.simulate import RunKind
 
 
 def run_cli(*argv):
@@ -89,7 +90,7 @@ class TestRun:
                        "--out-dir", str(tmp_path)) == 0
         csv_path = tmp_path / "counts_signal.csv"
         assert len(csv_path.read_text().splitlines()) == 61  # header + 60
-        run = read_counts_csv(csv_path).to_trial_counts()
+        run = read_counts_csv(csv_path)
         assert run.n_trials == 50
 
     def test_manifest_inventory(self, tmp_path):
@@ -144,6 +145,15 @@ class TestRun:
         assert code == 1
         assert "violation" in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
+        p = tmp_path / "over.ini"
+        p.write_text(default_plan_path("60mode").read_text().replace(
+            "n_temporal = 6", "n_temporal = 7\nmode_period_us = 1.0833"))
+        out = tmp_path / "runout"
+        assert run_cli("run", "--plan", str(p), "--noise", "storage",
+                       "--trials", "10", "--out-dir", str(out)) == 1
+        assert not out.exists()
+
     def test_crosstalk_needs_leakage(self, tmp_path, capsys):
         code = run_cli("run", "--plan", "crosstalk", "--noise", "storage",
                        "--mode", "crosstalk", "--trials", "10",
@@ -155,8 +165,9 @@ class TestRun:
         assert run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
                        "--mode", "crosstalk", "--trials", "30",
                        "--out-dir", str(tmp_path)) == 0
-        scan = read_counts_csv(tmp_path / "counts_crosstalk.csv").to_scan()
-        assert len(scan) == 100
+        scan = read_counts_csv(tmp_path / "counts_crosstalk.csv")
+        assert scan.kind is RunKind.CROSSTALK
+        assert len(scan.counts) == 100
 
 
 class TestAnalyze:
@@ -217,6 +228,14 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert str(path) in err and rejected_by in err
+
+    def test_failed_analyze_leaves_no_out_dir(self, tmp_path, small_plan):
+        _, bkg = self.make_runs(tmp_path, small_plan)
+        out = tmp_path / "stats_out"
+        assert run_cli("analyze", "--signal", str(bkg), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(out)) == 2
+        assert not out.exists()
 
     def test_mode_set_mismatch_exits_one(self, tmp_path, small_plan, capsys):
         sig, _ = self.make_runs(tmp_path, small_plan)
@@ -296,6 +315,37 @@ class TestAnalyze:
                        "--out-dir", str(tmp_path / "xt"))
         assert code == 2
         assert "inconsistent n_trials" in capsys.readouterr().err
+
+    def test_scan_row_off_temporal_index_one_exits_two(self, tmp_path,
+                                                        capsys):
+        # Without the rule, analyze would add this row to pair (1, 2).
+        for mode, seed in (("crosstalk", "6"), ("noise", "7")):
+            run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
+                    "--mode", mode, "--trials", "2000", "--seed", seed,
+                    "--out-dir", str(tmp_path))
+        scan_csv = tmp_path / "counts_crosstalk.csv"
+        with scan_csv.open("a") as fh:
+            fh.write("crosstalk,1,2,2,0,2000\n")
+        code = run_cli("analyze", "--signal", str(scan_csv),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--out-dir", str(tmp_path / "xt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{scan_csv}, line 102" in err and "temporal_index 1" in err
+        assert not (tmp_path / "xt").exists()
+
+    def test_signal_row_across_cells_exits_two(self, tmp_path, small_plan,
+                                               capsys):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        lines = sig.read_text().splitlines()
+        lines[3] = lines[3].replace("signal,2,2,", "signal,2,1,")
+        sig.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "cross"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sig}, line 4" in err and "input_cell == output_cell" in err
 
 
 class TestUsage:

@@ -182,22 +182,20 @@ class TestCountsRoundTrip:
                           counts={(1, 2): 7, (1, 1): 11, (2, 1): 0},
                           n_trials=500)
         path = write_counts_csv(tmp_path / "counts.csv", run)
-        back = read_counts_csv(path).to_trial_counts()
+        back = read_counts_csv(path)
         assert back.kind is RunKind.SIGNAL
         assert back.counts == run.counts
         assert back.n_trials == 500
 
     def test_scan_round_trip(self, tmp_path):
-        scan = {(i, j): TrialCounts(kind=RunKind.CROSSTALK,
-                                    counts={(j, 1): 10 * i + j},
-                                    n_trials=99, pair=(i, j))
-                for i in (1, 2) for j in (1, 2)}
+        scan = TrialCounts(kind=RunKind.CROSSTALK,
+                           counts={(i, j): 10 * i + j
+                                   for i in (1, 2) for j in (1, 2)},
+                           n_trials=99)
         path = write_counts_csv(tmp_path / "scan.csv", scan)
-        back = read_counts_csv(path).to_scan()
-        assert set(back) == set(scan)
-        for pair in scan:
-            assert back[pair].counts == scan[pair].counts
-            assert back[pair].pair == pair
+        assert path.read_text().splitlines()[1:3] == [
+            "crosstalk,1,1,1,11,99", "crosstalk,1,2,1,12,99"]
+        assert read_counts_csv(path) == scan
 
     def test_write_is_byte_stable(self, tmp_path):
         run = TrialCounts(kind=RunKind.NOISE, counts={(3, 1): 4, (1, 1): 2},
@@ -214,13 +212,15 @@ class TestCountsRoundTrip:
             read_counts_csv(p)
         assert err.value.line == 1
 
-    def test_scan_file_refuses_single_run_view(self, tmp_path):
-        scan = {(1, 2): TrialCounts(kind=RunKind.CROSSTALK,
-                                    counts={(2, 1): 3}, n_trials=5,
-                                    pair=(1, 2))}
-        path = write_counts_csv(tmp_path / "scan.csv", scan)
-        with pytest.raises(ConfigError, match="cross-talk"):
-            read_counts_csv(path).to_trial_counts()
+    def test_scan_file_reads_back_pair_keyed(self, tmp_path):
+        # A scan row (input 1, output 2) is keyed (1, 2), never by the
+        # (cell, temporal_index) of a single run.
+        p = tmp_path / "scan.csv"
+        p.write_text(",".join(COUNTS_HEADER) + "\ncrosstalk,1,2,1,3,5\n")
+        back = read_counts_csv(p)
+        assert back.kind is RunKind.CROSSTALK
+        assert back.counts == {(1, 2): 3}
+        assert back.n_trials == 5
 
     def test_bad_row_names_line(self, tmp_path):
         p = tmp_path / "bad.csv"
