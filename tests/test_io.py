@@ -176,6 +176,75 @@ class TestLoadNoise:
         assert err.value.key == "row_2"
 
 
+_SMALL_NOISE = ("[noise]\nbase_noise_per_window = 0\n"
+                "fluorescence_amplitude = 0\nfluorescence_decay_us = 2.0\n"
+                "dark_rate_hz = 0\n[leakage]\nrow_1 = 1, 0\nrow_2 = 0.1, 1\n")
+_LOADERS = {"device": (load_device, default_device_path),
+            "plan": (load_plan, lambda: default_plan_path("60mode")),
+            "noise": (load_noise, None)}
+
+
+def _edited(tmp_path, kind, old, new):
+    """Write a config file with one line replaced; return the loader,
+    the file and the number of the replaced line."""
+    loader, default = _LOADERS[kind]
+    text = _SMALL_NOISE if default is None else default().read_text()
+    assert old in text
+    text = text.replace(old, new, 1)
+    path = tmp_path / f"{kind}.ini"
+    path.write_text(text)
+    line = text.splitlines().index(new) + 1
+    return loader, path, line
+
+
+class TestDiagnostics:
+    """Every parse and value error names the file; parse errors also name
+    the key and the line and say what was expected."""
+
+    @pytest.mark.parametrize("kind, old, new, key, expected", [
+        ("device", "eta_mux = 0.862", "eta_mux = wat", "eta_mux",
+         "expected a number, got 'wat'"),
+        ("plan", "n_temporal = 6", "n_temporal = 2.5", "n_temporal",
+         "expected an integer, got '2.5'"),
+        ("plan", "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+         "cell_order = 1, x", "cell_order",
+         "expected comma-separated integers, got '1, x'"),
+        ("noise", "row_2 = 0.1, 1", "row_2 = 1, y", "row_2",
+         "expected comma-separated numbers, got '1, y'"),
+        ("device", "afc_calibration = 10:0.150, 25:0.0538",
+         "afc_calibration = 10-0.1, 25:0.05", "afc_calibration",
+         "expected 'tau:eta' pairs, got '10-0.1, 25:0.05'"),
+        ("plan", "input_shape = gaussian", "input_shape = triangle",
+         "input_shape", None),
+    ])
+    def test_parse_error_names_key_and_line(self, tmp_path, kind, old, new,
+                                            key, expected):
+        loader, path, line = _edited(tmp_path, kind, old, new)
+        with pytest.raises(ConfigError) as err:
+            loader(path)
+        assert err.value.path == path
+        assert err.value.key == key
+        assert err.value.line == line
+        if expected is not None:
+            assert expected in str(err.value)
+
+    @pytest.mark.parametrize("kind, old, new, key", [
+        ("device", "eta_mux = 0.862", "eta_mux = 1.5", "cell 1"),
+        ("device", "eta_detection_path = 0.14", "eta_detection_path = 2",
+         None),
+        ("plan", "tau_us = 10.0", "tau_us = -1", None),
+        ("noise", "base_noise_per_window = 0", "base_noise_per_window = -1",
+         None),
+    ])
+    def test_value_error_names_file(self, tmp_path, kind, old, new, key):
+        loader, path, _ = _edited(tmp_path, kind, old, new)
+        with pytest.raises(ConfigError) as err:
+            loader(path)
+        assert err.value.path == path
+        if key is not None:
+            assert err.value.key == key
+
+
 class TestCountsRoundTrip:
     def test_single_run(self, tmp_path):
         run = TrialCounts(kind=RunKind.SIGNAL,
