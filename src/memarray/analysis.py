@@ -274,10 +274,11 @@ def crosstalk_matrix(scan: TrialCounts,
     """Normalize a cross-talk scan: C_ij = c_ij / c_ii.
 
     ``scan`` is a CROSSTALK run keyed by (input_cell, output_cell) and must
-    cover every pair of its cells.  ``noise_diag`` is a matching no-input
-    run; its per-cell counts give the noise contribution C_N = n_ii / c_ii
-    of each diagonal.  Rows with zero diagonal counts are flagged invalid
-    and skipped in the mean.
+    cover every pair of its cells.  ``noise_diag`` is the matching no-input
+    run: exactly one window (cell, 1) per scan cell, else ModeSetMismatch.
+    Its counts give the noise contribution C_N = n_ii / c_ii of each
+    diagonal.  Rows with zero diagonal counts are flagged invalid and
+    skipped in the mean.
     """
     if scan.kind is not RunKind.CROSSTALK:
         raise ConfigError("crosstalk_matrix needs cross-talk scan counts")
@@ -286,6 +287,10 @@ def crosstalk_matrix(scan: TrialCounts,
         for j in ids:
             if (i, j) not in scan.counts:
                 raise ConfigError(f"scan is missing the ({i}, {j}) pair")
+    windows, noise_keys = {(i, 1) for i in ids}, set(noise_diag.counts)
+    if noise_keys != windows:
+        raise ModeSetMismatch(missing_in_signal=noise_keys - windows,
+                              missing_in_noise=windows - noise_keys)
 
     def per_trial(pair: tuple[int, int]) -> tuple[float, float]:
         total = scan.counts[pair]
@@ -313,9 +318,7 @@ def crosstalk_matrix(scan: TrialCounts,
             c[a][b] = c_ij / c_ii
             cerr[a][b] = _ratio_err(c_ij, err_ij, c_ii, err_ii)
             offdiag.append(c[a][b])
-        noise_keys = [key for key in noise_diag.counts if key[0] == i]
-        n_ii = (sum(noise_diag.counts[key] for key in noise_keys)
-                / noise_diag.n_trials)
+        n_ii = noise_diag.counts[(i, 1)] / noise_diag.n_trials
         noise_contribution[i] = n_ii / c_ii
     if not offdiag and len(ids) > 1:
         raise ConfigError("every scan row has a zero diagonal; nothing to "

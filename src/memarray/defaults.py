@@ -11,11 +11,6 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .device import ArrayDevice
-from .io import load_device, load_noise, load_plan
-from .sequence import SequencePlan
-from .simulate import LeakageMatrix, NoiseParams
-
 PLANS = ("60mode", "250mode", "crosstalk")
 NOISE_MODELS = ("storage", "crosstalk")
 
@@ -43,16 +38,3 @@ def default_noise_path(which: str) -> Path:
                          f"choose from {NOISE_MODELS}")
     return data_path(f"noise_{which}.ini")
 
-
-def load_default_device() -> ArrayDevice:
-    return load_device(default_device_path())
-
-
-def load_default_plan(which: str) -> SequencePlan:
-    return load_plan(default_plan_path(which))
-
-
-def load_default_noise(which: str) -> tuple[NoiseParams, LeakageMatrix | None]:
-    device = load_default_device()
-    return load_noise(default_noise_path(which),
-                      default_dark_rate=device.dark_count_rate)

@@ -64,7 +64,7 @@ def _check_fraction(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class CellParams:
-    """Per-cell efficiency record plus transverse position (micrometers).
+    """Per-cell efficiency record.
 
     afc_calibration holds (storage time in us -> echo efficiency) pairs;
     two or more points are required so the efficiency can be interpolated at
@@ -77,7 +77,6 @@ class CellParams:
     eta_fiber: float
     eta_transfer: float
     afc_calibration: tuple[tuple[float, float], ...]
-    position: float
 
     def __post_init__(self):
         if self.cell_id < 1:
@@ -104,14 +103,11 @@ class CellParams:
 
 @dataclass(frozen=True)
 class ArrayDevice:
-    """The full array: cells plus geometry and shared detection parameters."""
+    """The full array: cells plus shared detection parameters."""
 
     cells: tuple[CellParams, ...]
-    cell_spacing: float            # um
-    input_beam_diameter: float     # um
-    control_beam_diameter: float   # um
     eta_detection_path: float
-    dark_count_rate: float         # Hz
+    dark_count_rate: float  # Hz
 
     def __post_init__(self):
         cells = tuple(self.cells)
@@ -120,11 +116,6 @@ class ArrayDevice:
         ids = [c.cell_id for c in cells]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate cell ids: {ids}")
-        positions = [c.position for c in cells]
-        if len(set(positions)) != len(positions):
-            raise ConfigError("cell positions must be pairwise distinct")
-        if not self.cell_spacing > 0:
-            raise ConfigError("cell_spacing must be positive")
         _check_fraction("eta_detection_path", self.eta_detection_path)
         if self.dark_count_rate < 0:
             raise ConfigError("dark_count_rate must be >= 0")

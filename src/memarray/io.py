@@ -14,8 +14,9 @@ import enum
 import hashlib
 import json
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .device import ArrayDevice, CellParams, PulseKind, PulseShape, StorageConfig
 from .errors import ConfigError
@@ -47,7 +48,7 @@ def _key_lines(path: Path) -> dict[tuple[str, str], int]:
     return lines
 
 
-def _load_ini(path) -> tuple[configparser.ConfigParser, dict[tuple[str, str], int], Path]:
+def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     path = Path(path)
     if not path.exists():
         raise ConfigError("file not found", path=path)
@@ -66,86 +67,85 @@ def _load_ini(path) -> tuple[configparser.ConfigParser, dict[tuple[str, str], in
         raise ConfigError(f"cannot parse file: {exc}", path=path) from exc
     if not parser.sections():
         raise ConfigError("no sections found (empty or comment-only file)", path=path)
-    return parser, _key_lines(path), path
+    lines = _key_lines(path)
+    return {name: _Section(name, parser[name], lines)
+            for name in parser.sections()}, path
+
+
+@contextmanager
+def _in_file(path: Path, key: str | None = None):
+    """Give a ConfigError raised in the block that names no file this
+    file's path, and ``key`` if it names no key either."""
+    try:
+        yield
+    except ConfigError as exc:
+        if exc.path is None:
+            exc.path = path
+            if exc.key is None:
+                exc.key = key
+        raise
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _pairs(text: str) -> list[tuple[float, float]]:
+    """Parse 'a:b, c:d' pairs (calibration tables)."""
+    pairs = []
+    for tok in text.split(","):
+        a, b = tok.split(":")
+        pairs.append((float(a), float(b)))
+    return pairs
 
 
 class _Section:
-    """One INI section with strict key checking and typed accessors."""
+    """One INI section with strict key checking and a typed accessor.
+
+    Errors carry the key and line but no path: the loaders raise them
+    inside ``_in_file``.
+    """
 
     def __init__(self, name: str, items: Mapping[str, str],
-                 lines: Mapping[tuple[str, str], int], path: Path):
+                 lines: Mapping[tuple[str, str], int]):
         self.name = name
         self.items = dict(items)
         self.lines = lines
-        self.path = path
 
-    def _line(self, key: str) -> int | None:
+    def line(self, key: str) -> int | None:
         return self.lines.get((self.name, key))
 
     def check_keys(self, allowed: set[str], required: set[str]) -> None:
         for key in self.items:
             if key not in allowed:
                 raise ConfigError(f"unknown key in [{self.name}]",
-                                  path=self.path, key=key, line=self._line(key))
+                                  key=key, line=self.line(key))
         for key in required:
             if key not in self.items:
                 raise ConfigError(f"[{self.name}] is missing required key '{key}'",
-                                  path=self.path, key=key)
+                                  key=key)
 
-    def raw(self, key: str, default=None):
-        return self.items.get(key, default)
+    def value(self, key: str, parse: Callable, expected: str, default=None):
+        """``parse`` the key's text, or return ``default`` if it is absent;
+        a ValueError from ``parse`` means the text is not ``expected``."""
+        if key not in self.items:
+            return default
+        v = self.items[key]
+        try:
+            return parse(v)
+        except ValueError as exc:
+            raise ConfigError(f"expected {expected}, got {v!r}",
+                              key=key, line=self.line(key)) from exc
 
     def float(self, key: str, default=None) -> float:
-        if key not in self.items:
-            return default
-        try:
-            return float(self.items[key])
-        except ValueError as exc:
-            raise ConfigError(f"expected a number, got {self.items[key]!r}",
-                              path=self.path, key=key, line=self._line(key)) from exc
+        return self.value(key, float, "a number", default)
 
     def int(self, key: str, default=None) -> int:
-        if key not in self.items:
-            return default
-        try:
-            return int(self.items[key])
-        except ValueError as exc:
-            raise ConfigError(f"expected an integer, got {self.items[key]!r}",
-                              path=self.path, key=key, line=self._line(key)) from exc
-
-    def float_list(self, key: str) -> list[float]:
-        try:
-            return [float(tok) for tok in self.items[key].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"expected comma-separated numbers, got "
-                              f"{self.items[key]!r}",
-                              path=self.path, key=key, line=self._line(key)) from exc
-
-    def int_list(self, key: str) -> list[int]:
-        try:
-            return [int(tok) for tok in self.items[key].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"expected comma-separated integers, got "
-                              f"{self.items[key]!r}",
-                              path=self.path, key=key, line=self._line(key)) from exc
-
-    def pair_list(self, key: str) -> list[tuple[float, float]]:
-        """Parse 'a:b, c:d' pairs (calibration tables)."""
-        pairs = []
-        for tok in self.items[key].split(","):
-            try:
-                a, b = tok.split(":")
-                pairs.append((float(a), float(b)))
-            except ValueError as exc:
-                raise ConfigError(f"expected 'tau:eta' pairs, got {self.items[key]!r}",
-                                  path=self.path, key=key,
-                                  line=self._line(key)) from exc
-        return pairs
-
-
-def _sections(parser, lines, path) -> dict[str, _Section]:
-    return {name: _Section(name, parser[name], lines, path)
-            for name in parser.sections()}
+        return self.value(key, int, "an integer", default)
 
 
 # --------------------------------------------------------------------------
@@ -153,55 +153,39 @@ def _sections(parser, lines, path) -> dict[str, _Section]:
 
 
 _CELL_KEYS = {"cell_id", "eta_mux", "eta_demux", "eta_fiber", "eta_transfer",
-              "afc_calibration", "position_um"}
-_ARRAY_KEYS = {"cell_spacing_um", "input_beam_diameter_um",
-               "control_beam_diameter_um", "eta_detection_path",
-               "dark_count_rate_hz"}
+              "afc_calibration"}
+_ARRAY_KEYS = {"eta_detection_path", "dark_count_rate_hz"}
 
 
 def load_device(path) -> ArrayDevice:
     """Read an array device file ([array] section plus one [cell N] each)."""
-    parser, lines, path = _load_ini(path)
-    sections = _sections(parser, lines, path)
-    if "array" not in sections:
-        raise ConfigError("device file needs an [array] section", path=path)
-    array = sections.pop("array")
-    array.check_keys(_ARRAY_KEYS, {"cell_spacing_um", "eta_detection_path",
-                                   "dark_count_rate_hz"})
-    cells = []
-    for name, sec in sections.items():
-        if not name.lower().startswith("cell"):
-            raise ConfigError(f"unexpected section [{name}] in device file",
-                              path=path)
-        sec.check_keys(_CELL_KEYS, _CELL_KEYS)
-        try:
-            cells.append(CellParams(
-                cell_id=sec.int("cell_id"),
-                eta_mux=sec.float("eta_mux"),
-                eta_demux=sec.float("eta_demux"),
-                eta_fiber=sec.float("eta_fiber"),
-                eta_transfer=sec.float("eta_transfer"),
-                afc_calibration=tuple(sec.pair_list("afc_calibration")),
-                position=sec.float("position_um"),
-            ))
-        except ConfigError as exc:
-            if exc.path is None:
-                raise ConfigError(str(exc), path=path, key=name) from exc
-            raise
-    cells.sort(key=lambda c: c.cell_id)
-    try:
+    sections, path = _load_ini(path)
+    with _in_file(path):
+        if "array" not in sections:
+            raise ConfigError("device file needs an [array] section")
+        array = sections.pop("array")
+        array.check_keys(_ARRAY_KEYS, _ARRAY_KEYS)
+        cells = []
+        for name, sec in sections.items():
+            if not name.lower().startswith("cell"):
+                raise ConfigError(f"unexpected section [{name}] in device file")
+            sec.check_keys(_CELL_KEYS, _CELL_KEYS)
+            with _in_file(path, key=name):
+                cells.append(CellParams(
+                    cell_id=sec.int("cell_id"),
+                    eta_mux=sec.float("eta_mux"),
+                    eta_demux=sec.float("eta_demux"),
+                    eta_fiber=sec.float("eta_fiber"),
+                    eta_transfer=sec.float("eta_transfer"),
+                    afc_calibration=tuple(sec.value(
+                        "afc_calibration", _pairs, "'tau:eta' pairs")),
+                ))
+        cells.sort(key=lambda c: c.cell_id)
         return ArrayDevice(
             cells=tuple(cells),
-            cell_spacing=array.float("cell_spacing_um"),
-            input_beam_diameter=array.float("input_beam_diameter_um", 80.0),
-            control_beam_diameter=array.float("control_beam_diameter_um", 100.0),
             eta_detection_path=array.float("eta_detection_path"),
             dark_count_rate=array.float("dark_count_rate_hz"),
         )
-    except ConfigError as exc:
-        if exc.path is None:
-            raise ConfigError(str(exc), path=path) from exc
-        raise
 
 
 # --------------------------------------------------------------------------
@@ -216,29 +200,23 @@ _PLAN_KEYS = {"tau_us", "t_spin_us", "n_temporal", "mode_period_us",
 
 def load_plan(path) -> SequencePlan:
     """Read a storage plan file (single [plan] section)."""
-    parser, lines, path = _load_ini(path)
-    sections = _sections(parser, lines, path)
-    if "plan" not in sections:
-        raise ConfigError("plan file needs a [plan] section", path=path)
-    sec = sections["plan"]
-    extra = set(sections) - {"plan"}
-    if extra:
-        raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}",
-                          path=path)
-    sec.check_keys(_PLAN_KEYS, {"tau_us", "t_spin_us", "n_temporal", "cell_order",
-                                "mean_photon_number", "detection_window_ns",
-                                "input_shape", "input_fwhm_ns"})
-    kind_name = sec.raw("input_shape").strip().lower()
-    try:
-        kind = PulseKind(kind_name)
-    except ValueError as exc:
-        raise ConfigError(
-            f"input_shape must be one of {[k.value for k in PulseKind]}, "
-            f"got {kind_name!r}",
-            path=path, key="input_shape", line=sec._line("input_shape")) from exc
-    try:
-        shape = PulseShape(kind, fwhm=sec.float("input_fwhm_ns"),
-                           capture_override=sec.float("capture_override"))
+    sections, path = _load_ini(path)
+    with _in_file(path):
+        if "plan" not in sections:
+            raise ConfigError("plan file needs a [plan] section")
+        sec = sections["plan"]
+        extra = set(sections) - {"plan"}
+        if extra:
+            raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
+        sec.check_keys(_PLAN_KEYS, {"tau_us", "t_spin_us", "n_temporal",
+                                    "cell_order", "mean_photon_number",
+                                    "detection_window_ns", "input_shape",
+                                    "input_fwhm_ns"})
+        shape = PulseShape(
+            sec.value("input_shape", lambda v: PulseKind(v.strip().lower()),
+                      f"one of {[k.value for k in PulseKind]}"),
+            fwhm=sec.float("input_fwhm_ns"),
+            capture_override=sec.float("capture_override"))
         storage = StorageConfig(
             tau=sec.float("tau_us"),
             t_spin=sec.float("t_spin_us"),
@@ -249,13 +227,11 @@ def load_plan(path) -> SequencePlan:
             eta_herald=sec.float("eta_herald", 0.7),
             g2_source=sec.float("g2_source", 100.0),
         )
-        return SequencePlan(storage=storage,
-                            cell_order=tuple(sec.int_list("cell_order")),
-                            mode_period=sec.float("mode_period_us"))
-    except ConfigError as exc:
-        if exc.path is None:
-            raise ConfigError(str(exc), path=path) from exc
-        raise
+        return SequencePlan(
+            storage=storage,
+            cell_order=tuple(sec.value("cell_order", _ints,
+                                       "comma-separated integers")),
+            mode_period=sec.float("mode_period_us"))
 
 
 # --------------------------------------------------------------------------
@@ -273,17 +249,17 @@ def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
         m = _ROW_RE.match(key)
         if not m:
             raise ConfigError(f"expected row_<cell_id> keys in [{sec.name}]",
-                              path=sec.path, key=key, line=sec._line(key))
+                              key=key, line=sec.line(key))
         ids.append(int(m.group(1)))
     order = sorted(ids)
     rows = []
     for cid in order:
-        row = sec.float_list(f"row_{cid}")
+        key = f"row_{cid}"
+        row = sec.value(key, _floats, "comma-separated numbers")
         if len(row) != len(order):
             raise ConfigError(
-                f"[{sec.name}] row_{cid} has {len(row)} entries, expected "
-                f"{len(order)} (one per cell)",
-                path=sec.path, key=f"row_{cid}", line=sec._line(f"row_{cid}"))
+                f"[{sec.name}] {key} has {len(row)} entries, expected "
+                f"{len(order)} (one per cell)", key=key, line=sec.line(key))
         rows.append(row)
     return tuple(order), rows
 
@@ -296,37 +272,36 @@ def load_noise(path, default_dark_rate: float | None = None,
     dark_rate_hz may be omitted when the device file already supplies a
     detector dark-count rate; pass it as ``default_dark_rate``.
     """
-    parser, lines, path = _load_ini(path)
-    sections = _sections(parser, lines, path)
-    if "noise" not in sections:
-        raise ConfigError("noise file needs a [noise] section", path=path)
-    extra = set(sections) - {"noise", "leakage", "offresonant"}
-    if extra:
-        raise ConfigError(f"unexpected sections in noise file: {sorted(extra)}",
-                          path=path)
-    sec = sections["noise"]
-    sec.check_keys(_NOISE_KEYS, {"base_noise_per_window", "fluorescence_amplitude",
-                                 "fluorescence_decay_us"})
-    dark = sec.float("dark_rate_hz", default_dark_rate)
-    if dark is None:
-        raise ConfigError("dark_rate_hz missing and no device fallback given",
-                          path=path, key="dark_rate_hz")
+    sections, path = _load_ini(path)
+    with _in_file(path):
+        if "noise" not in sections:
+            raise ConfigError("noise file needs a [noise] section")
+        extra = set(sections) - {"noise", "leakage", "offresonant"}
+        if extra:
+            raise ConfigError(f"unexpected sections in noise file: {sorted(extra)}")
+        sec = sections["noise"]
+        sec.check_keys(_NOISE_KEYS, {"base_noise_per_window",
+                                     "fluorescence_amplitude",
+                                     "fluorescence_decay_us"})
+        dark = sec.float("dark_rate_hz", default_dark_rate)
+        if dark is None:
+            raise ConfigError("dark_rate_hz missing and no device fallback given",
+                              key="dark_rate_hz")
 
-    leak = None
-    if "leakage" in sections:
-        ids, rows = _matrix_rows(sections["leakage"])
-        leak = LeakageMatrix(cell_ids=ids,
-                             values=tuple(tuple(r) for r in rows))
+        leak = None
+        if "leakage" in sections:
+            ids, rows = _matrix_rows(sections["leakage"])
+            leak = LeakageMatrix(cell_ids=ids,
+                                 values=tuple(tuple(r) for r in rows))
 
-    offres: dict[tuple[int, int], float] = {}
-    if "offresonant" in sections:
-        ids, rows = _matrix_rows(sections["offresonant"])
-        for i, cid in enumerate(ids):
-            for j, cjd in enumerate(ids):
-                if rows[i][j] != 0.0:
-                    offres[(cid, cjd)] = rows[i][j]
+        offres: dict[tuple[int, int], float] = {}
+        if "offresonant" in sections:
+            ids, rows = _matrix_rows(sections["offresonant"])
+            for i, cid in enumerate(ids):
+                for j, cjd in enumerate(ids):
+                    if rows[i][j] != 0.0:
+                        offres[(cid, cjd)] = rows[i][j]
 
-    try:
         noise = NoiseParams(
             base_noise_per_window=sec.float("base_noise_per_window"),
             fluorescence_amplitude=sec.float("fluorescence_amplitude"),
@@ -334,10 +309,6 @@ def load_noise(path, default_dark_rate: float | None = None,
             dark_rate=dark,
             offresonant_echo_leak=offres,
         )
-    except ConfigError as exc:
-        if exc.path is None:
-            raise ConfigError(str(exc), path=path) from exc
-        raise
     return noise, leak
 
 

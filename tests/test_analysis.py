@@ -174,12 +174,9 @@ class TestFidelityBound:
 def projection_fixture():
     cell = CellParams(cell_id=1, eta_mux=0.90, eta_demux=0.80,
                       eta_fiber=0.45, eta_transfer=0.20,
-                      afc_calibration=((10.0, 0.0955), (25.0, 0.040)),
-                      position=0.0)
-    device = ArrayDevice(cells=(cell,), cell_spacing=200.0,
-                         input_beam_diameter=80.0,
-                         control_beam_diameter=100.0,
-                         eta_detection_path=0.14, dark_count_rate=15.0)
+                      afc_calibration=((10.0, 0.0955), (25.0, 0.040)))
+    device = ArrayDevice(cells=(cell,), eta_detection_path=0.14,
+                         dark_count_rate=15.0)
     cfg = StorageConfig(tau=10.0, t_spin=15.5, n_temporal=2,
                         mean_photon_number=1.03,
                         input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
@@ -294,6 +291,16 @@ class TestCrossTalkMatrix:
         scan = scan_table({(1, 1): 10, (2, 2): 10, (1, 2): 1})
         bkg = counts(RunKind.NOISE, {(1, 1): 0, (2, 1): 0}, 1000)
         with pytest.raises(ConfigError):
+            crosstalk_matrix(scan, bkg)
+
+    @pytest.mark.parametrize("noise_keys", [
+        [(1, 1), (1, 2), (2, 1), (2, 2)],  # two windows per cell
+        [(1, 1)],                          # cell 2 missing
+    ])
+    def test_noise_run_of_another_plan_rejected(self, noise_keys):
+        scan = scan_table({(1, 1): 100, (1, 2): 5, (2, 1): 8, (2, 2): 80})
+        bkg = counts(RunKind.NOISE, dict.fromkeys(noise_keys, 3), 1000)
+        with pytest.raises(ModeSetMismatch):
             crosstalk_matrix(scan, bkg)
 
     def test_wrong_kind_rejected(self):

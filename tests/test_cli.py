@@ -5,7 +5,7 @@ import json
 import pytest
 
 from memarray.cli import main
-from memarray.defaults import default_plan_path
+from memarray.defaults import default_device_path, default_plan_path
 from memarray.io import file_sha256, read_counts_csv
 from memarray.simulate import RunKind
 
@@ -69,6 +69,19 @@ class TestValidate:
             "cell_order = 1, 2, 11"))
         assert run_cli("validate", "--plan", str(p)) == 2
         assert "11" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key", [("[array]", "cell_spacing_um"),
+                                              ("[cell 4]", "position_um")])
+    def test_geometry_key_refused(self, tmp_path, capsys, section, key):
+        # Device files used to carry the array geometry; no model read it.
+        lines = default_device_path().read_text().splitlines()
+        i = lines.index(section) + 1
+        lines.insert(i, f"{key} = 200.0")  # right below the section header
+        p = tmp_path / "old.ini"
+        p.write_text("\n".join(lines) + "\n")
+        assert run_cli("validate", "--plan", "60mode", "--device", str(p)) == 2
+        err = capsys.readouterr().err
+        assert f"{p}, line {i + 1}, key '{key}': unknown key" in err
 
     def test_timeline_export(self, tmp_path, capsys):
         out = tmp_path / "timeline.csv"
@@ -289,6 +302,32 @@ class TestAnalyze:
                        "--out-dir", str(tmp_path / "xt"))
         assert code == 2
         assert "no-input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plan", ["60mode", "crosstalk"])
+    def test_scan_against_noise_of_another_plan_exits_one(self, tmp_path,
+                                                          capsys, plan):
+        run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
+                "--mode", "crosstalk", "--trials", "50", "--seed", "6",
+                "--out-dir", str(tmp_path))
+        run_cli("run", "--plan", plan, "--noise", "crosstalk",
+                "--mode", "noise", "--trials", "50", "--seed", "7",
+                "--out-dir", str(tmp_path))
+        noise_csv = tmp_path / "counts_noise.csv"
+        if plan == "crosstalk":  # a noise run that lacks cell 3
+            noise_csv.write_text("".join(
+                line for line in noise_csv.read_text().splitlines(True)
+                if not line.startswith("noise,3,")))
+        out = tmp_path / "xt"
+        code = run_cli("analyze",
+                       "--signal", str(tmp_path / "counts_crosstalk.csv"),
+                       "--noise", str(noise_csv), "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        if plan == "60mode":  # six windows per cell instead of one
+            assert "missing in signal run: [(1, 2)," in err
+        else:
+            assert "missing in noise run: [(3, 1)]" in err
+        assert not out.exists()
 
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from memarray.device import (
-    ArrayDevice,
     CellParams,
     PulseKind,
     PulseShape,
@@ -23,8 +22,9 @@ from memarray.device import (
     total_device_efficiency,
     window_capture_fraction,
 )
-from memarray.defaults import load_default_device
+from memarray.defaults import default_device_path
 from memarray.errors import ConfigError
+from memarray.io import load_device
 
 
 def make_cell(calibration=((10.0, 0.191), (25.0, 0.079)), **kw):
@@ -35,7 +35,6 @@ def make_cell(calibration=((10.0, 0.191), (25.0, 0.079)), **kw):
         eta_fiber=0.55,
         eta_transfer=0.30,
         afc_calibration=calibration,
-        position=0.0,
     )
     args.update(kw)
     return CellParams(**args)
@@ -140,7 +139,6 @@ class TestSpinWaveAndTotal:
                         "eta_fiber": hi.eta_fiber,
                         "eta_transfer": hi.eta_transfer,
                         "afc_calibration": hi.afc_calibration,
-                        "position": hi.position,
                     },
                     field: min(1.0, getattr(hi, field) * bump),
                 }
@@ -217,14 +215,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PulseShape(PulseKind.GAUSSIAN, fwhm=0.0)
 
-    def test_device_requires_distinct_positions(self):
-        cells = [make_cell(), make_cell(cell_id=2)]  # same position 0.0
-        with pytest.raises(ConfigError):
-            ArrayDevice(
-                cells=tuple(cells), cell_spacing=200.0, input_beam_diameter=80.0,
-                control_beam_diameter=100.0, eta_detection_path=0.14, dark_count_rate=15.0,
-            )
-
     def test_storage_config_bounds(self):
         shape = PulseShape(PulseKind.GAUSSIAN, 351.0)
         with pytest.raises(ConfigError):
@@ -239,29 +229,29 @@ class TestDefaultDevice:
     """The shipped calibration must stay inside the measured hardware ranges."""
 
     def test_ten_cells(self):
-        device = load_default_device()
+        device = load_device(default_device_path())
         assert len(device.cells) == 10
         assert [c.cell_id for c in device.cells] == list(range(1, 11))
 
     def test_per_cell_totals_short_delay(self):
-        device = load_default_device()
+        device = load_device(default_device_path())
         totals = [total_device_efficiency(c, 10.0) for c in device.cells]
         assert min(totals) >= 0.0053
         assert max(totals) <= 0.026
 
     def test_per_cell_totals_long_delay(self):
-        device = load_default_device()
+        device = load_device(default_device_path())
         totals = [total_device_efficiency(c, 25.0) for c in device.cells]
         assert min(totals) >= 0.0019
         assert max(totals) <= 0.009
 
     def test_average_total_short_delay(self):
-        device = load_default_device()
+        device = load_device(default_device_path())
         avg = np.mean([total_device_efficiency(c, 10.0) for c in device.cells])
         assert avg == pytest.approx(0.016, abs=0.002)
 
     def test_centre_cells_are_best(self):
-        device = load_default_device()
+        device = load_device(default_device_path())
         totals = [total_device_efficiency(c, 10.0) for c in device.cells]
         assert max(totals) == max(totals[3:7])  # peak within cells 4..7
         assert totals[0] < totals[4] and totals[-1] < totals[5]

@@ -8,9 +8,6 @@ from memarray.defaults import (
     default_device_path,
     default_noise_path,
     default_plan_path,
-    load_default_device,
-    load_default_noise,
-    load_default_plan,
 )
 from memarray.device import PulseKind
 from memarray.errors import ConfigError
@@ -32,7 +29,6 @@ from memarray.simulate import NoiseParams, RunKind, TrialCounts
 
 DEVICE_SNIPPET = """\
 [array]
-cell_spacing_um = 200.0
 eta_detection_path = 0.14
 dark_count_rate_hz = 15.0
 
@@ -43,7 +39,6 @@ eta_demux = 0.8
 eta_fiber = 0.5
 eta_transfer = 0.25
 afc_calibration = 10:0.15, 25:0.05
-position_um = 0.0
 """
 
 
@@ -51,9 +46,8 @@ class TestLoadDevice:
     def test_shipped_default(self):
         device = load_device(default_device_path())
         assert [c.cell_id for c in device.cells] == list(range(1, 11))
-        assert device.cell_spacing == 200.0
         assert device.eta_detection_path == 0.14
-        assert device.input_beam_diameter == 80.0
+        assert device.dark_count_rate == 15.0
 
     def test_minimal_file(self, tmp_path):
         p = tmp_path / "dev.ini"
@@ -174,6 +168,14 @@ class TestLoadNoise:
         with pytest.raises(ConfigError) as err:
             load_noise(p)
         assert err.value.key == "row_2"
+
+    def test_leakage_value_error_names_file(self, tmp_path):
+        p = tmp_path / "noise.ini"
+        p.write_text(default_noise_path("crosstalk").read_text().replace(
+            "row_3 = 0.00493, 0.0329, 1,", "row_3 = 0.00493, 0.0329, 0.9,"))
+        with pytest.raises(ConfigError, match="cell 3 has 0.9") as err:
+            load_noise(p)
+        assert err.value.path == p
 
 
 _SMALL_NOISE = ("[noise]\nbase_noise_per_window = 0\n"
@@ -301,7 +303,7 @@ class TestCountsRoundTrip:
 
 class TestTimelineCsv:
     def test_event_rows(self, tmp_path):
-        plan = load_default_plan("crosstalk")
+        plan = load_plan(default_plan_path("crosstalk"))
         single = SequencePlan(storage=plan.storage, cell_order=(1,))
         tl = compile_plan(single)
         path = write_timeline_csv(tmp_path / "timeline.csv", tl)

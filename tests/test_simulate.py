@@ -49,7 +49,6 @@ def make_cell(cell_id=1, **kw):
         eta_fiber=0.45,
         eta_transfer=0.20,
         afc_calibration=((10.0, 0.0955), (25.0, 0.040)),
-        position=(cell_id - 1) * 200.0,
     )
     args.update(kw)
     return CellParams(cell_id=cell_id, **args)
@@ -57,9 +56,8 @@ def make_cell(cell_id=1, **kw):
 
 def make_device(cells=None, det=0.14):
     cells = cells or (make_cell(),)
-    return ArrayDevice(cells=tuple(cells), cell_spacing=200.0,
-                       input_beam_diameter=80.0, control_beam_diameter=100.0,
-                       eta_detection_path=det, dark_count_rate=15.0)
+    return ArrayDevice(cells=tuple(cells), eta_detection_path=det,
+                       dark_count_rate=15.0)
 
 
 def make_config(**kw):
@@ -169,7 +167,7 @@ class TestExpectedNoise:
 
 class TestModeExpectations:
     def test_block_order_and_shape(self):
-        device = make_device((make_cell(1), make_cell(2, position=200.0)))
+        device = make_device((make_cell(1), make_cell(2)))
         plan = SequencePlan(storage=make_config(n_temporal=3),
                             cell_order=(2, 1))
         exp = mode_expectations(device, plan, QUIET)
@@ -311,8 +309,7 @@ def identity_leak(n=3):
 
 class TestCrossTalkScan:
     def scan_setup(self, n=3):
-        cells = tuple(make_cell(i, position=(i - 1) * 200.0)
-                      for i in range(1, n + 1))
+        cells = tuple(make_cell(i) for i in range(1, n + 1))
         device = make_device(cells)
         config = make_config(n_temporal=1, t_spin=8.0)
         return device, config
