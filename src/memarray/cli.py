@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -262,10 +261,10 @@ def cmd_analyze(args) -> int:
 
     # Running sums over the plan's mode order.  Poisson errors add in
     # quadrature, so the error series are running sums of variances.
-    cum_s, cum_b, var_s, var_b = np.cumsum(
-        [[stats[m].c_signal for m in modes], [stats[m].c_noise for m in modes],
-         [stats[m].err_signal ** 2 for m in modes],
-         [stats[m].err_noise ** 2 for m in modes]], axis=1).tolist()
+    cum_s, cum_b, var_s, var_b = (list(accumulate(series)) for series in (
+        [stats[m].c_signal for m in modes], [stats[m].c_noise for m in modes],
+        [stats[m].err_signal ** 2 for m in modes],
+        [stats[m].err_noise ** 2 for m in modes]))
     cum_s_err = [v ** 0.5 for v in var_s]
     cum_b_err = [v ** 0.5 for v in var_b]
     projections = project_cells(signal, noise, device, plan)

@@ -31,11 +31,24 @@ _KEY_RE = re.compile(r"^\s*(?P<key>[^\s;#=:][^=:]*?)\s*[=:]")
 # low-level INI handling
 
 
-def _key_lines(path: Path) -> dict[tuple[str, str], int]:
+@contextmanager
+def _reading(path: Path):
+    """Turn a failure to open or decode ``path`` in the block into a
+    ConfigError that names the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read file: {exc.strerror or exc}",
+                          path=path) from exc
+
+
+def _key_lines(text: str) -> dict[tuple[str, str], int]:
     """Map (section, key) -> 1-based line number, for diagnostics."""
     lines: dict[tuple[str, str], int] = {}
     section = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         m = _SECTION_RE.match(raw)
         if m:
             section = m.group("name").strip()
@@ -52,11 +65,12 @@ def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     path = Path(path)
     if not path.exists():
         raise ConfigError("file not found", path=path)
+    with _reading(path):
+        text = path.read_text(encoding="utf-8")
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None)
     try:
-        with path.open() as fh:
-            parser.read_file(fh)
+        parser.read_string(text, source=str(path))
     except configparser.MissingSectionHeaderError as exc:
         raise ConfigError(f"missing section header: {exc.line!r}",
                           path=path, line=exc.lineno) from exc
@@ -67,7 +81,7 @@ def _load_ini(path) -> tuple[dict[str, _Section], Path]:
         raise ConfigError(f"cannot parse file: {exc}", path=path) from exc
     if not parser.sections():
         raise ConfigError("no sections found (empty or comment-only file)", path=path)
-    lines = _key_lines(path)
+    lines = _key_lines(text)
     return {name: _Section(name, parser[name], lines)
             for name in parser.sections()}, path
 
@@ -124,7 +138,7 @@ class _Section:
             if key not in allowed:
                 raise ConfigError(f"unknown key in [{self.name}]",
                                   key=key, line=self.line(key))
-        for key in required:
+        for key in sorted(required):
             if key not in self.items:
                 raise ConfigError(f"[{self.name}] is missing required key '{key}'",
                                   key=key)
@@ -358,8 +372,9 @@ def read_counts_csv(path) -> TrialCounts:
 
     Every row must share one run kind and one n_trials.  Signal and noise
     rows need input_cell == output_cell; scan rows need temporal_index 1.
-    A duplicated (input_cell, output_cell, temporal_index) key is refused.
-    Row errors name the file and the line.
+    A duplicated (input_cell, output_cell, temporal_index) key is refused,
+    and so is a row without exactly one field per header column.  Row
+    errors name the file and the line.
     """
     path = Path(path)
     if not path.exists():
@@ -367,7 +382,7 @@ def read_counts_csv(path) -> TrialCounts:
     kind = n_trials = None
     counts: dict[tuple[int, int], int] = {}
     key_lines: dict[tuple[int, int], int] = {}
-    with path.open(newline="") as fh:
+    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -378,8 +393,12 @@ def read_counts_csv(path) -> TrialCounts:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(COUNTS_HEADER):
+                raise ConfigError(f"bad counts row: {row} (expected "
+                                  f"{len(COUNTS_HEADER)} fields, got "
+                                  f"{len(row)})", path=path, line=lineno)
             try:
-                i, j, k, total, n = map(int, row[1:6])
+                i, j, k, total, n = map(int, row[1:])
                 row_kind = RunKind(row[0])
             except ValueError as exc:
                 raise ConfigError(f"bad counts row: {row}", path=path,

@@ -5,6 +5,9 @@ in every trial.  The sum of n independent Poisson(lambda) draws is exactly
 Poisson(n * lambda), so a run draws one seeded Poisson total per window:
 ``default_rng(seed).poisson(n_trials * lambda)`` over the mode vector.  The
 same seed always gives the same totals.
+
+numpy is imported only inside that draw, so importing this module, and the
+``validate`` and ``analyze`` commands that use it, never load numpy.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .device import (ArrayDevice, CellParams, StorageConfig,
                      spin_wave_efficiency, window_capture_fraction)
@@ -219,7 +220,7 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
 ENGINE = "poisson-total"
 
 # Largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
-_POISSON_LAM_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+_POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
 
 
 def _check_run_args(n_trials: int, seed: int) -> None:
@@ -229,10 +230,10 @@ def _check_run_args(n_trials: int, seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def _poisson_totals(lam: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
+def _poisson_totals(lam: list[float], n_trials: int, seed: int) -> list[int]:
     """Window totals over ``n_trials`` trials: one Poisson(n_trials * lam)
     draw per window from the generator keyed by ``seed``."""
-    peak = float(lam.max(initial=0.0))
+    peak = max(lam, default=0.0)
     # Most trials the sampler accepts; comparing the int with this float
     # never converts (and so never overflows) the trial count.
     limit = _POISSON_LAM_MAX / peak if peak > 0.0 else sys.float_info.max
@@ -241,7 +242,8 @@ def _poisson_totals(lam: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
             f"n_trials (--trials) {n_trials} is too large: at most "
             f"{limit:.4g} trials fit this run (the Poisson sampler takes "
             f"window means up to {_POISSON_LAM_MAX:.4g})")
-    return np.random.default_rng(seed).poisson(lam * n_trials)
+    import numpy as np  # here only, so that loading memarray never loads numpy
+    return np.random.default_rng(seed).poisson(np.array(lam) * n_trials).tolist()
 
 
 def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
@@ -259,10 +261,10 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
     _check_run_args(n_trials, seed)
     exp = mode_expectations(device, plan, noise, constraints)
     keys = exp.keys()
-    lam = np.fromiter(exp.noise.values(), float, len(keys))
+    lam = list(exp.noise.values())
     if with_input:
-        lam += np.fromiter(exp.signal.values(), float, len(keys))
-    counts = dict(zip(keys, _poisson_totals(lam, n_trials, seed).tolist()))
+        lam = [b + s for b, s in zip(lam, exp.signal.values())]
+    counts = dict(zip(keys, _poisson_totals(lam, n_trials, seed)))
     kind = RunKind.SIGNAL if with_input else RunKind.NOISE
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
@@ -297,10 +299,10 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
            for c in cells}
 
     pairs = [(i, j) for i in cells for j in cells]
-    lam = np.array([leak.leak(i, j) * sig[i] + noise_per_window
-                    + noise.offresonant_echo_leak.get((i, j), 0.0)
-                    for i, j in pairs])
+    lam = [leak.leak(i, j) * sig[i] + noise_per_window
+           + noise.offresonant_echo_leak.get((i, j), 0.0)
+           for i, j in pairs]
     totals = _poisson_totals(lam, n_trials, seed)
     return TrialCounts(kind=RunKind.CROSSTALK,
-                       counts=dict(zip(pairs, totals.tolist())),
+                       counts=dict(zip(pairs, totals)),
                        n_trials=n_trials)

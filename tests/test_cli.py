@@ -386,6 +386,53 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert f"{sig}, line 4" in err and "input_cell == output_cell" in err
 
+    def test_row_with_extra_field_exits_two(self, tmp_path, small_plan,
+                                            capsys):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        lines = sig.read_text().splitlines()
+        lines[2] += ",junk"
+        sig.write_text("\n".join(lines) + "\n")
+        code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "extra"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{sig}, line 3" in err and "expected 6 fields, got 7" in err
+
+
+class TestUnreadableFiles:
+    """A file that cannot be opened or is not UTF-8 exits 2 and is named."""
+
+    @pytest.fixture(params=["directory", "latin-1"])
+    def unreadable(self, request, tmp_path):
+        def make(name, text):
+            path = tmp_path / name
+            if request.param == "directory":
+                path.mkdir()
+                return path, "cannot read file"
+            path.write_bytes(text.encode() + "# café\n".encode("latin-1"))
+            return path, "not UTF-8 text"
+        return make
+
+    def test_plan_file(self, unreadable, capsys):
+        plan, reason = unreadable(
+            "plan.ini", default_plan_path("60mode").read_text())
+        assert run_cli("validate", "--plan", str(plan)) == 2
+        assert capsys.readouterr().err.startswith(f"error: {plan}: {reason}")
+
+    def test_counts_file(self, unreadable, tmp_path, capsys):
+        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--mode", "noise", "--trials", "10",
+                       "--out-dir", str(tmp_path)) == 0
+        bkg = tmp_path / "counts_noise.csv"
+        sig, reason = unreadable("counts_signal.csv",
+                                 bkg.read_text().replace("noise,", "signal,"))
+        capsys.readouterr()
+        assert run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", "60mode", "--device", "10cell",
+                       "--out-dir", str(tmp_path / "stats")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {sig}: {reason}")
+
 
 class TestUsage:
     def test_version_flag(self, capsys):
