@@ -247,6 +247,76 @@ class TestDiagnostics:
             assert err.value.key == key
 
 
+class TestGrammar:
+    """The config file syntax every loader accepts or refuses."""
+
+    def write(self, tmp_path, old, new):
+        text = default_plan_path("60mode").read_text()
+        assert old in text
+        path = tmp_path / "plan.ini"
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    def test_colon_delimiter(self, tmp_path):
+        plan = load_plan(self.write(tmp_path, "tau_us = 10.0", "tau_us: 25.0"))
+        assert plan.storage.tau == 25.0
+
+    def test_inline_comment(self, tmp_path):
+        plan = load_plan(self.write(tmp_path, "n_temporal = 6",
+                                    "n_temporal = 4  # four per cell"))
+        assert plan.storage.n_temporal == 4
+
+    def test_upper_case_key(self, tmp_path):
+        plan = load_plan(self.write(tmp_path, "t_spin_us", "T_Spin_US"))
+        assert plan.storage.t_spin == 15.5
+
+    def test_continuation_line(self, tmp_path):
+        path = self.write(tmp_path, "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+                          "cell_order = 3, 1,\n    2")
+        assert load_plan(path).cell_order == (3, 1, 2)
+        # The key after the continuation keeps its own line number.
+        text = path.read_text().replace("mean_photon_number = 1.03",
+                                        "mean_photon_number = lots")
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        assert err.value.key == "mean_photon_number"
+        assert err.value.line == text.splitlines().index(
+            "mean_photon_number = lots") + 1
+
+    def test_comment_and_blank_lines(self, tmp_path):
+        path = self.write(tmp_path, "n_temporal = 6",
+                          "\n# a comment\n   ; another\n\nn_temporal = 3")
+        assert load_plan(path).storage.n_temporal == 3
+
+    def test_text_before_first_section(self, tmp_path):
+        path = tmp_path / "plan.ini"
+        path.write_text("tau_us = 10.0\n"
+                        + default_plan_path("60mode").read_text())
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        assert err.value.path == path
+        assert err.value.line == 1
+
+    def test_key_without_delimiter(self, tmp_path):
+        path = self.write(tmp_path, "eta_herald = 0.7", "eta_herald 0.7")
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        assert err.value.path == path
+        assert err.value.line == path.read_text().splitlines().index(
+            "eta_herald 0.7") + 1
+
+    @pytest.mark.parametrize("old, new", [
+        ("g2_source = 100.0", "g2_source = 100.0\ntau_us = 12.0"),
+        ("g2_source = 100.0", "g2_source = 100.0\n[plan]\ntau_us = 12.0"),
+    ], ids=["key", "section"])
+    def test_duplicate_refused(self, tmp_path, old, new):
+        path = self.write(tmp_path, old, new)
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        assert err.value.path == path
+
+
 class TestCountsRoundTrip:
     def test_single_run(self, tmp_path):
         run = TrialCounts(kind=RunKind.SIGNAL,
