@@ -145,13 +145,20 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 
 
-def cmd_validate(args) -> int:
+def _load_plan_and_device(args):
+    """Load ``--plan`` and ``--device``, refusing a plan that names a cell
+    the device does not have."""
     plan = load_plan(args.plan)
     device = load_device(args.device)
     missing = [c for c in plan.cell_order if c not in device.cell_ids]
     if missing:
         raise ConfigError(f"plan names cells {missing} that the device "
                           f"does not have", path=args.plan)
+    return plan, device
+
+
+def cmd_validate(args) -> int:
+    plan, _ = _load_plan_and_device(args)
     timeline = compile_plan(plan)
     violations = validate_timeline(timeline)
     if args.timeline is not None:
@@ -169,8 +176,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    plan = load_plan(args.plan)
-    device = load_device(args.device)
+    plan, device = _load_plan_and_device(args)
     noise, leak = load_noise(args.noise,
                              default_dark_rate=device.dark_count_rate)
 
@@ -247,8 +253,7 @@ def cmd_analyze(args) -> int:
     if args.plan is None or args.device is None:
         raise ConfigError("signal/noise analysis needs --plan and --device "
                           "for mode ordering and network projections")
-    plan = load_plan(args.plan)
-    device = load_device(args.device)
+    plan, device = _load_plan_and_device(args)
     noise = _read_noise_run(args.noise)
 
     stats = per_mode_stats(signal, noise, args.snr_definition)

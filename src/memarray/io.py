@@ -7,24 +7,23 @@ can point at the offending entry.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import dataclasses
 import enum
 import hashlib
 import json
+import math
 import re
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 from .device import ArrayDevice, CellParams, PulseKind, PulseShape, StorageConfig
 from .errors import ConfigError
 from .sequence import SequencePlan, Timeline
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
-_SECTION_RE = re.compile(r"^\s*\[(?P<name>[^]]+)\]")
-_KEY_RE = re.compile(r"^\s*(?P<key>[^\s;#=:][^=:]*?)\s*[=:]")
+_COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
 
 
 # --------------------------------------------------------------------------
@@ -37,6 +36,8 @@ def _reading(path: Path):
     ConfigError that names the file."""
     try:
         yield
+    except FileNotFoundError as exc:
+        raise ConfigError("file not found", path=path) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"not UTF-8 text ({exc.reason})", path=path) from exc
     except OSError as exc:
@@ -44,46 +45,45 @@ def _reading(path: Path):
                           path=path) from exc
 
 
-def _key_lines(text: str) -> dict[tuple[str, str], int]:
-    """Map (section, key) -> 1-based line number, for diagnostics."""
-    lines: dict[tuple[str, str], int] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _SECTION_RE.match(raw)
-        if m:
-            section = m.group("name").strip()
-            continue
-        if raw.lstrip().startswith(("#", ";")) or not raw.strip():
-            continue
-        m = _KEY_RE.match(raw)
-        if m and section is not None:
-            lines[(section, m.group("key").strip().lower())] = lineno
-    return lines
-
-
 def _load_ini(path) -> tuple[dict[str, _Section], Path]:
+    """Parse an INI file in one pass: ``[name]`` headers, ``key = value`` or
+    ``key: value`` lines, ``#``/``;`` comments and indented lines that
+    continue a value.  Syntax errors name the file and the line."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("file not found", path=path)
     with _reading(path):
         text = path.read_text(encoding="utf-8")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                       interpolation=None)
-    try:
-        parser.read_string(text, source=str(path))
-    except configparser.MissingSectionHeaderError as exc:
-        raise ConfigError(f"missing section header: {exc.line!r}",
-                          path=path, line=exc.lineno) from exc
-    except configparser.ParsingError as exc:
-        lineno = exc.errors[0][0] if getattr(exc, "errors", None) else None
-        raise ConfigError(f"cannot parse file: {exc}", path=path, line=lineno) from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse file: {exc}", path=path) from exc
-    if not parser.sections():
+    sections: dict[str, _Section] = {}
+    sec = key = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw or ";" in raw else raw).strip()
+        indent = len(raw) - len(raw.lstrip())
+        if not line:
+            continue
+        if key is not None and indent > key_indent:
+            sec.entries[key][0] += "\n" + line
+            continue
+        if line[0] == "[" and line[-1] == "]" and len(line) > 2:
+            if line[1:-1] in sections:
+                raise ConfigError(f"duplicate section {line}", path=path, line=lineno)
+            sec = sections[line[1:-1]] = _Section(line[1:-1])
+            key = None
+            continue
+        if sec is None:
+            raise ConfigError(f"text before the first section: {line!r}",
+                              path=path, line=lineno)
+        eq, colon = line.find("="), line.find(":")
+        cut = eq if colon < 0 or 0 <= eq < colon else colon
+        if cut < 1:
+            raise ConfigError(f"expected 'key = value' or a [section] header, "
+                              f"got {line!r}", path=path, line=lineno)
+        key, key_indent = line[:cut].rstrip().lower(), indent
+        if key in sec.entries:
+            raise ConfigError(f"duplicate key in [{sec.name}]", path=path,
+                              key=key, line=lineno)
+        sec.entries[key] = [line[cut + 1:].lstrip(), lineno]
+    if not sections:
         raise ConfigError("no sections found (empty or comment-only file)", path=path)
-    lines = _key_lines(text)
-    return {name: _Section(name, parser[name], lines)
-            for name in parser.sections()}, path
+    return sections, path
 
 
 @contextmanager
@@ -100,8 +100,15 @@ def _in_file(path: Path, key: str | None = None):
         raise
 
 
+def _finite(text: str) -> float:
+    """``float(text)``, refusing nan and infinities (``1e400`` too)."""
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"not a finite number: {text!r}")
+    return x
+
+
 def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")]
+    return [_finite(tok) for tok in text.split(",")]
 
 
 def _ints(text: str) -> list[int]:
@@ -113,50 +120,45 @@ def _pairs(text: str) -> list[tuple[float, float]]:
     pairs = []
     for tok in text.split(","):
         a, b = tok.split(":")
-        pairs.append((float(a), float(b)))
+        pairs.append((_finite(a), _finite(b)))
     return pairs
 
 
 class _Section:
-    """One INI section with strict key checking and a typed accessor.
+    """One INI section: ``entries`` maps each key to [its text, its line].
 
     Errors carry the key and line but no path: the loaders raise them
     inside ``_in_file``.
     """
 
-    def __init__(self, name: str, items: Mapping[str, str],
-                 lines: Mapping[tuple[str, str], int]):
+    def __init__(self, name: str):
         self.name = name
-        self.items = dict(items)
-        self.lines = lines
-
-    def line(self, key: str) -> int | None:
-        return self.lines.get((self.name, key))
+        self.entries: dict[str, list] = {}
 
     def check_keys(self, allowed: set[str], required: set[str]) -> None:
-        for key in self.items:
+        for key, (_, line) in self.entries.items():
             if key not in allowed:
                 raise ConfigError(f"unknown key in [{self.name}]",
-                                  key=key, line=self.line(key))
+                                  key=key, line=line)
         for key in sorted(required):
-            if key not in self.items:
+            if key not in self.entries:
                 raise ConfigError(f"[{self.name}] is missing required key '{key}'",
                                   key=key)
 
     def value(self, key: str, parse: Callable, expected: str, default=None):
         """``parse`` the key's text, or return ``default`` if it is absent;
         a ValueError from ``parse`` means the text is not ``expected``."""
-        if key not in self.items:
+        if key not in self.entries:
             return default
-        v = self.items[key]
+        text, line = self.entries[key]
         try:
-            return parse(v)
+            return parse(text)
         except ValueError as exc:
-            raise ConfigError(f"expected {expected}, got {v!r}",
-                              key=key, line=self.line(key)) from exc
+            raise ConfigError(f"expected {expected}, got {text!r}",
+                              key=key, line=line) from exc
 
     def float(self, key: str, default=None) -> float:
-        return self.value(key, float, "a number", default)
+        return self.value(key, _finite, "a number", default)
 
     def int(self, key: str, default=None) -> int:
         return self.value(key, int, "an integer", default)
@@ -259,11 +261,11 @@ _ROW_RE = re.compile(r"^row_(\d+)$")
 
 def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
     ids = []
-    for key in sec.items:
+    for key, (_, line) in sec.entries.items():
         m = _ROW_RE.match(key)
         if not m:
             raise ConfigError(f"expected row_<cell_id> keys in [{sec.name}]",
-                              key=key, line=sec.line(key))
+                              key=key, line=line)
         ids.append(int(m.group(1)))
     order = sorted(ids)
     rows = []
@@ -271,9 +273,9 @@ def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
         key = f"row_{cid}"
         row = sec.value(key, _floats, "comma-separated numbers")
         if len(row) != len(order):
-            raise ConfigError(
-                f"[{sec.name}] {key} has {len(row)} entries, expected "
-                f"{len(order)} (one per cell)", key=key, line=sec.line(key))
+            raise ConfigError(f"[{sec.name}] {key} has {len(row)} entries, "
+                              f"expected {len(order)} (one per cell)",
+                              key=key, line=sec.entries[key][1])
         rows.append(row)
     return tuple(order), rows
 
@@ -377,8 +379,6 @@ def read_counts_csv(path) -> TrialCounts:
     errors name the file and the line.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError("file not found", path=path)
     kind = n_trials = None
     counts: dict[tuple[int, int], int] = {}
     key_lines: dict[tuple[int, int], int] = {}

@@ -5,7 +5,11 @@ import json
 import pytest
 
 from memarray.cli import main
-from memarray.defaults import default_device_path, default_plan_path
+from memarray.defaults import (
+    default_device_path,
+    default_noise_path,
+    default_plan_path,
+)
 from memarray.io import file_sha256, read_counts_csv
 from memarray.simulate import RunKind
 
@@ -432,6 +436,95 @@ class TestUnreadableFiles:
                        "--plan", "60mode", "--device", "10cell",
                        "--out-dir", str(tmp_path / "stats")) == 2
         assert capsys.readouterr().err.startswith(f"error: {sig}: {reason}")
+
+
+class TestConfigChecks:
+    """Config files that parse but cannot be used exit 2 naming the file."""
+
+    @pytest.mark.parametrize("command", ["run", "analyze"])
+    def test_plan_cell_missing_from_device(self, tmp_path, capsys, command):
+        plan = tmp_path / "plan.ini"
+        plan.write_text(default_plan_path("60mode").read_text().replace(
+            "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+            "cell_order = 1, 2, 11"))
+        if command == "run":
+            argv = ["run", "--noise", "storage", "--trials", "10"]
+        else:
+            for mode in ("signal", "noise"):
+                assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                               "--mode", mode, "--trials", "10",
+                               "--out-dir", str(tmp_path)) == 0
+            argv = ["analyze", "--signal", str(tmp_path / "counts_signal.csv"),
+                    "--noise", str(tmp_path / "counts_noise.csv"),
+                    "--device", "10cell"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--plan", str(plan), "--out-dir", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {plan}: plan names cells [11] that the device does not "
+            f"have\n")
+        assert not out.exists()
+
+    SHIPPED = {"plan": default_plan_path("60mode"),
+               "device": default_device_path(),
+               "noise": default_noise_path("storage"),
+               "crosstalk": default_noise_path("crosstalk")}
+
+    def run_edited(self, tmp_path, kind, text):
+        """``run`` the shipped 60mode files with the ``kind`` file replaced
+        by ``text``; return the exit code and the replacement file."""
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(text)
+        files = {"plan": "60mode", "device": "10cell", "noise": "storage"}
+        files["noise" if kind == "crosstalk" else kind] = str(path)
+        code = run_cli("run", "--plan", files["plan"], "--device",
+                       files["device"], "--noise", files["noise"],
+                       "--trials", "10", "--out-dir", str(tmp_path / "out"))
+        return code, path
+
+    @pytest.mark.parametrize("kind, header", [
+        ("plan", "[DEFAULT]\neta_herald = 0.7\n"),
+        ("device", "[DEFAULT]\n"),
+        ("noise", "[DEFAULT]\ndark_rate_hz = 15.0\n"),
+    ], ids=["plan", "device", "noise"])
+    def test_default_section_refused(self, tmp_path, capsys, kind, header):
+        # [DEFAULT] is an ordinary section name, not keys merged into
+        # every other section.
+        code, path = self.run_edited(tmp_path, kind,
+                                     header + self.SHIPPED[kind].read_text())
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: unexpected section")
+        assert "DEFAULT" in err
+
+    @pytest.mark.parametrize("kind, old, new, key, expected", [
+        ("noise", "base_noise_per_window = 4.3e-5",
+         "base_noise_per_window = nan", "base_noise_per_window",
+         "expected a number, got 'nan'"),
+        ("plan", "tau_us = 10.0", "tau_us = inf", "tau_us",
+         "expected a number, got 'inf'"),
+        ("noise", "fluorescence_amplitude = 8.0e-5",
+         "fluorescence_amplitude = -inf", "fluorescence_amplitude",
+         "expected a number, got '-inf'"),
+        ("noise", "dark_rate_hz = 15.0", "dark_rate_hz = 1e400",
+         "dark_rate_hz", "expected a number, got '1e400'"),
+        ("crosstalk", "row_10 = 2.9e-05,", "row_10 = NaN,", "row_10",
+         "expected comma-separated numbers, got 'NaN,"),
+        ("device", "afc_calibration = 10:0.150, 25:0.0538",
+         "afc_calibration = 10:0.150, 25:1e400", "afc_calibration",
+         "expected 'tau:eta' pairs, got '10:0.150, 25:1e400'"),
+    ], ids=["nan", "inf", "-inf", "1e400", "offresonant", "pair"])
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, kind, old,
+                                         new, key, expected):
+        text = self.SHIPPED[kind].read_text()
+        assert old in text
+        text = text.replace(old, new, 1)
+        line = next(n for n, row in enumerate(text.splitlines(), start=1)
+                    if row.startswith(new))
+        code, path = self.run_edited(tmp_path, kind, text)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}, line {line}, key '{key}': {expected}")
 
 
 class TestUsage:

@@ -1,10 +1,11 @@
 """CLI checks that need a fresh interpreter.
 
-numpy is loaded only by the Poisson draw of ``memarray run``.  The cold-path
-check first sets ``sys.modules["numpy"] = None``, which makes every
-``import numpy`` raise, so it fails as soon as ``import memarray``,
-``validate`` or ``analyze`` needs numpy again.  Diagnostics must not depend
-on the interpreter's string-hash seed.
+numpy is loaded only by the Poisson draw of ``memarray run``, and config
+files are parsed without ``configparser``.  The cold-path check first sets
+``sys.modules["numpy"]`` and ``sys.modules["configparser"]`` to None, which
+makes every import of either raise, so it fails as soon as ``import
+memarray``, ``validate`` or ``analyze`` needs one of them again.
+Diagnostics must not depend on the interpreter's string-hash seed.
 """
 
 import os
@@ -21,6 +22,7 @@ TESTS = Path(__file__).resolve().parent
 COLD_PATH = """\
 import sys
 sys.modules["numpy"] = None
+sys.modules["configparser"] = None
 sys.path.insert(0, sys.argv[1])  # the tests directory
 from pathlib import Path
 

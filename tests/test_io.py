@@ -316,6 +316,15 @@ class TestGrammar:
             load_plan(path)
         assert err.value.path == path
 
+    @pytest.mark.parametrize("repeat", ["tau_us = 12.0", "[plan]"])
+    def test_duplicate_names_line(self, tmp_path, repeat):
+        path = self.write(tmp_path, "g2_source = 100.0",
+                          f"g2_source = 100.0\n{repeat}")
+        with pytest.raises(ConfigError) as err:
+            load_plan(path)
+        lines = path.read_text().splitlines()
+        assert err.value.line == lines.index("g2_source = 100.0") + 2
+
 
 class TestCountsRoundTrip:
     def test_single_run(self, tmp_path):
