@@ -187,6 +187,28 @@ class TestRun:
         assert len(scan.counts) == 100
 
 
+class TestRepeatedCalls:
+    """Scripts, tests and benchmarks call ``main(argv)`` many times in one
+    process; no call may see the arguments or the outcome of another."""
+
+    def test_seed_default_not_carried_over(self, tmp_path, small_plan):
+        noise = tmp_path / "noise.ini"
+        noise.write_text(HIGH_NOISE)
+        common = ("run", "--plan", str(small_plan), "--noise", str(noise),
+                  "--trials", "20")
+        assert run_cli(*common, "--seed", "7",
+                       "--out-dir", str(tmp_path / "a")) == 0
+        assert run_cli(*common, "--out-dir", str(tmp_path / "b")) == 0
+        seeds = [json.loads((tmp_path / d / "manifest_signal.json")
+                            .read_text())["seed"] for d in ("a", "b")]
+        assert seeds == [7, 0]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert run_cli("validate") == 2  # --plan is required
+        assert run_cli("validate", "--plan", "60mode") == 0
+        assert "0 violations" in capsys.readouterr().out
+
+
 class TestAnalyze:
     def make_runs(self, tmp_path, small_plan, trials="600"):
         noise = tmp_path / "noise.ini"

@@ -1,6 +1,8 @@
 """Config parsing, CSV round-trip and manifest tests."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -393,6 +395,9 @@ class TestTimelineCsv:
         assert any(line.startswith("DemuxAOD,EchoWindow,1,1,") for line in lines)
 
 
+MANIFEST_SHA256 = "4f68deba5e7cc9abd4fc9fee775c39c8c87ceb60064e97ddb4e58f8d99ac3568"
+
+
 class TestManifest:
     def test_round_trip_with_rich_types(self, tmp_path):
         noise = NoiseParams(base_noise_per_window=1e-5,
@@ -417,6 +422,28 @@ class TestManifest:
         p1 = write_manifest(tmp_path / "m1.json", payload)
         p2 = write_manifest(tmp_path / "m2.json", payload)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_manifest_bytes_pinned(self, tmp_path):
+        # A run manifest of the shipped cross-talk inputs: dataclasses,
+        # enums, tuple-keyed dicts, nested tuples, paths and None.
+        device = load_device(default_device_path())
+        noise, leak = load_noise(default_noise_path("crosstalk"))
+        payload = {
+            "tool": "memarray",
+            "command": "run",
+            "mode": RunKind.CROSSTALK,
+            "seed": 7,
+            "trials": 2000,
+            "inputs": {"plan": {"path": Path("plan_crosstalk.ini"),
+                                "sha256": None}},
+            "resolved": {"plan": load_plan(default_plan_path("crosstalk")),
+                         "device": device, "noise": noise, "leakage": leak},
+            "outputs": {"counts_crosstalk.csv": "0" * 64},
+            "duration_seconds": 0.125,
+        }
+        data = write_manifest(tmp_path / "manifest.json", payload).read_bytes()
+        assert data.endswith(b"}\n")
+        assert hashlib.sha256(data).hexdigest() == MANIFEST_SHA256
 
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "m.json"
