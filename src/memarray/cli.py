@@ -16,6 +16,7 @@ violations, mismatched mode sets), 2 usage or configuration-file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from itertools import accumulate
@@ -141,6 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and then kept:
+    building one costs more than the work of a short call.  Parsing leaves
+    no state in it; every call gets a fresh namespace."""
+    return build_parser()
+
+
 # --------------------------------------------------------------------------
 # subcommands
 
@@ -259,10 +268,10 @@ def cmd_analyze(args) -> int:
     stats = per_mode_stats(signal, noise, args.snr_definition)
     modes = [(cell, k) for cell in plan.cell_order
              for k in range(1, plan.storage.n_temporal + 1)]
-    missing = [m for m in modes if m not in stats]
-    if missing:
-        raise ConfigError(f"counts do not cover the plan's modes "
-                          f"(first missing: {missing[0]})", path=args.signal)
+    if set(modes) != stats.keys():
+        raise ModeSetMismatch(stats.keys() - set(modes),
+                              set(modes) - stats.keys(),
+                              sides=(f"plan {args.plan}", "counts"))
 
     # Running sums over the plan's mode order.  Poisson errors add in
     # quadrature, so the error series are running sums of variances.
@@ -291,9 +300,8 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

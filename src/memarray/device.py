@@ -117,8 +117,9 @@ class ArrayDevice:
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate cell ids: {ids}")
         _check_fraction("eta_detection_path", self.eta_detection_path)
-        if self.dark_count_rate < 0:
-            raise ConfigError("dark_count_rate must be >= 0")
+        if not 0 <= self.dark_count_rate < math.inf:
+            raise ConfigError(f"dark_count_rate must be finite and >= 0, "
+                              f"got {self.dark_count_rate}")
         object.__setattr__(self, "cells", cells)
 
     @property
@@ -147,10 +148,10 @@ class StorageConfig:
     g2_source: float = 100.0
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.t_spin < 0:
-            raise ConfigError(f"t_spin must be >= 0, got {self.t_spin}")
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
+        if not 0 <= self.t_spin < math.inf:
+            raise ConfigError(f"t_spin must be finite and >= 0, got {self.t_spin}")
         if self.n_temporal < 1:
             raise ConfigError(f"n_temporal must be >= 1, got {self.n_temporal}")
         if not self.mean_photon_number > 0:

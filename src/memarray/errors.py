@@ -44,14 +44,18 @@ class CompilationError(Exception):
 
 
 class ModeSetMismatch(Exception):
-    """Two count tables do not cover the same spatio-temporal modes."""
+    """Two count tables, or a count table and its plan, do not cover the
+    same spatio-temporal modes.
 
-    def __init__(self, missing_in_signal, missing_in_noise):
+    ``sides`` names the two mode sets in the message; the first is the one
+    ``missing_in_signal`` is missing from.
+    """
+
+    def __init__(self, missing_in_signal, missing_in_noise,
+                 sides=("signal run", "noise run")):
         self.missing_in_signal = tuple(sorted(missing_in_signal))
         self.missing_in_noise = tuple(sorted(missing_in_noise))
-        parts = []
-        if self.missing_in_signal:
-            parts.append(f"missing in signal run: {list(self.missing_in_signal)}")
-        if self.missing_in_noise:
-            parts.append(f"missing in noise run: {list(self.missing_in_noise)}")
+        parts = [f"missing in {side}: {list(missing)}" for side, missing in
+                 zip(sides, (self.missing_in_signal, self.missing_in_noise))
+                 if missing]
         super().__init__("mode sets differ: " + "; ".join(parts))

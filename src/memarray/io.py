@@ -260,17 +260,23 @@ _ROW_RE = re.compile(r"^row_(\d+)$")
 
 
 def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
-    ids = []
+    keys: dict[int, str] = {}  # cell id -> its row key
     for key, (_, line) in sec.entries.items():
         m = _ROW_RE.match(key)
         if not m:
             raise ConfigError(f"expected row_<cell_id> keys in [{sec.name}]",
                               key=key, line=line)
-        ids.append(int(m.group(1)))
-    order = sorted(ids)
+        cid = int(m.group(1))
+        if cid in keys:  # row_1 and row_01, say
+            first = keys[cid]
+            raise ConfigError(f"[{sec.name}] has two rows for cell {cid}: "
+                              f"{first} on line {sec.entries[first][1]} and "
+                              f"{key} on line {line}", key=key, line=line)
+        keys[cid] = key
+    order = sorted(keys)
     rows = []
     for cid in order:
-        key = f"row_{cid}"
+        key = keys[cid]
         row = sec.value(key, _floats, "comma-separated numbers")
         if len(row) != len(order):
             raise ConfigError(f"[{sec.name}] {key} has {len(row)} entries, "
@@ -531,6 +537,11 @@ def file_sha256(path) -> str:
 
 
 def _jsonable(obj):
+    # Most nodes of a manifest are numbers and strings: return them before
+    # any other test.  An exact type check, so that enum members that are
+    # also str or int still become their values.
+    if type(obj) in (str, int, float) or obj is None:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}
@@ -547,9 +558,8 @@ def _jsonable(obj):
 
 def write_manifest(path, payload: dict) -> Path:
     path = Path(path)
-    with path.open("w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
+                    + "\n")
     return path
 
 

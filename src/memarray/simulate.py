@@ -57,15 +57,17 @@ class NoiseParams:
         default_factory=dict)
 
     def __post_init__(self):
+        # "not 0 <= v < inf" refuses NaN too, for which "v < 0" is false.
         for name in ("base_noise_per_window", "fluorescence_amplitude",
                      "dark_rate"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        if self.fluorescence_decay <= 0:
+            if not 0 <= (v := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
+        if not self.fluorescence_decay > 0:
             raise ConfigError("fluorescence_decay must be positive")
         for (i, j), v in self.offresonant_echo_leak.items():
-            if v < 0:
-                raise ConfigError(f"offresonant_echo_leak[{i},{j}] must be >= 0")
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"offresonant_echo_leak[{i},{j}] must be "
+                                  f"finite and >= 0, got {v}")
 
 
 @dataclass(frozen=True)

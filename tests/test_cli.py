@@ -292,6 +292,31 @@ class TestAnalyze:
         assert code == 1
         assert "(3, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("run_plan, plan, missing", [
+        ("250mode", "60mode", "missing in plan {}: [(1, 7), "),
+        ("60mode", "250mode", "missing in counts: [(1, 7), "),
+    ], ids=["more-modes", "fewer-modes"])
+    def test_plan_of_another_size_exits_one(self, tmp_path, capsys, run_plan,
+                                            plan, missing):
+        # Both runs must cover exactly the plan's modes (10 cells x 6 or
+        # x 25 temporal modes here), not only a subset or a superset.
+        for mode in ("signal", "noise"):
+            assert run_cli("run", "--plan", run_plan, "--noise", "storage",
+                           "--trials", "50", "--mode", mode,
+                           "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "stats"
+        code = run_cli("analyze", "--signal", str(tmp_path / "counts_signal.csv"),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--plan", plan, "--device", "10cell",
+                       "--out-dir", str(out))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: mode sets differ: " + missing.format(
+            default_plan_path(plan)))
+        assert err.count("missing in") == 1
+        assert not out.exists()
+
     def test_signal_analysis_requires_plan(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)
         code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from memarray.device import (
+    ArrayDevice,
     CellParams,
     PulseKind,
     PulseShape,
@@ -223,6 +224,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StorageConfig(tau=10.0, t_spin=15.5, n_temporal=0, mean_photon_number=1.0,
                           input_shape=shape, detection_window=351.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_dark_count_rate_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="dark_count_rate .*finite"):
+            ArrayDevice(cells=(make_cell(),), eta_detection_path=0.14,
+                        dark_count_rate=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tau", "t_spin"])
+    def test_storage_times_must_be_finite(self, name, value):
+        kw = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
+                  input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                  detection_window=351.0)
+        kw[name] = value
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+            StorageConfig(**kw)
 
 
 class TestDefaultDevice:

@@ -171,6 +171,24 @@ class TestLoadNoise:
             load_noise(p)
         assert err.value.key == "row_2"
 
+    @pytest.mark.parametrize("section, rows", [
+        ("offresonant", "row_1 = 0, 0.001\nrow_2 = 0.002, 0\nrow_01 = 0.5, 0\n"),
+        ("leakage", "row_1 = 1, 0.01\nrow_2 = 0.02, 1\nrow_01 = 1, 0.5\n"),
+    ], ids=["offresonant", "leakage"])
+    def test_repeated_matrix_row_refused(self, tmp_path, section, rows):
+        # row_1 and row_01 both name cell 1.
+        p = tmp_path / "noise.ini"
+        text = _SMALL_NOISE.split("[leakage]")[0] + f"[{section}]\n" + rows
+        p.write_text(text)
+        lines = text.splitlines()
+        first, second = lines.index(rows.split("\n")[0]) + 1, len(lines)
+        with pytest.raises(ConfigError) as err:
+            load_noise(p)
+        assert (err.value.path, err.value.key, err.value.line) == (
+            p, "row_01", second)
+        assert (f"two rows for cell 1: row_1 on line {first} and row_01 on "
+                f"line {second}") in str(err.value)
+
     def test_leakage_value_error_names_file(self, tmp_path):
         p = tmp_path / "noise.ini"
         p.write_text(default_noise_path("crosstalk").read_text().replace(

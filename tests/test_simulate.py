@@ -8,6 +8,8 @@ checks use the gates of ``stat_gates``, each failing a correct engine with
 probability at most 1e-4 whatever the seed.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -417,6 +419,23 @@ class TestDataTypes:
             NoiseParams(base_noise_per_window=-1e-6,
                         fluorescence_amplitude=0.0,
                         fluorescence_decay=2.0, dark_rate=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["base_noise_per_window",
+                                      "fluorescence_amplitude", "dark_rate",
+                                      "offresonant_echo_leak"])
+    def test_noise_params_reject_non_finite(self, name, value):
+        # NaN passed the old "< 0" checks and reached the Poisson sampler.
+        kw = dict(base_noise_per_window=1e-6, fluorescence_amplitude=0.0,
+                  fluorescence_decay=2.0, dark_rate=0.0)
+        kw[name] = {(1, 2): value} if name == "offresonant_echo_leak" else value
+        with pytest.raises(ConfigError, match=rf"{name}.* finite"):
+            NoiseParams(**kw)
+
+    def test_noise_params_reject_nan_decay(self):
+        with pytest.raises(ConfigError, match="fluorescence_decay"):
+            NoiseParams(base_noise_per_window=1e-6, fluorescence_amplitude=0.0,
+                        fluorescence_decay=math.nan, dark_rate=0.0)
 
     def test_trial_counts_reject_negative(self):
         with pytest.raises(ConfigError):
