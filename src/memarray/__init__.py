@@ -17,7 +17,6 @@ from .device import (
     StorageConfig,
     afc_efficiency_at,
     spin_wave_efficiency,
-    total_device_efficiency,
     window_capture_fraction,
 )
 from .analysis import (
@@ -64,7 +63,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArrayDevice", "CellParams", "PulseKind", "PulseShape", "StorageConfig",
-    "afc_efficiency_at", "spin_wave_efficiency", "total_device_efficiency",
+    "afc_efficiency_at", "spin_wave_efficiency",
     "window_capture_fraction",
     "ConfigError", "CompilationError", "ModeSetMismatch",
     "Channel", "EventKind", "SequencePlan", "Timeline", "TimelineEvent",

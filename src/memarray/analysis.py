@@ -113,10 +113,7 @@ def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
     if snr_definition not in SNR_DEFINITIONS:
         raise ConfigError(f"snr_definition must be one of {SNR_DEFINITIONS}, "
                           f"got {snr_definition!r}")
-    sig_keys, noise_keys = set(signal.counts), set(noise.counts)
-    if sig_keys != noise_keys:
-        raise ModeSetMismatch(missing_in_signal=noise_keys - sig_keys,
-                              missing_in_noise=sig_keys - noise_keys)
+    ModeSetMismatch.check(signal.counts, noise.counts)
     out: dict[tuple[int, int], ModeStats] = {}
     for key in signal.counts:
         a, b = signal.counts[key], noise.counts[key]
@@ -221,22 +218,19 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     noise tallies are too sparse to divide by), converted to mean counts per
     mode per trial, rescaled to a heralded source and pushed through the
     correlation and fidelity formulas with first-order error propagation.
+    Both runs must cover exactly ``plan.modes``, else ModeSetMismatch.
     """
-    sig_keys, noise_keys = set(signal.counts), set(noise.counts)
-    if sig_keys != noise_keys:
-        raise ModeSetMismatch(missing_in_signal=noise_keys - sig_keys,
-                              missing_in_noise=sig_keys - noise_keys)
     cfg = plan.storage
+    modes, n = plan.modes, cfg.n_temporal
+    ModeSetMismatch.check(modes, signal.counts, sides=("plan", "signal run"))
+    ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"))
     out = []
-    for cell_id in plan.cell_order:
-        keys = [(cell_id, k) for k in range(1, cfg.n_temporal + 1)]
-        missing = [k for k in keys if k not in signal.counts]
-        if missing:
-            raise ConfigError(f"run does not cover modes {missing}")
-        a = sum(signal.counts[k] for k in keys)
-        b = sum(noise.counts[k] for k in keys)
-        denom_s = signal.n_trials * cfg.n_temporal
-        denom_b = noise.n_trials * cfg.n_temporal
+    for i, cell_id in enumerate(plan.cell_order):
+        block = modes[i * n:(i + 1) * n]  # this cell's modes
+        a = sum(signal.counts[m] for m in block)
+        b = sum(noise.counts[m] for m in block)
+        denom_s = signal.n_trials * n
+        denom_b = noise.n_trials * n
         c_s, err_s = a / denom_s, math.sqrt(a) / denom_s
         c_b, err_b = b / denom_b, math.sqrt(b) / denom_b
 
@@ -287,10 +281,7 @@ def crosstalk_matrix(scan: TrialCounts,
         for j in ids:
             if (i, j) not in scan.counts:
                 raise ConfigError(f"scan is missing the ({i}, {j}) pair")
-    windows, noise_keys = {(i, 1) for i in ids}, set(noise_diag.counts)
-    if noise_keys != windows:
-        raise ModeSetMismatch(missing_in_signal=noise_keys - windows,
-                              missing_in_noise=windows - noise_keys)
+    ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts)
 
     def per_trial(pair: tuple[int, int]) -> tuple[float, float]:
         total = scan.counts[pair]

@@ -266,12 +266,8 @@ def cmd_analyze(args) -> int:
     noise = _read_noise_run(args.noise)
 
     stats = per_mode_stats(signal, noise, args.snr_definition)
-    modes = [(cell, k) for cell in plan.cell_order
-             for k in range(1, plan.storage.n_temporal + 1)]
-    if set(modes) != stats.keys():
-        raise ModeSetMismatch(stats.keys() - set(modes),
-                              set(modes) - stats.keys(),
-                              sides=(f"plan {args.plan}", "counts"))
+    modes = plan.modes
+    ModeSetMismatch.check(modes, stats, sides=(f"plan {args.plan}", "counts"))
 
     # Running sums over the plan's mode order.  Poisson errors add in
     # quadrature, so the error series are running sums of variances.

@@ -46,8 +46,9 @@ class PulseShape:
     def __post_init__(self):
         if not isinstance(self.kind, PulseKind):
             raise ConfigError(f"unknown pulse kind {self.kind!r}")
-        if not self.fwhm > 0:
-            raise ConfigError(f"pulse fwhm must be positive, got {self.fwhm}")
+        if not 0 < self.fwhm < math.inf:
+            raise ConfigError(f"pulse fwhm must be finite and positive, "
+                              f"got {self.fwhm}")
         if self.capture_override is not None:
             if self.kind is not PulseKind.LORENTZIAN:
                 raise ConfigError(
@@ -154,13 +155,14 @@ class StorageConfig:
             raise ConfigError(f"t_spin must be finite and >= 0, got {self.t_spin}")
         if self.n_temporal < 1:
             raise ConfigError(f"n_temporal must be >= 1, got {self.n_temporal}")
-        if not self.mean_photon_number > 0:
-            raise ConfigError("mean_photon_number must be positive")
-        if not self.detection_window > 0:
-            raise ConfigError("detection_window must be positive")
+        for name in ("mean_photon_number", "detection_window"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {v}")
         _check_fraction("eta_herald", self.eta_herald)
-        if self.g2_source < 1.0:
-            raise ConfigError("g2_source must be >= 1")
+        if not 1 <= self.g2_source < math.inf:
+            raise ConfigError(f"g2_source must be finite and >= 1, "
+                              f"got {self.g2_source}")
 
 
 # --------------------------------------------------------------------------
@@ -205,13 +207,6 @@ def spin_wave_efficiency(cell: CellParams, tau: float) -> float:
     """Full storage-and-retrieval efficiency of the cell: comb echo at the
     given delay times the two-way spin transfer."""
     return afc_efficiency_at(cell, tau) * cell.eta_transfer
-
-
-def total_device_efficiency(cell: CellParams, tau: float) -> float:
-    """Input-to-fibre efficiency of one cell: multiplexer in, spin-wave
-    storage, demultiplexer and fibre coupling out."""
-    return (cell.eta_mux * spin_wave_efficiency(cell, tau)
-            * cell.eta_demux * cell.eta_fiber)
 
 
 def window_capture_fraction(shape: PulseShape, window: float) -> float:

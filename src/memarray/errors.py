@@ -59,3 +59,9 @@ class ModeSetMismatch(Exception):
                  zip(sides, (self.missing_in_signal, self.missing_in_noise))
                  if missing]
         super().__init__("mode sets differ: " + "; ".join(parts))
+
+    @classmethod
+    def check(cls, first, second, sides=("signal run", "noise run")) -> None:
+        """Raise unless ``first`` and ``second`` hold the same keys."""
+        if (a := set(first)) != (b := set(second)):
+            raise cls(b - a, a - b, sides)

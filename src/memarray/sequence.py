@@ -95,8 +95,9 @@ class TimingConstraints:
         for name in ("switch_prep", "switch_mux", "switch_control",
                      "switch_demux", "control_pulse_duration",
                      "prep_duration"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {v}")
 
     def switching_time(self, channel: Channel) -> float:
         return {
@@ -127,8 +128,17 @@ class SequencePlan:
             raise ConfigError("cell ids must be >= 1")
         if len(set(self.cell_order)) != len(self.cell_order):
             raise ConfigError("cell_order must not repeat a cell within a trial")
-        if self.mode_period is not None and self.mode_period <= 0:
-            raise ConfigError("mode_period must be positive when given")
+        if (self.mode_period is not None
+                and not 0 < self.mode_period < math.inf):
+            raise ConfigError(f"mode_period must be finite and positive "
+                              f"when given, got {self.mode_period}")
+
+    @property
+    def modes(self) -> tuple[tuple[int, int], ...]:
+        """(cell, k) for each cell of cell_order and k in 1..n_temporal: the
+        mode order of counts, expected means and cumulative series."""
+        ks = range(1, self.storage.n_temporal + 1)
+        return tuple((cell, k) for cell in self.cell_order for k in ks)
 
     def resolved_mode_period(self, constraints: TimingConstraints) -> float:
         if self.mode_period is not None:
@@ -198,12 +208,6 @@ class Timeline:
             elif ev.kind in _CONTROL_KINDS:
                 first.setdefault((ev.kind, ev.cell_id), ev)
         object.__setattr__(self, "_first", first)
-
-    def of_kind(self, kind: EventKind) -> list[TimelineEvent]:
-        return [ev for ev in self.events if ev.kind is kind]
-
-    def echo_windows(self) -> list[TimelineEvent]:
-        return self.of_kind(EventKind.ECHO_WINDOW)
 
     def echo_window(self, cell_id: int, temporal_index: int) -> TimelineEvent:
         """The detection window of mode (cell, temporal index)."""

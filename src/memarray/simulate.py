@@ -108,14 +108,6 @@ class LeakageMatrix:
     def leak(self, input_cell: int, output_cell: int) -> float:
         return self.values[self._index(input_cell)][self._index(output_cell)]
 
-    @classmethod
-    def identity(cls, cell_ids) -> "LeakageMatrix":
-        ids = tuple(cell_ids)
-        n = len(ids)
-        return cls(cell_ids=ids,
-                   values=tuple(tuple(1.0 if i == j else 0.0
-                                      for j in range(n)) for i in range(n)))
-
 
 @dataclass(frozen=True)
 class TrialCounts:
@@ -183,16 +175,10 @@ def expected_noise_per_mode(mode: tuple[int, int], timeline: Timeline,
 
 @dataclass(frozen=True)
 class ModeExpectations:
-    """Per-mode Poisson means, echo and noise separately, in block order."""
+    """Per-mode Poisson means, echo and noise separately, in plan order."""
 
     signal: dict[tuple[int, int], float]
     noise: dict[tuple[int, int], float]
-
-    def keys(self) -> list[tuple[int, int]]:
-        return list(self.signal)
-
-    def total(self, key: tuple[int, int]) -> float:
-        return self.signal[key] + self.noise[key]
 
 
 def mode_expectations(device: ArrayDevice, plan: SequencePlan,
@@ -202,16 +188,12 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
     """Expected echo and noise means for every (cell, temporal mode) of a
     plan.  Compiles the plan, so infeasible plans fail here."""
     timeline = compile_plan(plan, constraints)
-    cfg = plan.storage
-    sig: dict[tuple[int, int], float] = {}
-    bkg: dict[tuple[int, int], float] = {}
-    for cell_id in plan.cell_order:
-        s = expected_signal_per_mode(device.cell(cell_id), cfg, device)
-        for k in range(1, cfg.n_temporal + 1):
-            sig[(cell_id, k)] = s
-            bkg[(cell_id, k)] = expected_noise_per_mode((cell_id, k),
-                                                        timeline, noise)
-    return ModeExpectations(signal=sig, noise=bkg)
+    echo = {c: expected_signal_per_mode(device.cell(c), plan.storage, device)
+            for c in plan.cell_order}
+    modes = plan.modes
+    return ModeExpectations(
+        signal={m: echo[m[0]] for m in modes},
+        noise={m: expected_noise_per_mode(m, timeline, noise) for m in modes})
 
 
 # --------------------------------------------------------------------------
@@ -262,11 +244,10 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
     """
     _check_run_args(n_trials, seed)
     exp = mode_expectations(device, plan, noise, constraints)
-    keys = exp.keys()
-    lam = list(exp.noise.values())
-    if with_input:
-        lam = [b + s for b, s in zip(lam, exp.signal.values())]
-    counts = dict(zip(keys, _poisson_totals(lam, n_trials, seed)))
+    modes = plan.modes
+    lam = [exp.noise[m] + exp.signal[m] if with_input else exp.noise[m]
+           for m in modes]
+    counts = dict(zip(modes, _poisson_totals(lam, n_trials, seed)))
     kind = RunKind.SIGNAL if with_input else RunKind.NOISE
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 

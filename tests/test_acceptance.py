@@ -59,9 +59,9 @@ PLAN_250 = load_plan(default_plan_path("250mode"))
 PLAN_XT = load_plan(default_plan_path("crosstalk"))
 
 
-def plan_modes(plan):
-    return [(cell, k) for cell in plan.cell_order
-            for k in range(1, plan.storage.n_temporal + 1)]
+def total_mean(exp, key):
+    """Expected echo plus noise counts of one mode per trial."""
+    return exp.signal[key] + exp.noise[key]
 
 
 def test_criterion_1_formula_point_oracles():
@@ -107,13 +107,13 @@ def test_criterion_3_mode_capacity():
                   if e.kind is EventKind.ECHO_WINDOW]
         assert plan.storage.n_temporal == capacity
         assert len(echoes) == total
-        assert len(plan_modes(plan)) == total
+        assert len(plan.modes) == total
     print("criterion 3: PASS — capacities 6 and 25, mode totals 60 and 250")
 
 
 def _criterion_4_means(n):
     exp = mode_expectations(DEVICE, PLAN_250, STORAGE_NOISE)
-    return {key: n * exp.total(key) for key in exp.keys()}
+    return {key: n * total_mean(exp, key) for key in PLAN_250.modes}
 
 
 def test_criterion_4_monte_carlo_matches_analytic():
@@ -154,7 +154,7 @@ def test_criterion_5_tuned_default_consistency():
         bkg = run_trials(plan, DEVICE, STORAGE_NOISE, n_trials=n,
                          seed=seed + 100, with_input=False)
         stats = per_mode_stats(sig, bkg)
-        modes = plan_modes(plan)
+        modes = plan.modes
         cum_sig = sum(stats[m].c_signal for m in modes)
         cum_bkg = sum(stats[m].c_noise for m in modes)
         avg_snr = cum_sig / cum_bkg  # pooled over all modes
@@ -234,7 +234,7 @@ def test_criterion_6_structural_properties():
         # series total, not the local cumulative error
         run = run_trials(plan, DEVICE, loud, n_trials=n_trials, seed=index,
                          with_input=False)
-        modes = plan_modes(plan)
+        modes = plan.modes
         totals = np.array([run.counts[m] for m in modes], dtype=float)
         cum = np.cumsum(totals) / n_trials
         idx = np.arange(1, len(modes) + 1, dtype=float)

@@ -245,6 +245,15 @@ class TestProjectCells:
         with pytest.raises(ModeSetMismatch):
             project_cells(sig, bkg, device, plan)
 
+    def test_runs_covering_part_of_the_plan(self):
+        # The two runs agree with each other, but neither covers (1, 2).
+        device, plan = projection_fixture()
+        sig = counts(RunKind.SIGNAL, {(1, 1): 10}, 100)
+        bkg = counts(RunKind.NOISE, {(1, 1): 1}, 100)
+        with pytest.raises(ModeSetMismatch) as err:
+            project_cells(sig, bkg, device, plan)
+        assert "missing in signal run: [(1, 2)]" in str(err.value)
+
 
 def scan_table(totals, n_trials=1000):
     """A cross-talk scan: (input_cell, output_cell) -> total."""

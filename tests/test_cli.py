@@ -10,8 +10,14 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
-from memarray.io import file_sha256, read_counts_csv
-from memarray.simulate import RunKind
+from memarray.io import (
+    file_sha256,
+    load_device,
+    load_noise,
+    load_plan,
+    read_counts_csv,
+)
+from memarray.simulate import RunKind, run_trials
 
 
 def run_cli(*argv):
@@ -228,6 +234,26 @@ class TestAnalyze:
         assert len((stats_dir / "mode_stats.csv").read_text().splitlines()) == 5
         assert len((stats_dir / "cumulative.csv").read_text().splitlines()) == 5
         assert len((stats_dir / "projections.csv").read_text().splitlines()) == 3
+
+    def test_mode_order_follows_plan(self, tmp_path, small_plan):
+        # With cell_order 2, 1 the run's keys and the cumulative series run
+        # in plan order, not in the sorted order of the counts CSV.
+        small_plan.write_text(small_plan.read_text().replace(
+            "cell_order = 1, 2", "cell_order = 2, 1"))
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        plan = load_plan(small_plan)
+        assert plan.modes == ((2, 1), (2, 2), (1, 1), (1, 2))
+        device = load_device(default_device_path())
+        noise, _ = load_noise(tmp_path / "noise.ini",
+                              default_dark_rate=device.dark_count_rate)
+        run = run_trials(plan, device, noise, n_trials=50, seed=3)
+        assert list(run.counts) == list(plan.modes)
+        assert run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "stats")) == 0
+        rows = (tmp_path / "stats" / "cumulative.csv").read_text().splitlines()
+        assert [tuple(int(f) for f in row.split(",")[1:3])
+                for row in rows[1:]] == list(plan.modes)
 
     def test_identical_inputs_give_unit_snr(self, tmp_path, small_plan):
         # A signal run whose counts equal the noise run's, line for line.

@@ -20,12 +20,18 @@ from memarray.device import (
     StorageConfig,
     afc_efficiency_at,
     spin_wave_efficiency,
-    total_device_efficiency,
     window_capture_fraction,
 )
 from memarray.defaults import default_device_path
 from memarray.errors import ConfigError
 from memarray.io import load_device
+
+
+def total_device_efficiency(cell, tau):
+    """Input-to-fibre efficiency of one cell: multiplexer in, spin-wave
+    storage, demultiplexer and fibre coupling out."""
+    return (cell.eta_mux * spin_wave_efficiency(cell, tau)
+            * cell.eta_demux * cell.eta_fiber)
 
 
 def make_cell(calibration=((10.0, 0.191), (25.0, 0.079)), **kw):
@@ -224,6 +230,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             StorageConfig(tau=10.0, t_spin=15.5, n_temporal=0, mean_photon_number=1.0,
                           input_shape=shape, detection_window=351.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_pulse_fwhm_must_be_finite(self, value):
+        with pytest.raises(ConfigError, match="^pulse fwhm must be finite"):
+            PulseShape(PulseKind.GAUSSIAN, fwhm=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["mean_photon_number",
+                                      "detection_window", "g2_source"])
+    def test_storage_values_must_be_finite(self, name, value):
+        kw = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
+                  input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                  detection_window=351.0)
+        kw[name] = value
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+            StorageConfig(**kw)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_dark_count_rate_must_be_finite(self, value):

@@ -27,6 +27,14 @@ from memarray.sequence import (
 )
 
 
+def of_kind(timeline, kind):
+    return [ev for ev in timeline.events if ev.kind is kind]
+
+
+def echo_windows(timeline):
+    return of_kind(timeline, EventKind.ECHO_WINDOW)
+
+
 def make_config(**kw):
     args = dict(
         tau=10.0,
@@ -99,6 +107,22 @@ class TestResolvedModePeriod:
         with pytest.raises(ConfigError):
             SequencePlan(storage=make_config(), cell_order=())
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_plan_rejects_non_finite_period(self, value):
+        with pytest.raises(ConfigError, match="^mode_period must be finite"):
+            SequencePlan(storage=make_config(), cell_order=(1,),
+                         mode_period=value)
+
+
+class TestTimingConstraints:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", [
+        "switch_prep", "switch_control", "switch_mux", "switch_demux",
+        "control_pulse_duration", "prep_duration"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+            TimingConstraints(**{name: value})
+
 
 class TestTimelineEvent:
     def test_kind_pins_channel(self):
@@ -115,35 +139,35 @@ class TestTimelineEvent:
 class TestCompilePlan:
     def test_sixty_mode_event_census(self):
         tl = compile_plan(PLAN_60)
-        assert len(tl.of_kind(EventKind.INPUT)) == 60
-        assert len(tl.of_kind(EventKind.ECHO_WINDOW)) == 60
-        assert len(tl.of_kind(EventKind.CONTROL1)) == 10
-        assert len(tl.of_kind(EventKind.CONTROL2)) == 10
-        assert len(tl.of_kind(EventKind.PREPARE)) == 1
+        assert len(of_kind(tl, EventKind.INPUT)) == 60
+        assert len(of_kind(tl, EventKind.ECHO_WINDOW)) == 60
+        assert len(of_kind(tl, EventKind.CONTROL1)) == 10
+        assert len(of_kind(tl, EventKind.CONTROL2)) == 10
+        assert len(of_kind(tl, EventKind.PREPARE)) == 1
 
     def test_single_mode_echo_delay(self):
         # One cell, one mode: the echo window opens exactly one AFC delay
         # plus one spin pause after the input.
         plan = make_plan(cells=(3,), n_temporal=1, t_spin=8.0)
         tl = compile_plan(plan)
-        [inp] = tl.of_kind(EventKind.INPUT)
-        [win] = tl.echo_windows()
+        [inp] = of_kind(tl, EventKind.INPUT)
+        [win] = echo_windows(tl)
         assert win.start == inp.start + 10.0 + 8.0
 
     def test_echo_arithmetic_exact(self):
         tl = compile_plan(PLAN_250)
         inputs = {(e.cell_id, e.temporal_index): e
-                  for e in tl.of_kind(EventKind.INPUT)}
-        for win in tl.echo_windows():
+                  for e in of_kind(tl, EventKind.INPUT)}
+        for win in echo_windows(tl):
             inp = inputs[(win.cell_id, win.temporal_index)]
             assert win.start == inp.start + 25.0 + 20.0
 
     def test_fifo_echo_ordering(self):
         tl = compile_plan(PLAN_60)
         for cell in PLAN_60.cell_order:
-            ins = sorted((e for e in tl.of_kind(EventKind.INPUT)
+            ins = sorted((e for e in of_kind(tl, EventKind.INPUT)
                           if e.cell_id == cell), key=lambda e: e.start)
-            outs = sorted((e for e in tl.echo_windows()
+            outs = sorted((e for e in echo_windows(tl)
                            if e.cell_id == cell), key=lambda e: e.start)
             assert [e.temporal_index for e in ins] == list(range(1, 7))
             assert ([e.temporal_index for e in outs]
@@ -158,7 +182,7 @@ class TestCompilePlan:
 
     def test_two_fifty_mode_plan_validates_clean(self):
         tl = compile_plan(PLAN_250)
-        assert len(tl.echo_windows()) == 250
+        assert len(echo_windows(tl)) == 250
         assert validate_timeline(tl) == []
 
     def test_capacity_rejection(self):
@@ -183,7 +207,7 @@ class TestCompilePlan:
 
     def test_temporal_index_one_based(self):
         tl = compile_plan(make_plan(cells=(1,)))
-        ks = sorted(e.temporal_index for e in tl.of_kind(EventKind.INPUT))
+        ks = sorted(e.temporal_index for e in of_kind(tl, EventKind.INPUT))
         assert ks == [1, 2, 3, 4, 5, 6]
 
 
@@ -193,7 +217,7 @@ class TestControlGap:
         tl = compile_plan(PLAN_60, c)
         for cell in PLAN_60.cell_order:
             cp2 = tl.control_pulse(cell, EventKind.CONTROL2)
-            for win in tl.echo_windows():
+            for win in echo_windows(tl):
                 if win.cell_id != cell:
                     continue
                 expect = win.start - cp2.end
@@ -321,6 +345,6 @@ class TestCompileValidateProperty:
         assert validate_timeline(tl) == []
         # FIFO holds per cell
         for cell in plan.cell_order:
-            wins = [e for e in tl.echo_windows() if e.cell_id == cell]
+            wins = [e for e in echo_windows(tl) if e.cell_id == cell]
             starts = [e.start for e in sorted(wins, key=lambda e: e.temporal_index)]
             assert starts == sorted(starts)

@@ -75,6 +75,11 @@ def make_config(**kw):
     return StorageConfig(**args)
 
 
+def total_mean(exp, key):
+    """Expected echo plus noise counts of one mode per trial."""
+    return exp.signal[key] + exp.noise[key]
+
+
 QUIET = NoiseParams(base_noise_per_window=0.0, fluorescence_amplitude=0.0,
                     fluorescence_decay=2.0, dark_rate=0.0)
 
@@ -173,7 +178,9 @@ class TestModeExpectations:
         plan = SequencePlan(storage=make_config(n_temporal=3),
                             cell_order=(2, 1))
         exp = mode_expectations(device, plan, QUIET)
-        assert exp.keys() == [(2, 1), (2, 2), (2, 3), (1, 1), (1, 2), (1, 3)]
+        assert plan.modes == ((2, 1), (2, 2), (2, 3), (1, 1), (1, 2), (1, 3))
+        assert list(exp.signal) == list(plan.modes)
+        assert list(exp.noise) == list(plan.modes)
         # same cell, same expected echo in every temporal slot
         assert exp.signal[(1, 1)] == exp.signal[(1, 3)]
 
@@ -209,8 +216,8 @@ class TestRunTrials:
         n = 10 ** 7
         out = run_trials(plan, device, noise, n_trials=n, seed=99)
         exp = mode_expectations(device, plan, noise)
-        assert poisson_gate(out.counts, {key: n * exp.total(key)
-                                         for key in exp.keys()}) == []
+        assert poisson_gate(out.counts, {key: n * total_mean(exp, key)
+                                         for key in plan.modes}) == []
 
     def test_counts_equal_one_seeded_poisson_draw(self):
         # The engine contract, exactly: one Poisson(n * lambda) total per
@@ -225,11 +232,11 @@ class TestRunTrials:
         for with_input in (True, False):
             out = run_trials(plan, make_device(), noise, n_trials=n,
                              seed=seed, with_input=with_input)
-            lam = np.array([exp.total(k) if with_input else exp.noise[k]
-                            for k in exp.keys()])
+            lam = np.array([total_mean(exp, k) if with_input
+                            else exp.noise[k] for k in plan.modes])
             want = np.random.default_rng(seed).poisson(n * lam)
             assert out.counts == {k: int(c)
-                                  for k, c in zip(exp.keys(), want)}
+                                  for k, c in zip(plan.modes, want)}
 
     def test_same_seed_reruns_are_identical(self):
         plan = SequencePlan(storage=make_config(n_temporal=4),
@@ -299,14 +306,17 @@ class TestRunTrials:
         totals = np.array([[run_trials(plan, make_device(), noise,
                                        n_trials=n, seed=seed,
                                        with_input=False).counts[k]
-                            for k in exp.keys()] for seed in seeds])
-        for column, key in zip(totals.T, exp.keys()):
+                            for k in plan.modes] for seed in seeds])
+        for column, key in zip(totals.T, plan.modes):
             p = binned_g2_pvalue(column, n * exp.noise[key])
-            assert p >= ALPHA / 2 / len(exp.keys()), f"mode {key}: p={p:.2g}"
+            assert p >= ALPHA / 2 / len(plan.modes), f"mode {key}: p={p:.2g}"
 
 
 def identity_leak(n=3):
-    return LeakageMatrix.identity(tuple(range(1, n + 1)))
+    return LeakageMatrix(cell_ids=tuple(range(1, n + 1)),
+                         values=tuple(tuple(1.0 if i == j else 0.0
+                                            for j in range(n))
+                                      for i in range(n)))
 
 
 class TestCrossTalkScan:
