@@ -40,6 +40,7 @@ from .sequence import (
     TimelineEvent,
     TimingConstraints,
     Violation,
+    check_plan,
     compile_plan,
     control_gap,
     max_temporal_modes,
@@ -52,7 +53,6 @@ from .simulate import (
     NoiseParams,
     RunKind,
     TrialCounts,
-    expected_noise_per_mode,
     expected_signal_per_mode,
     mode_expectations,
     run_crosstalk_scan,
@@ -67,11 +67,12 @@ __all__ = [
     "window_capture_fraction",
     "ConfigError", "CompilationError", "ModeSetMismatch",
     "Channel", "EventKind", "SequencePlan", "Timeline", "TimelineEvent",
-    "TimingConstraints", "Violation", "compile_plan", "control_gap",
-    "max_temporal_modes", "trial_duration", "validate_timeline",
+    "TimingConstraints", "Violation", "check_plan", "compile_plan",
+    "control_gap", "max_temporal_modes", "trial_duration",
+    "validate_timeline",
     "LeakageMatrix", "ModeExpectations", "NoiseParams", "RunKind",
-    "TrialCounts", "expected_noise_per_mode", "expected_signal_per_mode",
-    "mode_expectations", "run_crosstalk_scan", "run_trials",
+    "TrialCounts", "expected_signal_per_mode", "mode_expectations",
+    "run_crosstalk_scan", "run_trials",
     "CrossTalkMatrix", "ModeStats", "NetworkProjection", "adjusted_snr",
     "crosstalk_matrix", "fidelity_bound", "g2_inferred",
     "per_mode_stats", "project_cells", "rescale_signal",

@@ -91,6 +91,10 @@ class CellParams:
                 f"(tau, efficiency) points, got {len(table)}")
         taus = [t for t, _ in table]
         etas = [e for _, e in table]
+        for t in taus:
+            if not math.isfinite(t):
+                raise ConfigError(f"cell {self.cell_id}: calibration tau must "
+                                  f"be finite, got {t}")
         if len(set(taus)) != len(taus):
             raise ConfigError(f"cell {self.cell_id}: duplicate calibration tau")
         if any(not 0.0 < e <= 1.0 for e in etas):

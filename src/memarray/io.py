@@ -344,11 +344,7 @@ def _writer(fh):
 
 
 def _fmt(x: float) -> str:
-    if x != x:  # NaN
-        return "nan"
-    if x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".10g")
+    return format(x, ".10g")  # also writes nan, inf and -inf
 
 
 COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",

@@ -1,9 +1,12 @@
-"""Storage-sequence timing: plan capacity, timeline compilation, validation.
+"""Storage-sequence timing: plan capacity, plan checks, timeline
+compilation, validation.
 
-All times are microseconds unless a name says otherwise.  A compiled timeline
-is a flat list of events on four acousto-optic deflector channels; validation
-re-derives every pairwise constraint from the events alone, so a timeline can
-be checked independently of how it was produced.
+All times are microseconds unless a name says otherwise.  ``check_plan``
+tests a plan's timing rules and ``control_gap`` gives each window's distance
+from its control pulse in closed form, so a run needs no timeline.  A
+compiled timeline is a flat list of events on four acousto-optic deflector
+channels; validation re-derives every pairwise constraint from the events
+alone, so a timeline can be checked independently of how it was produced.
 """
 
 from __future__ import annotations
@@ -258,16 +261,17 @@ def _block_spacing(plan: SequencePlan, constraints: TimingConstraints,
     return max(mux, control, demux)
 
 
-def compile_plan(plan: SequencePlan,
-                 constraints: TimingConstraints = TimingConstraints(),
-                 ) -> Timeline:
-    """Lay out one full trial for ``plan``.
+def check_plan(plan: SequencePlan,
+               constraints: TimingConstraints = TimingConstraints(),
+               ) -> float:
+    """Check the plan's timing rules without laying out a timeline and
+    return its resolved mode period.
 
-    Per cell block: n_temporal input pulses one mode period apart, the first
-    control pulse immediately after the last input, the second one spin-pause
-    later, and one echo window per input at input start + tau + t_spin.
-    Blocks are packed as tightly as the per-channel switching times allow.
-    Raises CompilationError listing every unsatisfiable requirement.
+    The rules: the temporal modes fit the capacity left by the control pulse
+    within tau, the input pulse and the detection window each fit one mode
+    period, the spin pause holds one control pulse, and the last input plus
+    the first control pulse end within tau.  Raises CompilationError listing
+    every broken rule.
     """
     cfg = plan.storage
     cp = constraints.control_pulse_duration
@@ -303,6 +307,25 @@ def compile_plan(plan: SequencePlan,
             f"first input, beyond the echo delay tau={cfg.tau} us")
     if problems:
         raise CompilationError(problems)
+    return period
+
+
+def compile_plan(plan: SequencePlan,
+                 constraints: TimingConstraints = TimingConstraints(),
+                 ) -> Timeline:
+    """Lay out one full trial for ``plan``.
+
+    Per cell block: n_temporal input pulses one mode period apart, the first
+    control pulse immediately after the last input, the second one spin-pause
+    later, and one echo window per input at input start + tau + t_spin.
+    Blocks are packed as tightly as the per-channel switching times allow.
+    Raises CompilationError listing every rule of ``check_plan`` it breaks.
+    """
+    period = check_plan(plan, constraints)
+    cfg = plan.storage
+    cp = constraints.control_pulse_duration
+    dur_in = plan.input_duration
+    w = plan.window_duration
 
     events = [TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
                             start=0.0, duration=constraints.prep_duration)]

@@ -1,8 +1,12 @@
 """Single-photon-level counting simulation.
 
 Every detection window sees Poisson counts with its expected per-mode mean
-in every trial.  The sum of n independent Poisson(lambda) draws is exactly
-Poisson(n * lambda), so a run draws one seeded Poisson total per window:
+in every trial.  The means come from the plan alone: ``check_plan`` checks
+its timing rules and each window's noise follows from its closed-form gap to
+the control pulse, so a run lays out no timeline.
+
+The sum of n independent Poisson(lambda) draws is exactly Poisson(n *
+lambda), so a run draws one seeded Poisson total per window:
 ``default_rng(seed).poisson(n_trials * lambda)`` over the mode vector.  The
 same seed always gives the same totals.
 
@@ -20,13 +24,12 @@ from dataclasses import dataclass, field
 from .device import (ArrayDevice, CellParams, StorageConfig,
                      spin_wave_efficiency, window_capture_fraction)
 from .errors import ConfigError
-from .sequence import (EventKind, SequencePlan, Timeline, TimingConstraints,
-                       compile_plan)
+from .sequence import SequencePlan, TimingConstraints, check_plan, control_gap
 
 __all__ = [
     "RunKind", "NoiseParams", "LeakageMatrix", "TrialCounts",
-    "ModeExpectations", "expected_signal_per_mode", "expected_noise_per_mode",
-    "mode_expectations", "run_trials", "run_crosstalk_scan", "ENGINE",
+    "ModeExpectations", "expected_signal_per_mode", "mode_expectations",
+    "run_trials", "run_crosstalk_scan", "ENGINE",
 ]
 
 
@@ -151,26 +154,29 @@ def expected_signal_per_mode(cell: CellParams, config: StorageConfig,
             * capture)
 
 
-def expected_noise_per_mode(mode: tuple[int, int], timeline: Timeline,
-                            noise: NoiseParams) -> float:
-    """Mean noise counts in the detection window of one (cell, temporal
-    index) mode of a compiled timeline.
+def _noise_per_index(plan: SequencePlan, noise: NoiseParams,
+                     constraints: TimingConstraints) -> list[float]:
+    """Mean noise counts in the detection window of temporal mode k, for k
+    in 1..n_temporal; every cell block has the same timing, so these hold
+    for every cell.  Checks the plan first, so infeasible plans fail here.
 
     Control-pulse fluorescence decays with the gap between the second
     control pulse and the window, so early temporal modes are the noisiest.
     """
-    cell_id, k = mode
-    window = timeline.echo_window(cell_id, k)
-    cp2 = timeline.control_pulse(cell_id, EventKind.CONTROL2)
-    dt = window.start - cp2.end
-    if dt < 0:
-        raise ConfigError(
-            f"echo window of mode (cell {cell_id}, temporal {k}) opens "
-            f"{-dt:g} us before its control pulse has finished")
-    window_seconds = window.duration * 1e-6
-    return (noise.base_noise_per_window
-            + noise.fluorescence_amplitude * math.exp(-dt / noise.fluorescence_decay)
-            + noise.dark_rate * window_seconds)
+    check_plan(plan, constraints)
+    window_seconds = plan.window_duration * 1e-6
+    means = []
+    for k in range(1, plan.storage.n_temporal + 1):
+        dt = control_gap(plan, constraints, k)
+        if dt < 0:
+            raise ConfigError(
+                f"echo window of temporal mode {k} opens {-dt:g} us before "
+                f"its control pulse has finished")
+        means.append(noise.base_noise_per_window
+                     + noise.fluorescence_amplitude
+                     * math.exp(-dt / noise.fluorescence_decay)
+                     + noise.dark_rate * window_seconds)
+    return means
 
 
 @dataclass(frozen=True)
@@ -186,14 +192,14 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
                       constraints: TimingConstraints = TimingConstraints(),
                       ) -> ModeExpectations:
     """Expected echo and noise means for every (cell, temporal mode) of a
-    plan.  Compiles the plan, so infeasible plans fail here."""
-    timeline = compile_plan(plan, constraints)
+    plan.  Checks the plan's timing rules, so infeasible plans fail here."""
+    noise_k = _noise_per_index(plan, noise, constraints)
     echo = {c: expected_signal_per_mode(device.cell(c), plan.storage, device)
             for c in plan.cell_order}
     modes = plan.modes
     return ModeExpectations(
         signal={m: echo[m[0]] for m in modes},
-        noise={m: expected_noise_per_mode(m, timeline, noise) for m in modes})
+        noise={m: noise_k[m[1] - 1] for m in modes})
 
 
 # --------------------------------------------------------------------------
@@ -274,10 +280,9 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     cells = list(leak.cell_ids)
     # Per-pair trials share one cell block's timing, so the noise term is
     # the single-mode noise of any one cell's block.
-    timeline = compile_plan(SequencePlan(storage=config,
-                                         cell_order=(cells[0],)),
-                            constraints)
-    noise_per_window = expected_noise_per_mode((cells[0], 1), timeline, noise)
+    [noise_per_window] = _noise_per_index(
+        SequencePlan(storage=config, cell_order=(cells[0],)), noise,
+        constraints)
     sig = {c: expected_signal_per_mode(device.cell(c), config, device)
            for c in cells}
 

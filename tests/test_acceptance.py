@@ -47,6 +47,7 @@ from memarray.simulate import (
     run_crosstalk_scan,
     run_trials,
 )
+from noise_oracle import assert_noise_matches_timeline
 from stat_gates import poisson_gate
 
 DEVICE = load_device(default_device_path())
@@ -218,6 +219,7 @@ def test_criterion_6_structural_properties():
         assert validate_timeline(timeline) == []
 
         exp = mode_expectations(DEVICE, plan, loud)
+        assert_noise_matches_timeline(plan, timeline, loud, exp)
         for cell in plan.cell_order:
             assert exp.noise[(cell, 1)] >= exp.noise[(cell, cfg.n_temporal)]
 
@@ -246,8 +248,9 @@ def test_criterion_6_structural_properties():
                 f"plan {index}: nonlinear cumulative noise"
             worst_resid = max(worst_resid, float(np.max(resid) / sigma))
     print(f"criterion 6: PASS — {n_plans} random feasible plans: FIFO, "
-          f"0 violations, linear noise growth (worst residual "
-          f"{worst_resid:.2f} sigma), first >= last mode noise")
+          f"0 violations, noise means equal to the timeline oracle, linear "
+          f"noise growth (worst residual {worst_resid:.2f} sigma), first >= "
+          f"last mode noise")
 
 
 def test_criterion_7_byte_identical_reruns(tmp_path):

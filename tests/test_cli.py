@@ -168,6 +168,37 @@ class TestRun:
         assert code == 1
         assert "violation" in capsys.readouterr().err
 
+    # (shipped plan, edits that break its timing rules, violation count)
+    INFEASIBLE = {
+        "storage": ("60mode", {"n_temporal = 6":
+                               "n_temporal = 40\nmode_period_us = 0.2",
+                               "t_spin_us = 15.5": "t_spin_us = 1.0"}, 5),
+        "crosstalk": ("crosstalk", {"t_spin_us = 8.0": "t_spin_us = 1.0",
+                                    "input_fwhm_ns = 130":
+                                    "input_fwhm_ns = 7000"}, 3),
+    }
+
+    @pytest.mark.parametrize("mode, noise", [
+        ("signal", "storage"), ("noise", "storage"),
+        ("crosstalk", "crosstalk")])
+    def test_infeasible_plan_same_violations_as_validate(
+            self, tmp_path, capsys, mode, noise):
+        plan_name, edits, n_lines = self.INFEASIBLE[noise]
+        text = default_plan_path(plan_name).read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        p = tmp_path / "infeasible.ini"
+        p.write_text(text)
+        assert run_cli("validate", "--plan", str(p)) == 1
+        validated = capsys.readouterr().err
+        assert run_cli("run", "--plan", str(p), "--noise", noise,
+                       "--mode", mode, "--trials", "10",
+                       "--out-dir", str(tmp_path / "out")) == 1
+        lines = validated.splitlines()
+        assert len(lines) == n_lines
+        assert all(line.startswith("violation: ") for line in lines)
+        assert capsys.readouterr().err == validated
+
     def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
         p = tmp_path / "over.ini"
         p.write_text(default_plan_path("60mode").read_text().replace(

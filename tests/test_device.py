@@ -247,6 +247,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
             StorageConfig(**kw)
 
+    @pytest.mark.parametrize("calibration", [
+        ((math.nan, 0.1), (25.0, 0.04)),
+        ((10.0, 0.1), (math.inf, 0.04)),
+        ((-math.inf, 0.1), (25.0, 0.04)),
+    ])
+    def test_calibration_taus_must_be_finite(self, calibration):
+        # A NaN tau made afc_efficiency_at return nan; an infinite one made
+        # it return the first efficiency at every storage time.
+        with pytest.raises(ConfigError,
+                           match="^cell 4: calibration tau must be finite"):
+            make_cell(calibration=calibration, cell_id=4)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_dark_count_rate_must_be_finite(self, value):
         with pytest.raises(ConfigError, match="dark_count_rate .*finite"):

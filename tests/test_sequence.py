@@ -19,6 +19,7 @@ from memarray.sequence import (
     Timeline,
     TimelineEvent,
     TimingConstraints,
+    check_plan,
     compile_plan,
     control_gap,
     max_temporal_modes,
@@ -209,6 +210,73 @@ class TestCompilePlan:
         tl = compile_plan(make_plan(cells=(1,)))
         ks = sorted(e.temporal_index for e in of_kind(tl, EventKind.INPUT))
         assert ks == [1, 2, 3, 4, 5, 6]
+
+
+def _gaussian(fwhm):
+    return PulseShape(PulseKind.GAUSSIAN, fwhm=fwhm)
+
+
+# One infeasible plan per timing rule, then one that breaks every rule the
+# capacity branch allows.  A control pulse longer than tau always breaks the
+# lead rule too, and a lead beyond tau always comes with a broken capacity
+# or input-pulse rule.
+INFEASIBLE = {
+    "capacity": (dict(n_temporal=7), 1.0, ["capacity of 6"]),
+    "control-pulse": (dict(tau=3.0, n_temporal=1), 1.0,
+                      ["does not fit within", "last input"]),
+    "input-pulse": (dict(input_shape=_gaussian(600.0)), 0.5,
+                    ["input pulse (0.6 us)"]),
+    "window": (dict(detection_window=600.0), 0.5,
+               ["detection window (0.6 us)"]),
+    "spin-pause": (dict(t_spin=1.0), None, ["spin pause"]),
+    "lead": (dict(n_temporal=7, input_shape=_gaussian(1100.0)), 0.92,
+             ["input pulse", "last input plus control pulse end at 10.12"]),
+    "every-rule": (dict(n_temporal=40, t_spin=1.0), 0.2,
+                   ["capacity", "input pulse", "detection window",
+                    "spin pause", "last input"]),
+}
+
+
+class TestCheckPlan:
+    @pytest.mark.parametrize("name", list(INFEASIBLE))
+    def test_raises_the_violations_of_compile_plan(self, name):
+        config, period, parts = INFEASIBLE[name]
+        plan = SequencePlan(storage=make_config(**config), cell_order=(1, 2),
+                            mode_period=period)
+        with pytest.raises(CompilationError) as checked:
+            check_plan(plan)
+        with pytest.raises(CompilationError) as compiled:
+            compile_plan(plan)
+        assert checked.value.violations == compiled.value.violations
+        assert len(checked.value.violations) == len(parts)
+        for violation, part in zip(checked.value.violations, parts):
+            assert part in violation
+
+    def test_every_rule_messages(self):
+        config, period, _ = INFEASIBLE["every-rule"]
+        plan = SequencePlan(storage=make_config(**config), cell_order=(1,),
+                            mode_period=period)
+        with pytest.raises(CompilationError) as err:
+            check_plan(plan)
+        assert list(err.value.violations) == [
+            "40 temporal modes exceed the capacity of 32 for tau=10.0 us, "
+            "period=0.2 us, control pulse=3.5 us",
+            "input pulse (0.351 us) is longer than the mode period (0.2 us)",
+            "detection window (0.351 us) is longer than the mode period "
+            "(0.2 us)",
+            "spin pause (1.0 us) is shorter than one control pulse (3.5 us); "
+            "the two control pulses would overlap",
+            "last input plus control pulse end at 11.651 us after the first "
+            "input, beyond the echo delay tau=10.0 us",
+        ]
+
+    def test_returns_the_resolved_period(self):
+        c = TimingConstraints()
+        assert check_plan(PLAN_60, c) == PLAN_60.resolved_mode_period(c)
+        assert check_plan(PLAN_250, c) == (25.0 - 3.5) / 25
+        assert check_plan(SequencePlan(storage=make_config(n_temporal=5),
+                                       cell_order=(1,),
+                                       mode_period=1.25)) == 1.25
 
 
 class TestControlGap:

@@ -13,6 +13,11 @@ import math
 import numpy as np
 import pytest
 
+from memarray.defaults import (
+    default_device_path,
+    default_noise_path,
+    default_plan_path,
+)
 from memarray.device import (
     ArrayDevice,
     CellParams,
@@ -22,6 +27,7 @@ from memarray.device import (
     window_capture_fraction,
 )
 from memarray.errors import CompilationError, ConfigError
+from memarray.io import load_device, load_noise, load_plan
 from memarray.sequence import (
     Channel,
     EventKind,
@@ -35,12 +41,12 @@ from memarray.simulate import (
     NoiseParams,
     RunKind,
     TrialCounts,
-    expected_noise_per_mode,
     expected_signal_per_mode,
     mode_expectations,
     run_crosstalk_scan,
     run_trials,
 )
+from noise_oracle import assert_noise_matches_timeline, expected_noise_per_mode
 from stat_gates import ALPHA, binned_g2_pvalue, poisson_gate
 
 
@@ -173,6 +179,18 @@ class TestExpectedNoise:
 
 
 class TestModeExpectations:
+    @pytest.mark.parametrize("plan_name, noise_name", [
+        ("60mode", "storage"), ("250mode", "storage"),
+        ("crosstalk", "crosstalk")])
+    def test_shipped_plans_match_timeline_oracle(self, plan_name,
+                                                 noise_name):
+        device = load_device(default_device_path())
+        noise, _ = load_noise(default_noise_path(noise_name),
+                              default_dark_rate=device.dark_count_rate)
+        plan = load_plan(default_plan_path(plan_name))
+        exp = mode_expectations(device, plan, noise)
+        assert_noise_matches_timeline(plan, compile_plan(plan), noise, exp)
+
     def test_block_order_and_shape(self):
         device = make_device((make_cell(1), make_cell(2)))
         plan = SequencePlan(storage=make_config(n_temporal=3),

@@ -21,7 +21,8 @@ from memarray.sequence import (
     Violation,
     validate_timeline,
 )
-from memarray.simulate import NoiseParams, expected_noise_per_mode
+from memarray.simulate import NoiseParams
+from noise_oracle import expected_noise_per_mode
 
 _TOL = 1e-9
 
