@@ -2,11 +2,11 @@
 quantum memory array.
 
 The package models a ten-cell memory driven through acousto-optic
-deflectors: it compiles storage sequences into validated timelines, draws
-single-photon-level Poisson counting statistics per detection window,
-characterises inter-cell cross-talk, and projects network-level figures of
-merit (adjusted SNR, heralded g2, time-bin fidelity bound) from measured or
-simulated counts.
+deflectors: it checks storage plans against the deflectors' timing rules and
+compiles them into event timelines, draws single-photon-level Poisson
+counting statistics per detection window, characterises inter-cell
+cross-talk, and projects network-level figures of merit (adjusted SNR,
+heralded g2, time-bin fidelity bound) from measured or simulated counts.
 """
 
 from .device import (
@@ -39,13 +39,11 @@ from .sequence import (
     Timeline,
     TimelineEvent,
     TimingConstraints,
-    Violation,
     check_plan,
     compile_plan,
     control_gap,
     max_temporal_modes,
     trial_duration,
-    validate_timeline,
 )
 from .simulate import (
     LeakageMatrix,
@@ -67,9 +65,8 @@ __all__ = [
     "window_capture_fraction",
     "ConfigError", "CompilationError", "ModeSetMismatch",
     "Channel", "EventKind", "SequencePlan", "Timeline", "TimelineEvent",
-    "TimingConstraints", "Violation", "check_plan", "compile_plan",
+    "TimingConstraints", "check_plan", "compile_plan",
     "control_gap", "max_temporal_modes", "trial_duration",
-    "validate_timeline",
     "LeakageMatrix", "ModeExpectations", "NoiseParams", "RunKind",
     "TrialCounts", "expected_signal_per_mode", "mode_expectations",
     "run_crosstalk_scan", "run_trials",

@@ -1,12 +1,14 @@
 """Storage-sequence timing: plan capacity, plan checks, timeline
-compilation, validation.
+compilation.
 
 All times are microseconds unless a name says otherwise.  ``check_plan``
 tests a plan's timing rules and ``control_gap`` gives each window's distance
 from its control pulse in closed form, so a run needs no timeline.  A
 compiled timeline is a flat list of events on four acousto-optic deflector
-channels; validation re-derives every pairwise constraint from the events
-alone, so a timeline can be checked independently of how it was produced.
+channels.  ``compile_plan`` runs ``check_plan`` first and packs the cell
+blocks by the channels' switching times, so by construction every timeline
+it returns keeps each channel's switching time and overlaps no control
+pulse with the preparation or with its cell's echo windows.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .device import StorageConfig
 from .errors import CompilationError, ConfigError
@@ -48,7 +50,6 @@ _CHANNEL_FOR_KIND = {
     EventKind.CONTROL2: Channel.CONTROL,
     EventKind.ECHO_WINDOW: Channel.DEMUX,
 }
-_CONTROL_KINDS = (EventKind.CONTROL1, EventKind.CONTROL2)
 
 
 @dataclass(frozen=True)
@@ -186,17 +187,9 @@ def max_temporal_modes(tau: float, mode_period: float,
 
 @dataclass(frozen=True)
 class Timeline:
-    """A compiled trial: events sorted by start time, plus its inputs.
-
-    Echo windows are indexed by (kind, cell, temporal index) and control
-    pulses by (kind, cell); where several events share a key, the earliest
-    in ``events`` wins.
-    """
+    """A compiled trial: events sorted by start time."""
 
     events: tuple[TimelineEvent, ...]
-    plan: SequencePlan | None = None
-    constraints: TimingConstraints | None = None
-    _first: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = tuple(sorted(self.events,
@@ -204,32 +197,6 @@ class Timeline:
                                               e.cell_id,
                                               e.temporal_index or 0)))
         object.__setattr__(self, "events", ordered)
-        first: dict = {}
-        for ev in ordered:
-            if ev.kind is EventKind.ECHO_WINDOW:
-                first.setdefault((ev.kind, ev.cell_id, ev.temporal_index), ev)
-            elif ev.kind in _CONTROL_KINDS:
-                first.setdefault((ev.kind, ev.cell_id), ev)
-        object.__setattr__(self, "_first", first)
-
-    def echo_window(self, cell_id: int, temporal_index: int) -> TimelineEvent:
-        """The detection window of mode (cell, temporal index)."""
-        try:
-            return self._first[(EventKind.ECHO_WINDOW, cell_id,
-                                temporal_index)]
-        except KeyError:
-            raise ConfigError(f"mode (cell {cell_id}, temporal "
-                              f"{temporal_index}) is not in the "
-                              f"timeline") from None
-
-    def control_pulse(self, cell_id: int, kind: EventKind) -> TimelineEvent:
-        """The first ``kind`` control pulse on ``cell_id``, whatever its
-        temporal index."""
-        try:
-            return self._first[(kind, cell_id)]
-        except KeyError:
-            raise ConfigError(f"no {kind.value} event for cell "
-                              f"{cell_id}") from None
 
 
 def control_gap(plan: SequencePlan, constraints: TimingConstraints,
@@ -350,7 +317,7 @@ def compile_plan(plan: SequencePlan,
                 duration=w, temporal_index=k))
         block_start += spacing
 
-    return Timeline(events=tuple(events), plan=plan, constraints=constraints)
+    return Timeline(events=tuple(events))
 
 
 def trial_duration(timeline: Timeline) -> float:
@@ -359,96 +326,3 @@ def trial_duration(timeline: Timeline) -> float:
         raise ConfigError("cannot take the duration of an empty timeline")
     return (max(ev.end for ev in timeline.events)
             - min(ev.start for ev in timeline.events))
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One broken timing rule, as data (validators report, never raise)."""
-
-    rule: str
-    first: TimelineEvent
-    second: TimelineEvent
-    message: str = field(compare=False, default="")
-
-
-def _overlaps(a: TimelineEvent, b: TimelineEvent) -> bool:
-    lo = max(a.start, b.start)
-    hi = min(a.end, b.end)
-    return hi - lo > _TOL  # touching intervals do not overlap
-
-
-def _pairs_within(group: list[tuple[int, TimelineEvent]], reach: float):
-    """Yield ``(i, a, j, b)`` for the pairs of ``group`` (timeline index,
-    event; in timeline order), skipping pairs in which ``b`` starts
-    ``reach`` or more after ``a`` ends.
-
-    The scan from ``a`` stops at the first such ``b``: later events start no
-    earlier, and floating-point subtraction is monotonic, so every later
-    pair would be skipped too.
-    """
-    for n, (i, a) in enumerate(group):
-        for m in range(n + 1, len(group)):
-            j, b = group[m]
-            if b.start - a.end >= reach:
-                break
-            yield i, a, j, b
-
-
-def validate_timeline(timeline: Timeline,
-                      constraints: TimingConstraints | None = None,
-                      ) -> list[Violation]:
-    """Timing check of a compiled timeline, by a sweep over its events.
-
-    Rules:
-      switching  - events on one channel addressing different cells must be
-                   separated by that channel's switching time;
-      prep-control - preparation must never overlap a control pulse;
-      echo-control - an echo window must never overlap a control pulse on
-                   the same cell.
-
-    Each event is compared only with the later events of its group that
-    start within reach of its end: on its channel, within the switching
-    time; for the overlap rules, before it ends.  The result lists every
-    violated pair in timeline order, exactly as a check of all pairs would.
-    """
-    constraints = constraints or timeline.constraints or TimingConstraints()
-    channels: dict = {}
-    prep_control: list = []
-    echo_control: dict = {}
-    for i, ev in enumerate(timeline.events):
-        channels.setdefault(ev.channel, []).append((i, ev))
-        if ev.kind in _CONTROL_KINDS or ev.kind is EventKind.PREPARE:
-            prep_control.append((i, ev))
-        if ev.kind in _CONTROL_KINDS or ev.kind is EventKind.ECHO_WINDOW:
-            echo_control.setdefault(ev.cell_id, []).append((i, ev))
-
-    found: list[tuple[int, int, Violation]] = []
-    for channel, group in channels.items():
-        need = constraints.switching_time(channel)
-        for i, a, j, b in _pairs_within(group, need - _TOL):
-            gap = b.start - a.end
-            if a.cell_id != b.cell_id and gap < need - _TOL:
-                found.append((i, j, Violation(
-                    rule="switching", first=a, second=b,
-                    message=(f"{channel.value} retargets cell "
-                             f"{a.cell_id} -> {b.cell_id} after "
-                             f"{gap:.6g} us; needs {need} us"))))
-    # Two intervals overlap only if the later one starts more than _TOL
-    # before the earlier one ends.
-    for i, a, j, b in _pairs_within(prep_control, -_TOL):
-        if ((a.kind in _CONTROL_KINDS) != (b.kind in _CONTROL_KINDS)
-                and _overlaps(a, b)):
-            found.append((i, j, Violation(
-                rule="prep-control", first=a, second=b,
-                message="preparation overlaps a control pulse")))
-    for cell_id, group in echo_control.items():
-        for i, a, j, b in _pairs_within(group, -_TOL):
-            if ((a.kind in _CONTROL_KINDS) != (b.kind in _CONTROL_KINDS)
-                    and _overlaps(a, b)):
-                found.append((i, j, Violation(
-                    rule="echo-control", first=a, second=b,
-                    message=(f"echo window overlaps a control pulse on "
-                             f"cell {cell_id}"))))
-    # Each rule pairs its own combination of channels, so no pair breaks two.
-    found.sort(key=lambda item: item[:2])
-    return [v for _, _, v in found]

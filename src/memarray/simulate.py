@@ -167,11 +167,9 @@ def _noise_per_index(plan: SequencePlan, noise: NoiseParams,
     window_seconds = plan.window_duration * 1e-6
     means = []
     for k in range(1, plan.storage.n_temporal + 1):
+        # check_plan's lead rule keeps every gap above -1e-9 us (its timing
+        # slack): a window never opens before its control pulse has ended.
         dt = control_gap(plan, constraints, k)
-        if dt < 0:
-            raise ConfigError(
-                f"echo window of temporal mode {k} opens {-dt:g} us before "
-                f"its control pulse has finished")
         means.append(noise.base_noise_per_window
                      + noise.fluorescence_amplitude
                      * math.exp(-dt / noise.fluorescence_decay)
@@ -259,12 +257,14 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
 
 
 def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
-                       noise: NoiseParams, config: StorageConfig,
+                       noise: NoiseParams, plan: SequencePlan,
                        n_trials: int, seed: int,
                        constraints: TimingConstraints = TimingConstraints(),
                        ) -> TrialCounts:
     """Sweep every ordered (input cell, output cell) pair of the leakage
     matrix: the input enters cell i while collection is set to output j.
+    Every pair is one trial of ``plan``'s single-mode cell block, so the
+    plan's timing rules are checked as in ``run_trials``.
 
     Returns one CROSSTALK table keyed by (input_cell, output_cell).
     Expected counts per window:
@@ -274,15 +274,14 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
+    config = plan.storage
     if config.n_temporal != 1:
         raise ConfigError(f"cross-talk scans use a single input pulse per "
                           f"trial; got n_temporal={config.n_temporal}")
     cells = list(leak.cell_ids)
     # Per-pair trials share one cell block's timing, so the noise term is
     # the single-mode noise of any one cell's block.
-    [noise_per_window] = _noise_per_index(
-        SequencePlan(storage=config, cell_order=(cells[0],)), noise,
-        constraints)
+    [noise_per_window] = _noise_per_index(plan, noise, constraints)
     sig = {c: expected_signal_per_mode(device.cell(c), config, device)
            for c in cells}
 

@@ -39,7 +39,6 @@ from memarray.sequence import (
     TimingConstraints,
     compile_plan,
     max_temporal_modes,
-    validate_timeline,
 )
 from memarray.simulate import (
     NoiseParams,
@@ -47,7 +46,7 @@ from memarray.simulate import (
     run_crosstalk_scan,
     run_trials,
 )
-from noise_oracle import assert_noise_matches_timeline
+from timeline_oracle import assert_noise_matches_timeline, pairwise_validate
 from stat_gates import poisson_gate
 
 DEVICE = load_device(default_device_path())
@@ -164,7 +163,7 @@ def test_criterion_5_tuned_default_consistency():
         summaries.append(f"{len(modes)} modes c_S {cum_sig:.4f} "
                          f"SNR {avg_snr:.1f}")
 
-    scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT.storage,
+    scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT,
                               n_trials=n, seed=0)
     bkg = run_trials(PLAN_XT, DEVICE, SCAN_NOISE, n_trials=n, seed=7,
                      with_input=False)
@@ -216,7 +215,7 @@ def test_criterion_6_structural_properties():
             assert [e.temporal_index for e in echoes] == \
                 list(range(1, cfg.n_temporal + 1))
 
-        assert validate_timeline(timeline) == []
+        assert pairwise_validate(timeline) == []
 
         exp = mode_expectations(DEVICE, plan, loud)
         assert_noise_matches_timeline(plan, timeline, loud, exp)
@@ -264,7 +263,7 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
 
     scan_shas = []
     for name in ("sa", "sb"):
-        scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT.storage,
+        scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT,
                                   n_trials=300, seed=11)
         scan_shas.append(file_sha256(write_counts_csv(
             tmp_path / f"{name}.csv", scan)))

@@ -52,11 +52,16 @@ input_fwhm_ns = 351
 
 
 class TestValidate:
+    SHIPPED = {
+        "60mode": "plan OK: 141 events, 223.468 us per trial, 0 violations\n",
+        "250mode": "plan OK: 521 events, 298.691 us per trial, 0 violations\n",
+        "crosstalk": "plan OK: 41 events, 143.051 us per trial, 0 violations\n",
+    }
+
     def test_shipped_plan_passes(self, capsys):
-        assert run_cli("validate", "--plan", "60mode") == 0
-        out = capsys.readouterr().out
-        assert "0 violations" in out
-        assert "141 events" in out
+        for plan, stdout in self.SHIPPED.items():
+            assert run_cli("validate", "--plan", plan) == 0
+            assert capsys.readouterr() == (stdout, "")
 
     def test_capacity_violation_exits_one(self, tmp_path, capsys):
         p = tmp_path / "over.ini"
@@ -174,8 +179,10 @@ class TestRun:
                                "n_temporal = 40\nmode_period_us = 0.2",
                                "t_spin_us = 15.5": "t_spin_us = 1.0"}, 5),
         "crosstalk": ("crosstalk", {"t_spin_us = 8.0": "t_spin_us = 1.0",
+                                    "n_temporal = 1":
+                                    "n_temporal = 1\nmode_period_us = 0.2",
                                     "input_fwhm_ns = 130":
-                                    "input_fwhm_ns = 7000"}, 3),
+                                    "input_fwhm_ns = 7000"}, 4),
     }
 
     @pytest.mark.parametrize("mode, noise", [
@@ -198,6 +205,19 @@ class TestRun:
         assert len(lines) == n_lines
         assert all(line.startswith("violation: ") for line in lines)
         assert capsys.readouterr().err == validated
+
+    def test_plan_filling_tau_exactly_runs(self, tmp_path, capsys):
+        # Ten 0.65 us inputs and the control pulse fill tau = 10 us exactly;
+        # rounding leaves the first window's control gap at -9e-16 us, within
+        # the timing slack of check_plan, so validate and run both accept it.
+        p = tmp_path / "full.ini"
+        p.write_text(default_plan_path("60mode").read_text()
+                     .replace("n_temporal = 6", "n_temporal = 10")
+                     .replace("input_fwhm_ns = 351", "input_fwhm_ns = 650"))
+        assert run_cli("validate", "--plan", str(p)) == 0
+        assert run_cli("run", "--plan", str(p), "--noise", "storage",
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys):
         p = tmp_path / "over.ini"

@@ -1,4 +1,5 @@
-"""Timing tests: capacity arithmetic, timeline compilation, validation.
+"""Timing tests: capacity arithmetic, plan checks, timeline compilation, and
+the all-pairs event oracle that checks compiled timelines.
 
 Derived expectations were frozen from hand arithmetic before implementation:
 capacities from floor((tau - cp)/period), block spacings from the per-channel
@@ -24,8 +25,8 @@ from memarray.sequence import (
     control_gap,
     max_temporal_modes,
     trial_duration,
-    validate_timeline,
 )
+from timeline_oracle import first_event, pairwise_validate
 
 
 def of_kind(timeline, kind):
@@ -177,14 +178,14 @@ class TestCompilePlan:
     def test_second_control_pulse_spin_offset(self):
         tl = compile_plan(PLAN_60)
         for cell in PLAN_60.cell_order:
-            cp1 = tl.control_pulse(cell, EventKind.CONTROL1)
-            cp2 = tl.control_pulse(cell, EventKind.CONTROL2)
+            cp1 = first_event(tl, EventKind.CONTROL1, cell)
+            cp2 = first_event(tl, EventKind.CONTROL2, cell)
             assert cp2.start == cp1.start + 15.5
 
     def test_two_fifty_mode_plan_validates_clean(self):
         tl = compile_plan(PLAN_250)
         assert len(echo_windows(tl)) == 250
-        assert validate_timeline(tl) == []
+        assert pairwise_validate(tl) == []
 
     def test_capacity_rejection(self):
         # 7 modes at the default period of a 6-mode span: 7 > 6.
@@ -284,7 +285,7 @@ class TestControlGap:
         c = TimingConstraints()
         tl = compile_plan(PLAN_60, c)
         for cell in PLAN_60.cell_order:
-            cp2 = tl.control_pulse(cell, EventKind.CONTROL2)
+            cp2 = first_event(tl, EventKind.CONTROL2, cell)
             for win in echo_windows(tl):
                 if win.cell_id != cell:
                     continue
@@ -304,12 +305,14 @@ class TestControlGap:
 
 
 class TestValidateTimeline:
+    """The all-pairs event oracle, on compiled and hand-built timelines."""
+
     def test_compiled_plans_are_clean(self):
-        assert validate_timeline(compile_plan(PLAN_60)) == []
-        assert validate_timeline(compile_plan(PLAN_250)) == []
+        assert pairwise_validate(compile_plan(PLAN_60)) == []
+        assert pairwise_validate(compile_plan(PLAN_250)) == []
 
     def test_empty_timeline_is_clean(self):
-        assert validate_timeline(Timeline(events=())) == []
+        assert pairwise_validate(Timeline(events=())) == []
 
     def test_switching_violation(self):
         # Two MuxAOD retargets 1.0 us apart against a 2.2 us switching time.
@@ -317,7 +320,7 @@ class TestValidateTimeline:
                           start=0.0, duration=0.3, temporal_index=1)
         b = TimelineEvent(Channel.MUX, EventKind.INPUT, 2,
                           start=1.0, duration=0.3, temporal_index=1)
-        out = validate_timeline(Timeline(events=(a, b)))
+        out = pairwise_validate(Timeline(events=(a, b)))
         assert len(out) == 1
         assert out[0].rule == "switching"
 
@@ -328,14 +331,14 @@ class TestValidateTimeline:
                           start=0.0, duration=0.3, temporal_index=1)
         b = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
                           start=1.0, duration=0.3, temporal_index=2)
-        assert validate_timeline(Timeline(events=(a, b))) == []
+        assert pairwise_validate(Timeline(events=(a, b))) == []
 
     def test_prep_control_overlap(self):
         prep = TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
                              start=0.0, duration=5.0)
         cp = TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
-        out = validate_timeline(Timeline(events=(prep, cp)))
+        out = pairwise_validate(Timeline(events=(prep, cp)))
         assert [v.rule for v in out] == ["prep-control"]
 
     def test_echo_control_overlap_same_cell_only(self):
@@ -345,9 +348,9 @@ class TestValidateTimeline:
                                  start=12.0, duration=0.4, temporal_index=1)
         win_other = TimelineEvent(Channel.DEMUX, EventKind.ECHO_WINDOW, 2,
                                   start=12.0, duration=0.4, temporal_index=1)
-        same = validate_timeline(Timeline(events=(cp, win_same)))
+        same = pairwise_validate(Timeline(events=(cp, win_same)))
         assert [v.rule for v in same] == ["echo-control"]
-        other = validate_timeline(Timeline(events=(cp, win_other)))
+        other = pairwise_validate(Timeline(events=(cp, win_other)))
         assert all(v.rule != "echo-control" for v in other)
 
     def test_touching_intervals_do_not_overlap(self):
@@ -355,7 +358,7 @@ class TestValidateTimeline:
                              start=0.0, duration=2.0)
         cp = TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
-        assert validate_timeline(Timeline(events=(prep, cp))) == []
+        assert pairwise_validate(Timeline(events=(prep, cp))) == []
 
 
 class TestTrialDuration:
@@ -410,7 +413,7 @@ class TestCompileValidateProperty:
     @given(feasible_plans())
     def test_compiled_plans_always_validate(self, plan):
         tl = compile_plan(plan)
-        assert validate_timeline(tl) == []
+        assert pairwise_validate(tl) == []
         # FIFO holds per cell
         for cell in plan.cell_order:
             wins = [e for e in echo_windows(tl) if e.cell_id == cell]

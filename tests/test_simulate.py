@@ -46,7 +46,7 @@ from memarray.simulate import (
     run_crosstalk_scan,
     run_trials,
 )
-from noise_oracle import assert_noise_matches_timeline, expected_noise_per_mode
+from timeline_oracle import assert_noise_matches_timeline, expected_noise_per_mode
 from stat_gates import ALPHA, binned_g2_pvalue, poisson_gate
 
 
@@ -341,14 +341,15 @@ class TestCrossTalkScan:
     def scan_setup(self, n=3):
         cells = tuple(make_cell(i) for i in range(1, n + 1))
         device = make_device(cells)
-        config = make_config(n_temporal=1, t_spin=8.0)
-        return device, config
+        plan = SequencePlan(storage=make_config(n_temporal=1, t_spin=8.0),
+                            cell_order=tuple(range(1, n + 1)))
+        return device, plan
 
     def test_identity_leak_zero_noise_off_diagonals_silent(self):
         # Each diagonal expects ~750 counts, so a correct engine leaves one
         # empty with probability e^-750.
-        device, config = self.scan_setup()
-        scan = run_crosstalk_scan(device, identity_leak(), QUIET, config,
+        device, plan = self.scan_setup()
+        scan = run_crosstalk_scan(device, identity_leak(), QUIET, plan,
                                   n_trials=10 ** 6, seed=11)
         assert scan.kind is RunKind.CROSSTALK
         assert set(scan.counts) == {(i, j) for i in (1, 2, 3)
@@ -360,51 +361,52 @@ class TestCrossTalkScan:
                 assert total > 0
 
     def test_diagonal_matches_signal_expectation(self):
-        device, config = self.scan_setup()
+        device, plan = self.scan_setup()
         n = 10 ** 7
-        scan = run_crosstalk_scan(device, identity_leak(), QUIET, config,
+        scan = run_crosstalk_scan(device, identity_leak(), QUIET, plan,
                                   n_trials=n, seed=5)
-        expected = {i: n * expected_signal_per_mode(device.cell(i), config,
+        expected = {i: n * expected_signal_per_mode(device.cell(i), plan.storage,
                                                     device)
                     for i in (1, 2, 3)}
         assert poisson_gate({i: scan.counts[(i, i)] for i in expected},
                             expected) == []
 
     def test_leakage_scales_off_diagonal(self):
-        device, config = self.scan_setup(2)
+        device, plan = self.scan_setup(2)
         leak = LeakageMatrix(cell_ids=(1, 2),
                              values=((1.0, 0.05), (0.05, 1.0)))
         n = 10 ** 8
-        scan = run_crosstalk_scan(device, leak, QUIET, config,
+        scan = run_crosstalk_scan(device, leak, QUIET, plan,
                                   n_trials=n, seed=3)
-        lam = 0.05 * expected_signal_per_mode(device.cell(1), config, device)
+        lam = 0.05 * expected_signal_per_mode(device.cell(1), plan.storage, device)
         assert poisson_gate({(1, 2): scan.counts[(1, 2)]},
                             {(1, 2): lam * n}) == []
 
     def test_offresonant_leak_adds_to_specific_pair(self):
-        device, config = self.scan_setup(2)
+        device, plan = self.scan_setup(2)
         noise = NoiseParams(base_noise_per_window=0.0,
                             fluorescence_amplitude=0.0,
                             fluorescence_decay=2.0, dark_rate=0.0,
                             offresonant_echo_leak={(2, 1): 0.02})
         n = 100_000
-        scan = run_crosstalk_scan(device, identity_leak(2), noise, config,
+        scan = run_crosstalk_scan(device, identity_leak(2), noise, plan,
                                   n_trials=n, seed=8)
         assert poisson_gate({(2, 1): scan.counts[(2, 1)]},
                             {(2, 1): 0.02 * n}) == []
         assert scan.counts[(1, 2)] == 0
 
     def test_requires_single_temporal_mode(self):
-        device, config = self.scan_setup()
+        device, _ = self.scan_setup()
+        two_modes = SequencePlan(storage=make_config(n_temporal=2),
+                                 cell_order=(1,))
         with pytest.raises(ConfigError):
-            run_crosstalk_scan(device, identity_leak(),
-                               QUIET, make_config(n_temporal=2),
+            run_crosstalk_scan(device, identity_leak(), QUIET, two_modes,
                                n_trials=10, seed=0)
 
     def test_counts_equal_one_seeded_poisson_draw(self):
         # One Poisson(n * lambda) draw over the pairs in (input, output)
         # order, lambda = leak * signal_i + noise + off-resonant leak.
-        device, config = self.scan_setup(2)
+        device, plan = self.scan_setup(2)
         leak = LeakageMatrix(cell_ids=(1, 2),
                              values=((1.0, 0.05), (0.1, 1.0)))
         noise = NoiseParams(base_noise_per_window=1e-4,
@@ -412,9 +414,9 @@ class TestCrossTalkScan:
                             fluorescence_decay=2.0, dark_rate=0.0,
                             offresonant_echo_leak={(2, 1): 0.02})
         n, seed = 54321, 99
-        scan = run_crosstalk_scan(device, leak, noise, config,
+        scan = run_crosstalk_scan(device, leak, noise, plan,
                                   n_trials=n, seed=seed)
-        sig = [expected_signal_per_mode(device.cell(c), config, device)
+        sig = [expected_signal_per_mode(device.cell(c), plan.storage, device)
                for c in (1, 2)]
         pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
         lam = np.array([leak.leak(i, j) * sig[i - 1] + 1e-4
@@ -424,11 +426,11 @@ class TestCrossTalkScan:
         assert scan.counts == dict(zip(pairs, want.tolist()))
 
     def test_same_seed_reruns_are_identical(self):
-        device, config = self.scan_setup()
+        device, plan = self.scan_setup()
         noise = NoiseParams(base_noise_per_window=0.01,
                             fluorescence_amplitude=0.0,
                             fluorescence_decay=2.0, dark_rate=0.0)
-        a, b = (run_crosstalk_scan(device, identity_leak(), noise, config,
+        a, b = (run_crosstalk_scan(device, identity_leak(), noise, plan,
                                    n_trials=3000, seed=13) for _ in range(2))
         assert a == b
 
