@@ -38,7 +38,6 @@ from .sequence import (
     SequencePlan,
     Timeline,
     TimelineEvent,
-    TimingConstraints,
     check_plan,
     compile_plan,
     control_gap,
@@ -65,8 +64,8 @@ __all__ = [
     "window_capture_fraction",
     "ConfigError", "CompilationError", "ModeSetMismatch",
     "Channel", "EventKind", "SequencePlan", "Timeline", "TimelineEvent",
-    "TimingConstraints", "check_plan", "compile_plan",
-    "control_gap", "max_temporal_modes", "trial_duration",
+    "check_plan", "compile_plan", "control_gap", "max_temporal_modes",
+    "trial_duration",
     "LeakageMatrix", "ModeExpectations", "NoiseParams", "RunKind",
     "TrialCounts", "expected_signal_per_mode", "mode_expectations",
     "run_crosstalk_scan", "run_trials",

@@ -184,8 +184,6 @@ def g2_inferred(snr_adj: float, g2_source: float) -> float:
 
 
 def _g2_slope(snr_adj: float, g2_source: float) -> float:
-    if math.isinf(snr_adj):
-        return 0.0
     return g2_source * (g2_source - 1.0) / (g2_source + snr_adj) ** 2
 
 
@@ -204,8 +202,6 @@ def fidelity_bound(g2: float) -> float:
 
 
 def _fidelity_slope(g2: float) -> float:
-    if math.isinf(g2):
-        return 0.0
     return 1.5 / (g2 + 1.0) ** 2
 
 
@@ -241,17 +237,17 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
         err_tilde = factor * err_s
 
         snr_adj = adjusted_snr(c_tilde, c_b)
-        if math.isinf(snr_adj):
-            snr_err = math.inf
+        snr_clamped = max(snr_adj, 0.0)
+        g2 = g2_inferred(snr_clamped, cfg.g2_source)
+        fid = fidelity_bound(g2)
+        if math.isinf(snr_adj):  # zero pooled noise: no finite error bar
+            snr_err = g2_err = fid_err = math.inf
         else:
             # d/dc_tilde = 1/c_b; d/dc_b = -c_tilde/c_b^2
             snr_err = math.sqrt((err_tilde / c_b) ** 2
                                 + (c_tilde * err_b / c_b ** 2) ** 2)
-        snr_clamped = max(snr_adj, 0.0)
-        g2 = g2_inferred(snr_clamped, cfg.g2_source)
-        g2_err = _g2_slope(snr_clamped, cfg.g2_source) * snr_err
-        fid = fidelity_bound(g2)
-        fid_err = _fidelity_slope(g2) * g2_err
+            g2_err = _g2_slope(snr_clamped, cfg.g2_source) * snr_err
+            fid_err = _fidelity_slope(g2) * g2_err
         out.append(NetworkProjection(
             cell_id=cell_id, c_signal_rescaled=c_tilde, err_rescaled=err_tilde,
             snr_adjusted=snr_adj, snr_adjusted_err=snr_err,
@@ -268,8 +264,9 @@ def crosstalk_matrix(scan: TrialCounts,
     """Normalize a cross-talk scan: C_ij = c_ij / c_ii.
 
     ``scan`` is a CROSSTALK run keyed by (input_cell, output_cell) and must
-    cover every pair of its cells.  ``noise_diag`` is the matching no-input
-    run: exactly one window (cell, 1) per scan cell, else ModeSetMismatch.
+    cover every pair of its cells, else ModeSetMismatch.  ``noise_diag`` is
+    the matching no-input run: exactly one window (cell, 1) per scan cell,
+    else ModeSetMismatch.
     Its counts give the noise contribution C_N = n_ii / c_ii of each
     diagonal.  Rows with zero diagonal counts are flagged invalid and
     skipped in the mean.
@@ -277,10 +274,8 @@ def crosstalk_matrix(scan: TrialCounts,
     if scan.kind is not RunKind.CROSSTALK:
         raise ConfigError("crosstalk_matrix needs cross-talk scan counts")
     ids = sorted({cell for pair in scan.counts for cell in pair})
-    for i in ids:
-        for j in ids:
-            if (i, j) not in scan.counts:
-                raise ConfigError(f"scan is missing the ({i}, {j}) pair")
+    ModeSetMismatch.check([(i, j) for i in ids for j in ids], scan.counts,
+                          sides=("cell pairs", "scan"))
     ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts)
 
     def per_trial(pair: tuple[int, int]) -> tuple[float, float]:

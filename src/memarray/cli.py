@@ -305,7 +305,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"violation: {violation}", file=sys.stderr)
         return 1
-    except (ModeSetMismatch, ValueError) as exc:
+    except ModeSetMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

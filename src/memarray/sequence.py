@@ -14,16 +14,25 @@ pulse with the preparation or with its cell's echo windows.
 from __future__ import annotations
 
 import enum
-import logging
 import math
 from dataclasses import dataclass
 
 from .device import StorageConfig
 from .errors import CompilationError, ConfigError
 
-log = logging.getLogger(__name__)
-
 _TOL = 1e-9  # timing comparisons tolerate this many microseconds of slack
+
+# Fixed timings of the array's deflectors, in us.
+PREP_US = 1.0             # the single array-wide preparation slot
+CONTROL_PULSE_US = 3.5    # one control pulse
+SWITCH_MUX_US = 2.2       # MuxAOD tone change
+SWITCH_CONTROL_US = 2.0   # ControlAOD tone change
+SWITCH_DEMUX_US = 2.3     # DemuxAOD tone change
+
+
+def _pulse_exceeds_tau(tau: float) -> str:
+    return (f"control pulse ({CONTROL_PULSE_US} us) does not fit within the "
+            f"echo delay tau={tau} us")
 
 
 class Channel(enum.Enum):
@@ -85,39 +94,12 @@ class TimelineEvent:
 
 
 @dataclass(frozen=True)
-class TimingConstraints:
-    """Hardware switching/settling times and control-pulse parameters."""
-
-    switch_prep: float = 1.4        # us, PrepAOD tone change
-    switch_control: float = 2.0     # us, ControlAOD tone change
-    switch_mux: float = 2.2         # us, MuxAOD tone change
-    switch_demux: float = 2.3       # us, DemuxAOD tone change
-    control_pulse_duration: float = 3.5  # us
-    prep_duration: float = 1.0      # us, single array-wide preparation slot
-
-    def __post_init__(self):
-        for name in ("switch_prep", "switch_mux", "switch_control",
-                     "switch_demux", "control_pulse_duration",
-                     "prep_duration"):
-            if not 0 < (v := getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive, "
-                                  f"got {v}")
-
-    def switching_time(self, channel: Channel) -> float:
-        return {
-            Channel.PREP: self.switch_prep,
-            Channel.MUX: self.switch_mux,
-            Channel.CONTROL: self.switch_control,
-            Channel.DEMUX: self.switch_demux,
-        }[channel]
-
-
-@dataclass(frozen=True)
 class SequencePlan:
     """A storage plan: what to store, where, and with what spacing.
 
     ``mode_period`` of None means "fill the available span": the period
-    defaults to (tau - control_pulse_duration) / n_temporal at compile time.
+    defaults to (tau - CONTROL_PULSE_US) / n_temporal.  The deflector
+    timings are the module constants, not part of the plan.
     """
 
     storage: StorageConfig
@@ -144,14 +126,14 @@ class SequencePlan:
         ks = range(1, self.storage.n_temporal + 1)
         return tuple((cell, k) for cell in self.cell_order for k in ks)
 
-    def resolved_mode_period(self, constraints: TimingConstraints) -> float:
+    def resolved_mode_period(self) -> float:
+        """The given mode period, or the default one; a default period with
+        no room for the control pulse within tau is a CompilationError."""
         if self.mode_period is not None:
             return self.mode_period
-        span = self.storage.tau - constraints.control_pulse_duration
+        span = self.storage.tau - CONTROL_PULSE_US
         if span <= 0:
-            raise ConfigError(
-                f"tau={self.storage.tau} leaves no room for a "
-                f"{constraints.control_pulse_duration} us control pulse")
+            raise CompilationError([_pulse_exceeds_tau(self.storage.tau)])
         return span / self.storage.n_temporal
 
     @property
@@ -171,18 +153,14 @@ def max_temporal_modes(tau: float, mode_period: float,
 
     The control pulse (duration ``control_pulse_duration``) has to complete
     within the echo delay ``tau``, so the usable span is tau - cp and the
-    capacity is floor((tau - cp) / period).  Returns 0 when nothing fits.
+    capacity is floor((tau - cp) / period).  Returns 0 when nothing fits,
+    including when the control pulse alone fills tau.
     """
     if tau <= 0 or mode_period <= 0 or control_pulse_duration <= 0:
         raise ConfigError("tau, mode_period and control_pulse_duration must "
                           "all be positive")
-    if control_pulse_duration >= tau:
-        log.warning("control pulse (%g us) does not fit within the echo "
-                    "delay (%g us); capacity is zero",
-                    control_pulse_duration, tau)
-        return 0
     span = tau - control_pulse_duration
-    return int(math.floor(span / mode_period + _TOL))
+    return max(0, math.floor(span / mode_period + _TOL))
 
 
 @dataclass(frozen=True)
@@ -199,8 +177,7 @@ class Timeline:
         object.__setattr__(self, "events", ordered)
 
 
-def control_gap(plan: SequencePlan, constraints: TimingConstraints,
-                temporal_index: int) -> float:
+def control_gap(plan: SequencePlan, temporal_index: int) -> float:
     """Time from the end of the second control pulse to the start of echo
     window ``temporal_index`` (1-based).  Early modes re-emerge sooner after
     the control pulse, so this gap sets how much control-induced
@@ -210,47 +187,44 @@ def control_gap(plan: SequencePlan, constraints: TimingConstraints,
     if not 1 <= temporal_index <= cfg.n_temporal:
         raise ConfigError(f"temporal_index must be in 1..{cfg.n_temporal}, "
                           f"got {temporal_index}")
-    p = plan.resolved_mode_period(constraints)
-    return (cfg.tau - constraints.control_pulse_duration - plan.input_duration
+    p = plan.resolved_mode_period()
+    return (cfg.tau - CONTROL_PULSE_US - plan.input_duration
             - (cfg.n_temporal - temporal_index) * p)
 
 
-def _block_spacing(plan: SequencePlan, constraints: TimingConstraints,
-                   period: float) -> float:
+def _block_spacing(plan: SequencePlan, period: float) -> float:
     """Smallest start-to-start offset between consecutive cell blocks that
     satisfies every same-channel switching constraint."""
     cfg = plan.storage
     span_in = (cfg.n_temporal - 1) * period
-    mux = span_in + plan.input_duration + constraints.switch_mux
-    control = (cfg.t_spin + constraints.control_pulse_duration
-               + constraints.switch_control)
-    demux = span_in + plan.window_duration + constraints.switch_demux
+    mux = span_in + plan.input_duration + SWITCH_MUX_US
+    control = cfg.t_spin + CONTROL_PULSE_US + SWITCH_CONTROL_US
+    demux = span_in + plan.window_duration + SWITCH_DEMUX_US
     return max(mux, control, demux)
 
 
-def check_plan(plan: SequencePlan,
-               constraints: TimingConstraints = TimingConstraints(),
-               ) -> float:
+def check_plan(plan: SequencePlan) -> float:
     """Check the plan's timing rules without laying out a timeline and
     return its resolved mode period.
 
-    The rules: the temporal modes fit the capacity left by the control pulse
-    within tau, the input pulse and the detection window each fit one mode
-    period, the spin pause holds one control pulse, and the last input plus
-    the first control pulse end within tau.  Raises CompilationError listing
-    every broken rule.
+    The rules, against the module's fixed deflector timings: the temporal
+    modes fit the capacity left by the control pulse within tau, the input
+    pulse and the detection window each fit one mode period, the spin pause
+    holds one control pulse, and the last input plus the first control pulse
+    end within tau.  Raises CompilationError listing every broken rule; a
+    plan without ``mode_period`` whose tau holds no control pulse has no
+    period to check the others against, so it fails on that rule alone.
     """
     cfg = plan.storage
-    cp = constraints.control_pulse_duration
-    period = plan.resolved_mode_period(constraints)
+    cp = CONTROL_PULSE_US
+    period = plan.resolved_mode_period()
     dur_in = plan.input_duration
     w = plan.window_duration
 
     problems: list[str] = []
-    capacity = max_temporal_modes(cfg.tau, period, cp) if cp < cfg.tau else 0
+    capacity = max_temporal_modes(cfg.tau, period, cp)
     if cp >= cfg.tau:
-        problems.append(f"control pulse ({cp} us) does not fit within the "
-                        f"echo delay tau={cfg.tau} us")
+        problems.append(_pulse_exceeds_tau(cfg.tau))
     elif cfg.n_temporal > capacity:
         problems.append(
             f"{cfg.n_temporal} temporal modes exceed the capacity of "
@@ -277,9 +251,7 @@ def check_plan(plan: SequencePlan,
     return period
 
 
-def compile_plan(plan: SequencePlan,
-                 constraints: TimingConstraints = TimingConstraints(),
-                 ) -> Timeline:
+def compile_plan(plan: SequencePlan) -> Timeline:
     """Lay out one full trial for ``plan``.
 
     Per cell block: n_temporal input pulses one mode period apart, the first
@@ -288,16 +260,16 @@ def compile_plan(plan: SequencePlan,
     Blocks are packed as tightly as the per-channel switching times allow.
     Raises CompilationError listing every rule of ``check_plan`` it breaks.
     """
-    period = check_plan(plan, constraints)
+    period = check_plan(plan)
     cfg = plan.storage
-    cp = constraints.control_pulse_duration
+    cp = CONTROL_PULSE_US
     dur_in = plan.input_duration
     w = plan.window_duration
 
     events = [TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
-                            start=0.0, duration=constraints.prep_duration)]
-    block_start = constraints.prep_duration + constraints.switch_mux
-    spacing = _block_spacing(plan, constraints, period)
+                            start=0.0, duration=PREP_US)]
+    block_start = PREP_US + SWITCH_MUX_US
+    spacing = _block_spacing(plan, period)
     for cell in plan.cell_order:
         t0 = block_start
         for k in range(1, cfg.n_temporal + 1):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .device import (ArrayDevice, CellParams, StorageConfig,
                      spin_wave_efficiency, window_capture_fraction)
 from .errors import ConfigError
-from .sequence import SequencePlan, TimingConstraints, check_plan, control_gap
+from .sequence import SequencePlan, check_plan, control_gap
 
 __all__ = [
     "RunKind", "NoiseParams", "LeakageMatrix", "TrialCounts",
@@ -154,8 +154,7 @@ def expected_signal_per_mode(cell: CellParams, config: StorageConfig,
             * capture)
 
 
-def _noise_per_index(plan: SequencePlan, noise: NoiseParams,
-                     constraints: TimingConstraints) -> list[float]:
+def _noise_per_index(plan: SequencePlan, noise: NoiseParams) -> list[float]:
     """Mean noise counts in the detection window of temporal mode k, for k
     in 1..n_temporal; every cell block has the same timing, so these hold
     for every cell.  Checks the plan first, so infeasible plans fail here.
@@ -163,13 +162,13 @@ def _noise_per_index(plan: SequencePlan, noise: NoiseParams,
     Control-pulse fluorescence decays with the gap between the second
     control pulse and the window, so early temporal modes are the noisiest.
     """
-    check_plan(plan, constraints)
+    check_plan(plan)
     window_seconds = plan.window_duration * 1e-6
     means = []
     for k in range(1, plan.storage.n_temporal + 1):
         # check_plan's lead rule keeps every gap above -1e-9 us (its timing
         # slack): a window never opens before its control pulse has ended.
-        dt = control_gap(plan, constraints, k)
+        dt = control_gap(plan, k)
         means.append(noise.base_noise_per_window
                      + noise.fluorescence_amplitude
                      * math.exp(-dt / noise.fluorescence_decay)
@@ -186,12 +185,10 @@ class ModeExpectations:
 
 
 def mode_expectations(device: ArrayDevice, plan: SequencePlan,
-                      noise: NoiseParams,
-                      constraints: TimingConstraints = TimingConstraints(),
-                      ) -> ModeExpectations:
+                      noise: NoiseParams) -> ModeExpectations:
     """Expected echo and noise means for every (cell, temporal mode) of a
     plan.  Checks the plan's timing rules, so infeasible plans fail here."""
-    noise_k = _noise_per_index(plan, noise, constraints)
+    noise_k = _noise_per_index(plan, noise)
     echo = {c: expected_signal_per_mode(device.cell(c), plan.storage, device)
             for c in plan.cell_order}
     modes = plan.modes
@@ -236,7 +233,6 @@ def _poisson_totals(lam: list[float], n_trials: int, seed: int) -> list[int]:
 
 def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
                n_trials: int, seed: int, with_input: bool = True,
-               constraints: TimingConstraints = TimingConstraints(),
                ) -> TrialCounts:
     """Total Poisson counts of every window over ``n_trials`` independent
     trials, drawn as one Poisson(n_trials * mean) total per window.
@@ -247,7 +243,7 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
     propagate.
     """
     _check_run_args(n_trials, seed)
-    exp = mode_expectations(device, plan, noise, constraints)
+    exp = mode_expectations(device, plan, noise)
     modes = plan.modes
     lam = [exp.noise[m] + exp.signal[m] if with_input else exp.noise[m]
            for m in modes]
@@ -258,9 +254,7 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
 
 def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
                        noise: NoiseParams, plan: SequencePlan,
-                       n_trials: int, seed: int,
-                       constraints: TimingConstraints = TimingConstraints(),
-                       ) -> TrialCounts:
+                       n_trials: int, seed: int) -> TrialCounts:
     """Sweep every ordered (input cell, output cell) pair of the leakage
     matrix: the input enters cell i while collection is set to output j.
     Every pair is one trial of ``plan``'s single-mode cell block, so the
@@ -281,7 +275,7 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     cells = list(leak.cell_ids)
     # Per-pair trials share one cell block's timing, so the noise term is
     # the single-mode noise of any one cell's block.
-    [noise_per_window] = _noise_per_index(plan, noise, constraints)
+    [noise_per_window] = _noise_per_index(plan, noise)
     sig = {c: expected_signal_per_mode(device.cell(c), config, device)
            for c in cells}
 

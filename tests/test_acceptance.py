@@ -34,9 +34,9 @@ from memarray.io import (
     write_counts_csv,
 )
 from memarray.sequence import (
+    CONTROL_PULSE_US,
     EventKind,
     SequencePlan,
-    TimingConstraints,
     compile_plan,
     max_temporal_modes,
 )
@@ -97,11 +97,10 @@ def test_criterion_2_projection_chain():
 
 
 def test_criterion_3_mode_capacity():
-    constraints = TimingConstraints()
-    cp = constraints.control_pulse_duration
     for plan, capacity, total in ((PLAN_60, 6, 60), (PLAN_250, 25, 250)):
-        period = plan.resolved_mode_period(constraints)
-        assert max_temporal_modes(plan.storage.tau, period, cp) == capacity
+        period = plan.resolved_mode_period()
+        assert max_temporal_modes(plan.storage.tau, period,
+                                  CONTROL_PULSE_US) == capacity
         timeline = compile_plan(plan)
         echoes = [e for e in timeline.events
                   if e.kind is EventKind.ECHO_WINDOW]

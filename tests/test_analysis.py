@@ -226,6 +226,10 @@ class TestProjectCells:
         assert math.isinf(proj.snr_adjusted)
         assert proj.g2_inferred == 100.0
         assert proj.fidelity == pytest.approx(0.75 * 99 / 101 + 0.25)
+        # An infinite SNR has no finite error bar, and neither do the
+        # figures derived from it.
+        assert (proj.snr_adjusted_err, proj.g2_err, proj.fidelity_err) == (
+            math.inf, math.inf, math.inf)
 
     def test_noise_above_signal_clamps_to_classical(self):
         # Rescaled signal below the noise floor: negative adjusted SNR is
@@ -299,8 +303,9 @@ class TestCrossTalkMatrix:
     def test_missing_pair_rejected(self):
         scan = scan_table({(1, 1): 10, (2, 2): 10, (1, 2): 1})
         bkg = counts(RunKind.NOISE, {(1, 1): 0, (2, 1): 0}, 1000)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ModeSetMismatch) as err:
             crosstalk_matrix(scan, bkg)
+        assert str(err.value) == "mode sets differ: missing in scan: [(2, 1)]"
 
     @pytest.mark.parametrize("noise_keys", [
         [(1, 1), (1, 2), (2, 1), (2, 2)],  # two windows per cell

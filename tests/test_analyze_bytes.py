@@ -60,8 +60,12 @@ def test_storage_analyze_bytes(tmp_path):
         "cumulative.csv":
             "8cee0441b837ee27eaf546b7d71fc4a050cede46b7d820f7c54d4e47c306beb3",
         "projections.csv":
-            "53ffc7bacf25e80e0421fbaac5a75323289c872b9eef128ff1c8942b488821d8",
+            "076de59d25990b76d7f502b93f6409e9f0da273ca38a10bd44fce831cffcc34e",
     }
+    # Cells 4 and 8 pool zero noise: their errors are inf, never nan.
+    rows = (out / "projections.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows if "inf" in row] == ["4", "8"]
+    assert all(field != "nan" for row in rows for field in row.split(","))
 
 
 def test_scan_analyze_bytes(tmp_path):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, artifacts, reproducibility."""
 
+import hashlib
 import json
 
 import pytest
@@ -105,6 +106,23 @@ class TestValidate:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 1 + 250 + 20 + 250  # header+prep+io+cps
 
+    TIMELINE_SHA256 = {
+        "60mode":
+            "cfd3907034b29a4354deafb4688c6c2ae5844df26dc9f65c42dd8aa537490696",
+        "250mode":
+            "e94c36ef84b810173234038db02000a2429e9e717607e81407ca272f0345e1d6",
+        "crosstalk":
+            "b5efa9ee73d02e6b96fa06be08c26314ff8ac751831115115ce34250ff54745b",
+    }
+
+    @pytest.mark.parametrize("plan", list(TIMELINE_SHA256))
+    def test_timeline_bytes_pinned(self, tmp_path, capsys, plan):
+        # The layout of every shipped plan is a constant of the code.
+        out = tmp_path / "timeline.csv"
+        assert run_cli("validate", "--plan", plan, "--timeline", str(out)) == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.TIMELINE_SHA256[plan]
+
 
 class TestRun:
     def test_zero_trials_is_usage_error(self, tmp_path, capsys):
@@ -173,24 +191,28 @@ class TestRun:
         assert code == 1
         assert "violation" in capsys.readouterr().err
 
-    # (shipped plan, edits that break its timing rules, violation count)
+    # (shipped plan, noise file, edits that break its timing rules,
+    # violation count)
     INFEASIBLE = {
-        "storage": ("60mode", {"n_temporal = 6":
-                               "n_temporal = 40\nmode_period_us = 0.2",
-                               "t_spin_us = 15.5": "t_spin_us = 1.0"}, 5),
-        "crosstalk": ("crosstalk", {"t_spin_us = 8.0": "t_spin_us = 1.0",
-                                    "n_temporal = 1":
-                                    "n_temporal = 1\nmode_period_us = 0.2",
-                                    "input_fwhm_ns = 130":
-                                    "input_fwhm_ns = 7000"}, 4),
+        "storage": ("60mode", "storage",
+                    {"n_temporal = 6": "n_temporal = 40\nmode_period_us = 0.2",
+                     "t_spin_us = 15.5": "t_spin_us = 1.0"}, 5),
+        "crosstalk": ("crosstalk", "crosstalk",
+                      {"t_spin_us = 8.0": "t_spin_us = 1.0",
+                       "n_temporal = 1": "n_temporal = 1\nmode_period_us = 0.2",
+                       "input_fwhm_ns = 130": "input_fwhm_ns = 7000"}, 4),
+        # tau holds no 3.5 us control pulse, so the default period has no
+        # room to exist: that rule is the only line.
+        "short-tau": ("60mode", "storage", {"tau_us = 10.0": "tau_us = 3.0"},
+                      1),
     }
 
-    @pytest.mark.parametrize("mode, noise", [
+    @pytest.mark.parametrize("mode, case", [
         ("signal", "storage"), ("noise", "storage"),
-        ("crosstalk", "crosstalk")])
+        ("crosstalk", "crosstalk"), ("signal", "short-tau")])
     def test_infeasible_plan_same_violations_as_validate(
-            self, tmp_path, capsys, mode, noise):
-        plan_name, edits, n_lines = self.INFEASIBLE[noise]
+            self, tmp_path, capsys, mode, case):
+        plan_name, noise, edits, n_lines = self.INFEASIBLE[case]
         text = default_plan_path(plan_name).read_text()
         for old, new in edits.items():
             text = text.replace(old, new)
@@ -205,6 +227,16 @@ class TestRun:
         assert len(lines) == n_lines
         assert all(line.startswith("violation: ") for line in lines)
         assert capsys.readouterr().err == validated
+
+    def test_value_error_is_not_an_exit_code(self, tmp_path, monkeypatch):
+        # Exit 1 is for domain errors the library names; any other
+        # ValueError is a bug and must surface as a traceback.
+        def broken(*args, **kwargs):
+            raise ValueError("bug")
+        monkeypatch.setattr("memarray.cli.run_trials", broken)
+        with pytest.raises(ValueError, match="bug"):
+            main(["run", "--plan", "60mode", "--noise", "storage",
+                  "--trials", "10", "--out-dir", str(tmp_path)])
 
     def test_plan_filling_tau_exactly_runs(self, tmp_path, capsys):
         # Ten 0.65 us inputs and the control pulse fill tau = 10 us exactly;
@@ -455,6 +487,25 @@ class TestAnalyze:
             assert "missing in signal run: [(1, 2)," in err
         else:
             assert "missing in noise run: [(3, 1)]" in err
+        assert not out.exists()
+
+    def test_scan_missing_a_pair_exits_one(self, tmp_path, capsys):
+        for mode, seed in (("crosstalk", "6"), ("noise", "7")):
+            assert run_cli("run", "--plan", "crosstalk", "--noise",
+                           "crosstalk", "--mode", mode, "--trials", "50",
+                           "--seed", seed, "--out-dir", str(tmp_path)) == 0
+        scan_csv = tmp_path / "counts_crosstalk.csv"
+        scan_csv.write_text("".join(
+            line for line in scan_csv.read_text().splitlines(True)
+            if not line.startswith("crosstalk,1,5,")))
+        capsys.readouterr()
+        out = tmp_path / "xt"
+        code = run_cli("analyze", "--signal", str(scan_csv),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--out-dir", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: mode sets differ: missing in scan: [(1, 5)]\n")
         assert not out.exists()
 
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):

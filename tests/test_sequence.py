@@ -19,7 +19,6 @@ from memarray.sequence import (
     SequencePlan,
     Timeline,
     TimelineEvent,
-    TimingConstraints,
     check_plan,
     compile_plan,
     control_gap,
@@ -71,10 +70,8 @@ class TestMaxTemporalModes:
     def test_mode_longer_than_window(self):
         assert max_temporal_modes(10.0, 20.0, 3.5) == 0
 
-    def test_control_pulse_swallows_delay(self, caplog):
-        with caplog.at_level("WARNING", logger="memarray.sequence"):
-            assert max_temporal_modes(3.0, 1.0, 3.5) == 0
-        assert any("capacity is zero" in r.message for r in caplog.records)
+    def test_control_pulse_swallows_delay(self):
+        assert max_temporal_modes(3.0, 1.0, 3.5) == 0
 
     @pytest.mark.parametrize("tau,period,cp", [
         (0.0, 1.0, 3.5), (10.0, 0.0, 3.5), (10.0, 1.0, -1.0),
@@ -93,13 +90,13 @@ class TestMaxTemporalModes:
 class TestResolvedModePeriod:
     def test_default_fills_comb_window(self):
         # (10 - 3.5) / 6
-        c = TimingConstraints()
-        assert PLAN_60.resolved_mode_period(c) == pytest.approx(6.5 / 6, rel=1e-12)
+        assert PLAN_60.resolved_mode_period() == pytest.approx(6.5 / 6,
+                                                               rel=1e-12)
 
     def test_explicit_period_wins(self):
         plan = SequencePlan(storage=make_config(), cell_order=(1,),
                             mode_period=0.9)
-        assert plan.resolved_mode_period(TimingConstraints()) == 0.9
+        assert plan.resolved_mode_period() == 0.9
 
     def test_plan_rejects_duplicate_cells(self):
         with pytest.raises(ConfigError):
@@ -114,16 +111,6 @@ class TestResolvedModePeriod:
         with pytest.raises(ConfigError, match="^mode_period must be finite"):
             SequencePlan(storage=make_config(), cell_order=(1,),
                          mode_period=value)
-
-
-class TestTimingConstraints:
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", [
-        "switch_prep", "switch_control", "switch_mux", "switch_demux",
-        "control_pulse_duration", "prep_duration"])
-    def test_rejects_non_finite(self, name, value):
-        with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
-            TimingConstraints(**{name: value})
 
 
 class TestTimelineEvent:
@@ -220,11 +207,16 @@ def _gaussian(fwhm):
 # One infeasible plan per timing rule, then one that breaks every rule the
 # capacity branch allows.  A control pulse longer than tau always breaks the
 # lead rule too, and a lead beyond tau always comes with a broken capacity
-# or input-pulse rule.
+# or input-pulse rule.  Without a given period such a tau leaves no default
+# period to check the other rules against, so its rule is the only line.
 INFEASIBLE = {
     "capacity": (dict(n_temporal=7), 1.0, ["capacity of 6"]),
     "control-pulse": (dict(tau=3.0, n_temporal=1), 1.0,
                       ["does not fit within", "last input"]),
+    "control-pulse-default-period": (
+        dict(tau=3.5, n_temporal=1), None,
+        ["control pulse (3.5 us) does not fit within the echo delay "
+         "tau=3.5 us"]),
     "input-pulse": (dict(input_shape=_gaussian(600.0)), 0.5,
                     ["input pulse (0.6 us)"]),
     "window": (dict(detection_window=600.0), 0.5,
@@ -272,9 +264,8 @@ class TestCheckPlan:
         ]
 
     def test_returns_the_resolved_period(self):
-        c = TimingConstraints()
-        assert check_plan(PLAN_60, c) == PLAN_60.resolved_mode_period(c)
-        assert check_plan(PLAN_250, c) == (25.0 - 3.5) / 25
+        assert check_plan(PLAN_60) == PLAN_60.resolved_mode_period()
+        assert check_plan(PLAN_250) == (25.0 - 3.5) / 25
         assert check_plan(SequencePlan(storage=make_config(n_temporal=5),
                                        cell_order=(1,),
                                        mode_period=1.25)) == 1.25
@@ -282,26 +273,24 @@ class TestCheckPlan:
 
 class TestControlGap:
     def test_matches_compiled_timeline(self):
-        c = TimingConstraints()
-        tl = compile_plan(PLAN_60, c)
+        tl = compile_plan(PLAN_60)
         for cell in PLAN_60.cell_order:
             cp2 = first_event(tl, EventKind.CONTROL2, cell)
             for win in echo_windows(tl):
                 if win.cell_id != cell:
                     continue
                 expect = win.start - cp2.end
-                got = control_gap(PLAN_60, c, win.temporal_index)
+                got = control_gap(PLAN_60, win.temporal_index)
                 assert got == pytest.approx(expect, abs=1e-9)
 
     def test_first_mode_has_smallest_gap(self):
-        c = TimingConstraints()
-        gaps = [control_gap(PLAN_60, c, k) for k in range(1, 7)]
+        gaps = [control_gap(PLAN_60, k) for k in range(1, 7)]
         assert gaps == sorted(gaps)
         assert gaps[0] < gaps[-1]
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ConfigError):
-            control_gap(PLAN_60, TimingConstraints(), 7)
+            control_gap(PLAN_60, 7)
 
 
 class TestValidateTimeline:

@@ -17,10 +17,21 @@ import math
 from dataclasses import dataclass, field
 
 from memarray.errors import ConfigError
-from memarray.sequence import EventKind, TimingConstraints
+from memarray.sequence import (
+    SWITCH_CONTROL_US,
+    SWITCH_DEMUX_US,
+    SWITCH_MUX_US,
+    Channel,
+    EventKind,
+)
 
 _TOL = 1e-9  # the library's timing slack, in microseconds
 _CONTROL_KINDS = (EventKind.CONTROL1, EventKind.CONTROL2)
+# Switching time of each channel, in us.  A trial has one preparation, so
+# the PrepAOD never retargets; its 1.4 us only completes the table.
+SWITCHING_US = {Channel.PREP: 1.4, Channel.MUX: SWITCH_MUX_US,
+                Channel.CONTROL: SWITCH_CONTROL_US,
+                Channel.DEMUX: SWITCH_DEMUX_US}
 
 
 @dataclass(frozen=True)
@@ -40,7 +51,7 @@ def _overlaps(a, b):
     return hi - lo > _TOL  # touching intervals do not overlap
 
 
-def pairwise_validate(timeline, constraints=None):
+def pairwise_validate(timeline):
     """Every broken rule among all pairs of ``timeline``'s events, in
     timeline order.
 
@@ -51,14 +62,13 @@ def pairwise_validate(timeline, constraints=None):
       echo-control - an echo window must never overlap a control pulse on
                      the same cell.
     """
-    constraints = constraints or TimingConstraints()
     events = timeline.events
     out = []
     for i, a in enumerate(events):
         for b in events[i + 1:]:
             first, second = (a, b) if a.start <= b.start else (b, a)
             if a.channel is b.channel and a.cell_id != b.cell_id:
-                need = constraints.switching_time(a.channel)
+                need = SWITCHING_US[a.channel]
                 gap = second.start - first.end
                 if gap < need - _TOL:
                     out.append(Violation(
