@@ -31,8 +31,8 @@ SNR_DEFINITIONS = ("ratio", "excess")
 class ModeStats:
     """Counts per trial for one (cell, temporal) mode, with Poisson errors.
 
-    ``snr_is_infinite`` flags modes whose noise run recorded zero counts;
-    the SNR is then reported as +inf rather than failing.
+    A mode whose noise run recorded zero counts has snr = snr_err = +inf
+    rather than failing.
     """
 
     c_signal: float
@@ -41,7 +41,6 @@ class ModeStats:
     err_noise: float
     snr: float
     snr_err: float
-    snr_is_infinite: bool = False
 
     def __post_init__(self):
         if self.c_signal < 0 or self.c_noise < 0:
@@ -107,8 +106,7 @@ def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
 
     ``snr_definition``: "ratio" is c_S/c_B (all detected counts over noise);
     "excess" subtracts the background first, (c_S - c_B)/c_B.  Modes whose
-    noise total is zero get snr=+inf and the ``snr_is_infinite`` flag
-    instead of an error.
+    noise total is zero get snr=+inf instead of an error.
     """
     if snr_definition not in SNR_DEFINITIONS:
         raise ConfigError(f"snr_definition must be one of {SNR_DEFINITIONS}, "
@@ -121,17 +119,15 @@ def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
         err_s = math.sqrt(a) / signal.n_trials
         err_b = math.sqrt(b) / noise.n_trials
         if b == 0:
-            snr, snr_err, infinite = math.inf, math.inf, True
+            snr = snr_err = math.inf
         else:
             snr = c_s / c_b
             snr_err = _ratio_err(c_s, err_s, c_b, err_b)
             if snr_definition == "excess":
                 snr -= 1.0  # same propagated error: the shift is exact
-            infinite = False
         out[key] = ModeStats(c_signal=c_s, c_noise=c_b,
                              err_signal=err_s, err_noise=err_b,
-                             snr=snr, snr_err=snr_err,
-                             snr_is_infinite=infinite)
+                             snr=snr, snr_err=snr_err)
     return out
 
 
@@ -230,11 +226,10 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
         c_s, err_s = a / denom_s, math.sqrt(a) / denom_s
         c_b, err_b = b / denom_b, math.sqrt(b) / denom_b
 
-        factor = (device.cell(cell_id).eta_mux * cfg.eta_herald
-                  / cfg.mean_photon_number)
-        c_tilde = rescale_signal(c_s, device.cell(cell_id).eta_mux,
-                                 cfg.eta_herald, cfg.mean_photon_number)
-        err_tilde = factor * err_s
+        # The rescaling is linear, so it carries the error bar too.
+        c_tilde, err_tilde = (
+            rescale_signal(x, device.cell(cell_id).eta_mux, cfg.eta_herald,
+                           cfg.mean_photon_number) for x in (c_s, err_s))
 
         snr_adj = adjusted_snr(c_tilde, c_b)
         snr_clamped = max(snr_adj, 0.0)
@@ -276,7 +271,8 @@ def crosstalk_matrix(scan: TrialCounts,
     ids = sorted({cell for pair in scan.counts for cell in pair})
     ModeSetMismatch.check([(i, j) for i in ids for j in ids], scan.counts,
                           sides=("cell pairs", "scan"))
-    ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts)
+    ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts,
+                          sides=("scan cells", "noise run"))
 
     def per_trial(pair: tuple[int, int]) -> tuple[float, float]:
         total = scan.counts[pair]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from itertools import accumulate
@@ -189,6 +190,15 @@ def cmd_run(args) -> int:
         if leak is None:
             raise ConfigError("cross-talk runs need a [leakage] matrix in "
                               "the noise file", path=args.noise)
+        # The scan covers the plan's cells, one input pulse each.
+        if plan.storage.n_temporal != 1:
+            raise ConfigError(f"cross-talk scans use a single input pulse "
+                              f"per trial; got n_temporal="
+                              f"{plan.storage.n_temporal}", path=args.plan)
+        missing = [c for c in plan.cell_order if c not in leak.cell_ids]
+        if missing:
+            raise ConfigError(f"[leakage] has no row for plan cells "
+                              f"{missing}", path=args.noise)
         result = run_crosstalk_scan(device, leak, noise, plan,
                                     n_trials=args.trials, seed=args.seed)
     else:
@@ -234,7 +244,13 @@ def _read_noise_run(path: Path):
 
 
 def _analyze_scan(args, scan) -> int:
-    matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
+    try:
+        matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
+    except ModeSetMismatch as exc:
+        # crosstalk_matrix checks the scan for every pair of its cells, then
+        # the noise run for one window per scan cell: name the file at fault.
+        exc.path = args.signal if exc.sides[1] == "scan" else args.noise
+        raise
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
                                  args.out_dir / "crosstalk_matrix_err.csv",
@@ -282,7 +298,7 @@ def cmd_analyze(args) -> int:
                              cum_s, cum_s_err, cum_b, cum_b_err),
         write_projections_csv(args.out_dir / "projections.csv", projections),
     ]
-    finite = [s.snr for s in stats.values() if not s.snr_is_infinite]
+    finite = [s.snr for s in stats.values() if math.isfinite(s.snr)]
     mean_snr = sum(finite) / len(finite) if finite else float("inf")
     print(f"{len(modes)} modes: cumulative signal {cum_s[-1]:.4g}, "
           f"cumulative noise {cum_b[-1]:.4g}, mean SNR {mean_snr:.3g}")

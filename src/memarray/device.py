@@ -181,9 +181,7 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
     bracketing pair.  Extrapolation beyond the calibration span is tolerated
     up to a factor of two in tau (with a warning) and refused beyond that.
     """
-    table = cell.afc_calibration
-    if not table:
-        raise ConfigError(f"cell {cell.cell_id}: empty AFC calibration table")
+    table = cell.afc_calibration  # CellParams holds two points or more
     for t, eta in table:
         if tau == t:
             return eta

@@ -48,17 +48,24 @@ class ModeSetMismatch(Exception):
     same spatio-temporal modes.
 
     ``sides`` names the two mode sets in the message; the first is the one
-    ``missing_in_signal`` is missing from.
+    ``missing_in_signal`` is missing from.  ``path``, when set, names the
+    file at fault, as in a ConfigError.
     """
 
     def __init__(self, missing_in_signal, missing_in_noise,
                  sides=("signal run", "noise run")):
         self.missing_in_signal = tuple(sorted(missing_in_signal))
         self.missing_in_noise = tuple(sorted(missing_in_noise))
+        self.sides = tuple(sides)
+        self.path = None
         parts = [f"missing in {side}: {list(missing)}" for side, missing in
                  zip(sides, (self.missing_in_signal, self.missing_in_noise))
                  if missing]
         super().__init__("mode sets differ: " + "; ".join(parts))
+
+    def __str__(self) -> str:
+        msg = super().__str__()
+        return msg if self.path is None else f"{self.path}: {msg}"
 
     @classmethod
     def check(cls, first, second, sides=("signal run", "noise run")) -> None:

@@ -339,8 +339,14 @@ def load_noise(path, default_dark_rate: float | None = None,
 # platform-independent and reproducible)
 
 
-def _writer(fh):
-    return csv.writer(fh, lineterminator="\n")
+def _write_csv(path, header, rows) -> Path:
+    """Write ``header`` and then each of ``rows`` to ``path`` as CSV."""
+    path = Path(path)
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
 
 
 def _fmt(x: float) -> str:
@@ -359,16 +365,13 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
     temporal index k; a scan's (input, output) key is written at temporal
     index 1.
     """
-    path = Path(path)
     scan = result.kind is RunKind.CROSSTALK
-    with path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(COUNTS_HEADER)
-        for a, b in sorted(result.counts):
-            i, j, k = (a, b, 1) if scan else (a, a, b)
-            w.writerow([result.kind.value, i, j, k, result.counts[(a, b)],
-                        result.n_trials])
-    return path
+    rows = []
+    for a, b in sorted(result.counts):
+        i, j, k = (a, b, 1) if scan else (a, a, b)
+        rows.append([result.kind.value, i, j, k, result.counts[(a, b)],
+                     result.n_trials])
+    return _write_csv(path, COUNTS_HEADER, rows)
 
 
 def read_counts_csv(path) -> TrialCounts:
@@ -438,86 +441,63 @@ def read_counts_csv(path) -> TrialCounts:
 
 
 def write_timeline_csv(path, timeline: Timeline) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["channel", "kind", "cell_id", "temporal_index",
-                    "start_us", "duration_us"])
-        for ev in timeline.events:
-            w.writerow([ev.channel.value, ev.kind.value, ev.cell_id,
-                        "" if ev.temporal_index is None else ev.temporal_index,
-                        _fmt(ev.start), _fmt(ev.duration)])
-    return path
+    return _write_csv(
+        path, ["channel", "kind", "cell_id", "temporal_index", "start_us",
+               "duration_us"],
+        ([ev.channel.value, ev.kind.value, ev.cell_id,
+          "" if ev.temporal_index is None else ev.temporal_index,
+          _fmt(ev.start), _fmt(ev.duration)] for ev in timeline.events))
 
 
 def write_mode_stats_csv(path, stats) -> Path:
     """stats: mapping (spatial_mode, temporal_index) -> ModeStats."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
-                    "c_noise", "c_noise_err", "snr", "snr_err"])
-        for (cell, k) in sorted(stats):
-            s = stats[(cell, k)]
-            w.writerow([cell, k, _fmt(s.c_signal), _fmt(s.err_signal),
-                        _fmt(s.c_noise), _fmt(s.err_noise),
-                        _fmt(s.snr), _fmt(s.snr_err)])
-    return path
+    return _write_csv(
+        path, ["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
+               "c_noise", "c_noise_err", "snr", "snr_err"],
+        ([cell, k, _fmt(s.c_signal), _fmt(s.err_signal), _fmt(s.c_noise),
+          _fmt(s.err_noise), _fmt(s.snr), _fmt(s.snr_err)]
+         for (cell, k), s in sorted(stats.items())))
 
 
 def write_cumulative_csv(path, modes, cum_signal, cum_signal_err,
                          cum_noise, cum_noise_err) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["mode_number", "spatial_mode", "temporal_index",
-                    "c_signal_cum", "c_signal_cum_err",
-                    "c_noise_cum", "c_noise_cum_err"])
-        for n, ((cell, k), cs, cse, cb, cbe) in enumerate(
-                zip(modes, cum_signal, cum_signal_err, cum_noise, cum_noise_err),
-                start=1):
-            w.writerow([n, cell, k, _fmt(cs), _fmt(cse), _fmt(cb), _fmt(cbe)])
-    return path
+    return _write_csv(
+        path, ["mode_number", "spatial_mode", "temporal_index",
+               "c_signal_cum", "c_signal_cum_err",
+               "c_noise_cum", "c_noise_cum_err"],
+        ([n, cell, k, _fmt(cs), _fmt(cse), _fmt(cb), _fmt(cbe)]
+         for n, ((cell, k), cs, cse, cb, cbe) in enumerate(
+             zip(modes, cum_signal, cum_signal_err, cum_noise, cum_noise_err),
+             start=1)))
 
 
 def write_projections_csv(path, projections) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["spatial_mode", "c_signal_rescaled", "c_signal_rescaled_err",
-                    "snr_adjusted", "snr_adjusted_err", "g2", "g2_err",
-                    "fidelity", "fidelity_err"])
-        for p in projections:
-            w.writerow([p.cell_id, _fmt(p.c_signal_rescaled), _fmt(p.err_rescaled),
-                        _fmt(p.snr_adjusted), _fmt(p.snr_adjusted_err),
-                        _fmt(p.g2_inferred), _fmt(p.g2_err),
-                        _fmt(p.fidelity), _fmt(p.fidelity_err)])
-    return path
+    return _write_csv(
+        path, ["spatial_mode", "c_signal_rescaled", "c_signal_rescaled_err",
+               "snr_adjusted", "snr_adjusted_err", "g2", "g2_err",
+               "fidelity", "fidelity_err"],
+        ([p.cell_id, _fmt(p.c_signal_rescaled), _fmt(p.err_rescaled),
+          _fmt(p.snr_adjusted), _fmt(p.snr_adjusted_err),
+          _fmt(p.g2_inferred), _fmt(p.g2_err),
+          _fmt(p.fidelity), _fmt(p.fidelity_err)] for p in projections))
 
 
 def write_crosstalk_csvs(matrix_path, err_path, summary_path, xtalk) -> list[Path]:
     """Write the cross-talk ratio matrix, its error matrix and a summary."""
-    matrix_path, err_path, summary_path = map(Path, (matrix_path, err_path,
-                                                     summary_path))
-    ids = list(xtalk.cell_ids)
+    ids = xtalk.cell_ids
     header = ["input_cell"] + [str(j) for j in ids]
-    for path, table in ((matrix_path, xtalk.c), (err_path, xtalk.c_err)):
-        with path.open("w", newline="") as fh:
-            w = _writer(fh)
-            w.writerow(header)
-            for i, cid in enumerate(ids):
-                w.writerow([cid] + [_fmt(table[i][j]) for j in range(len(ids))])
-    with summary_path.open("w", newline="") as fh:
-        w = _writer(fh)
-        w.writerow(["quantity", "cell", "value"])
-        w.writerow(["mean_offdiagonal", "", _fmt(xtalk.mean_offdiagonal)])
-        for cid in ids:
-            if cid in xtalk.noise_contribution:  # absent for invalid rows
-                w.writerow(["noise_contribution", cid,
-                            _fmt(xtalk.noise_contribution[cid])])
-        for cid in xtalk.invalid_rows:
-            w.writerow(["invalid_row", cid, ""])
-    return [matrix_path, err_path, summary_path]
+    paths = [_write_csv(path, header, ([cid] + [_fmt(v) for v in row]
+                                       for cid, row in zip(ids, table)))
+             for path, table in ((matrix_path, xtalk.c),
+                                 (err_path, xtalk.c_err))]
+    summary = [["mean_offdiagonal", "", _fmt(xtalk.mean_offdiagonal)]]
+    summary += [["noise_contribution", cid, _fmt(xtalk.noise_contribution[cid])]
+                for cid in ids
+                if cid in xtalk.noise_contribution]  # absent for invalid rows
+    summary += [["invalid_row", cid, ""] for cid in xtalk.invalid_rows]
+    paths.append(_write_csv(summary_path, ["quantity", "cell", "value"],
+                            summary))
+    return paths
 
 
 # --------------------------------------------------------------------------

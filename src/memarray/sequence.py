@@ -63,13 +63,12 @@ _CHANNEL_FOR_KIND = {
 
 @dataclass(frozen=True)
 class TimelineEvent:
-    """One interval on one channel.
+    """One interval on one channel, the channel its kind belongs on.
 
     ``cell_id`` 0 marks array-wide events (preparation); ``temporal_index``
     is 1-based and set only on Input/EchoWindow events.
     """
 
-    channel: Channel
     kind: EventKind
     cell_id: int
     start: float
@@ -77,16 +76,16 @@ class TimelineEvent:
     temporal_index: int | None = None
 
     def __post_init__(self):
-        if _CHANNEL_FOR_KIND[self.kind] is not self.channel:
-            raise ConfigError(f"{self.kind.value} events belong on "
-                              f"{_CHANNEL_FOR_KIND[self.kind].value}, "
-                              f"not {self.channel.value}")
         if not self.duration > 0:  # also rejects NaN
             raise ConfigError(f"{self.kind.value} duration must be positive, "
                               f"got {self.duration}")
         if not self.start >= 0:  # also rejects NaN
             raise ConfigError(f"{self.kind.value} start must be >= 0, "
                               f"got {self.start}")
+
+    @property
+    def channel(self) -> Channel:
+        return _CHANNEL_FOR_KIND[self.kind]
 
     @property
     def end(self) -> float:
@@ -147,19 +146,17 @@ class SequencePlan:
         return self.storage.detection_window * 1e-3
 
 
-def max_temporal_modes(tau: float, mode_period: float,
-                       control_pulse_duration: float) -> int:
+def max_temporal_modes(tau: float, mode_period: float) -> int:
     """How many input modes fit before the first control pulse must fire.
 
-    The control pulse (duration ``control_pulse_duration``) has to complete
-    within the echo delay ``tau``, so the usable span is tau - cp and the
-    capacity is floor((tau - cp) / period).  Returns 0 when nothing fits,
-    including when the control pulse alone fills tau.
+    The control pulse (CONTROL_PULSE_US) has to complete within the echo
+    delay ``tau``, so the usable span is tau - cp and the capacity is
+    floor((tau - cp) / period).  Returns 0 when nothing fits, including when
+    the control pulse alone fills tau.
     """
-    if tau <= 0 or mode_period <= 0 or control_pulse_duration <= 0:
-        raise ConfigError("tau, mode_period and control_pulse_duration must "
-                          "all be positive")
-    span = tau - control_pulse_duration
+    if tau <= 0 or mode_period <= 0:
+        raise ConfigError("tau and mode_period must both be positive")
+    span = tau - CONTROL_PULSE_US
     return max(0, math.floor(span / mode_period + _TOL))
 
 
@@ -222,7 +219,7 @@ def check_plan(plan: SequencePlan) -> float:
     w = plan.window_duration
 
     problems: list[str] = []
-    capacity = max_temporal_modes(cfg.tau, period, cp)
+    capacity = max_temporal_modes(cfg.tau, period)
     if cp >= cfg.tau:
         problems.append(_pulse_exceeds_tau(cfg.tau))
     elif cfg.n_temporal > capacity:
@@ -266,25 +263,24 @@ def compile_plan(plan: SequencePlan) -> Timeline:
     dur_in = plan.input_duration
     w = plan.window_duration
 
-    events = [TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
-                            start=0.0, duration=PREP_US)]
+    events = [TimelineEvent(EventKind.PREPARE, 0, start=0.0,
+                            duration=PREP_US)]
     block_start = PREP_US + SWITCH_MUX_US
     spacing = _block_spacing(plan, period)
     for cell in plan.cell_order:
         t0 = block_start
         for k in range(1, cfg.n_temporal + 1):
             events.append(TimelineEvent(
-                Channel.MUX, EventKind.INPUT, cell,
-                start=t0 + (k - 1) * period, duration=dur_in,
-                temporal_index=k))
+                EventKind.INPUT, cell, start=t0 + (k - 1) * period,
+                duration=dur_in, temporal_index=k))
         cp1_start = t0 + (cfg.n_temporal - 1) * period + dur_in
-        events.append(TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, cell,
+        events.append(TimelineEvent(EventKind.CONTROL1, cell,
                                     start=cp1_start, duration=cp))
-        events.append(TimelineEvent(Channel.CONTROL, EventKind.CONTROL2, cell,
+        events.append(TimelineEvent(EventKind.CONTROL2, cell,
                                     start=cp1_start + cfg.t_spin, duration=cp))
         for k in range(1, cfg.n_temporal + 1):
             events.append(TimelineEvent(
-                Channel.DEMUX, EventKind.ECHO_WINDOW, cell,
+                EventKind.ECHO_WINDOW, cell,
                 start=t0 + (k - 1) * period + cfg.tau + cfg.t_spin,
                 duration=w, temporal_index=k))
         block_start += spacing

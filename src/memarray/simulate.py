@@ -255,32 +255,29 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
 def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
                        noise: NoiseParams, plan: SequencePlan,
                        n_trials: int, seed: int) -> TrialCounts:
-    """Sweep every ordered (input cell, output cell) pair of the leakage
-    matrix: the input enters cell i while collection is set to output j.
-    Every pair is one trial of ``plan``'s single-mode cell block, so the
-    plan's timing rules are checked as in ``run_trials``.
+    """Sweep every ordered (input cell, output cell) pair of the plan's
+    cells, taken in the leakage matrix's order: the input enters cell i
+    while collection is set to output j.  Every pair is one trial of
+    ``plan``'s single-mode cell block, with the means of
+    ``mode_expectations``, so the plan's timing rules are checked as in
+    ``run_trials``.  A plan cell without a leakage row is a ConfigError.
 
     Returns one CROSSTALK table keyed by (input_cell, output_cell).
     Expected counts per window:
-        leak[i][j] * signal_i + noise + offresonant_echo_leak[i, j]
+        leak[i][j] * signal_i + noise_j + offresonant_echo_leak[i, j]
     The totals of all pairs are one Poisson(n_trials * mean) draw over the
     pair vector from the generator keyed by ``seed``, so a scan is
     reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
-    config = plan.storage
-    if config.n_temporal != 1:
+    if plan.storage.n_temporal != 1:
         raise ConfigError(f"cross-talk scans use a single input pulse per "
-                          f"trial; got n_temporal={config.n_temporal}")
-    cells = list(leak.cell_ids)
-    # Per-pair trials share one cell block's timing, so the noise term is
-    # the single-mode noise of any one cell's block.
-    [noise_per_window] = _noise_per_index(plan, noise)
-    sig = {c: expected_signal_per_mode(device.cell(c), config, device)
-           for c in cells}
+                          f"trial; got n_temporal={plan.storage.n_temporal}")
+    cells = sorted(plan.cell_order, key=leak._index)
+    exp = mode_expectations(device, plan, noise)
 
     pairs = [(i, j) for i in cells for j in cells]
-    lam = [leak.leak(i, j) * sig[i] + noise_per_window
+    lam = [leak.leak(i, j) * exp.signal[(i, 1)] + exp.noise[(j, 1)]
            + noise.offresonant_echo_leak.get((i, j), 0.0)
            for i, j in pairs]
     totals = _poisson_totals(lam, n_trials, seed)

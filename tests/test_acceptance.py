@@ -34,7 +34,6 @@ from memarray.io import (
     write_counts_csv,
 )
 from memarray.sequence import (
-    CONTROL_PULSE_US,
     EventKind,
     SequencePlan,
     compile_plan,
@@ -99,8 +98,7 @@ def test_criterion_2_projection_chain():
 def test_criterion_3_mode_capacity():
     for plan, capacity, total in ((PLAN_60, 6, 60), (PLAN_250, 25, 250)):
         period = plan.resolved_mode_period()
-        assert max_temporal_modes(plan.storage.tau, period,
-                                  CONTROL_PULSE_US) == capacity
+        assert max_temporal_modes(plan.storage.tau, period) == capacity
         timeline = compile_plan(plan)
         echoes = [e for e in timeline.events
                   if e.kind is EventKind.ECHO_WINDOW]

@@ -45,7 +45,6 @@ class TestPerModeStats:
         # delta method: snr * sqrt((1/sqrt(1000))^2 + (1/sqrt(100))^2)
         expect_err = 10.0 * math.sqrt(1 / 1000 + 1 / 100)
         assert st_.snr_err == pytest.approx(expect_err, rel=1e-12)
-        assert not st_.snr_is_infinite
 
     def test_equal_totals_give_unit_snr(self):
         table = {(1, 1): 37, (1, 2): 4, (2, 1): 0}
@@ -59,8 +58,7 @@ class TestPerModeStats:
         sig = counts(RunKind.SIGNAL, {(1, 1): 12}, 100)
         bkg = counts(RunKind.NOISE, {(1, 1): 0}, 100)
         [st_] = per_mode_stats(sig, bkg).values()
-        assert math.isinf(st_.snr)
-        assert st_.snr_is_infinite
+        assert st_.snr == st_.snr_err == math.inf
 
     def test_excess_definition_shifts_by_one(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 1000}, 10_000)

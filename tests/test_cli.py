@@ -276,6 +276,48 @@ class TestRun:
         assert len(scan.counts) == 100
 
 
+    def test_crosstalk_run_scans_the_plan_cells(self, tmp_path, capsys):
+        # A two-cell plan against the shipped ten-cell leakage matrix: the
+        # scan and its floor cover the same two cells, so analyze accepts.
+        p = tmp_path / "two.ini"
+        p.write_text(default_plan_path("crosstalk").read_text().replace(
+            "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10", "cell_order = 2, 1"))
+        for mode in ("crosstalk", "noise"):
+            assert run_cli("run", "--plan", str(p), "--noise", "crosstalk",
+                           "--mode", mode, "--trials", "20000",
+                           "--out-dir", str(tmp_path)) == 0
+        scan = read_counts_csv(tmp_path / "counts_crosstalk.csv")
+        assert set(scan.counts) == {(i, j) for i in (1, 2) for j in (1, 2)}
+        assert len(read_counts_csv(tmp_path / "counts_noise.csv").counts) == 2
+        assert run_cli("analyze",
+                       "--signal", str(tmp_path / "counts_crosstalk.csv"),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--out-dir", str(tmp_path / "xt")) == 0
+
+    def test_crosstalk_leakage_without_a_plan_cell_exits_two(self, tmp_path,
+                                                            capsys):
+        noise = tmp_path / "noise.ini"
+        noise.write_text(HIGH_NOISE + "[leakage]\nrow_1 = 1, 0\n"
+                         "row_11 = 0, 1\n")
+        code = run_cli("run", "--plan", "crosstalk", "--noise", str(noise),
+                       "--mode", "crosstalk", "--trials", "10",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {noise}: [leakage] has no row for plan cells "
+            f"[2, 3, 4, 5, 6, 7, 8, 9, 10]\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_crosstalk_of_a_multimode_plan_exits_two(self, tmp_path, capsys):
+        code = run_cli("run", "--plan", "60mode", "--noise", "crosstalk",
+                       "--mode", "crosstalk", "--trials", "10",
+                       "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {default_plan_path('60mode')}: cross-talk scans use a "
+            f"single input pulse per trial; got n_temporal=6\n")
+
+
 class TestRepeatedCalls:
     """Scripts, tests and benchmarks call ``main(argv)`` many times in one
     process; no call may see the arguments or the outcome of another."""
@@ -484,9 +526,11 @@ class TestAnalyze:
         assert code == 1
         err = capsys.readouterr().err
         if plan == "60mode":  # six windows per cell instead of one
-            assert "missing in signal run: [(1, 2)," in err
+            assert err.startswith(f"error: {noise_csv}: mode sets differ: "
+                                  f"missing in scan cells: [(1, 2), ")
         else:
-            assert "missing in noise run: [(3, 1)]" in err
+            assert err == (f"error: {noise_csv}: mode sets differ: "
+                           f"missing in noise run: [(3, 1)]\n")
         assert not out.exists()
 
     def test_scan_missing_a_pair_exits_one(self, tmp_path, capsys):
@@ -505,7 +549,8 @@ class TestAnalyze:
                        "--out-dir", str(out))
         assert code == 1
         assert capsys.readouterr().err == (
-            "error: mode sets differ: missing in scan: [(1, 5)]\n")
+            f"error: {scan_csv}: mode sets differ: missing in scan: "
+            f"[(1, 5)]\n")
         assert not out.exists()
 
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):

@@ -60,29 +60,27 @@ PLAN_250 = make_plan(tau=25.0, t_spin=20.0, n_temporal=25)
 class TestMaxTemporalModes:
     def test_short_delay_capacity(self):
         # floor((10 - 3.5) / 1.0833) = floor(6.0001...) = 6
-        assert max_temporal_modes(10.0, 1.0833, 3.5) == 6
+        assert max_temporal_modes(10.0, 1.0833) == 6
 
     def test_long_delay_capacity(self):
         # (25 - 3.5) / 0.86 = 24.9999...; the floor must absorb the
         # representation error and return 25, not 24.
-        assert max_temporal_modes(25.0, 0.86, 3.5) == 25
+        assert max_temporal_modes(25.0, 0.86) == 25
 
     def test_mode_longer_than_window(self):
-        assert max_temporal_modes(10.0, 20.0, 3.5) == 0
+        assert max_temporal_modes(10.0, 20.0) == 0
 
     def test_control_pulse_swallows_delay(self):
-        assert max_temporal_modes(3.0, 1.0, 3.5) == 0
+        assert max_temporal_modes(3.0, 1.0) == 0
 
-    @pytest.mark.parametrize("tau,period,cp", [
-        (0.0, 1.0, 3.5), (10.0, 0.0, 3.5), (10.0, 1.0, -1.0),
-    ])
-    def test_rejects_nonpositive_arguments(self, tau, period, cp):
+    @pytest.mark.parametrize("tau,period", [(0.0, 1.0), (10.0, 0.0)])
+    def test_rejects_nonpositive_arguments(self, tau, period):
         with pytest.raises(ConfigError):
-            max_temporal_modes(tau, period, cp)
+            max_temporal_modes(tau, period)
 
     @given(st.floats(4.0, 100.0), st.floats(0.05, 50.0))
     def test_capacity_times_period_fits_in_span(self, tau, period):
-        n = max_temporal_modes(tau, period, 3.5)
+        n = max_temporal_modes(tau, period)
         assert n >= 0
         assert n * period <= (tau - 3.5) + 1e-6
 
@@ -115,13 +113,19 @@ class TestResolvedModePeriod:
 
 class TestTimelineEvent:
     def test_kind_pins_channel(self):
-        with pytest.raises(ConfigError):
-            TimelineEvent(Channel.MUX, EventKind.ECHO_WINDOW, 1,
-                          start=0.0, duration=1.0)
+        deflector = {EventKind.PREPARE: Channel.PREP,
+                     EventKind.INPUT: Channel.MUX,
+                     EventKind.CONTROL1: Channel.CONTROL,
+                     EventKind.CONTROL2: Channel.CONTROL,
+                     EventKind.ECHO_WINDOW: Channel.DEMUX}
+        assert set(deflector) == set(EventKind)
+        for kind, channel in deflector.items():
+            ev = TimelineEvent(kind, 1, start=0.0, duration=1.0)
+            assert ev.channel is channel
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ConfigError):
-            TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+            TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=0.0)
 
 
@@ -206,9 +210,11 @@ def _gaussian(fwhm):
 
 # One infeasible plan per timing rule, then one that breaks every rule the
 # capacity branch allows.  A control pulse longer than tau always breaks the
-# lead rule too, and a lead beyond tau always comes with a broken capacity
-# or input-pulse rule.  Without a given period such a tau leaves no default
-# period to check the other rules against, so its rule is the only line.
+# lead rule too.  Without a given period such a tau leaves no default period
+# to check the other rules against, so its rule is the only line.  The lead
+# rule can fire alone: the capacity rule's slack scales with the period, so
+# at a 10 us period it passes a tau 5e-9 us short of the input plus the
+# control pulse, while the lead rule allows only _TOL (1e-9 us).
 INFEASIBLE = {
     "capacity": (dict(n_temporal=7), 1.0, ["capacity of 6"]),
     "control-pulse": (dict(tau=3.0, n_temporal=1), 1.0,
@@ -224,6 +230,10 @@ INFEASIBLE = {
     "spin-pause": (dict(t_spin=1.0), None, ["spin pause"]),
     "lead": (dict(n_temporal=7, input_shape=_gaussian(1100.0)), 0.92,
              ["input pulse", "last input plus control pulse end at 10.12"]),
+    "lead-alone": (dict(tau=13.499999995, n_temporal=1,
+                        input_shape=_gaussian(10000.0)), 10.0,
+                   ["last input plus control pulse end at 13.5 us after the "
+                    "first input, beyond the echo delay tau=13.499999995 us"]),
     "every-rule": (dict(n_temporal=40, t_spin=1.0), 0.2,
                    ["capacity", "input pulse", "detection window",
                     "spin pause", "last input"]),
@@ -262,6 +272,14 @@ class TestCheckPlan:
             "last input plus control pulse end at 11.651 us after the first "
             "input, beyond the echo delay tau=10.0 us",
         ]
+
+    def test_lead_alone_keeps_windows_after_the_control_pulse(self):
+        # The plan only the lead rule refuses would open its echo window
+        # 5e-9 us before the second control pulse ends: more than _TOL.
+        config, period, _ = INFEASIBLE["lead-alone"]
+        plan = SequencePlan(storage=make_config(**config), cell_order=(1,),
+                            mode_period=period)
+        assert control_gap(plan, 1) == pytest.approx(-5e-9, abs=1e-12)
 
     def test_returns_the_resolved_period(self):
         assert check_plan(PLAN_60) == PLAN_60.resolved_mode_period()
@@ -305,9 +323,9 @@ class TestValidateTimeline:
 
     def test_switching_violation(self):
         # Two MuxAOD retargets 1.0 us apart against a 2.2 us switching time.
-        a = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+        a = TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=0.3, temporal_index=1)
-        b = TimelineEvent(Channel.MUX, EventKind.INPUT, 2,
+        b = TimelineEvent(EventKind.INPUT, 2,
                           start=1.0, duration=0.3, temporal_index=1)
         out = pairwise_validate(Timeline(events=(a, b)))
         assert len(out) == 1
@@ -316,26 +334,26 @@ class TestValidateTimeline:
     def test_same_cell_retune_is_exempt(self):
         # Consecutive input modes on one cell sit well inside the switching
         # time; that is the whole point of temporal multiplexing.
-        a = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+        a = TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=0.3, temporal_index=1)
-        b = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+        b = TimelineEvent(EventKind.INPUT, 1,
                           start=1.0, duration=0.3, temporal_index=2)
         assert pairwise_validate(Timeline(events=(a, b))) == []
 
     def test_prep_control_overlap(self):
-        prep = TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
+        prep = TimelineEvent(EventKind.PREPARE, 0,
                              start=0.0, duration=5.0)
-        cp = TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, 1,
+        cp = TimelineEvent(EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
         out = pairwise_validate(Timeline(events=(prep, cp)))
         assert [v.rule for v in out] == ["prep-control"]
 
     def test_echo_control_overlap_same_cell_only(self):
-        cp = TimelineEvent(Channel.CONTROL, EventKind.CONTROL2, 1,
+        cp = TimelineEvent(EventKind.CONTROL2, 1,
                            start=10.0, duration=3.5)
-        win_same = TimelineEvent(Channel.DEMUX, EventKind.ECHO_WINDOW, 1,
+        win_same = TimelineEvent(EventKind.ECHO_WINDOW, 1,
                                  start=12.0, duration=0.4, temporal_index=1)
-        win_other = TimelineEvent(Channel.DEMUX, EventKind.ECHO_WINDOW, 2,
+        win_other = TimelineEvent(EventKind.ECHO_WINDOW, 2,
                                   start=12.0, duration=0.4, temporal_index=1)
         same = pairwise_validate(Timeline(events=(cp, win_same)))
         assert [v.rule for v in same] == ["echo-control"]
@@ -343,23 +361,23 @@ class TestValidateTimeline:
         assert all(v.rule != "echo-control" for v in other)
 
     def test_touching_intervals_do_not_overlap(self):
-        prep = TimelineEvent(Channel.PREP, EventKind.PREPARE, 0,
+        prep = TimelineEvent(EventKind.PREPARE, 0,
                              start=0.0, duration=2.0)
-        cp = TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, 1,
+        cp = TimelineEvent(EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
         assert pairwise_validate(Timeline(events=(prep, cp))) == []
 
 
 class TestTrialDuration:
     def test_single_event(self):
-        ev = TimelineEvent(Channel.CONTROL, EventKind.CONTROL1, 1,
+        ev = TimelineEvent(EventKind.CONTROL1, 1,
                            start=0.0, duration=3.5)
         assert trial_duration(Timeline(events=(ev,))) == 3.5
 
     def test_two_event_span(self):
-        a = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+        a = TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=2.0, temporal_index=1)
-        b = TimelineEvent(Channel.MUX, EventKind.INPUT, 1,
+        b = TimelineEvent(EventKind.INPUT, 1,
                           start=10.0, duration=2.0, temporal_index=2)
         assert trial_duration(Timeline(events=(a, b))) == 12.0
 
@@ -388,7 +406,7 @@ class TestTrialDuration:
 @st.composite
 def feasible_plans(draw):
     tau = draw(st.sampled_from([10.0, 15.0, 25.0]))
-    cap = max_temporal_modes(tau, 0.86, 3.5)
+    cap = max_temporal_modes(tau, 0.86)
     n_t = draw(st.integers(1, min(cap, 25)))
     n_cells = draw(st.integers(1, 10))
     cells = tuple(draw(st.permutations(range(1, 11)))[:n_cells])

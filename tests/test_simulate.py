@@ -29,7 +29,6 @@ from memarray.device import (
 from memarray.errors import CompilationError, ConfigError
 from memarray.io import load_device, load_noise, load_plan
 from memarray.sequence import (
-    Channel,
     EventKind,
     SequencePlan,
     Timeline,
@@ -143,9 +142,9 @@ class TestExpectedNoise:
     def test_peak_at_control_pulse_end(self):
         # A window opening exactly at the end of the second control pulse
         # sees the full fluorescence amplitude.
-        cp2 = TimelineEvent(Channel.CONTROL, EventKind.CONTROL2, 1,
+        cp2 = TimelineEvent(EventKind.CONTROL2, 1,
                             start=10.0, duration=3.5)
-        win = TimelineEvent(Channel.DEMUX, EventKind.ECHO_WINDOW, 1,
+        win = TimelineEvent(EventKind.ECHO_WINDOW, 1,
                             start=13.5, duration=0.351, temporal_index=1)
         tl = Timeline(events=(cp2, win))
         noise = NoiseParams(base_noise_per_window=2e-5,
@@ -394,6 +393,25 @@ class TestCrossTalkScan:
         assert poisson_gate({(2, 1): scan.counts[(2, 1)]},
                             {(2, 1): 0.02 * n}) == []
         assert scan.counts[(1, 2)] == 0
+
+    def test_scans_the_plan_cells_in_leakage_order(self):
+        # Cells of the matrix outside the plan are not scanned, and the
+        # plan's own order does not change the draw.
+        device, plan = self.scan_setup(2)
+        leak = LeakageMatrix(cell_ids=(1, 2, 3),
+                             values=((1.0, 0.05, 0.0), (0.1, 1.0, 0.0),
+                                     (0.0, 0.0, 1.0)))
+        swapped = SequencePlan(storage=plan.storage, cell_order=(2, 1))
+        scans = [run_crosstalk_scan(device, leak, QUIET, p, n_trials=1000,
+                                    seed=4).counts for p in (plan, swapped)]
+        assert list(scans[0]) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert scans[0] == scans[1]
+
+    def test_plan_cell_missing_from_leakage_rejected(self):
+        device, plan = self.scan_setup()
+        with pytest.raises(ConfigError, match="cell 3 not in leakage matrix"):
+            run_crosstalk_scan(device, identity_leak(2), QUIET, plan,
+                               n_trials=10, seed=0)
 
     def test_requires_single_temporal_mode(self):
         device, _ = self.scan_setup()

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from memarray.device import PulseKind, PulseShape, StorageConfig
 from memarray.errors import CompilationError, ConfigError
 from memarray.sequence import (
-    Channel,
     EventKind,
     PREP_US,
     SWITCH_MUX_US,
@@ -68,4 +67,4 @@ class TestEventTimesAreNumbers:
         kw = dict(start=1.0, duration=1.0)
         kw[field] = math.nan
         with pytest.raises(ConfigError, match=field):
-            TimelineEvent(Channel.MUX, EventKind.INPUT, 1, **kw)
+            TimelineEvent(EventKind.INPUT, 1, **kw)
