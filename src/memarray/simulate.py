@@ -154,28 +154,6 @@ def expected_signal_per_mode(cell: CellParams, config: StorageConfig,
             * capture)
 
 
-def _noise_per_index(plan: SequencePlan, noise: NoiseParams) -> list[float]:
-    """Mean noise counts in the detection window of temporal mode k, for k
-    in 1..n_temporal; every cell block has the same timing, so these hold
-    for every cell.  Checks the plan first, so infeasible plans fail here.
-
-    Control-pulse fluorescence decays with the gap between the second
-    control pulse and the window, so early temporal modes are the noisiest.
-    """
-    check_plan(plan)
-    window_seconds = plan.window_duration * 1e-6
-    means = []
-    for k in range(1, plan.storage.n_temporal + 1):
-        # check_plan's lead rule keeps every gap above -1e-9 us (its timing
-        # slack): a window never opens before its control pulse has ended.
-        dt = control_gap(plan, k)
-        means.append(noise.base_noise_per_window
-                     + noise.fluorescence_amplitude
-                     * math.exp(-dt / noise.fluorescence_decay)
-                     + noise.dark_rate * window_seconds)
-    return means
-
-
 @dataclass(frozen=True)
 class ModeExpectations:
     """Per-mode Poisson means, echo and noise separately, in plan order."""
@@ -187,8 +165,24 @@ class ModeExpectations:
 def mode_expectations(device: ArrayDevice, plan: SequencePlan,
                       noise: NoiseParams) -> ModeExpectations:
     """Expected echo and noise means for every (cell, temporal mode) of a
-    plan.  Checks the plan's timing rules, so infeasible plans fail here."""
-    noise_k = _noise_per_index(plan, noise)
+    plan.  Checks the plan's timing rules, so infeasible plans fail here.
+
+    Every cell block has the same timing, so temporal mode k has the same
+    noise in every cell.  Control-pulse fluorescence decays with the gap
+    between the second control pulse and the window, so early temporal
+    modes are the noisiest.
+    """
+    check_plan(plan)
+    window_seconds = plan.window_duration * 1e-6
+    noise_k = []
+    for k in range(1, plan.storage.n_temporal + 1):
+        # check_plan's lead rule keeps every gap above -1e-9 us (its timing
+        # slack): a window never opens before its control pulse has ended.
+        dt = control_gap(plan, k)
+        noise_k.append(noise.base_noise_per_window
+                       + noise.fluorescence_amplitude
+                       * math.exp(-dt / noise.fluorescence_decay)
+                       + noise.dark_rate * window_seconds)
     echo = {c: expected_signal_per_mode(device.cell(c), plan.storage, device)
             for c in plan.cell_order}
     modes = plan.modes
