@@ -14,7 +14,6 @@ from .device import (
     CellParams,
     PulseKind,
     PulseShape,
-    StorageConfig,
     afc_efficiency_at,
     spin_wave_efficiency,
     window_capture_fraction,
@@ -59,7 +58,7 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayDevice", "CellParams", "PulseKind", "PulseShape", "StorageConfig",
+    "ArrayDevice", "CellParams", "PulseKind", "PulseShape",
     "afc_efficiency_at", "spin_wave_efficiency",
     "window_capture_fraction",
     "ConfigError", "CompilationError", "ModeSetMismatch",

@@ -212,8 +212,7 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     correlation and fidelity formulas with first-order error propagation.
     Both runs must cover exactly ``plan.modes``, else ModeSetMismatch.
     """
-    cfg = plan.storage
-    modes, n = plan.modes, cfg.n_temporal
+    modes, n = plan.modes, plan.n_temporal
     ModeSetMismatch.check(modes, signal.counts, sides=("plan", "signal run"))
     ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"))
     out = []
@@ -228,12 +227,12 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
 
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (
-            rescale_signal(x, device.cell(cell_id).eta_mux, cfg.eta_herald,
-                           cfg.mean_photon_number) for x in (c_s, err_s))
+            rescale_signal(x, device.cell(cell_id).eta_mux, plan.eta_herald,
+                           plan.mean_photon_number) for x in (c_s, err_s))
 
         snr_adj = adjusted_snr(c_tilde, c_b)
         snr_clamped = max(snr_adj, 0.0)
-        g2 = g2_inferred(snr_clamped, cfg.g2_source)
+        g2 = g2_inferred(snr_clamped, plan.g2_source)
         fid = fidelity_bound(g2)
         if math.isinf(snr_adj):  # zero pooled noise: no finite error bar
             snr_err = g2_err = fid_err = math.inf
@@ -241,7 +240,7 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
             # d/dc_tilde = 1/c_b; d/dc_b = -c_tilde/c_b^2
             snr_err = math.sqrt((err_tilde / c_b) ** 2
                                 + (c_tilde * err_b / c_b ** 2) ** 2)
-            g2_err = _g2_slope(snr_clamped, cfg.g2_source) * snr_err
+            g2_err = _g2_slope(snr_clamped, plan.g2_source) * snr_err
             fid_err = _fidelity_slope(g2) * g2_err
         out.append(NetworkProjection(
             cell_id=cell_id, c_signal_rescaled=c_tilde, err_rescaled=err_tilde,

@@ -37,6 +37,7 @@ from .defaults import (
     default_noise_path,
     default_plan_path,
 )
+from .device import check_calibration_span
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
     file_sha256,
@@ -52,28 +53,21 @@ from .io import (
     write_projections_csv,
     write_timeline_csv,
 )
-from .sequence import compile_plan, trial_duration
+from .sequence import check_plan, compile_plan, trial_duration
 from .simulate import ENGINE, RunKind, run_crosstalk_scan, run_trials
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argument type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _resolve_plan(value: str) -> Path:
@@ -88,7 +82,11 @@ def _resolve_device(value: str) -> Path:
     return default_device_path() if value == "10cell" else Path(value)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then kept:
+    building one costs more than the work of a short call.  Parsing leaves
+    no state in it; every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="memarray",
         description="Multiplexed quantum-memory array: timing validation, "
@@ -113,9 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="simulate a counting run and write counts + manifest")
     p_run.add_argument("--noise", required=True, type=_resolve_noise,
                        help=f"noise file, or one of {'/'.join(NOISE_MODELS)}")
-    p_run.add_argument("--trials", required=True, type=_positive_int,
+    p_run.add_argument("--trials", required=True, type=_int_at_least(1),
                        help="number of storage trials")
-    p_run.add_argument("--seed", default=0, type=_nonnegative_int,
+    p_run.add_argument("--seed", default=0, type=_int_at_least(0),
                        help="random seed (default 0)")
     p_run.add_argument("--mode", default="signal",
                        choices=["signal", "noise", "crosstalk"],
@@ -141,14 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="output directory (default .)")
     p_an.set_defaults(func=cmd_analyze)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on its first call and then kept:
-    building one costs more than the work of a short call.  Parsing leaves
-    no state in it; every call gets a fresh namespace."""
-    return build_parser()
 
 
 # --------------------------------------------------------------------------
@@ -191,14 +181,23 @@ def cmd_run(args) -> int:
             raise ConfigError("cross-talk runs need a [leakage] matrix in "
                               "the noise file", path=args.noise)
         # The scan covers the plan's cells, one input pulse each.
-        if plan.storage.n_temporal != 1:
+        if plan.n_temporal != 1:
             raise ConfigError(f"cross-talk scans use a single input pulse "
-                              f"per trial; got n_temporal="
-                              f"{plan.storage.n_temporal}", path=args.plan)
+                              f"per trial; got n_temporal={plan.n_temporal}",
+                              path=args.plan)
         missing = [c for c in plan.cell_order if c not in leak.cell_ids]
         if missing:
             raise ConfigError(f"[leakage] has no row for plan cells "
                               f"{missing}", path=args.noise)
+    check_plan(plan)  # timing violations first, as validate reports them
+    for cell in plan.cell_order:
+        try:
+            check_calibration_span(device.cell(cell), plan.tau)
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} of {args.device}",
+                              path=args.plan) from None
+
+    if args.mode == "crosstalk":
         result = run_crosstalk_scan(device, leak, noise, plan,
                                     n_trials=args.trials, seed=args.seed)
     else:
@@ -276,10 +275,12 @@ def cmd_analyze(args) -> int:
                           "for mode ordering and network projections")
     plan, device = _load_plan_and_device(args)
     noise = _read_noise_run(args.noise)
+    modes = plan.modes
+    for run, path in ((signal, args.signal), (noise, args.noise)):
+        ModeSetMismatch.check(modes, run.counts, sides=("plan", "counts"),
+                              path=path)
 
     stats = per_mode_stats(signal, noise, args.snr_definition)
-    modes = plan.modes
-    ModeSetMismatch.check(modes, stats, sides=(f"plan {args.plan}", "counts"))
 
     # Running sums over the plan's mode order.  Poisson errors add in
     # quadrature, so the error series are running sums of variances.
@@ -309,7 +310,7 @@ def cmd_analyze(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -138,39 +138,18 @@ class ArrayDevice:
         raise ConfigError(f"no cell with id {cell_id} (have {list(self.cell_ids)})")
 
 
-@dataclass(frozen=True)
-class StorageConfig:
-    """One storage configuration: AFC delay, spin-wave time, mode count and
-    the single-photon-level input parameters."""
-
-    tau: float                 # us, AFC two-level delay
-    t_spin: float              # us, spin-wave storage time
-    n_temporal: int            # temporal modes per cell
-    mean_photon_number: float  # calibrated after the multiplexer
-    input_shape: PulseShape
-    detection_window: float    # ns
-    eta_herald: float = 0.7
-    g2_source: float = 100.0
-
-    def __post_init__(self):
-        if not 0 < self.tau < math.inf:
-            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
-        if not 0 <= self.t_spin < math.inf:
-            raise ConfigError(f"t_spin must be finite and >= 0, got {self.t_spin}")
-        if self.n_temporal < 1:
-            raise ConfigError(f"n_temporal must be >= 1, got {self.n_temporal}")
-        for name in ("mean_photon_number", "detection_window"):
-            if not 0 < (v := getattr(self, name)) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive, "
-                                  f"got {v}")
-        _check_fraction("eta_herald", self.eta_herald)
-        if not 1 <= self.g2_source < math.inf:
-            raise ConfigError(f"g2_source must be finite and >= 1, "
-                              f"got {self.g2_source}")
-
-
 # --------------------------------------------------------------------------
 # efficiency arithmetic
+
+
+def check_calibration_span(cell: CellParams, tau: float) -> None:
+    """Refuse a storage time ``tau`` (us) more than a factor of two outside
+    the cell's calibration span."""
+    lo, hi = cell.afc_calibration[0][0], cell.afc_calibration[-1][0]
+    if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
+        raise ConfigError(
+            f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
+            f"outside the calibration span [{lo}, {hi}] us")
 
 
 def afc_efficiency_at(cell: CellParams, tau: float) -> float:
@@ -185,11 +164,8 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
     for t, eta in table:
         if tau == t:
             return eta
+    check_calibration_span(cell, tau)
     lo, hi = table[0][0], table[-1][0]
-    if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
-        raise ConfigError(
-            f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
-            f"outside the calibration span [{lo}, {hi}] us")
     if tau < lo or tau > hi:
         log.warning(
             "cell %d: extrapolating AFC efficiency to tau=%g us outside the "

@@ -43,6 +43,13 @@ class CompilationError(Exception):
         super().__init__(f"plan is infeasible: {lines}")
 
 
+def _listing(modes: tuple) -> str:
+    """The modes as a list; past ten, their count and the first ten."""
+    if len(modes) <= 10:
+        return str(list(modes))
+    return f"{len(modes)} modes, first 10: {list(modes[:10])}"
+
+
 class ModeSetMismatch(Exception):
     """Two count tables, or a count table and its plan, do not cover the
     same spatio-temporal modes.
@@ -53,13 +60,13 @@ class ModeSetMismatch(Exception):
     """
 
     def __init__(self, missing_in_signal, missing_in_noise,
-                 sides=("signal run", "noise run")):
+                 sides=("signal run", "noise run"), path=None):
         self.missing_in_signal = tuple(sorted(missing_in_signal))
         self.missing_in_noise = tuple(sorted(missing_in_noise))
         self.sides = tuple(sides)
-        self.path = None
-        parts = [f"missing in {side}: {list(missing)}" for side, missing in
-                 zip(sides, (self.missing_in_signal, self.missing_in_noise))
+        self.path = path
+        parts = [f"missing in {side}: {_listing(missing)}" for side, missing
+                 in zip(sides, (self.missing_in_signal, self.missing_in_noise))
                  if missing]
         super().__init__("mode sets differ: " + "; ".join(parts))
 
@@ -68,7 +75,8 @@ class ModeSetMismatch(Exception):
         return msg if self.path is None else f"{self.path}: {msg}"
 
     @classmethod
-    def check(cls, first, second, sides=("signal run", "noise run")) -> None:
+    def check(cls, first, second, sides=("signal run", "noise run"),
+              path=None) -> None:
         """Raise unless ``first`` and ``second`` hold the same keys."""
         if (a := set(first)) != (b := set(second)):
-            raise cls(b - a, a - b, sides)
+            raise cls(b - a, a - b, sides, path)

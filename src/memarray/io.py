@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
-from .device import ArrayDevice, CellParams, PulseKind, PulseShape, StorageConfig
+from .device import ArrayDevice, CellParams, PulseKind, PulseShape
 from .errors import ConfigError
 from .sequence import SequencePlan, Timeline
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
@@ -224,16 +224,14 @@ def load_plan(path) -> SequencePlan:
         extra = set(sections) - {"plan"}
         if extra:
             raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
-        sec.check_keys(_PLAN_KEYS, {"tau_us", "t_spin_us", "n_temporal",
-                                    "cell_order", "mean_photon_number",
-                                    "detection_window_ns", "input_shape",
-                                    "input_fwhm_ns"})
+        sec.check_keys(_PLAN_KEYS, _PLAN_KEYS - {
+            "mode_period_us", "capture_override", "eta_herald", "g2_source"})
         shape = PulseShape(
             sec.value("input_shape", lambda v: PulseKind(v.strip().lower()),
                       f"one of {[k.value for k in PulseKind]}"),
             fwhm=sec.float("input_fwhm_ns"),
             capture_override=sec.float("capture_override"))
-        storage = StorageConfig(
+        return SequencePlan(
             tau=sec.float("tau_us"),
             t_spin=sec.float("t_spin_us"),
             n_temporal=sec.int("n_temporal"),
@@ -242,9 +240,6 @@ def load_plan(path) -> SequencePlan:
             detection_window=sec.float("detection_window_ns"),
             eta_herald=sec.float("eta_herald", 0.7),
             g2_source=sec.float("g2_source", 100.0),
-        )
-        return SequencePlan(
-            storage=storage,
             cell_order=tuple(sec.value("cell_order", _ints,
                                        "comma-separated integers")),
             mode_period=sec.float("mode_period_us"))

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .device import StorageConfig
+from .device import PulseShape, _check_fraction
 from .errors import CompilationError, ConfigError
 
 _TOL = 1e-9  # timing comparisons tolerate this many microseconds of slack
@@ -94,18 +94,43 @@ class TimelineEvent:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """A storage plan: what to store, where, and with what spacing.
+    """A storage plan, one field per key of a plan file's [plan] section:
+    the AFC delay and spin-wave time, the temporal modes per cell and the
+    cells to fill, and the single-photon-level input parameters.
 
-    ``mode_period`` of None means "fill the available span": the period
-    defaults to (tau - CONTROL_PULSE_US) / n_temporal.  The deflector
-    timings are the module constants, not part of the plan.
+    Times are in us, except the detection window and the input pulse's
+    FWHM, which are in ns.  ``mode_period`` of None means "fill the
+    available span": the period defaults to (tau - CONTROL_PULSE_US) /
+    n_temporal.  The deflector timings are the module constants, not part
+    of the plan.
     """
 
-    storage: StorageConfig
+    tau: float                 # AFC two-level delay
+    t_spin: float              # spin-wave storage time
+    n_temporal: int            # temporal modes per cell
+    mean_photon_number: float  # calibrated after the multiplexer
+    input_shape: PulseShape
+    detection_window: float    # ns
     cell_order: tuple[int, ...]
     mode_period: float | None = None
+    eta_herald: float = 0.7
+    g2_source: float = 100.0
 
     def __post_init__(self):
+        if not 0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and positive, got {self.tau}")
+        if not 0 <= self.t_spin < math.inf:
+            raise ConfigError(f"t_spin must be finite and >= 0, got {self.t_spin}")
+        if self.n_temporal < 1:
+            raise ConfigError(f"n_temporal must be >= 1, got {self.n_temporal}")
+        for name in ("mean_photon_number", "detection_window"):
+            if not 0 < (v := getattr(self, name)) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, "
+                                  f"got {v}")
+        _check_fraction("eta_herald", self.eta_herald)
+        if not 1 <= self.g2_source < math.inf:
+            raise ConfigError(f"g2_source must be finite and >= 1, "
+                              f"got {self.g2_source}")
         object.__setattr__(self, "cell_order", tuple(self.cell_order))
         if not self.cell_order:
             raise ConfigError("cell_order must name at least one cell")
@@ -122,7 +147,7 @@ class SequencePlan:
     def modes(self) -> tuple[tuple[int, int], ...]:
         """(cell, k) for each cell of cell_order and k in 1..n_temporal: the
         mode order of counts, expected means and cumulative series."""
-        ks = range(1, self.storage.n_temporal + 1)
+        ks = range(1, self.n_temporal + 1)
         return tuple((cell, k) for cell in self.cell_order for k in ks)
 
     def resolved_mode_period(self) -> float:
@@ -130,20 +155,20 @@ class SequencePlan:
         no room for the control pulse within tau is a CompilationError."""
         if self.mode_period is not None:
             return self.mode_period
-        span = self.storage.tau - CONTROL_PULSE_US
+        span = self.tau - CONTROL_PULSE_US
         if span <= 0:
-            raise CompilationError([_pulse_exceeds_tau(self.storage.tau)])
-        return span / self.storage.n_temporal
+            raise CompilationError([_pulse_exceeds_tau(self.tau)])
+        return span / self.n_temporal
 
     @property
     def input_duration(self) -> float:
         """Input pulse duration in us (FWHM is stored in ns)."""
-        return self.storage.input_shape.fwhm * 1e-3
+        return self.input_shape.fwhm * 1e-3
 
     @property
     def window_duration(self) -> float:
         """Detection window duration in us."""
-        return self.storage.detection_window * 1e-3
+        return self.detection_window * 1e-3
 
 
 def max_temporal_modes(tau: float, mode_period: float) -> int:
@@ -180,22 +205,20 @@ def control_gap(plan: SequencePlan, temporal_index: int) -> float:
     the control pulse, so this gap sets how much control-induced
     fluorescence each window sees.
     """
-    cfg = plan.storage
-    if not 1 <= temporal_index <= cfg.n_temporal:
-        raise ConfigError(f"temporal_index must be in 1..{cfg.n_temporal}, "
+    if not 1 <= temporal_index <= plan.n_temporal:
+        raise ConfigError(f"temporal_index must be in 1..{plan.n_temporal}, "
                           f"got {temporal_index}")
     p = plan.resolved_mode_period()
-    return (cfg.tau - CONTROL_PULSE_US - plan.input_duration
-            - (cfg.n_temporal - temporal_index) * p)
+    return (plan.tau - CONTROL_PULSE_US - plan.input_duration
+            - (plan.n_temporal - temporal_index) * p)
 
 
 def _block_spacing(plan: SequencePlan, period: float) -> float:
     """Smallest start-to-start offset between consecutive cell blocks that
     satisfies every same-channel switching constraint."""
-    cfg = plan.storage
-    span_in = (cfg.n_temporal - 1) * period
+    span_in = (plan.n_temporal - 1) * period
     mux = span_in + plan.input_duration + SWITCH_MUX_US
-    control = cfg.t_spin + CONTROL_PULSE_US + SWITCH_CONTROL_US
+    control = plan.t_spin + CONTROL_PULSE_US + SWITCH_CONTROL_US
     demux = span_in + plan.window_duration + SWITCH_DEMUX_US
     return max(mux, control, demux)
 
@@ -212,20 +235,19 @@ def check_plan(plan: SequencePlan) -> float:
     plan without ``mode_period`` whose tau holds no control pulse has no
     period to check the others against, so it fails on that rule alone.
     """
-    cfg = plan.storage
     cp = CONTROL_PULSE_US
     period = plan.resolved_mode_period()
     dur_in = plan.input_duration
     w = plan.window_duration
 
     problems: list[str] = []
-    capacity = max_temporal_modes(cfg.tau, period)
-    if cp >= cfg.tau:
-        problems.append(_pulse_exceeds_tau(cfg.tau))
-    elif cfg.n_temporal > capacity:
+    capacity = max_temporal_modes(plan.tau, period)
+    if cp >= plan.tau:
+        problems.append(_pulse_exceeds_tau(plan.tau))
+    elif plan.n_temporal > capacity:
         problems.append(
-            f"{cfg.n_temporal} temporal modes exceed the capacity of "
-            f"{capacity} for tau={cfg.tau} us, period={period:g} us, "
+            f"{plan.n_temporal} temporal modes exceed the capacity of "
+            f"{capacity} for tau={plan.tau} us, period={period:g} us, "
             f"control pulse={cp} us")
     if dur_in > period + _TOL:
         problems.append(f"input pulse ({dur_in:g} us) is longer than the "
@@ -233,16 +255,16 @@ def check_plan(plan: SequencePlan) -> float:
     if w > period + _TOL:
         problems.append(f"detection window ({w:g} us) is longer than the "
                         f"mode period ({period:g} us)")
-    if cfg.t_spin < cp - _TOL:
-        problems.append(f"spin pause ({cfg.t_spin} us) is shorter than one "
+    if plan.t_spin < cp - _TOL:
+        problems.append(f"spin pause ({plan.t_spin} us) is shorter than one "
                         f"control pulse ({cp} us); the two control pulses "
                         f"would overlap")
     # Last input plus the first control pulse must clear the echo delay.
-    lead = (cfg.n_temporal - 1) * period + dur_in + cp
-    if lead > cfg.tau + _TOL:
+    lead = (plan.n_temporal - 1) * period + dur_in + cp
+    if lead > plan.tau + _TOL:
         problems.append(
             f"last input plus control pulse end at {lead:g} us after the "
-            f"first input, beyond the echo delay tau={cfg.tau} us")
+            f"first input, beyond the echo delay tau={plan.tau} us")
     if problems:
         raise CompilationError(problems)
     return period
@@ -258,7 +280,6 @@ def compile_plan(plan: SequencePlan) -> Timeline:
     Raises CompilationError listing every rule of ``check_plan`` it breaks.
     """
     period = check_plan(plan)
-    cfg = plan.storage
     cp = CONTROL_PULSE_US
     dur_in = plan.input_duration
     w = plan.window_duration
@@ -269,19 +290,19 @@ def compile_plan(plan: SequencePlan) -> Timeline:
     spacing = _block_spacing(plan, period)
     for cell in plan.cell_order:
         t0 = block_start
-        for k in range(1, cfg.n_temporal + 1):
+        for k in range(1, plan.n_temporal + 1):
             events.append(TimelineEvent(
                 EventKind.INPUT, cell, start=t0 + (k - 1) * period,
                 duration=dur_in, temporal_index=k))
-        cp1_start = t0 + (cfg.n_temporal - 1) * period + dur_in
+        cp1_start = t0 + (plan.n_temporal - 1) * period + dur_in
         events.append(TimelineEvent(EventKind.CONTROL1, cell,
                                     start=cp1_start, duration=cp))
         events.append(TimelineEvent(EventKind.CONTROL2, cell,
-                                    start=cp1_start + cfg.t_spin, duration=cp))
-        for k in range(1, cfg.n_temporal + 1):
+                                    start=cp1_start + plan.t_spin, duration=cp))
+        for k in range(1, plan.n_temporal + 1):
             events.append(TimelineEvent(
                 EventKind.ECHO_WINDOW, cell,
-                start=t0 + (k - 1) * period + cfg.tau + cfg.t_spin,
+                start=t0 + (k - 1) * period + plan.tau + plan.t_spin,
                 duration=w, temporal_index=k))
         block_start += spacing
 

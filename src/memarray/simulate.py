@@ -21,8 +21,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .device import (ArrayDevice, CellParams, StorageConfig,
-                     spin_wave_efficiency, window_capture_fraction)
+from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
+                     window_capture_fraction)
 from .errors import ConfigError
 from .sequence import SequencePlan, check_plan, control_gap
 
@@ -136,7 +136,7 @@ class TrialCounts:
 # expected means
 
 
-def expected_signal_per_mode(cell: CellParams, config: StorageConfig,
+def expected_signal_per_mode(cell: CellParams, plan: SequencePlan,
                              device: ArrayDevice) -> float:
     """Mean echo counts per detection window for one cell.
 
@@ -144,10 +144,9 @@ def expected_signal_per_mode(cell: CellParams, config: StorageConfig,
     eta_mux does not appear here: signal = n_bar * spin-wave efficiency *
     eta_demux * eta_fiber * eta_detection_path * window capture fraction.
     """
-    capture = window_capture_fraction(config.input_shape,
-                                      config.detection_window)
-    return (config.mean_photon_number
-            * spin_wave_efficiency(cell, config.tau)
+    capture = window_capture_fraction(plan.input_shape, plan.detection_window)
+    return (plan.mean_photon_number
+            * spin_wave_efficiency(cell, plan.tau)
             * cell.eta_demux
             * cell.eta_fiber
             * device.eta_detection_path
@@ -175,7 +174,7 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
     check_plan(plan)
     window_seconds = plan.window_duration * 1e-6
     noise_k = []
-    for k in range(1, plan.storage.n_temporal + 1):
+    for k in range(1, plan.n_temporal + 1):
         # check_plan's lead rule keeps every gap above -1e-9 us (its timing
         # slack): a window never opens before its control pulse has ended.
         dt = control_gap(plan, k)
@@ -183,7 +182,7 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
                        + noise.fluorescence_amplitude
                        * math.exp(-dt / noise.fluorescence_decay)
                        + noise.dark_rate * window_seconds)
-    echo = {c: expected_signal_per_mode(device.cell(c), plan.storage, device)
+    echo = {c: expected_signal_per_mode(device.cell(c), plan, device)
             for c in plan.cell_order}
     modes = plan.modes
     return ModeExpectations(
@@ -264,9 +263,9 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
-    if plan.storage.n_temporal != 1:
+    if plan.n_temporal != 1:
         raise ConfigError(f"cross-talk scans use a single input pulse per "
-                          f"trial; got n_temporal={plan.storage.n_temporal}")
+                          f"trial; got n_temporal={plan.n_temporal}")
     cells = sorted(plan.cell_order, key=leak._index)
     exp = mode_expectations(device, plan, noise)
 

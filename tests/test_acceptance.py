@@ -25,7 +25,7 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
-from memarray.device import PulseKind, PulseShape, StorageConfig
+from memarray.device import PulseKind, PulseShape
 from memarray.io import (
     file_sha256,
     load_device,
@@ -98,11 +98,11 @@ def test_criterion_2_projection_chain():
 def test_criterion_3_mode_capacity():
     for plan, capacity, total in ((PLAN_60, 6, 60), (PLAN_250, 25, 250)):
         period = plan.resolved_mode_period()
-        assert max_temporal_modes(plan.storage.tau, period) == capacity
+        assert max_temporal_modes(plan.tau, period) == capacity
         timeline = compile_plan(plan)
         echoes = [e for e in timeline.events
                   if e.kind is EventKind.ECHO_WINDOW]
-        assert plan.storage.n_temporal == capacity
+        assert plan.n_temporal == capacity
         assert len(echoes) == total
         assert len(plan.modes) == total
     print("criterion 3: PASS — capacities 6 and 25, mode totals 60 and 250")
@@ -177,15 +177,15 @@ def _random_plan(rng):
     n_temporal = int(rng.integers(1, max_modes + 1))
     n_cells = int(rng.integers(1, 11))
     cells = tuple(int(c) for c in rng.permutation(np.arange(1, 11))[:n_cells])
-    config = StorageConfig(
+    return SequencePlan(
         tau=tau,
         t_spin=float(rng.uniform(3.5, 25.0)),
         n_temporal=n_temporal,
         mean_photon_number=float(rng.uniform(0.5, 1.5)),
         input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=300.0),
         detection_window=300.0,
+        cell_order=cells,
     )
-    return SequencePlan(storage=config, cell_order=cells)
 
 
 def test_criterion_6_structural_properties():
@@ -201,7 +201,6 @@ def test_criterion_6_structural_properties():
     worst_resid = 0.0
     for index in range(n_plans):
         plan = _random_plan(rng)
-        cfg = plan.storage
         timeline = compile_plan(plan)
 
         # retrieval is first-in first-out within every cell block
@@ -210,19 +209,19 @@ def test_criterion_6_structural_properties():
                              if e.kind is EventKind.ECHO_WINDOW
                              and e.cell_id == cell), key=lambda e: e.start)
             assert [e.temporal_index for e in echoes] == \
-                list(range(1, cfg.n_temporal + 1))
+                list(range(1, plan.n_temporal + 1))
 
         assert pairwise_validate(timeline) == []
 
         exp = mode_expectations(DEVICE, plan, loud)
         assert_noise_matches_timeline(plan, timeline, loud, exp)
         for cell in plan.cell_order:
-            assert exp.noise[(cell, 1)] >= exp.noise[(cell, cfg.n_temporal)]
+            assert exp.noise[(cell, 1)] >= exp.noise[(cell, plan.n_temporal)]
 
         # every cell block contributes the same expected noise, so the
         # cumulative expectation is exactly linear from block to block
         block_sums = [sum(exp.noise[(cell, k)]
-                          for k in range(1, cfg.n_temporal + 1))
+                          for k in range(1, plan.n_temporal + 1))
                       for cell in plan.cell_order]
         assert max(block_sums) - min(block_sums) <= 1e-12 * max(block_sums)
 

@@ -21,7 +21,7 @@ from memarray.analysis import (
     project_cells,
     rescale_signal,
 )
-from memarray.device import ArrayDevice, CellParams, PulseKind, PulseShape, StorageConfig
+from memarray.device import ArrayDevice, CellParams, PulseKind, PulseShape
 from memarray.errors import ConfigError, ModeSetMismatch
 from memarray.sequence import SequencePlan
 from memarray.simulate import RunKind, TrialCounts
@@ -175,12 +175,11 @@ def projection_fixture():
                       afc_calibration=((10.0, 0.0955), (25.0, 0.040)))
     device = ArrayDevice(cells=(cell,), eta_detection_path=0.14,
                          dark_count_rate=15.0)
-    cfg = StorageConfig(tau=10.0, t_spin=15.5, n_temporal=2,
+    plan = SequencePlan(tau=10.0, t_spin=15.5, n_temporal=2,
                         mean_photon_number=1.03,
                         input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
-                        detection_window=351.0, eta_herald=0.7,
-                        g2_source=100.0)
-    plan = SequencePlan(storage=cfg, cell_order=(1,))
+                        detection_window=351.0, cell_order=(1,),
+                        eta_herald=0.7, g2_source=100.0)
     return device, plan
 
 

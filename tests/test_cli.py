@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, artifacts, reproducibility."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -18,6 +19,7 @@ from memarray.io import (
     load_plan,
     read_counts_csv,
 )
+from memarray.sequence import SequencePlan
 from memarray.simulate import RunKind, run_trials
 
 
@@ -147,7 +149,10 @@ class TestRun:
         assert manifest["outputs"]["counts_signal.csv"] == file_sha256(counts)
         assert manifest["seed"] == 4 and manifest["trials"] == 20
         assert manifest["engine"] == "poisson-total"
-        assert manifest["resolved"]["plan"]["storage"]["tau"] == 10.0
+        plan = manifest["resolved"]["plan"]
+        assert plan["tau"] == 10.0
+        # One flat record: one key per field of SequencePlan.
+        assert set(plan) == {f.name for f in dataclasses.fields(SequencePlan)}
         assert "duration_seconds" in manifest
 
     def test_reruns_are_byte_identical(self, tmp_path, small_plan):
@@ -170,6 +175,28 @@ class TestRun:
         assert code == 2
         assert "--trials" in capsys.readouterr().err
         assert not (tmp_path / "counts_signal.csv").exists()
+
+    @pytest.mark.parametrize("mode, plan, noise", [
+        ("signal", "60mode", "storage"), ("noise", "60mode", "storage"),
+        ("crosstalk", "crosstalk", "crosstalk")])
+    def test_tau_beyond_calibration_span_names_the_plan(self, tmp_path, capsys,
+                                                        mode, plan, noise):
+        # The shipped device is calibrated over 10-25 us, so 60 us lies more
+        # than twice beyond it.  The timing rules still hold, and validate,
+        # which reads no calibration, passes the plan.
+        p = tmp_path / "far.ini"
+        p.write_text(default_plan_path(plan).read_text().replace(
+            "tau_us = 10.0", "tau_us = 60.0"))
+        assert run_cli("validate", "--plan", str(p)) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = run_cli("run", "--plan", str(p), "--noise", noise,
+                       "--mode", mode, "--trials", "10", "--out-dir", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: cell 1: tau=60.0 us is more than 2.0x outside the "
+            f"calibration span [10.0, 25.0] us of {default_device_path()}\n")
+        assert not out.exists()
 
     def test_seed_changes_bytes(self, tmp_path, small_plan):
         noise = tmp_path / "noise.ini"
@@ -443,15 +470,23 @@ class TestAnalyze:
         assert code == 1
         assert "(3, 1)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("run_plan, plan, missing", [
-        ("250mode", "60mode", "missing in plan {}: [(1, 7), "),
-        ("60mode", "250mode", "missing in counts: [(1, 7), "),
-    ], ids=["more-modes", "fewer-modes"])
-    def test_plan_of_another_size_exits_one(self, tmp_path, capsys, run_plan,
-                                            plan, missing):
+    @pytest.mark.parametrize("signal_plan, noise_plan, plan, at_fault, missing", [
+        ("250mode", "250mode", "60mode", "signal",
+         "missing in plan: 190 modes, first 10: [(1, 7), "),
+        ("60mode", "60mode", "250mode", "signal",
+         "missing in counts: 190 modes, first 10: [(1, 7), "),
+        ("60mode", "250mode", "60mode", "noise",
+         "missing in plan: 190 modes, first 10: [(1, 7), (1, 8), (1, 9), "
+         "(1, 10), (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16)]\n"),
+    ], ids=["more-modes", "fewer-modes", "mixed-sizes"])
+    def test_plan_of_another_size_exits_one(self, tmp_path, capsys,
+                                            signal_plan, noise_plan, plan,
+                                            at_fault, missing):
         # Both runs must cover exactly the plan's modes (10 cells x 6 or
-        # x 25 temporal modes here), not only a subset or a superset.
-        for mode in ("signal", "noise"):
+        # x 25 temporal modes here), not only a subset or a superset.  Each
+        # run is checked against the plan, the signal run first; the error
+        # names the file at fault and cuts the list of 190 modes short.
+        for mode, run_plan in (("signal", signal_plan), ("noise", noise_plan)):
             assert run_cli("run", "--plan", run_plan, "--noise", "storage",
                            "--trials", "50", "--mode", mode,
                            "--out-dir", str(tmp_path)) == 0
@@ -463,9 +498,10 @@ class TestAnalyze:
                        "--out-dir", str(out))
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: mode sets differ: " + missing.format(
-            default_plan_path(plan)))
+        assert err.startswith(f"error: {tmp_path / f'counts_{at_fault}.csv'}: "
+                              f"mode sets differ: {missing}")
         assert err.count("missing in") == 1
+        assert len(err.encode()) < 300
         assert not out.exists()
 
     def test_signal_analysis_requires_plan(self, tmp_path, small_plan, capsys):
@@ -527,7 +563,8 @@ class TestAnalyze:
         err = capsys.readouterr().err
         if plan == "60mode":  # six windows per cell instead of one
             assert err.startswith(f"error: {noise_csv}: mode sets differ: "
-                                  f"missing in scan cells: [(1, 2), ")
+                                  f"missing in scan cells: 50 modes, first "
+                                  f"10: [(1, 2), ")
         else:
             assert err == (f"error: {noise_csv}: mode sets differ: "
                            f"missing in noise run: [(3, 1)]\n")

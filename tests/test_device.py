@@ -17,7 +17,6 @@ from memarray.device import (
     CellParams,
     PulseKind,
     PulseShape,
-    StorageConfig,
     afc_efficiency_at,
     spin_wave_efficiency,
     window_capture_fraction,
@@ -25,6 +24,7 @@ from memarray.device import (
 from memarray.defaults import default_device_path
 from memarray.errors import ConfigError
 from memarray.io import load_device
+from memarray.sequence import SequencePlan
 
 
 def total_device_efficiency(cell, tau):
@@ -211,6 +211,11 @@ class TestWindowCapture:
             PulseShape(PulseKind.GAUSSIAN, fwhm=351.0, capture_override=0.5)
 
 
+PLAN_KW = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
+               input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+               detection_window=351.0, cell_order=(1,))
+
+
 class TestValidation:
     def test_fraction_bounds_enforced(self):
         with pytest.raises(ConfigError):
@@ -222,14 +227,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             PulseShape(PulseKind.GAUSSIAN, fwhm=0.0)
 
+    # The storage values of a plan are checked by SequencePlan itself.
     def test_storage_config_bounds(self):
-        shape = PulseShape(PulseKind.GAUSSIAN, 351.0)
         with pytest.raises(ConfigError):
-            StorageConfig(tau=0.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
-                          input_shape=shape, detection_window=351.0)
+            SequencePlan(**{**PLAN_KW, "tau": 0.0})
         with pytest.raises(ConfigError):
-            StorageConfig(tau=10.0, t_spin=15.5, n_temporal=0, mean_photon_number=1.0,
-                          input_shape=shape, detection_window=351.0)
+            SequencePlan(**{**PLAN_KW, "n_temporal": 0})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_pulse_fwhm_must_be_finite(self, value):
@@ -240,12 +243,8 @@ class TestValidation:
     @pytest.mark.parametrize("name", ["mean_photon_number",
                                       "detection_window", "g2_source"])
     def test_storage_values_must_be_finite(self, name, value):
-        kw = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
-                  input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
-                  detection_window=351.0)
-        kw[name] = value
         with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
-            StorageConfig(**kw)
+            SequencePlan(**{**PLAN_KW, name: value})
 
     @pytest.mark.parametrize("calibration", [
         ((math.nan, 0.1), (25.0, 0.04)),
@@ -268,12 +267,8 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["tau", "t_spin"])
     def test_storage_times_must_be_finite(self, name, value):
-        kw = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
-                  input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
-                  detection_window=351.0)
-        kw[name] = value
         with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
-            StorageConfig(**kw)
+            SequencePlan(**{**PLAN_KW, name: value})
 
 
 class TestDefaultDevice:

@@ -1,5 +1,6 @@
 """Config parsing, CSV round-trip and manifest tests."""
 
+import dataclasses
 import hashlib
 import math
 from pathlib import Path
@@ -25,7 +26,7 @@ from memarray.io import (
     write_manifest,
     write_timeline_csv,
 )
-from memarray.sequence import SequencePlan, compile_plan
+from memarray.sequence import compile_plan
 from memarray.simulate import NoiseParams, RunKind, TrialCounts
 
 
@@ -93,20 +94,19 @@ class TestLoadDevice:
 class TestLoadPlan:
     def test_shipped_sixty_mode(self):
         plan = load_plan(default_plan_path("60mode"))
-        cfg = plan.storage
-        assert cfg.tau == 10.0 and cfg.t_spin == 15.5
-        assert cfg.n_temporal == 6
+        assert plan.tau == 10.0 and plan.t_spin == 15.5
+        assert plan.n_temporal == 6
         assert plan.cell_order == tuple(range(1, 11))
-        assert cfg.input_shape.kind is PulseKind.GAUSSIAN
-        assert cfg.input_shape.fwhm == 351.0
-        assert cfg.eta_herald == 0.7 and cfg.g2_source == 100.0
+        assert plan.input_shape.kind is PulseKind.GAUSSIAN
+        assert plan.input_shape.fwhm == 351.0
+        assert plan.eta_herald == 0.7 and plan.g2_source == 100.0
         assert plan.mode_period is None  # compiler fills the comb window
 
     def test_shipped_crosstalk_plan_overrides_capture(self):
         plan = load_plan(default_plan_path("crosstalk"))
-        assert plan.storage.n_temporal == 1
-        assert plan.storage.input_shape.capture_override == 0.57
-        assert plan.storage.mean_photon_number == 0.95
+        assert plan.n_temporal == 1
+        assert plan.input_shape.capture_override == 0.57
+        assert plan.mean_photon_number == 0.95
 
     def test_bad_shape_rejected(self, tmp_path):
         p = tmp_path / "plan.ini"
@@ -279,16 +279,16 @@ class TestGrammar:
 
     def test_colon_delimiter(self, tmp_path):
         plan = load_plan(self.write(tmp_path, "tau_us = 10.0", "tau_us: 25.0"))
-        assert plan.storage.tau == 25.0
+        assert plan.tau == 25.0
 
     def test_inline_comment(self, tmp_path):
         plan = load_plan(self.write(tmp_path, "n_temporal = 6",
                                     "n_temporal = 4  # four per cell"))
-        assert plan.storage.n_temporal == 4
+        assert plan.n_temporal == 4
 
     def test_upper_case_key(self, tmp_path):
         plan = load_plan(self.write(tmp_path, "t_spin_us", "T_Spin_US"))
-        assert plan.storage.t_spin == 15.5
+        assert plan.t_spin == 15.5
 
     def test_continuation_line(self, tmp_path):
         path = self.write(tmp_path, "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
@@ -307,7 +307,7 @@ class TestGrammar:
     def test_comment_and_blank_lines(self, tmp_path):
         path = self.write(tmp_path, "n_temporal = 6",
                           "\n# a comment\n   ; another\n\nn_temporal = 3")
-        assert load_plan(path).storage.n_temporal == 3
+        assert load_plan(path).n_temporal == 3
 
     def test_text_before_first_section(self, tmp_path):
         path = tmp_path / "plan.ini"
@@ -403,7 +403,7 @@ class TestCountsRoundTrip:
 class TestTimelineCsv:
     def test_event_rows(self, tmp_path):
         plan = load_plan(default_plan_path("crosstalk"))
-        single = SequencePlan(storage=plan.storage, cell_order=(1,))
+        single = dataclasses.replace(plan, cell_order=(1,))
         tl = compile_plan(single)
         path = write_timeline_csv(tmp_path / "timeline.csv", tl)
         lines = path.read_text().splitlines()
@@ -413,7 +413,7 @@ class TestTimelineCsv:
         assert any(line.startswith("DemuxAOD,EchoWindow,1,1,") for line in lines)
 
 
-MANIFEST_SHA256 = "4f68deba5e7cc9abd4fc9fee775c39c8c87ceb60064e97ddb4e58f8d99ac3568"
+MANIFEST_SHA256 = "4ed1d0155bf6f50d0ffcfa8f9ee76291e1d9751475b45e042fde361f1196c468"
 
 
 class TestManifest:

@@ -11,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memarray.device import PulseKind, PulseShape, StorageConfig
+from memarray.device import PulseKind, PulseShape
 from memarray.errors import CompilationError, ConfigError
 from memarray.sequence import (
     Channel,
@@ -36,7 +36,7 @@ def echo_windows(timeline):
     return of_kind(timeline, EventKind.ECHO_WINDOW)
 
 
-def make_config(**kw):
+def make_plan(**kw):
     args = dict(
         tau=10.0,
         t_spin=15.5,
@@ -44,13 +44,10 @@ def make_config(**kw):
         mean_photon_number=1.03,
         input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=351.0),
         detection_window=351.0,
+        cell_order=tuple(range(1, 11)),
     )
     args.update(kw)
-    return StorageConfig(**args)
-
-
-def make_plan(cells=tuple(range(1, 11)), **kw):
-    return SequencePlan(storage=make_config(**kw), cell_order=cells)
+    return SequencePlan(**args)
 
 
 PLAN_60 = make_plan()
@@ -92,23 +89,21 @@ class TestResolvedModePeriod:
                                                                rel=1e-12)
 
     def test_explicit_period_wins(self):
-        plan = SequencePlan(storage=make_config(), cell_order=(1,),
-                            mode_period=0.9)
+        plan = make_plan(cell_order=(1,), mode_period=0.9)
         assert plan.resolved_mode_period() == 0.9
 
     def test_plan_rejects_duplicate_cells(self):
         with pytest.raises(ConfigError):
-            SequencePlan(storage=make_config(), cell_order=(1, 2, 1))
+            make_plan(cell_order=(1, 2, 1))
 
     def test_plan_rejects_empty_order(self):
         with pytest.raises(ConfigError):
-            SequencePlan(storage=make_config(), cell_order=())
+            make_plan(cell_order=())
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_plan_rejects_non_finite_period(self, value):
         with pytest.raises(ConfigError, match="^mode_period must be finite"):
-            SequencePlan(storage=make_config(), cell_order=(1,),
-                         mode_period=value)
+            make_plan(cell_order=(1,), mode_period=value)
 
 
 class TestTimelineEvent:
@@ -141,7 +136,7 @@ class TestCompilePlan:
     def test_single_mode_echo_delay(self):
         # One cell, one mode: the echo window opens exactly one AFC delay
         # plus one spin pause after the input.
-        plan = make_plan(cells=(3,), n_temporal=1, t_spin=8.0)
+        plan = make_plan(cell_order=(3,), n_temporal=1, t_spin=8.0)
         tl = compile_plan(plan)
         [inp] = of_kind(tl, EventKind.INPUT)
         [win] = echo_windows(tl)
@@ -180,8 +175,7 @@ class TestCompilePlan:
 
     def test_capacity_rejection(self):
         # 7 modes at the default period of a 6-mode span: 7 > 6.
-        plan = SequencePlan(storage=make_config(n_temporal=7),
-                            cell_order=(1,), mode_period=6.5 / 6)
+        plan = make_plan(n_temporal=7, cell_order=(1,), mode_period=6.5 / 6)
         with pytest.raises(CompilationError) as err:
             compile_plan(plan)
         assert any("capacity" in v for v in err.value.violations)
@@ -189,8 +183,8 @@ class TestCompilePlan:
     def test_all_problems_reported_at_once(self):
         # Period shorter than the input pulse AND a spin pause shorter than
         # one control pulse: both must be listed, not just the first.
-        plan = SequencePlan(storage=make_config(n_temporal=6, t_spin=1.0),
-                            cell_order=(1,), mode_period=0.2)
+        plan = make_plan(n_temporal=6, t_spin=1.0, cell_order=(1,),
+                         mode_period=0.2)
         with pytest.raises(CompilationError) as err:
             compile_plan(plan)
         text = "\n".join(err.value.violations)
@@ -199,7 +193,7 @@ class TestCompilePlan:
         assert "spin pause" in text
 
     def test_temporal_index_one_based(self):
-        tl = compile_plan(make_plan(cells=(1,)))
+        tl = compile_plan(make_plan(cell_order=(1,)))
         ks = sorted(e.temporal_index for e in of_kind(tl, EventKind.INPUT))
         assert ks == [1, 2, 3, 4, 5, 6]
 
@@ -244,8 +238,7 @@ class TestCheckPlan:
     @pytest.mark.parametrize("name", list(INFEASIBLE))
     def test_raises_the_violations_of_compile_plan(self, name):
         config, period, parts = INFEASIBLE[name]
-        plan = SequencePlan(storage=make_config(**config), cell_order=(1, 2),
-                            mode_period=period)
+        plan = make_plan(**config, cell_order=(1, 2), mode_period=period)
         with pytest.raises(CompilationError) as checked:
             check_plan(plan)
         with pytest.raises(CompilationError) as compiled:
@@ -257,8 +250,7 @@ class TestCheckPlan:
 
     def test_every_rule_messages(self):
         config, period, _ = INFEASIBLE["every-rule"]
-        plan = SequencePlan(storage=make_config(**config), cell_order=(1,),
-                            mode_period=period)
+        plan = make_plan(**config, cell_order=(1,), mode_period=period)
         with pytest.raises(CompilationError) as err:
             check_plan(plan)
         assert list(err.value.violations) == [
@@ -277,16 +269,14 @@ class TestCheckPlan:
         # The plan only the lead rule refuses would open its echo window
         # 5e-9 us before the second control pulse ends: more than _TOL.
         config, period, _ = INFEASIBLE["lead-alone"]
-        plan = SequencePlan(storage=make_config(**config), cell_order=(1,),
-                            mode_period=period)
+        plan = make_plan(**config, cell_order=(1,), mode_period=period)
         assert control_gap(plan, 1) == pytest.approx(-5e-9, abs=1e-12)
 
     def test_returns_the_resolved_period(self):
         assert check_plan(PLAN_60) == PLAN_60.resolved_mode_period()
         assert check_plan(PLAN_250) == (25.0 - 3.5) / 25
-        assert check_plan(SequencePlan(storage=make_config(n_temporal=5),
-                                       cell_order=(1,),
-                                       mode_period=1.25)) == 1.25
+        assert check_plan(make_plan(n_temporal=5, cell_order=(1,),
+                                    mode_period=1.25)) == 1.25
 
 
 class TestControlGap:
@@ -411,8 +401,8 @@ def feasible_plans(draw):
     n_cells = draw(st.integers(1, 10))
     cells = tuple(draw(st.permutations(range(1, 11)))[:n_cells])
     t_spin = draw(st.floats(3.5, 30.0))
-    cfg = make_config(tau=tau, t_spin=t_spin, n_temporal=n_t)
-    return SequencePlan(storage=cfg, cell_order=cells, mode_period=0.86)
+    return make_plan(tau=tau, t_spin=t_spin, n_temporal=n_t,
+                     cell_order=cells, mode_period=0.86)
 
 
 class TestCompileValidateProperty:

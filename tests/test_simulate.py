@@ -8,6 +8,7 @@ checks use the gates of ``stat_gates``, each failing a correct engine with
 probability at most 1e-4 whatever the seed.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,6 @@ from memarray.device import (
     CellParams,
     PulseKind,
     PulseShape,
-    StorageConfig,
     window_capture_fraction,
 )
 from memarray.errors import CompilationError, ConfigError
@@ -67,7 +67,7 @@ def make_device(cells=None, det=0.14):
                        dark_count_rate=15.0)
 
 
-def make_config(**kw):
+def make_plan(**kw):
     args = dict(
         tau=10.0,
         t_spin=15.5,
@@ -75,9 +75,10 @@ def make_config(**kw):
         mean_photon_number=1.03,
         input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=351.0),
         detection_window=351.0,
+        cell_order=(1,),
     )
     args.update(kw)
-    return StorageConfig(**args)
+    return SequencePlan(**args)
 
 
 def total_mean(exp, key):
@@ -96,7 +97,7 @@ class TestExpectedSignal:
         # -> 1.03*0.0191*0.80*0.45*0.14*0.7609 = 7.54e-4.
         cell = make_cell()
         device = make_device((cell,))
-        got = expected_signal_per_mode(cell, make_config(), device)
+        got = expected_signal_per_mode(cell, make_plan(), device)
         capture = window_capture_fraction(
             PulseShape(PulseKind.GAUSSIAN, 351.0), 351.0)
         assert got == pytest.approx(
@@ -107,7 +108,7 @@ class TestExpectedSignal:
         # Linear in the input flux, so the signal vanishes with it.
         cell = make_cell()
         device = make_device((cell,))
-        tiny = expected_signal_per_mode(cell, make_config(
+        tiny = expected_signal_per_mode(cell, make_plan(
             mean_photon_number=1e-30), device)
         assert tiny == pytest.approx(0.0, abs=1e-30)
 
@@ -116,15 +117,13 @@ class TestExpectedSignal:
         # multiplexer, so eta_mux must not scale the expected signal.
         device_a = make_device((make_cell(eta_mux=0.90),))
         device_b = make_device((make_cell(eta_mux=0.45),))
-        cfg = make_config()
-        assert (expected_signal_per_mode(device_a.cells[0], cfg, device_a)
-                == expected_signal_per_mode(device_b.cells[0], cfg, device_b))
+        plan = make_plan()
+        assert (expected_signal_per_mode(device_a.cells[0], plan, device_a)
+                == expected_signal_per_mode(device_b.cells[0], plan, device_b))
 
 
 def single_cell_timeline(t_spin=15.5, n_temporal=6):
-    plan = SequencePlan(storage=make_config(t_spin=t_spin,
-                                            n_temporal=n_temporal),
-                        cell_order=(1,))
+    plan = make_plan(t_spin=t_spin, n_temporal=n_temporal)
     return plan, compile_plan(plan)
 
 
@@ -192,8 +191,7 @@ class TestModeExpectations:
 
     def test_block_order_and_shape(self):
         device = make_device((make_cell(1), make_cell(2)))
-        plan = SequencePlan(storage=make_config(n_temporal=3),
-                            cell_order=(2, 1))
+        plan = make_plan(n_temporal=3, cell_order=(2, 1))
         exp = mode_expectations(device, plan, QUIET)
         assert plan.modes == ((2, 1), (2, 2), (2, 3), (1, 1), (1, 2), (1, 3))
         assert list(exp.signal) == list(plan.modes)
@@ -204,7 +202,7 @@ class TestModeExpectations:
 
 class TestRunTrials:
     def test_silence_without_input_or_noise(self):
-        plan = SequencePlan(storage=make_config(), cell_order=(1,))
+        plan = make_plan()
         out = run_trials(plan, make_device(), QUIET, n_trials=500, seed=1,
                          with_input=False)
         assert out.kind is RunKind.NOISE
@@ -215,8 +213,7 @@ class TestRunTrials:
         # Single mode with expected 1e-3 counts/trial: over 1e6 trials the
         # total is Poisson(1000); the gate fails a correct engine with
         # probability <= 1e-4.
-        plan = SequencePlan(storage=make_config(n_temporal=1),
-                            cell_order=(1,))
+        plan = make_plan(n_temporal=1)
         noise = NoiseParams(base_noise_per_window=1e-3,
                             fluorescence_amplitude=0.0,
                             fluorescence_decay=2.0, dark_rate=0.0)
@@ -225,7 +222,7 @@ class TestRunTrials:
         assert poisson_gate(out.counts, {(1, 1): 1000.0}) == []
 
     def test_signal_run_mean_matches_expectation(self):
-        plan = SequencePlan(storage=make_config(), cell_order=(1,))
+        plan = make_plan()
         device = make_device()
         noise = NoiseParams(base_noise_per_window=4.3e-5,
                             fluorescence_amplitude=8e-5,
@@ -239,8 +236,7 @@ class TestRunTrials:
     def test_counts_equal_one_seeded_poisson_draw(self):
         # The engine contract, exactly: one Poisson(n * lambda) total per
         # window, drawn in block order from default_rng(seed).
-        plan = SequencePlan(storage=make_config(n_temporal=3),
-                            cell_order=(1,))
+        plan = make_plan(n_temporal=3)
         noise = NoiseParams(base_noise_per_window=0.05,
                             fluorescence_amplitude=0.02,
                             fluorescence_decay=2.0, dark_rate=15.0)
@@ -256,8 +252,7 @@ class TestRunTrials:
                                   for k, c in zip(plan.modes, want)}
 
     def test_same_seed_reruns_are_identical(self):
-        plan = SequencePlan(storage=make_config(n_temporal=4),
-                            cell_order=(1,))
+        plan = make_plan(n_temporal=4)
         noise = NoiseParams(base_noise_per_window=0.05,
                             fluorescence_amplitude=0.02,
                             fluorescence_decay=2.0, dark_rate=15.0)
@@ -266,8 +261,7 @@ class TestRunTrials:
         assert runs[0].counts == runs[1].counts
 
     def test_seed_changes_counts(self):
-        plan = SequencePlan(storage=make_config(n_temporal=4),
-                            cell_order=(1,))
+        plan = make_plan(n_temporal=4)
         noise = NoiseParams(base_noise_per_window=0.05,
                             fluorescence_amplitude=0.0,
                             fluorescence_decay=2.0, dark_rate=0.0)
@@ -278,8 +272,7 @@ class TestRunTrials:
         assert a.counts != b.counts
 
     def test_infeasible_plan_propagates(self):
-        plan = SequencePlan(storage=make_config(n_temporal=7),
-                            cell_order=(1,), mode_period=6.5 / 6)
+        plan = make_plan(n_temporal=7, mode_period=6.5 / 6)
         with pytest.raises(CompilationError):
             run_trials(plan, make_device(), QUIET, n_trials=10, seed=0)
 
@@ -288,7 +281,7 @@ class TestRunTrials:
     def test_rejects_bad_run_arguments(self, bad):
         # 1e25 trials at ~1e-3 counts per window passes the sampler's
         # ~9.2e18 limit on a window's mean.
-        plan = SequencePlan(storage=make_config(), cell_order=(1,))
+        plan = make_plan()
         noise = NoiseParams(base_noise_per_window=1e-3,
                             fluorescence_amplitude=0.0,
                             fluorescence_decay=2.0, dark_rate=0.0)
@@ -301,7 +294,7 @@ class TestRunTrials:
     def test_oversized_run_without_counts_rejected(self):
         # All-zero means put no limit on the mean, but the trial count must
         # still convert to a float.
-        plan = SequencePlan(storage=make_config(), cell_order=(1,))
+        plan = make_plan()
         with pytest.raises(ConfigError):
             run_trials(plan, make_device(), QUIET, 10 ** 400, seed=0,
                        with_input=False)
@@ -313,8 +306,7 @@ class TestRunTrials:
         # the budget is margin for the chi-square approximation: on these
         # bins, 4e6 simulated correct samples per window exceeded nominal
         # 2.5e-5 at 1.9e-5 to 2.9e-5.
-        plan = SequencePlan(storage=make_config(n_temporal=4),
-                            cell_order=(1,))
+        plan = make_plan(n_temporal=4)
         noise = NoiseParams(base_noise_per_window=2e-3,
                             fluorescence_amplitude=2e-3,
                             fluorescence_decay=2.0, dark_rate=0.0)
@@ -340,8 +332,8 @@ class TestCrossTalkScan:
     def scan_setup(self, n=3):
         cells = tuple(make_cell(i) for i in range(1, n + 1))
         device = make_device(cells)
-        plan = SequencePlan(storage=make_config(n_temporal=1, t_spin=8.0),
-                            cell_order=tuple(range(1, n + 1)))
+        plan = make_plan(n_temporal=1, t_spin=8.0,
+                         cell_order=tuple(range(1, n + 1)))
         return device, plan
 
     def test_identity_leak_zero_noise_off_diagonals_silent(self):
@@ -364,7 +356,7 @@ class TestCrossTalkScan:
         n = 10 ** 7
         scan = run_crosstalk_scan(device, identity_leak(), QUIET, plan,
                                   n_trials=n, seed=5)
-        expected = {i: n * expected_signal_per_mode(device.cell(i), plan.storage,
+        expected = {i: n * expected_signal_per_mode(device.cell(i), plan,
                                                     device)
                     for i in (1, 2, 3)}
         assert poisson_gate({i: scan.counts[(i, i)] for i in expected},
@@ -377,7 +369,7 @@ class TestCrossTalkScan:
         n = 10 ** 8
         scan = run_crosstalk_scan(device, leak, QUIET, plan,
                                   n_trials=n, seed=3)
-        lam = 0.05 * expected_signal_per_mode(device.cell(1), plan.storage, device)
+        lam = 0.05 * expected_signal_per_mode(device.cell(1), plan, device)
         assert poisson_gate({(1, 2): scan.counts[(1, 2)]},
                             {(1, 2): lam * n}) == []
 
@@ -401,7 +393,7 @@ class TestCrossTalkScan:
         leak = LeakageMatrix(cell_ids=(1, 2, 3),
                              values=((1.0, 0.05, 0.0), (0.1, 1.0, 0.0),
                                      (0.0, 0.0, 1.0)))
-        swapped = SequencePlan(storage=plan.storage, cell_order=(2, 1))
+        swapped = dataclasses.replace(plan, cell_order=(2, 1))
         scans = [run_crosstalk_scan(device, leak, QUIET, p, n_trials=1000,
                                     seed=4).counts for p in (plan, swapped)]
         assert list(scans[0]) == [(1, 1), (1, 2), (2, 1), (2, 2)]
@@ -415,8 +407,7 @@ class TestCrossTalkScan:
 
     def test_requires_single_temporal_mode(self):
         device, _ = self.scan_setup()
-        two_modes = SequencePlan(storage=make_config(n_temporal=2),
-                                 cell_order=(1,))
+        two_modes = make_plan(n_temporal=2)
         with pytest.raises(ConfigError):
             run_crosstalk_scan(device, identity_leak(), QUIET, two_modes,
                                n_trials=10, seed=0)
@@ -434,7 +425,7 @@ class TestCrossTalkScan:
         n, seed = 54321, 99
         scan = run_crosstalk_scan(device, leak, noise, plan,
                                   n_trials=n, seed=seed)
-        sig = [expected_signal_per_mode(device.cell(c), plan.storage, device)
+        sig = [expected_signal_per_mode(device.cell(c), plan, device)
                for c in (1, 2)]
         pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
         lam = np.array([leak.leak(i, j) * sig[i - 1] + 1e-4

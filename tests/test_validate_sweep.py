@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memarray.device import PulseKind, PulseShape, StorageConfig
+from memarray.device import PulseKind, PulseShape
 from memarray.errors import CompilationError, ConfigError
 from memarray.sequence import (
     EventKind,
@@ -31,16 +31,16 @@ from timeline_oracle import pairwise_validate
 def plans(draw):
     n_cells = draw(st.integers(1, 10))
     cells = tuple(draw(st.permutations(range(1, 11)))[:n_cells])
-    storage = StorageConfig(
+    return SequencePlan(
         tau=draw(st.floats(1.0, 30.0)),
         t_spin=draw(st.floats(0.0, 20.0)),
         n_temporal=draw(st.integers(1, 12)),
         mean_photon_number=1.0,
         input_shape=PulseShape(PulseKind.GAUSSIAN,
                                fwhm=draw(st.floats(10.0, 1000.0))),
-        detection_window=draw(st.floats(10.0, 1000.0)))
-    period = draw(st.one_of(st.none(), st.floats(0.05, 5.0)))
-    return SequencePlan(storage=storage, cell_order=cells, mode_period=period)
+        detection_window=draw(st.floats(10.0, 1000.0)),
+        cell_order=cells,
+        mode_period=draw(st.one_of(st.none(), st.floats(0.05, 5.0))))
 
 
 class TestCheckPlanDecidesFeasibility:

@@ -131,7 +131,7 @@ def assert_noise_matches_timeline(plan, timeline, noise, exp):
         want = expected_noise_per_mode(mode, timeline, noise)
         got = exp.noise[mode]
         assert math.isclose(got, want, rel_tol=1e-12), (mode, got, want)
-    ks = range(1, plan.storage.n_temporal + 1)
+    ks = range(1, plan.n_temporal + 1)
     vectors = {tuple(exp.noise[(cell, k)] for k in ks)
                for cell in plan.cell_order}
     assert len(vectors) == 1
