@@ -7,69 +7,9 @@ compiles them into event timelines, draws single-photon-level Poisson
 counting statistics per detection window, characterises inter-cell
 cross-talk, and projects network-level figures of merit (adjusted SNR,
 heralded g2, time-bin fidelity bound) from measured or simulated counts.
+
+The submodules are the API; import each name from the module that defines
+it.  ``import memarray`` alone loads none of them.
 """
 
-from .device import (
-    ArrayDevice,
-    CellParams,
-    PulseKind,
-    PulseShape,
-    afc_efficiency_at,
-    spin_wave_efficiency,
-    window_capture_fraction,
-)
-from .analysis import (
-    CrossTalkMatrix,
-    ModeStats,
-    NetworkProjection,
-    adjusted_snr,
-    crosstalk_matrix,
-    fidelity_bound,
-    g2_inferred,
-    per_mode_stats,
-    project_cells,
-    rescale_signal,
-)
-from .errors import CompilationError, ConfigError, ModeSetMismatch
-from .sequence import (
-    Channel,
-    EventKind,
-    SequencePlan,
-    Timeline,
-    TimelineEvent,
-    check_plan,
-    compile_plan,
-    control_gap,
-    max_temporal_modes,
-    trial_duration,
-)
-from .simulate import (
-    LeakageMatrix,
-    ModeExpectations,
-    NoiseParams,
-    RunKind,
-    TrialCounts,
-    expected_signal_per_mode,
-    mode_expectations,
-    run_crosstalk_scan,
-    run_trials,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArrayDevice", "CellParams", "PulseKind", "PulseShape",
-    "afc_efficiency_at", "spin_wave_efficiency",
-    "window_capture_fraction",
-    "ConfigError", "CompilationError", "ModeSetMismatch",
-    "Channel", "EventKind", "SequencePlan", "Timeline", "TimelineEvent",
-    "check_plan", "compile_plan", "control_gap", "max_temporal_modes",
-    "trial_duration",
-    "LeakageMatrix", "ModeExpectations", "NoiseParams", "RunKind",
-    "TrialCounts", "expected_signal_per_mode", "mode_expectations",
-    "run_crosstalk_scan", "run_trials",
-    "CrossTalkMatrix", "ModeStats", "NetworkProjection", "adjusted_snr",
-    "crosstalk_matrix", "fidelity_bound", "g2_inferred",
-    "per_mode_stats", "project_cells", "rescale_signal",
-    "__version__",
-]

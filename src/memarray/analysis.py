@@ -17,13 +17,6 @@ from .errors import ConfigError, ModeSetMismatch
 from .sequence import SequencePlan
 from .simulate import RunKind, TrialCounts
 
-__all__ = [
-    "ModeStats", "NetworkProjection", "CrossTalkMatrix",
-    "per_mode_stats", "rescale_signal", "adjusted_snr",
-    "g2_inferred", "fidelity_bound", "project_cells", "crosstalk_matrix",
-    "SNR_DEFINITIONS",
-]
-
 SNR_DEFINITIONS = ("ratio", "excess")
 
 

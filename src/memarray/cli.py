@@ -10,7 +10,8 @@ Three subcommands cover the full workflow:
             network projections, or the cross-talk matrix.
 
 Exit codes: 0 success, 1 domain violation (a plan that breaks a timing
-rule, mismatched mode sets), 2 usage or configuration-file error.
+rule, mismatched mode sets), 2 usage, configuration-file or output-path
+error.
 """
 
 from __future__ import annotations
@@ -161,12 +162,12 @@ def cmd_validate(args) -> int:
     plan, _ = _load_plan_and_device(args)
     # compile_plan raises CompilationError for every plan that check_plan
     # refuses, and lays out the ones it accepts without a timing violation.
-    timeline = compile_plan(plan)
+    events = compile_plan(plan)
     if args.timeline is not None:
-        write_timeline_csv(args.timeline, timeline)
+        write_timeline_csv(args.timeline, events)
         print(f"timeline written to {args.timeline}")
-    print(f"plan OK: {len(timeline.events)} events, "
-          f"{trial_duration(timeline):.3f} us per trial, 0 violations")
+    print(f"plan OK: {len(events)} events, "
+          f"{trial_duration(events):.3f} us per trial, 0 violations")
     return 0
 
 
@@ -325,6 +326,10 @@ def main(argv=None) -> int:
     except ModeSetMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # inputs fail as ConfigError: this is an output
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .device import ArrayDevice, CellParams, PulseKind, PulseShape
 from .errors import ConfigError
-from .sequence import SequencePlan, Timeline
+from .sequence import SequencePlan
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
 _COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
@@ -238,8 +238,8 @@ def load_plan(path) -> SequencePlan:
             mean_photon_number=sec.float("mean_photon_number"),
             input_shape=shape,
             detection_window=sec.float("detection_window_ns"),
-            eta_herald=sec.float("eta_herald", 0.7),
-            g2_source=sec.float("g2_source", 100.0),
+            eta_herald=sec.float("eta_herald", SequencePlan.eta_herald),
+            g2_source=sec.float("g2_source", SequencePlan.g2_source),
             cell_order=tuple(sec.value("cell_order", _ints,
                                        "comma-separated integers")),
             mode_period=sec.float("mode_period_us"))
@@ -435,13 +435,13 @@ def read_counts_csv(path) -> TrialCounts:
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
 
-def write_timeline_csv(path, timeline: Timeline) -> Path:
+def write_timeline_csv(path, events) -> Path:
     return _write_csv(
         path, ["channel", "kind", "cell_id", "temporal_index", "start_us",
                "duration_us"],
         ([ev.channel.value, ev.kind.value, ev.cell_id,
           "" if ev.temporal_index is None else ev.temporal_index,
-          _fmt(ev.start), _fmt(ev.duration)] for ev in timeline.events))
+          _fmt(ev.start), _fmt(ev.duration)] for ev in events))
 
 
 def write_mode_stats_csv(path, stats) -> Path:

@@ -4,11 +4,12 @@ compilation.
 All times are microseconds unless a name says otherwise.  ``check_plan``
 tests a plan's timing rules and ``control_gap`` gives each window's distance
 from its control pulse in closed form, so a run needs no timeline.  A
-compiled timeline is a flat list of events on four acousto-optic deflector
-channels.  ``compile_plan`` runs ``check_plan`` first and packs the cell
-blocks by the channels' switching times, so by construction every timeline
-it returns keeps each channel's switching time and overlaps no control
-pulse with the preparation or with its cell's echo windows.
+compiled timeline is a tuple of events, in time order, on four
+acousto-optic deflector channels.  ``compile_plan`` runs ``check_plan``
+first and packs the cell blocks by the channels' switching times, so by
+construction every timeline it returns keeps each channel's switching time
+and overlaps no control pulse with the preparation or with its cell's echo
+windows.
 """
 
 from __future__ import annotations
@@ -185,20 +186,6 @@ def max_temporal_modes(tau: float, mode_period: float) -> int:
     return max(0, math.floor(span / mode_period + _TOL))
 
 
-@dataclass(frozen=True)
-class Timeline:
-    """A compiled trial: events sorted by start time."""
-
-    events: tuple[TimelineEvent, ...]
-
-    def __post_init__(self):
-        ordered = tuple(sorted(self.events,
-                               key=lambda e: (e.start, e.channel.value,
-                                              e.cell_id,
-                                              e.temporal_index or 0)))
-        object.__setattr__(self, "events", ordered)
-
-
 def control_gap(plan: SequencePlan, temporal_index: int) -> float:
     """Time from the end of the second control pulse to the start of echo
     window ``temporal_index`` (1-based).  Early modes re-emerge sooner after
@@ -270,13 +257,14 @@ def check_plan(plan: SequencePlan) -> float:
     return period
 
 
-def compile_plan(plan: SequencePlan) -> Timeline:
-    """Lay out one full trial for ``plan``.
+def compile_plan(plan: SequencePlan) -> tuple[TimelineEvent, ...]:
+    """Lay out one full trial for ``plan``: its events in time order.
 
     Per cell block: n_temporal input pulses one mode period apart, the first
     control pulse immediately after the last input, the second one spin-pause
     later, and one echo window per input at input start + tau + t_spin.
     Blocks are packed as tightly as the per-channel switching times allow.
+    Events are sorted by start, then channel, cell and temporal index.
     Raises CompilationError listing every rule of ``check_plan`` it breaks.
     """
     period = check_plan(plan)
@@ -306,12 +294,13 @@ def compile_plan(plan: SequencePlan) -> Timeline:
                 duration=w, temporal_index=k))
         block_start += spacing
 
-    return Timeline(events=tuple(events))
+    return tuple(sorted(events, key=lambda e: (e.start, e.channel.value,
+                                               e.cell_id,
+                                               e.temporal_index or 0)))
 
 
-def trial_duration(timeline: Timeline) -> float:
+def trial_duration(events) -> float:
     """Span of one trial: end of the last event minus start of the first."""
-    if not timeline.events:
+    if not events:
         raise ConfigError("cannot take the duration of an empty timeline")
-    return (max(ev.end for ev in timeline.events)
-            - min(ev.start for ev in timeline.events))
+    return max(ev.end for ev in events) - min(ev.start for ev in events)

@@ -26,12 +26,6 @@ from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
 from .errors import ConfigError
 from .sequence import SequencePlan, check_plan, control_gap
 
-__all__ = [
-    "RunKind", "NoiseParams", "LeakageMatrix", "TrialCounts",
-    "ModeExpectations", "expected_signal_per_mode", "mode_expectations",
-    "run_trials", "run_crosstalk_scan", "ENGINE",
-]
-
 
 class RunKind(enum.Enum):
     SIGNAL = "signal"        # inputs on: windows see echo plus noise

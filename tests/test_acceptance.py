@@ -100,7 +100,7 @@ def test_criterion_3_mode_capacity():
         period = plan.resolved_mode_period()
         assert max_temporal_modes(plan.tau, period) == capacity
         timeline = compile_plan(plan)
-        echoes = [e for e in timeline.events
+        echoes = [e for e in timeline
                   if e.kind is EventKind.ECHO_WINDOW]
         assert plan.n_temporal == capacity
         assert len(echoes) == total
@@ -205,7 +205,7 @@ def test_criterion_6_structural_properties():
 
         # retrieval is first-in first-out within every cell block
         for cell in plan.cell_order:
-            echoes = sorted((e for e in timeline.events
+            echoes = sorted((e for e in timeline
                              if e.kind is EventKind.ECHO_WINDOW
                              and e.cell_id == cell), key=lambda e: e.start)
             assert [e.temporal_index for e in echoes] == \

@@ -1,11 +1,14 @@
-"""CLI checks that need a fresh interpreter.
+"""CLI and import checks that need a fresh interpreter.
 
-numpy is loaded only by the Poisson draw of ``memarray run``, and config
-files are parsed without ``configparser``.  The cold-path check first sets
-``sys.modules["numpy"]`` and ``sys.modules["configparser"]`` to None, which
-makes every import of either raise, so it fails as soon as ``import
-memarray``, ``validate`` or ``analyze`` needs one of them again.
-Diagnostics must not depend on the interpreter's string-hash seed.
+``import memarray`` loads none of its submodules, and each submodule loads
+only the ones it uses.  numpy is loaded only by the Poisson draw of
+``memarray run``, and config files are parsed without ``configparser``.
+The cold-path check first sets ``sys.modules["numpy"]`` and
+``sys.modules["configparser"]`` to None, which makes every import of either
+raise, so it fails as soon as ``import memarray``, ``validate`` or
+``analyze`` needs one of them again.
+Diagnostics must not depend on the interpreter's string-hash seed, and an
+output path that cannot be written is a one-line error, not a traceback.
 """
 
 import os
@@ -13,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import memarray
+from memarray.cli import main
 from memarray.io import read_counts_csv
 
 SRC = Path(memarray.__file__).resolve().parents[1]
@@ -81,3 +87,49 @@ def test_missing_key_diagnostic_ignores_hash_seed(tmp_path):
     assert {p.stderr for p in procs} == {
         f"error: {plan}, key 'cell_order': [plan] is missing required key "
         f"'cell_order'\n"}
+
+
+def loaded_submodules(module):
+    """The memarray submodules in ``sys.modules`` after a fresh interpreter
+    imports ``module``."""
+    proc = run_python("-c", f"import sys, {module}; print(*sorted(m for m in "
+                            f"sys.modules if m.startswith('memarray.')))")
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("memarray") == []
+
+
+def test_sequence_import_loads_only_what_it_uses():
+    assert loaded_submodules("memarray.sequence") == [
+        "memarray.device", "memarray.errors", "memarray.sequence"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["run", "--plan", "60mode", "--noise", "storage", "--trials", "10",
+      "--out-dir", "{F}"], "{F}"),
+    (["run", "--plan", "60mode", "--noise", "storage", "--trials", "10",
+      "--out-dir", "{F}/sub"], "{F}/sub"),
+    (["validate", "--plan", "60mode", "--timeline", "{tmp}/nodir/t.csv"],
+     "{tmp}/nodir/t.csv"),
+    (["analyze", "--signal", "{tmp}/counts_signal.csv",
+      "--noise", "{tmp}/counts_noise.csv", "--plan", "60mode",
+      "--device", "10cell", "--out-dir", "{F}"], "{F}"),
+], ids=["run-into-file", "run-under-file", "validate-no-dir", "analyze"])
+def test_unwritable_output_exits_two(tmp_path, argv, target):
+    for mode in ("signal", "noise"):
+        assert main(["run", "--plan", "60mode", "--noise", "storage",
+                     "--mode", mode, "--trials", "10",
+                     "--out-dir", str(tmp_path)]) == 0
+    (tmp_path / "F").write_text("")
+    names = {"tmp": tmp_path, "F": tmp_path / "F"}
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_python("-m", "memarray.cli",
+                      *(a.format(**names) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {target.format(**names)}: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before

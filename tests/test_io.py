@@ -26,7 +26,7 @@ from memarray.io import (
     write_manifest,
     write_timeline_csv,
 )
-from memarray.sequence import compile_plan
+from memarray.sequence import SequencePlan, compile_plan
 from memarray.simulate import NoiseParams, RunKind, TrialCounts
 
 
@@ -101,6 +101,17 @@ class TestLoadPlan:
         assert plan.input_shape.fwhm == 351.0
         assert plan.eta_herald == 0.7 and plan.g2_source == 100.0
         assert plan.mode_period is None  # compiler fills the comb window
+
+    def test_optional_keys_take_the_plan_defaults(self, tmp_path):
+        p = tmp_path / "plan.ini"
+        p.write_text("".join(
+            line for line in default_plan_path("60mode").read_text()
+            .splitlines(keepends=True)
+            if not line.startswith(("eta_herald", "g2_source"))))
+        plan = load_plan(p)
+        defaults = {f.name: f.default for f in dataclasses.fields(SequencePlan)}
+        assert plan.eta_herald == defaults["eta_herald"]
+        assert plan.g2_source == defaults["g2_source"]
 
     def test_shipped_crosstalk_plan_overrides_capture(self):
         plan = load_plan(default_plan_path("crosstalk"))

@@ -17,7 +17,6 @@ from memarray.sequence import (
     Channel,
     EventKind,
     SequencePlan,
-    Timeline,
     TimelineEvent,
     check_plan,
     compile_plan,
@@ -29,7 +28,7 @@ from timeline_oracle import first_event, pairwise_validate
 
 
 def of_kind(timeline, kind):
-    return [ev for ev in timeline.events if ev.kind is kind]
+    return [ev for ev in timeline if ev.kind is kind]
 
 
 def echo_windows(timeline):
@@ -192,6 +191,11 @@ class TestCompilePlan:
         assert "input pulse" in text
         assert "spin pause" in text
 
+    def test_events_in_time_order(self):
+        tl = compile_plan(PLAN_250)
+        assert isinstance(tl, tuple)
+        assert [e.start for e in tl] == sorted(e.start for e in tl)
+
     def test_temporal_index_one_based(self):
         tl = compile_plan(make_plan(cell_order=(1,)))
         ks = sorted(e.temporal_index for e in of_kind(tl, EventKind.INPUT))
@@ -309,7 +313,7 @@ class TestValidateTimeline:
         assert pairwise_validate(compile_plan(PLAN_250)) == []
 
     def test_empty_timeline_is_clean(self):
-        assert pairwise_validate(Timeline(events=())) == []
+        assert pairwise_validate(()) == []
 
     def test_switching_violation(self):
         # Two MuxAOD retargets 1.0 us apart against a 2.2 us switching time.
@@ -317,7 +321,7 @@ class TestValidateTimeline:
                           start=0.0, duration=0.3, temporal_index=1)
         b = TimelineEvent(EventKind.INPUT, 2,
                           start=1.0, duration=0.3, temporal_index=1)
-        out = pairwise_validate(Timeline(events=(a, b)))
+        out = pairwise_validate((a, b))
         assert len(out) == 1
         assert out[0].rule == "switching"
 
@@ -328,14 +332,14 @@ class TestValidateTimeline:
                           start=0.0, duration=0.3, temporal_index=1)
         b = TimelineEvent(EventKind.INPUT, 1,
                           start=1.0, duration=0.3, temporal_index=2)
-        assert pairwise_validate(Timeline(events=(a, b))) == []
+        assert pairwise_validate((a, b)) == []
 
     def test_prep_control_overlap(self):
         prep = TimelineEvent(EventKind.PREPARE, 0,
                              start=0.0, duration=5.0)
         cp = TimelineEvent(EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
-        out = pairwise_validate(Timeline(events=(prep, cp)))
+        out = pairwise_validate((prep, cp))
         assert [v.rule for v in out] == ["prep-control"]
 
     def test_echo_control_overlap_same_cell_only(self):
@@ -345,9 +349,9 @@ class TestValidateTimeline:
                                  start=12.0, duration=0.4, temporal_index=1)
         win_other = TimelineEvent(EventKind.ECHO_WINDOW, 2,
                                   start=12.0, duration=0.4, temporal_index=1)
-        same = pairwise_validate(Timeline(events=(cp, win_same)))
+        same = pairwise_validate((cp, win_same))
         assert [v.rule for v in same] == ["echo-control"]
-        other = pairwise_validate(Timeline(events=(cp, win_other)))
+        other = pairwise_validate((cp, win_other))
         assert all(v.rule != "echo-control" for v in other)
 
     def test_touching_intervals_do_not_overlap(self):
@@ -355,25 +359,25 @@ class TestValidateTimeline:
                              start=0.0, duration=2.0)
         cp = TimelineEvent(EventKind.CONTROL1, 1,
                            start=2.0, duration=3.5)
-        assert pairwise_validate(Timeline(events=(prep, cp))) == []
+        assert pairwise_validate((prep, cp)) == []
 
 
 class TestTrialDuration:
     def test_single_event(self):
         ev = TimelineEvent(EventKind.CONTROL1, 1,
                            start=0.0, duration=3.5)
-        assert trial_duration(Timeline(events=(ev,))) == 3.5
+        assert trial_duration((ev,)) == 3.5
 
     def test_two_event_span(self):
         a = TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=2.0, temporal_index=1)
         b = TimelineEvent(EventKind.INPUT, 1,
                           start=10.0, duration=2.0, temporal_index=2)
-        assert trial_duration(Timeline(events=(a, b))) == 12.0
+        assert trial_duration((a, b)) == 12.0
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ConfigError):
-            trial_duration(Timeline(events=()))
+            trial_duration(())
 
     def test_two_fifty_mode_span(self):
         # Hand-derived: blocks are spaced by the binding channel constraint,

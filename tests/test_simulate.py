@@ -31,7 +31,6 @@ from memarray.io import load_device, load_noise, load_plan
 from memarray.sequence import (
     EventKind,
     SequencePlan,
-    Timeline,
     TimelineEvent,
     compile_plan,
 )
@@ -145,7 +144,7 @@ class TestExpectedNoise:
                             start=10.0, duration=3.5)
         win = TimelineEvent(EventKind.ECHO_WINDOW, 1,
                             start=13.5, duration=0.351, temporal_index=1)
-        tl = Timeline(events=(cp2, win))
+        tl = (cp2, win)
         noise = NoiseParams(base_noise_per_window=2e-5,
                             fluorescence_amplitude=6e-5,
                             fluorescence_decay=2.0, dark_rate=15.0)

@@ -56,7 +56,7 @@ class TestCheckPlanDecidesFeasibility:
         else:
             timeline = compile_plan(plan)
             assert pairwise_validate(timeline) == []
-            first_input = min(e.start for e in timeline.events
+            first_input = min(e.start for e in timeline
                               if e.kind is EventKind.INPUT)
             assert first_input == PREP_US + SWITCH_MUX_US
 

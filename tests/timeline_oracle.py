@@ -51,8 +51,8 @@ def _overlaps(a, b):
     return hi - lo > _TOL  # touching intervals do not overlap
 
 
-def pairwise_validate(timeline):
-    """Every broken rule among all pairs of ``timeline``'s events, in
+def pairwise_validate(events):
+    """Every broken rule among all pairs of a timeline's ``events``, in
     timeline order.
 
     Rules:
@@ -62,7 +62,6 @@ def pairwise_validate(timeline):
       echo-control - an echo window must never overlap a control pulse on
                      the same cell.
     """
-    events = timeline.events
     out = []
     for i, a in enumerate(events):
         for b in events[i + 1:]:
@@ -94,7 +93,7 @@ def pairwise_validate(timeline):
 def first_event(timeline, kind, cell_id, temporal_index=None):
     """The earliest ``kind`` event on ``cell_id`` (with ``temporal_index``,
     when given), by a scan of the events in timeline order."""
-    for ev in timeline.events:
+    for ev in timeline:
         if (ev.kind is kind and ev.cell_id == cell_id
                 and temporal_index in (None, ev.temporal_index)):
             return ev
