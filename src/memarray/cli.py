@@ -42,6 +42,7 @@ from .device import check_calibration_span
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
     file_sha256,
+    input_digests,
     load_device,
     load_noise,
     load_plan,
@@ -173,9 +174,10 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    plan, device = _load_plan_and_device(args)
-    noise, leak = load_noise(args.noise,
-                             default_dark_rate=device.dark_count_rate)
+    with input_digests() as digests:  # of the bytes each loader parsed
+        plan, device = _load_plan_and_device(args)
+        noise, leak = load_noise(args.noise,
+                                 default_dark_rate=device.dark_count_rate)
 
     if args.mode == "crosstalk":
         if leak is None:
@@ -210,25 +212,29 @@ def cmd_run(args) -> int:
     counts_path = write_counts_csv(args.out_dir / f"counts_{args.mode}.csv",
                                    result)
     manifest_path = args.out_dir / f"manifest_{args.mode}.json"
-    write_manifest(manifest_path, {
-        "tool": "memarray",
-        "version": __version__,
-        "command": "run",
-        "mode": args.mode,
-        "seed": args.seed,
-        "trials": args.trials,
-        "engine": ENGINE,
-        "inputs": {
-            "plan": {"path": args.plan, "sha256": file_sha256(args.plan)},
-            "device": {"path": args.device,
-                       "sha256": file_sha256(args.device)},
-            "noise": {"path": args.noise, "sha256": file_sha256(args.noise)},
-        },
-        "resolved": {"plan": plan, "device": device, "noise": noise,
-                     "leakage": leak},
-        "outputs": {counts_path.name: file_sha256(counts_path)},
-        "duration_seconds": round(time.monotonic() - started, 3),
-    })
+    try:
+        write_manifest(manifest_path, {
+            "tool": "memarray",
+            "version": __version__,
+            "command": "run",
+            "mode": args.mode,
+            "seed": args.seed,
+            "trials": args.trials,
+            "engine": ENGINE,
+            "inputs": {
+                "plan": {"path": args.plan, "sha256": digests[args.plan]},
+                "device": {"path": args.device,
+                           "sha256": digests[args.device]},
+                "noise": {"path": args.noise, "sha256": digests[args.noise]},
+            },
+            "resolved": {"plan": plan, "device": device, "noise": noise,
+                         "leakage": leak},
+            "outputs": {counts_path.name: file_sha256(counts_path)},
+            "duration_seconds": round(time.monotonic() - started, 3),
+        })
+    except OSError:  # a counts file without its manifest traces to nothing
+        counts_path.unlink(missing_ok=True)
+        raise
     print(f"wrote {counts_path} ({len(result.counts)} rows) and "
           f"{manifest_path}")
     return 0

@@ -8,15 +8,15 @@ to describe other hardware.
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 PLANS = ("60mode", "250mode", "crosstalk")
 NOISE_MODELS = ("storage", "crosstalk")
+_DATA = Path(__file__).parent / "data"  # shipped with the package
 
 
 def data_path(name: str) -> Path:
-    path = Path(str(resources.files("memarray").joinpath("data", name)))
+    path = _DATA / name
     if not path.exists():
         raise FileNotFoundError(f"packaged data file missing: {name}")
     return path

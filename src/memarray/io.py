@@ -3,6 +3,11 @@
 Config files are INI-style structured text.  Parsing is strict: unknown keys
 are rejected, and diagnostics carry the file, key and line number so the CLI
 can point at the offending entry.
+
+A loader called inside ``input_digests()`` records the sha256 of the bytes
+it parsed, so a run manifest hashes what the run read, not a second read of
+a file that may have changed since.  A manifest whose write fails leaves no
+partial file behind.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Callable
 
@@ -24,6 +30,8 @@ from .sequence import SequencePlan
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
 _COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
+# The dict of the innermost ``input_digests()`` block, if any.
+_DIGESTS: ContextVar[dict | None] = ContextVar("input_digests", default=None)
 
 
 # --------------------------------------------------------------------------
@@ -45,13 +53,31 @@ def _reading(path: Path):
                           path=path) from exc
 
 
+@contextmanager
+def input_digests():
+    """Record the sha256 of each config file parsed in the block.
+
+    Yields a dict that maps the ``Path`` of every file a loader parses in
+    the block to the hex digest of the bytes it parsed.
+    """
+    digests: dict[Path, str] = {}
+    token = _DIGESTS.set(digests)
+    try:
+        yield digests
+    finally:
+        _DIGESTS.reset(token)
+
+
 def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     """Parse an INI file in one pass: ``[name]`` headers, ``key = value`` or
     ``key: value`` lines, ``#``/``;`` comments and indented lines that
     continue a value.  Syntax errors name the file and the line."""
     path = Path(path)
     with _reading(path):
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    if (digests := _DIGESTS.get()) is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
     sections: dict[str, _Section] = {}
     sec = key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -507,30 +533,93 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _jsonable(obj):
-    # Most nodes of a manifest are numbers and strings: return them before
-    # any other test.  An exact type check, so that enum members that are
-    # also str or int still become their values.
-    if type(obj) in (str, int, float) or obj is None:
-        return obj
+# Manifest JSON is written by one walk over the payload that converts
+# dataclasses (to their fields), enums (to their values) and paths (to str)
+# as it goes.  The text is what ``json.dumps(..., indent=2, sort_keys=True)``
+# writes for the converted payload: dict keys become ``str(key)`` (a later
+# key that collides keeps the first one's place and takes its value), and
+# floats are spelled as by ``repr``, with NaN, Infinity and -Infinity.
+
+_escape = json.encoder.encode_basestring_ascii  # json.dumps's string writer
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+# Looked up by exact type, so that enum members that are also str or int
+# still become their values.
+_SCALAR_TEXT = {
+    str: _escape,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_scalar_text = _SCALAR_TEXT.get
+
+
+def _json(obj, pad: str) -> str:
+    """The JSON text of ``obj``, its inner lines indented by ``pad``."""
+    if (text := _scalar_text(type(obj))) is not None:
+        return text(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
+        return _json_object({f.name: getattr(obj, f.name)
+                             for f in dataclasses.fields(obj)}, pad)
     if isinstance(obj, enum.Enum):
-        return obj.value
+        return _json(obj.value, pad)
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return _json_object({str(k): v for k, v in obj.items()}, pad)
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return _json_array(obj, pad)
     if isinstance(obj, Path):
-        return str(obj)
-    return obj
+        return _escape(str(obj))
+    for base in (str, int, float):  # other subclasses, as json.dumps does
+        if isinstance(obj, base):
+            return _SCALAR_TEXT[base](obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    f"serializable")
+
+
+def _json_object(members: dict[str, object], pad: str) -> str:
+    if not members:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + inner + (",\n" + inner).join([
+        _escape(k) + ": " + (text(v) if (text := _scalar_text(type(v)))
+                             else _json(v, inner))
+        for k, v in sorted(members.items())]) + "\n" + pad + "}"
+
+
+def _json_array(items, pad: str) -> str:
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if set(map(type, items)) == {float}:  # a matrix row, say
+        body = sep.join(map(float.__repr__, items))
+        if "n" in body:  # nan or inf: no finite repr has an "n"
+            body = sep.join(map(_float_text, items))
+    else:
+        body = sep.join([text(v) if (text := _scalar_text(type(v)))
+                         else _json(v, inner) for v in items])
+    return "[\n" + inner + body + "\n" + pad + "]"
 
 
 def write_manifest(path, payload: dict) -> Path:
+    """Write ``payload`` as indented JSON with sorted keys; a write that
+    fails once the file is open removes the file before re-raising."""
     path = Path(path)
-    path.write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True)
-                    + "\n")
+    text = _json(payload, "") + "\n"
+    fh = path.open("w")
+    try:
+        with fh:
+            fh.write(text)
+    except OSError:
+        path.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -3,9 +3,12 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 
 import pytest
 
+import memarray.cli
+import memarray.io
 from memarray.cli import main
 from memarray.defaults import (
     default_device_path,
@@ -287,6 +290,16 @@ class TestRun:
                        "--trials", "10", "--out-dir", str(out)) == 1
         assert not out.exists()
 
+    def test_unwritable_manifest_leaves_no_counts_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "manifest_signal.json").mkdir(parents=True)
+        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--trials", "10", "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest_signal.json" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["manifest_signal.json"]
+
     def test_crosstalk_needs_leakage(self, tmp_path, capsys):
         code = run_cli("run", "--plan", "crosstalk", "--noise", "storage",
                        "--mode", "crosstalk", "--trials", "10",
@@ -345,6 +358,68 @@ class TestRun:
             f"single input pulse per trial; got n_temporal=6\n")
 
 
+class TestManifestHashes:
+    """A run manifest records the sha256 of each input file as the run
+    parsed it, and of the counts file it wrote."""
+
+    def _check(self, out, mode, inputs):
+        manifest = json.loads((out / f"manifest_{mode}.json").read_text())
+        assert {k: v["path"] for k, v in manifest["inputs"].items()} == {
+            k: str(p) for k, p in inputs.items()}
+        for name, entry in manifest["inputs"].items():
+            assert entry["sha256"] == file_sha256(inputs[name]), name
+        counts = (out / f"counts_{mode}.csv").read_bytes()
+        assert manifest["outputs"] == {
+            f"counts_{mode}.csv": hashlib.sha256(counts).hexdigest()}
+
+    def test_packaged_names(self, tmp_path):
+        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        self._check(tmp_path, "signal", {
+            "plan": default_plan_path("60mode"),
+            "device": default_device_path(),
+            "noise": default_noise_path("storage")})
+
+    def test_explicit_paths(self, tmp_path, small_plan):
+        noise = tmp_path / "noise.ini"
+        noise.write_text(HIGH_NOISE)
+        device = shutil.copy(default_device_path(), tmp_path / "device.ini")
+        assert run_cli("run", "--plan", str(small_plan), "--noise", str(noise),
+                       "--device", str(device), "--mode", "noise",
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        self._check(tmp_path, "noise", {"plan": small_plan, "device": device,
+                                        "noise": noise})
+
+    def test_crosstalk_noise_file(self, tmp_path):
+        assert run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
+                       "--mode", "crosstalk", "--trials", "10",
+                       "--out-dir", str(tmp_path)) == 0
+        self._check(tmp_path, "crosstalk", {
+            "plan": default_plan_path("crosstalk"),
+            "device": default_device_path(),
+            "noise": default_noise_path("crosstalk")})
+
+    def test_file_changed_after_parse_keeps_the_parsed_hash(
+            self, tmp_path, small_plan, monkeypatch):
+        noise = tmp_path / "noise.ini"
+        noise.write_text(HIGH_NOISE)
+        parsed = file_sha256(noise)
+        load_noise_once = memarray.cli.load_noise
+
+        def load_then_edit(path, **kwargs):
+            result = load_noise_once(path, **kwargs)
+            with open(path, "a") as fh:
+                fh.write("# edited after the run read it\n")
+            return result
+
+        monkeypatch.setattr(memarray.cli, "load_noise", load_then_edit)
+        assert run_cli("run", "--plan", str(small_plan), "--noise", str(noise),
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        manifest = json.loads((tmp_path / "manifest_signal.json").read_text())
+        assert manifest["inputs"]["noise"]["sha256"] == parsed
+        assert file_sha256(noise) != parsed
+
+
 class TestRepeatedCalls:
     """Scripts, tests and benchmarks call ``main(argv)`` many times in one
     process; no call may see the arguments or the outcome of another."""
@@ -360,6 +435,15 @@ class TestRepeatedCalls:
         seeds = [json.loads((tmp_path / d / "manifest_signal.json")
                             .read_text())["seed"] for d in ("a", "b")]
         assert seeds == [7, 0]
+
+    def test_no_digest_recording_outlives_a_call(self, tmp_path, capsys):
+        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        assert memarray.io._DIGESTS.get() is None
+        assert run_cli("run", "--plan", "60mode", "--noise",
+                       str(tmp_path / "missing.ini"), "--trials", "10",
+                       "--out-dir", str(tmp_path)) == 2
+        assert memarray.io._DIGESTS.get() is None
 
     def test_usage_error_then_valid_call(self, capsys):
         assert run_cli("validate") == 2  # --plan is required

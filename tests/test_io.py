@@ -1,13 +1,19 @@
 """Config parsing, CSV round-trip and manifest tests."""
 
 import dataclasses
+import enum
 import hashlib
 import math
+from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from manifest_oracle import manifest_text
 from memarray.defaults import (
+    PLANS,
+    data_path,
     default_device_path,
     default_noise_path,
     default_plan_path,
@@ -17,6 +23,7 @@ from memarray.errors import ConfigError
 from memarray.io import (
     COUNTS_HEADER,
     file_sha256,
+    input_digests,
     load_device,
     load_noise,
     load_plan,
@@ -43,6 +50,53 @@ eta_fiber = 0.5
 eta_transfer = 0.25
 afc_calibration = 10:0.15, 25:0.05
 """
+
+
+class TestDataPath:
+    NAMES = (["device_10cell.ini"] + [f"plan_{p}.ini" for p in PLANS]
+             + ["noise_storage.ini", "noise_crosstalk.ini"])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_same_path_as_the_package_resource(self, name):
+        resource = resources.files("memarray").joinpath("data", name)
+        assert data_path(name) == Path(str(resource))
+
+    def test_missing_file_named(self):
+        with pytest.raises(FileNotFoundError,
+                           match="packaged data file missing: nope.ini"):
+            data_path("nope.ini")
+
+
+class TestInputDigests:
+    def test_each_parsed_file_recorded(self):
+        paths = [default_plan_path("crosstalk"), default_device_path(),
+                 default_noise_path("crosstalk")]
+        with input_digests() as digests:
+            load_plan(paths[0])
+            load_device(str(paths[1]))  # keyed by Path either way
+            load_noise(paths[2])
+        assert digests == {p: file_sha256(p) for p in paths}
+
+    def test_digest_is_of_the_parsed_bytes(self, tmp_path):
+        p = tmp_path / "device.ini"
+        p.write_bytes(DEVICE_SNIPPET.replace("\n", "\r\n").encode())
+        with input_digests() as digests:
+            device = load_device(p)
+        assert device.eta_detection_path == 0.14  # CRLF parses as LF
+        assert digests[p] == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_nothing_recorded_outside_the_block(self, tmp_path):
+        p = tmp_path / "device.ini"
+        p.write_text(DEVICE_SNIPPET)
+        with input_digests() as digests:
+            pass
+        load_device(p)
+        assert digests == {}
+
+    def test_unreadable_file_not_recorded(self, tmp_path):
+        with input_digests() as digests, pytest.raises(ConfigError):
+            load_plan(tmp_path / "missing.ini")
+        assert digests == {}
 
 
 class TestLoadDevice:
@@ -474,8 +528,93 @@ class TestManifest:
         assert data.endswith(b"}\n")
         assert hashlib.sha256(data).hexdigest() == MANIFEST_SHA256
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device that refuses every write")
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.symlink_to("/dev/full")  # opens, then fails to write
+        with pytest.raises(OSError):
+            write_manifest(path, {"text": "x" * 100_000})
+        assert not path.is_symlink() and not path.exists()
+
     def test_invalid_json_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             read_manifest(p)
+
+
+# ------------------------------------------------------------------------
+# write_manifest against json.dumps of the converted payload
+
+
+class _Word(str, enum.Enum):
+    PLAIN = "plain"
+    ACCENT = "caf\u00e9"
+
+
+class _Level(enum.Enum):
+    LOW = 1
+    HIGH = -7
+
+
+class _Rank(enum.IntEnum):
+    FIRST = 1
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    label: object
+    value: object
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
+_AWKWARD_TEXT = ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
+                 "caf\u00e9", "\u2028", "\U0001f600", ""]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
+    st.text(max_size=6), st.sampled_from(_AWKWARD_TEXT),
+    st.sampled_from([*_Word, *_Level, *_Rank]),
+    st.text(max_size=6).map(Path),
+    st.one_of(st.text(max_size=4).map(_Name), st.integers().map(_Count),
+              st.sampled_from(_SPECIAL_FLOATS).map(_Real)))
+# Keys that collide after str(): 1 and "1", (1, 2) and "(1, 2)", ...
+_KEYS = st.one_of(
+    st.sampled_from([1, "1", (1, 2), "(1, 2)", None, "None", 1.5, "1.5",
+                     _Word.PLAIN, "plain", (), "()"]),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.text(max_size=4), st.sampled_from(_AWKWARD_TEXT))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), max_size=5),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.builds(_Record, inner, inner)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(payload=st.dictionaries(_KEYS, _VALUES, max_size=6))
+@example(payload={"empty": [[], (), {}, [[]], {"a": {}}]})
+@example(payload={"floats": _SPECIAL_FLOATS, "one": [math.nan],
+                  "mixed": [1, 1.0, True, None, "1"]})
+@example(payload={1: "int", "1": "str", (1, 2): "tuple", "(1, 2)": "text"})
+def test_manifest_matches_json_dumps(tmp_path_factory, payload):
+    path = write_manifest(tmp_path_factory.getbasetemp() / "manifest.json",
+                          payload)
+    assert path.read_bytes() == manifest_text(payload).encode()
