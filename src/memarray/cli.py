@@ -41,6 +41,7 @@ from .defaults import (
 from .device import check_calibration_span
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
+    all_or_none,
     file_sha256,
     input_digests,
     load_device,
@@ -209,10 +210,12 @@ def cmd_run(args) -> int:
                             with_input=(args.mode == "signal"))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    counts_path = write_counts_csv(args.out_dir / f"counts_{args.mode}.csv",
-                                   result)
     manifest_path = args.out_dir / f"manifest_{args.mode}.json"
-    try:
+    # A counts file without its manifest traces to nothing.
+    with all_or_none() as written:
+        counts_path = write_counts_csv(
+            args.out_dir / f"counts_{args.mode}.csv", result)
+        written.append(counts_path)
         write_manifest(manifest_path, {
             "tool": "memarray",
             "version": __version__,
@@ -232,9 +235,6 @@ def cmd_run(args) -> int:
             "outputs": {counts_path.name: file_sha256(counts_path)},
             "duration_seconds": round(time.monotonic() - started, 3),
         })
-    except OSError:  # a counts file without its manifest traces to nothing
-        counts_path.unlink(missing_ok=True)
-        raise
     print(f"wrote {counts_path} ({len(result.counts)} rows) and "
           f"{manifest_path}")
     return 0
@@ -300,12 +300,14 @@ def cmd_analyze(args) -> int:
     projections = project_cells(signal, noise, device, plan)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [
-        write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),
-        write_cumulative_csv(args.out_dir / "cumulative.csv", modes,
-                             cum_s, cum_s_err, cum_b, cum_b_err),
-        write_projections_csv(args.out_dir / "projections.csv", projections),
-    ]
+    with all_or_none() as paths:
+        paths.append(write_mode_stats_csv(args.out_dir / "mode_stats.csv",
+                                          stats))
+        paths.append(write_cumulative_csv(args.out_dir / "cumulative.csv",
+                                          modes, cum_s, cum_s_err, cum_b,
+                                          cum_b_err))
+        paths.append(write_projections_csv(args.out_dir / "projections.csv",
+                                           projections))
     finite = [s.snr for s in stats.values() if math.isfinite(s.snr)]
     mean_snr = sum(finite) / len(finite) if finite else float("inf")
     print(f"{len(modes)} modes: cumulative signal {cum_s[-1]:.4g}, "

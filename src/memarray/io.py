@@ -6,8 +6,8 @@ can point at the offending entry.
 
 A loader called inside ``input_digests()`` records the sha256 of the bytes
 it parsed, so a run manifest hashes what the run read, not a second read of
-a file that may have changed since.  A manifest whose write fails leaves no
-partial file behind.
+a file that may have changed since.  A table or manifest whose write fails
+leaves no partial file behind.
 """
 
 from __future__ import annotations
@@ -356,22 +356,51 @@ def load_noise(path, default_dark_rate: float | None = None,
 
 
 # --------------------------------------------------------------------------
-# CSV emission (all writers pin the line terminator so output bytes are
-# platform-independent and reproducible)
+# CSV emission.  Each writer declares a ``%`` row format: ``%.10g`` for a
+# float, which spells every float, nan, inf, -inf and -0.0 included, as
+# ``format(x, ".10g")`` does, and ``%s`` for a value written as
+# ``str(value)``.  Every field is a number, an empty string or a fixed name
+# without commas, quotes or newlines, so none needs CSV quoting.  Lines end
+# in "\n" on every platform and each file is written in one call, so
+# identical tables give identical bytes.
 
 
-def _write_csv(path, header, rows) -> Path:
-    """Write ``header`` and then each of ``rows`` to ``path`` as CSV."""
+def _write_text(path, text: str) -> Path:
+    """Write ``text`` to ``path`` in one call, its newlines untranslated; a
+    write that fails once the file is open removes the file before
+    re-raising, with the path as the error's filename."""
     path = Path(path)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+    fh = path.open("w", newline="")
+    try:
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        path.unlink(missing_ok=True)
+        if exc.filename is None:  # a failed write or flush names no file
+            exc.filename = str(path)
+        raise
     return path
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".10g")  # also writes nan, inf and -inf
+def _write_table(path, columns, row_format: str, rows) -> Path:
+    """Write the ``columns`` header and then one line of
+    ``row_format % row`` for each tuple of ``rows``."""
+    row_format += "\n"
+    return _write_text(path, ",".join(columns) + "\n"
+                       + "".join([row_format % row for row in rows]))
+
+
+@contextmanager
+def all_or_none():
+    """Yield a list for the paths that the block writes; if the block
+    raises OSError, remove each of them before re-raising."""
+    paths: list[Path] = []
+    try:
+        yield paths
+    except OSError:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
 
 
 COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
@@ -386,13 +415,16 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
     temporal index k; a scan's (input, output) key is written at temporal
     index 1.
     """
-    scan = result.kind is RunKind.CROSSTALK
-    rows = []
-    for a, b in sorted(result.counts):
-        i, j, k = (a, b, 1) if scan else (a, a, b)
-        rows.append([result.kind.value, i, j, k, result.counts[(a, b)],
-                     result.n_trials])
-    return _write_csv(path, COUNTS_HEADER, rows)
+    kind, n = result.kind.value, result.n_trials
+    windows = sorted(result.counts.items())  # unique keys: no count compared
+    if result.kind is RunKind.CROSSTALK:
+        rows = [(kind, a, b, 1, c, n) for (a, b), c in windows]
+    else:
+        rows = [(kind, a, a, b, c, n) for (a, b), c in windows]
+    return _write_table(path, COUNTS_HEADER, "%s,%s,%s,%s,%s,%s", rows)
+
+
+_RUN_KINDS = {kind.value: kind for kind in RunKind}
 
 
 def read_counts_csv(path) -> TrialCounts:
@@ -425,8 +457,8 @@ def read_counts_csv(path) -> TrialCounts:
                                   f"{len(row)})", path=path, line=lineno)
             try:
                 i, j, k, total, n = map(int, row[1:])
-                row_kind = RunKind(row[0])
-            except ValueError as exc:
+                row_kind = _RUN_KINDS[row[0]]
+            except (ValueError, KeyError) as exc:
                 raise ConfigError(f"bad counts row: {row}", path=path,
                                   line=lineno) from exc
             if kind is None:
@@ -462,62 +494,67 @@ def read_counts_csv(path) -> TrialCounts:
 
 
 def write_timeline_csv(path, events) -> Path:
-    return _write_csv(
+    return _write_table(
         path, ["channel", "kind", "cell_id", "temporal_index", "start_us",
-               "duration_us"],
-        ([ev.channel.value, ev.kind.value, ev.cell_id,
+               "duration_us"], "%s,%s,%s,%s,%.10g,%.10g",
+        [(ev.channel.value, ev.kind.value, ev.cell_id,
           "" if ev.temporal_index is None else ev.temporal_index,
-          _fmt(ev.start), _fmt(ev.duration)] for ev in events))
+          ev.start, ev.duration) for ev in events])
 
 
 def write_mode_stats_csv(path, stats) -> Path:
     """stats: mapping (spatial_mode, temporal_index) -> ModeStats."""
-    return _write_csv(
+    return _write_table(
         path, ["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
                "c_noise", "c_noise_err", "snr", "snr_err"],
-        ([cell, k, _fmt(s.c_signal), _fmt(s.err_signal), _fmt(s.c_noise),
-          _fmt(s.err_noise), _fmt(s.snr), _fmt(s.snr_err)]
-         for (cell, k), s in sorted(stats.items())))
+        "%s,%s" + ",%.10g" * 6,
+        [(cell, k, s.c_signal, s.err_signal, s.c_noise, s.err_noise, s.snr,
+          s.snr_err) for (cell, k), s in sorted(stats.items())])
 
 
 def write_cumulative_csv(path, modes, cum_signal, cum_signal_err,
                          cum_noise, cum_noise_err) -> Path:
-    return _write_csv(
+    return _write_table(
         path, ["mode_number", "spatial_mode", "temporal_index",
                "c_signal_cum", "c_signal_cum_err",
                "c_noise_cum", "c_noise_cum_err"],
-        ([n, cell, k, _fmt(cs), _fmt(cse), _fmt(cb), _fmt(cbe)]
+        "%s,%s,%s" + ",%.10g" * 4,
+        [(n, cell, k, cs, cse, cb, cbe)
          for n, ((cell, k), cs, cse, cb, cbe) in enumerate(
              zip(modes, cum_signal, cum_signal_err, cum_noise, cum_noise_err),
-             start=1)))
+             start=1)])
 
 
 def write_projections_csv(path, projections) -> Path:
-    return _write_csv(
+    return _write_table(
         path, ["spatial_mode", "c_signal_rescaled", "c_signal_rescaled_err",
                "snr_adjusted", "snr_adjusted_err", "g2", "g2_err",
                "fidelity", "fidelity_err"],
-        ([p.cell_id, _fmt(p.c_signal_rescaled), _fmt(p.err_rescaled),
-          _fmt(p.snr_adjusted), _fmt(p.snr_adjusted_err),
-          _fmt(p.g2_inferred), _fmt(p.g2_err),
-          _fmt(p.fidelity), _fmt(p.fidelity_err)] for p in projections))
+        "%s" + ",%.10g" * 8,
+        [(p.cell_id, p.c_signal_rescaled, p.err_rescaled, p.snr_adjusted,
+          p.snr_adjusted_err, p.g2_inferred, p.g2_err, p.fidelity,
+          p.fidelity_err) for p in projections])
 
 
 def write_crosstalk_csvs(matrix_path, err_path, summary_path, xtalk) -> list[Path]:
-    """Write the cross-talk ratio matrix, its error matrix and a summary."""
+    """Write the cross-talk ratio matrix, its error matrix and a summary;
+    if a write fails, none of the three files is left behind."""
     ids = xtalk.cell_ids
     header = ["input_cell"] + [str(j) for j in ids]
-    paths = [_write_csv(path, header, ([cid] + [_fmt(v) for v in row]
-                                       for cid, row in zip(ids, table)))
-             for path, table in ((matrix_path, xtalk.c),
-                                 (err_path, xtalk.c_err))]
-    summary = [["mean_offdiagonal", "", _fmt(xtalk.mean_offdiagonal)]]
-    summary += [["noise_contribution", cid, _fmt(xtalk.noise_contribution[cid])]
+    row_format = "%s" + ",%.10g" * len(ids)
+    summary = [("mean_offdiagonal", "", "%.10g" % xtalk.mean_offdiagonal)]
+    summary += [("noise_contribution", cid,
+                 "%.10g" % xtalk.noise_contribution[cid])
                 for cid in ids
                 if cid in xtalk.noise_contribution]  # absent for invalid rows
-    summary += [["invalid_row", cid, ""] for cid in xtalk.invalid_rows]
-    paths.append(_write_csv(summary_path, ["quantity", "cell", "value"],
-                            summary))
+    summary += [("invalid_row", cid, "") for cid in xtalk.invalid_rows]
+    with all_or_none() as paths:
+        for path, table in ((matrix_path, xtalk.c), (err_path, xtalk.c_err)):
+            paths.append(_write_table(
+                path, header, row_format,
+                [(cid, *row) for cid, row in zip(ids, table)]))
+        paths.append(_write_table(summary_path, ["quantity", "cell", "value"],
+                                  "%s,%s,%s", summary))
     return paths
 
 
@@ -611,16 +648,7 @@ def _json_array(items, pad: str) -> str:
 def write_manifest(path, payload: dict) -> Path:
     """Write ``payload`` as indented JSON with sorted keys; a write that
     fails once the file is open removes the file before re-raising."""
-    path = Path(path)
-    text = _json(payload, "") + "\n"
-    fh = path.open("w")
-    try:
-        with fh:
-            fh.write(text)
-    except OSError:
-        path.unlink(missing_ok=True)
-        raise
-    return path
+    return _write_text(path, _json(payload, "") + "\n")
 
 
 def read_manifest(path) -> dict:

@@ -1,0 +1,90 @@
+"""The CSV tables as ``csv.writer`` writes them.
+
+``memarray.io`` writes each table as one string built from a ``%`` row
+format per writer.  The functions here build the same rows field by field,
+floats through ``format(x, ".10g")`` and every row through ``csv.writer``
+with "\\n" line ends; each writer must give the same bytes for every input.
+"""
+
+import csv
+import io
+
+from memarray.simulate import RunKind
+
+
+def _fmt(x: float) -> str:
+    return format(x, ".10g")  # also writes nan, inf and -inf
+
+
+def _csv(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def counts_bytes(result) -> bytes:
+    scan = result.kind is RunKind.CROSSTALK
+    rows = []
+    for a, b in sorted(result.counts):
+        i, j, k = (a, b, 1) if scan else (a, a, b)
+        rows.append([result.kind.value, i, j, k, result.counts[(a, b)],
+                     result.n_trials])
+    return _csv(["run_kind", "input_cell", "output_cell", "temporal_index",
+                 "total_counts", "n_trials"], rows)
+
+
+def timeline_bytes(events) -> bytes:
+    return _csv(
+        ["channel", "kind", "cell_id", "temporal_index", "start_us",
+         "duration_us"],
+        ([ev.channel.value, ev.kind.value, ev.cell_id,
+          "" if ev.temporal_index is None else ev.temporal_index,
+          _fmt(ev.start), _fmt(ev.duration)] for ev in events))
+
+
+def mode_stats_bytes(stats) -> bytes:
+    return _csv(
+        ["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
+         "c_noise", "c_noise_err", "snr", "snr_err"],
+        ([cell, k, _fmt(s.c_signal), _fmt(s.err_signal), _fmt(s.c_noise),
+          _fmt(s.err_noise), _fmt(s.snr), _fmt(s.snr_err)]
+         for (cell, k), s in sorted(stats.items())))
+
+
+def cumulative_bytes(modes, cum_signal, cum_signal_err, cum_noise,
+                     cum_noise_err) -> bytes:
+    return _csv(
+        ["mode_number", "spatial_mode", "temporal_index",
+         "c_signal_cum", "c_signal_cum_err", "c_noise_cum", "c_noise_cum_err"],
+        ([n, cell, k, _fmt(cs), _fmt(cse), _fmt(cb), _fmt(cbe)]
+         for n, ((cell, k), cs, cse, cb, cbe) in enumerate(
+             zip(modes, cum_signal, cum_signal_err, cum_noise, cum_noise_err),
+             start=1)))
+
+
+def projections_bytes(projections) -> bytes:
+    return _csv(
+        ["spatial_mode", "c_signal_rescaled", "c_signal_rescaled_err",
+         "snr_adjusted", "snr_adjusted_err", "g2", "g2_err",
+         "fidelity", "fidelity_err"],
+        ([p.cell_id, _fmt(p.c_signal_rescaled), _fmt(p.err_rescaled),
+          _fmt(p.snr_adjusted), _fmt(p.snr_adjusted_err),
+          _fmt(p.g2_inferred), _fmt(p.g2_err),
+          _fmt(p.fidelity), _fmt(p.fidelity_err)] for p in projections))
+
+
+def crosstalk_bytes(xtalk) -> list[bytes]:
+    """The matrix, error-matrix and summary files, in that order."""
+    ids = xtalk.cell_ids
+    header = ["input_cell"] + [str(j) for j in ids]
+    files = [_csv(header, ([cid] + [_fmt(v) for v in row]
+                           for cid, row in zip(ids, table)))
+             for table in (xtalk.c, xtalk.c_err)]
+    summary = [["mean_offdiagonal", "", _fmt(xtalk.mean_offdiagonal)]]
+    summary += [["noise_contribution", cid, _fmt(xtalk.noise_contribution[cid])]
+                for cid in ids if cid in xtalk.noise_contribution]
+    summary += [["invalid_row", cid, ""] for cid in xtalk.invalid_rows]
+    files.append(_csv(["quantity", "cell", "value"], summary))
+    return files

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -537,6 +538,46 @@ class TestAnalyze:
                        "--plan", str(small_plan), "--device", "10cell",
                        "--out-dir", str(out)) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocker", ["directory", "full device"])
+    def test_failed_write_leaves_no_stats_files(self, tmp_path, small_plan,
+                                                capsys, blocker):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        capsys.readouterr()
+        out = tmp_path / "stats"
+        out.mkdir()
+        last = out / "projections.csv"  # the last of the three
+        if blocker == "directory":  # refused at open
+            last.mkdir()
+        elif Path("/dev/full").exists():  # opens, then fails to write
+            last.symlink_to("/dev/full")
+        else:
+            pytest.skip("needs a device that refuses every write")
+        assert run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {last}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == (
+            ["projections.csv"] if blocker == "directory" else [])
+
+    def test_failed_scan_write_leaves_no_matrix_files(self, tmp_path, capsys):
+        for mode, seed in (("crosstalk", "6"), ("noise", "7")):
+            assert run_cli("run", "--plan", "crosstalk", "--noise",
+                           "crosstalk", "--mode", mode, "--trials", "2000",
+                           "--seed", seed, "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "xt"
+        (out / "crosstalk_summary.csv").mkdir(parents=True)  # the last one
+        assert run_cli("analyze",
+                       "--signal", str(tmp_path / "counts_crosstalk.csv"),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "crosstalk_summary.csv" in err and "Traceback" not in err
+        assert [p.name for p in out.iterdir()] == ["crosstalk_summary.csv"]
 
     def test_mode_set_mismatch_exits_one(self, tmp_path, small_plan, capsys):
         sig, _ = self.make_runs(tmp_path, small_plan)

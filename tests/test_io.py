@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import csv_oracle
 from manifest_oracle import manifest_text
+from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
 from memarray.defaults import (
     PLANS,
     data_path,
@@ -30,10 +32,19 @@ from memarray.io import (
     read_counts_csv,
     read_manifest,
     write_counts_csv,
+    write_crosstalk_csvs,
+    write_cumulative_csv,
     write_manifest,
+    write_mode_stats_csv,
+    write_projections_csv,
     write_timeline_csv,
 )
-from memarray.sequence import SequencePlan, compile_plan
+from memarray.sequence import (
+    EventKind,
+    SequencePlan,
+    TimelineEvent,
+    compile_plan,
+)
 from memarray.simulate import NoiseParams, RunKind, TrialCounts
 
 
@@ -464,6 +475,53 @@ class TestCountsRoundTrip:
             read_counts_csv(p)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("rows, line, message", [
+        (["bogus,1,1,1,5,10"], 2,
+         "bad counts row: ['bogus', '1', '1', '1', '5', '10']"),
+        (["signal,1,1,1,5,10", "noise,1,1,2,5,10"], 3,
+         "mixed run kinds in one file: signal and noise"),
+        (["noise,1,1,1,-1,10"], 2, "bad counts row: ['noise', '1', '1', "
+         "'1', '-1', '10'] (total_counts must be >= 0 and n_trials >= 1)"),
+        (["signal,1,1,1,5,0"], 2, "bad counts row: ['signal', '1', '1', "
+         "'1', '5', '0'] (total_counts must be >= 0 and n_trials >= 1)"),
+    ])
+    def test_row_diagnostic(self, tmp_path, rows, line, message):
+        p = tmp_path / "bad.csv"
+        p.write_text("\n".join([",".join(COUNTS_HEADER), *rows]) + "\n")
+        with pytest.raises(ConfigError) as err:
+            read_counts_csv(p)
+        assert str(err.value) == f"{p}, line {line}: {message}"
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty counts file"),
+        (",".join(COUNTS_HEADER) + "\n", "counts file has no data rows"),
+    ])
+    def test_file_without_rows(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            read_counts_csv(p)
+        assert str(err.value) == f"{p}: {message}"
+
+    def test_quoted_field_reads_as_plain(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text(",".join(COUNTS_HEADER) + '\n"signal",1,1,1,5,10\n')
+        assert read_counts_csv(p) == TrialCounts(
+            kind=RunKind.SIGNAL, counts={(1, 1): 5}, n_trials=10)
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device that refuses every write")
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.symlink_to("/dev/full")  # opens, then fails to write
+        run = TrialCounts(kind=RunKind.NOISE,
+                          counts={(1, k): 3 for k in range(1, 5000)},
+                          n_trials=10)
+        with pytest.raises(OSError) as err:
+            write_counts_csv(path, run)
+        assert err.value.filename == str(path)
+        assert not path.is_symlink() and not path.exists()
+
 
 class TestTimelineCsv:
     def test_event_rows(self, tmp_path):
@@ -618,3 +676,123 @@ def test_manifest_matches_json_dumps(tmp_path_factory, payload):
     path = write_manifest(tmp_path_factory.getbasetemp() / "manifest.json",
                           payload)
     assert path.read_bytes() == manifest_text(payload).encode()
+
+
+# ------------------------------------------------------------------------
+# the CSV writers against csv.writer with format(x, ".10g")
+
+
+_CSV_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-300, 1e16,
+               0.1 + 0.2]
+_FLOAT = st.floats() | st.sampled_from(_CSV_FLOATS)
+_POSITIVE = (st.floats(min_value=0.0, exclude_min=True)
+             | st.sampled_from([x for x in _CSV_FLOATS if x > 0]))
+_NON_NEGATIVE = st.just(0.0) | st.just(-0.0) | _POSITIVE
+_ID = st.integers(-3, 2 ** 64) | st.just(0)
+_COUNT = st.integers(0, 2 ** 70) | st.sampled_from([0, 2 ** 53 + 1])
+_COUNTS = st.builds(
+    TrialCounts, kind=st.sampled_from(RunKind),
+    counts=st.dictionaries(st.tuples(_ID, _ID), _COUNT, max_size=8),
+    n_trials=st.integers(1, 2 ** 70))
+_EVENTS = st.lists(st.builds(
+    TimelineEvent, kind=st.sampled_from(EventKind), cell_id=_ID,
+    start=_NON_NEGATIVE, duration=_POSITIVE,
+    temporal_index=st.none() | st.integers(1, 2 ** 60)), max_size=6)
+_STATS = st.dictionaries(st.tuples(_ID, _ID), st.builds(
+    ModeStats, c_signal=_NON_NEGATIVE | st.just(math.nan),
+    c_noise=_NON_NEGATIVE, err_signal=_NON_NEGATIVE,
+    err_noise=_NON_NEGATIVE, snr=_FLOAT,
+    snr_err=_FLOAT), max_size=6)
+_PROJECTIONS = st.lists(st.builds(
+    NetworkProjection, _ID, *[_FLOAT] * 8), max_size=6)
+
+
+@st.composite
+def _cumulative(draw):
+    n = draw(st.integers(0, 6))
+    series = [st.lists(_FLOAT, min_size=n, max_size=n) for _ in range(4)]
+    return (draw(st.lists(st.tuples(_ID, _ID), min_size=n, max_size=n)),
+            *[draw(s) for s in series])
+
+
+@st.composite
+def _crosstalk(draw):
+    ids = draw(st.lists(_ID, min_size=1, max_size=5, unique=True))
+    matrix = st.lists(st.lists(_FLOAT, min_size=len(ids), max_size=len(ids))
+                      .map(tuple), min_size=len(ids),
+                      max_size=len(ids)).map(tuple)
+    invalid = draw(st.lists(st.sampled_from(ids), unique=True))
+    return CrossTalkMatrix(
+        cell_ids=tuple(ids), c=draw(matrix), c_err=draw(matrix),
+        mean_offdiagonal=draw(_FLOAT),
+        noise_contribution={cid: draw(_FLOAT) for cid in ids
+                            if cid not in invalid},
+        invalid_rows=tuple(invalid))
+
+
+def _written(tmp_path_factory, write, *args) -> bytes:
+    return write(tmp_path_factory.getbasetemp() / "table.csv",
+                 *args).read_bytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=_COUNTS)
+@example(run=TrialCounts(kind=RunKind.SIGNAL, n_trials=2 ** 53 + 1,
+                         counts={(2, 1): 0, (1, 2): 2 ** 53 + 1, (1, 1): 7}))
+@example(run=TrialCounts(kind=RunKind.CROSSTALK, n_trials=3,
+                         counts={(2, 1): 4, (1, 2): 0, (1, 1): 5}))
+def test_counts_csv_matches_oracle(tmp_path_factory, run):
+    assert (_written(tmp_path_factory, write_counts_csv, run)
+            == csv_oracle.counts_bytes(run))
+
+
+@settings(max_examples=30, deadline=None)
+@given(events=_EVENTS)
+@example(events=[TimelineEvent(EventKind.PREPARE, 0, 0.0, 1e16),
+                 TimelineEvent(EventKind.INPUT, 3, 0.1 + 0.2, 5e-324, 2)])
+def test_timeline_csv_matches_oracle(tmp_path_factory, events):
+    assert (_written(tmp_path_factory, write_timeline_csv, events)
+            == csv_oracle.timeline_bytes(events))
+
+
+@settings(max_examples=30, deadline=None)
+@given(stats=_STATS)
+@example(stats={(2, 1): ModeStats(math.nan, 0.0, -0.0, 1e-300, math.inf,
+                                  -math.inf),
+                (1, 2): ModeStats(0.1 + 0.2, 5e-324, 1e16, 0.0, -0.0,
+                                  math.nan)})
+def test_mode_stats_csv_matches_oracle(tmp_path_factory, stats):
+    assert (_written(tmp_path_factory, write_mode_stats_csv, stats)
+            == csv_oracle.mode_stats_bytes(stats))
+
+
+@settings(max_examples=30, deadline=None)
+@given(series=_cumulative())
+@example(series=([(1, 1), (1, 2)], [math.nan, -0.0], [math.inf, 5e-324],
+                 [-math.inf, 1e-300], [1e16, 0.1 + 0.2]))
+def test_cumulative_csv_matches_oracle(tmp_path_factory, series):
+    assert (_written(tmp_path_factory, write_cumulative_csv, *series)
+            == csv_oracle.cumulative_bytes(*series))
+
+
+@settings(max_examples=30, deadline=None)
+@given(projections=_PROJECTIONS)
+@example(projections=[NetworkProjection(2 ** 53 + 1, *_CSV_FLOATS)])
+def test_projections_csv_matches_oracle(tmp_path_factory, projections):
+    assert (_written(tmp_path_factory, write_projections_csv, projections)
+            == csv_oracle.projections_bytes(projections))
+
+
+@settings(max_examples=30, deadline=None)
+@given(xtalk=_crosstalk())
+@example(xtalk=CrossTalkMatrix(  # a scan whose every row is invalid
+    cell_ids=(1, 2), c=((math.nan, math.nan),) * 2,
+    c_err=((math.inf, -0.0),) * 2, mean_offdiagonal=math.nan,
+    noise_contribution={}, invalid_rows=(2, 1)))
+def test_crosstalk_csvs_match_oracle(tmp_path_factory, xtalk):
+    base = tmp_path_factory.getbasetemp()
+    paths = write_crosstalk_csvs(base / "matrix.csv", base / "err.csv",
+                                 base / "summary.csv", xtalk)
+    assert [p.name for p in paths] == ["matrix.csv", "err.csv", "summary.csv"]
+    assert ([p.read_bytes() for p in paths]
+            == csv_oracle.crosstalk_bytes(xtalk))
