@@ -42,8 +42,7 @@ from .device import check_calibration_span
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
     all_or_none,
-    file_sha256,
-    input_digests,
+    file_digests,
     load_device,
     load_noise,
     load_plan,
@@ -175,66 +174,67 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    with input_digests() as digests:  # of the bytes each loader parsed
+    # Hashes of the bytes each loader parsed and each writer wrote.
+    with file_digests() as digests:
         plan, device = _load_plan_and_device(args)
         noise, leak = load_noise(args.noise,
                                  default_dark_rate=device.dark_count_rate)
+        inputs = {name: {"path": path, "sha256": digests[path]}
+                  for name, path in (("plan", args.plan),
+                                     ("device", args.device),
+                                     ("noise", args.noise))}
 
-    if args.mode == "crosstalk":
-        if leak is None:
-            raise ConfigError("cross-talk runs need a [leakage] matrix in "
-                              "the noise file", path=args.noise)
-        # The scan covers the plan's cells, one input pulse each.
-        if plan.n_temporal != 1:
-            raise ConfigError(f"cross-talk scans use a single input pulse "
-                              f"per trial; got n_temporal={plan.n_temporal}",
-                              path=args.plan)
-        missing = [c for c in plan.cell_order if c not in leak.cell_ids]
-        if missing:
-            raise ConfigError(f"[leakage] has no row for plan cells "
-                              f"{missing}", path=args.noise)
-    check_plan(plan)  # timing violations first, as validate reports them
-    for cell in plan.cell_order:
-        try:
-            check_calibration_span(device.cell(cell), plan.tau)
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} of {args.device}",
-                              path=args.plan) from None
+        if args.mode == "crosstalk":
+            if leak is None:
+                raise ConfigError("cross-talk runs need a [leakage] matrix "
+                                  "in the noise file", path=args.noise)
+            # The scan covers the plan's cells, one input pulse each.
+            if plan.n_temporal != 1:
+                raise ConfigError(f"cross-talk scans use a single input "
+                                  f"pulse per trial; got "
+                                  f"n_temporal={plan.n_temporal}",
+                                  path=args.plan)
+            missing = [c for c in plan.cell_order if c not in leak.cell_ids]
+            if missing:
+                raise ConfigError(f"[leakage] has no row for plan cells "
+                                  f"{missing}", path=args.noise)
+        check_plan(plan)  # timing violations first, as validate reports them
+        for cell in plan.cell_order:
+            try:
+                check_calibration_span(device.cell(cell), plan.tau)
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} of {args.device}",
+                                  path=args.plan) from None
 
-    if args.mode == "crosstalk":
-        result = run_crosstalk_scan(device, leak, noise, plan,
-                                    n_trials=args.trials, seed=args.seed)
-    else:
-        result = run_trials(plan, device, noise, n_trials=args.trials,
-                            seed=args.seed,
-                            with_input=(args.mode == "signal"))
+        if args.mode == "crosstalk":
+            result = run_crosstalk_scan(device, leak, noise, plan,
+                                        n_trials=args.trials, seed=args.seed)
+        else:
+            result = run_trials(plan, device, noise, n_trials=args.trials,
+                                seed=args.seed,
+                                with_input=(args.mode == "signal"))
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_path = args.out_dir / f"manifest_{args.mode}.json"
-    # A counts file without its manifest traces to nothing.
-    with all_or_none() as written:
-        counts_path = write_counts_csv(
-            args.out_dir / f"counts_{args.mode}.csv", result)
-        written.append(counts_path)
-        write_manifest(manifest_path, {
-            "tool": "memarray",
-            "version": __version__,
-            "command": "run",
-            "mode": args.mode,
-            "seed": args.seed,
-            "trials": args.trials,
-            "engine": ENGINE,
-            "inputs": {
-                "plan": {"path": args.plan, "sha256": digests[args.plan]},
-                "device": {"path": args.device,
-                           "sha256": digests[args.device]},
-                "noise": {"path": args.noise, "sha256": digests[args.noise]},
-            },
-            "resolved": {"plan": plan, "device": device, "noise": noise,
-                         "leakage": leak},
-            "outputs": {counts_path.name: file_sha256(counts_path)},
-            "duration_seconds": round(time.monotonic() - started, 3),
-        })
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+        manifest_path = args.out_dir / f"manifest_{args.mode}.json"
+        # A counts file without its manifest traces to nothing.
+        with all_or_none() as written:
+            counts_path = write_counts_csv(
+                args.out_dir / f"counts_{args.mode}.csv", result)
+            written.append(counts_path)
+            write_manifest(manifest_path, {
+                "tool": "memarray",
+                "version": __version__,
+                "command": "run",
+                "mode": args.mode,
+                "seed": args.seed,
+                "trials": args.trials,
+                "engine": ENGINE,
+                "inputs": inputs,
+                "resolved": {"plan": plan, "device": device, "noise": noise,
+                             "leakage": leak},
+                "outputs": {counts_path.name: digests[counts_path]},
+                "duration_seconds": round(time.monotonic() - started, 3),
+            })
     print(f"wrote {counts_path} ({len(result.counts)} rows) and "
           f"{manifest_path}")
     return 0
@@ -250,12 +250,16 @@ def _read_noise_run(path: Path):
 
 
 def _analyze_scan(args, scan) -> int:
+    noise = _read_noise_run(args.noise)
     try:
-        matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
+        matrix = crosstalk_matrix(scan, noise)
     except ModeSetMismatch as exc:
         # crosstalk_matrix checks the scan for every pair of its cells, then
         # the noise run for one window per scan cell: name the file at fault.
         exc.path = args.signal if exc.sides[1] == "scan" else args.noise
+        raise
+    except ConfigError as exc:  # a scan whose every diagonal is zero
+        exc.path = args.signal
         raise
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",

@@ -4,10 +4,12 @@ Config files are INI-style structured text.  Parsing is strict: unknown keys
 are rejected, and diagnostics carry the file, key and line number so the CLI
 can point at the offending entry.
 
-A loader called inside ``input_digests()`` records the sha256 of the bytes
-it parsed, so a run manifest hashes what the run read, not a second read of
-a file that may have changed since.  A table or manifest whose write fails
-leaves no partial file behind.
+Every input is read by ``_read_text`` and every output written by
+``_write_text``.  Inside a ``file_digests()`` block each of them records the
+sha256 of the bytes it parsed or wrote, so a run manifest hashes what the
+run read and what it wrote, not a second read of a file that may have
+changed since.  A table or manifest whose write fails leaves no partial
+file behind.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import math
 import re
@@ -30,35 +33,17 @@ from .sequence import SequencePlan
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
 _COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
-# The dict of the innermost ``input_digests()`` block, if any.
-_DIGESTS: ContextVar[dict | None] = ContextVar("input_digests", default=None)
-
-
-# --------------------------------------------------------------------------
-# low-level INI handling
+# The dict of the innermost ``file_digests()`` block, if any.
+_DIGESTS: ContextVar[dict | None] = ContextVar("file_digests", default=None)
 
 
 @contextmanager
-def _reading(path: Path):
-    """Turn a failure to open or decode ``path`` in the block into a
-    ConfigError that names the file."""
-    try:
-        yield
-    except FileNotFoundError as exc:
-        raise ConfigError("file not found", path=path) from exc
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"not UTF-8 text ({exc.reason})", path=path) from exc
-    except OSError as exc:
-        raise ConfigError(f"cannot read file: {exc.strerror or exc}",
-                          path=path) from exc
+def file_digests():
+    """Record the sha256 of each file read or written in the block.
 
-
-@contextmanager
-def input_digests():
-    """Record the sha256 of each config file parsed in the block.
-
-    Yields a dict that maps the ``Path`` of every file a loader parses in
-    the block to the hex digest of the bytes it parsed.
+    Yields a dict that maps the ``Path`` of every file that a loader or
+    reader parses, or a writer writes, in the block to the hex digest of
+    the bytes it parsed or wrote.
     """
     digests: dict[Path, str] = {}
     token = _DIGESTS.set(digests)
@@ -68,16 +53,39 @@ def input_digests():
         _DIGESTS.reset(token)
 
 
+def _record(path: Path, data: bytes) -> None:
+    if (digests := _DIGESTS.get()) is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+
+
+def _read_text(path: Path) -> str:
+    """The UTF-8 text of the file at ``path``, read once, with the sha256 of
+    its bytes recorded; a file that cannot be read or decoded raises a
+    ConfigError that names it."""
+    try:
+        data = path.read_bytes()
+        text = data.decode("utf-8")
+    except FileNotFoundError as exc:
+        raise ConfigError("file not found", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read file: {exc.strerror or exc}",
+                          path=path) from exc
+    _record(path, data)
+    return text
+
+
+# --------------------------------------------------------------------------
+# low-level INI handling
+
+
 def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     """Parse an INI file in one pass: ``[name]`` headers, ``key = value`` or
     ``key: value`` lines, ``#``/``;`` comments and indented lines that
     continue a value.  Syntax errors name the file and the line."""
     path = Path(path)
-    with _reading(path):
-        data = path.read_bytes()
-        text = data.decode("utf-8")
-    if (digests := _DIGESTS.get()) is not None:
-        digests[path] = hashlib.sha256(data).hexdigest()
+    text = _read_text(path)
     sections: dict[str, _Section] = {}
     sec = key = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -366,19 +374,22 @@ def load_noise(path, default_dark_rate: float | None = None,
 
 
 def _write_text(path, text: str) -> Path:
-    """Write ``text`` to ``path`` in one call, its newlines untranslated; a
-    write that fails once the file is open removes the file before
-    re-raising, with the path as the error's filename."""
+    """Write ``text`` to ``path`` as UTF-8 in one call, its newlines
+    untranslated, and record the sha256 of the bytes written; a write that
+    fails once the file is open removes the file before re-raising, with
+    the path as the error's filename."""
     path = Path(path)
-    fh = path.open("w", newline="")
+    data = text.encode("utf-8")
+    fh = path.open("wb")
     try:
         with fh:
-            fh.write(text)
+            fh.write(data)
     except OSError as exc:
         path.unlink(missing_ok=True)
         if exc.filename is None:  # a failed write or flush names no file
             exc.filename = str(path)
         raise
+    _record(path, data)
     return path
 
 
@@ -440,26 +451,28 @@ def read_counts_csv(path) -> TrialCounts:
     kind = n_trials = None
     counts: dict[tuple[int, int], int] = {}
     key_lines: dict[tuple[int, int], int] = {}
-    with _reading(path), path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _in_file(path):
+        # Lines split as in a file opened with newline="": at "\n", "\r"
+        # and "\r\n" only.
+        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
         try:
             header = next(reader)
         except StopIteration:
-            raise ConfigError("empty counts file", path=path) from None
+            raise ConfigError("empty counts file") from None
         if header != COUNTS_HEADER:
-            raise ConfigError(f"unexpected counts header {header}", path=path, line=1)
+            raise ConfigError(f"unexpected counts header {header}", line=1)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(COUNTS_HEADER):
                 raise ConfigError(f"bad counts row: {row} (expected "
                                   f"{len(COUNTS_HEADER)} fields, got "
-                                  f"{len(row)})", path=path, line=lineno)
+                                  f"{len(row)})", line=lineno)
             try:
                 i, j, k, total, n = map(int, row[1:])
                 row_kind = _RUN_KINDS[row[0]]
             except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad counts row: {row}", path=path,
+                raise ConfigError(f"bad counts row: {row}",
                                   line=lineno) from exc
             if kind is None:
                 kind, n_trials = row_kind, n
@@ -487,9 +500,9 @@ def read_counts_csv(path) -> TrialCounts:
                 key_lines[key] = lineno
                 counts[key] = total
                 continue
-            raise ConfigError(msg, path=path, line=lineno)
-    if kind is None:
-        raise ConfigError("counts file has no data rows", path=path)
+            raise ConfigError(msg, line=lineno)
+        if kind is None:
+            raise ConfigError("counts file has no data rows")
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
 
@@ -560,14 +573,6 @@ def write_crosstalk_csvs(matrix_path, err_path, summary_path, xtalk) -> list[Pat
 
 # --------------------------------------------------------------------------
 # manifests
-
-
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 # Manifest JSON is written by one walk over the payload that converts
@@ -649,14 +654,3 @@ def write_manifest(path, payload: dict) -> Path:
     """Write ``payload`` as indented JSON with sorted keys; a write that
     fails once the file is open removes the file before re-raising."""
     return _write_text(path, _json(payload, "") + "\n")
-
-
-def read_manifest(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError("manifest not found", path=path)
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"manifest is not valid JSON: {exc}", path=path,
-                          line=exc.lineno) from exc

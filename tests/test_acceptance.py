@@ -7,6 +7,7 @@ at any seed.  A window total over n trials costs one Poisson draw, so the
 trial counts are set for statistical power, not for run time.
 """
 
+import hashlib
 import math
 import time
 
@@ -27,7 +28,6 @@ from memarray.defaults import (
 )
 from memarray.device import PulseKind, PulseShape
 from memarray.io import (
-    file_sha256,
     load_device,
     load_noise,
     load_plan,
@@ -253,15 +253,15 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
     for name in ("a", "b"):
         run = run_trials(PLAN_60, DEVICE, STORAGE_NOISE, n_trials=400,
                          seed=42)
-        shas.append(file_sha256(write_counts_csv(tmp_path / f"{name}.csv",
-                                                 run)))
+        shas.append(hashlib.sha256(write_counts_csv(
+            tmp_path / f"{name}.csv", run).read_bytes()).hexdigest())
     assert shas[0] == shas[1]
 
     scan_shas = []
     for name in ("sa", "sb"):
         scan = run_crosstalk_scan(DEVICE, LEAK, SCAN_NOISE, PLAN_XT,
                                   n_trials=300, seed=11)
-        scan_shas.append(file_sha256(write_counts_csv(
-            tmp_path / f"{name}.csv", scan)))
+        scan_shas.append(hashlib.sha256(write_counts_csv(
+            tmp_path / f"{name}.csv", scan).read_bytes()).hexdigest())
     assert scan_shas[0] == scan_shas[1]
     print("criterion 7: PASS — byte-identical CSVs across same-seed reruns")

@@ -17,18 +17,22 @@ from memarray.defaults import (
     default_plan_path,
 )
 from memarray.io import (
-    file_sha256,
     load_device,
     load_noise,
     load_plan,
     read_counts_csv,
+    write_counts_csv,
 )
 from memarray.sequence import SequencePlan
-from memarray.simulate import RunKind, run_trials
+from memarray.simulate import RunKind, TrialCounts, run_trials
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def file_sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 HIGH_NOISE = """\
@@ -445,6 +449,21 @@ class TestRepeatedCalls:
                        str(tmp_path / "missing.ini"), "--trials", "10",
                        "--out-dir", str(tmp_path)) == 2
         assert memarray.io._DIGESTS.get() is None
+        # A call that fails after writing its counts file.
+        (tmp_path / "fail" / "manifest_signal.json").mkdir(parents=True)
+        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
+                       "--trials", "10", "--out-dir",
+                       str(tmp_path / "fail")) == 2
+        assert memarray.io._DIGESTS.get() is None
+        # Calls that write outside any run.
+        assert run_cli("validate", "--plan", "60mode", "--timeline",
+                       str(tmp_path / "timeline.csv")) == 0
+        assert run_cli("analyze", "--signal",
+                       str(tmp_path / "counts_signal.csv"), "--noise",
+                       str(tmp_path / "counts_signal.csv"),
+                       "--out-dir", str(tmp_path / "stats")) == 2
+        assert memarray.io._DIGESTS.get() is None
+        assert not (tmp_path / "fail" / "counts_signal.csv").exists()
 
     def test_usage_error_then_valid_call(self, capsys):
         assert run_cli("validate") == 2  # --plan is required
@@ -713,6 +732,25 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: {scan_csv}: mode sets differ: missing in scan: "
             f"[(1, 5)]\n")
+        assert not out.exists()
+
+    def test_scan_with_every_diagonal_zero_names_the_scan(self, tmp_path,
+                                                          capsys):
+        # A one-trial scan often sees no echo in any cell.
+        cells = (1, 2)
+        scan = TrialCounts(RunKind.CROSSTALK, n_trials=1, counts={
+            (i, j): int(i != j) for i in cells for j in cells})
+        noise = TrialCounts(RunKind.NOISE, n_trials=1,
+                            counts={(i, 1): 0 for i in cells})
+        scan_csv = write_counts_csv(tmp_path / "counts_crosstalk.csv", scan)
+        noise_csv = write_counts_csv(tmp_path / "counts_noise.csv", noise)
+        out = tmp_path / "xt"
+        code = run_cli("analyze", "--signal", str(scan_csv),
+                       "--noise", str(noise_csv), "--out-dir", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {scan_csv}: every scan row has a zero diagonal; "
+            f"nothing to normalize\n")
         assert not out.exists()
 
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):

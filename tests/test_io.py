@@ -3,6 +3,7 @@
 import dataclasses
 import enum
 import hashlib
+import json
 import math
 from importlib import resources
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
+import memarray.io
 from manifest_oracle import manifest_text
 from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
 from memarray.defaults import (
@@ -24,13 +26,11 @@ from memarray.device import PulseKind
 from memarray.errors import ConfigError
 from memarray.io import (
     COUNTS_HEADER,
-    file_sha256,
-    input_digests,
+    file_digests,
     load_device,
     load_noise,
     load_plan,
     read_counts_csv,
-    read_manifest,
     write_counts_csv,
     write_crosstalk_csvs,
     write_cumulative_csv,
@@ -78,36 +78,74 @@ class TestDataPath:
             data_path("nope.ini")
 
 
-class TestInputDigests:
-    def test_each_parsed_file_recorded(self):
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestFileDigests:
+    def test_each_parsed_file_recorded(self, tmp_path):
         paths = [default_plan_path("crosstalk"), default_device_path(),
-                 default_noise_path("crosstalk")]
-        with input_digests() as digests:
+                 default_noise_path("crosstalk"), tmp_path / "counts.csv"]
+        paths[3].write_text(",".join(COUNTS_HEADER) + "\nnoise,1,1,1,3,5\n")
+        with file_digests() as digests:
             load_plan(paths[0])
             load_device(str(paths[1]))  # keyed by Path either way
             load_noise(paths[2])
-        assert digests == {p: file_sha256(p) for p in paths}
+            read_counts_csv(str(paths[3]))
+        assert digests == {p: _sha256(p) for p in paths}
 
     def test_digest_is_of_the_parsed_bytes(self, tmp_path):
         p = tmp_path / "device.ini"
         p.write_bytes(DEVICE_SNIPPET.replace("\n", "\r\n").encode())
-        with input_digests() as digests:
+        with file_digests() as digests:
             device = load_device(p)
         assert device.eta_detection_path == 0.14  # CRLF parses as LF
         assert digests[p] == hashlib.sha256(p.read_bytes()).hexdigest()
 
+    def test_each_written_file_recorded(self, tmp_path):
+        run = TrialCounts(kind=RunKind.NOISE, counts={(1, 1): 3}, n_trials=5)
+        with file_digests() as digests:
+            counts = write_counts_csv(str(tmp_path / "counts.csv"), run)
+            manifest = write_manifest(tmp_path / "manifest.json", {"a": 1})
+            counts.write_text("edited after the write\n")
+        assert digests == {
+            counts: hashlib.sha256(csv_oracle.counts_bytes(run)).hexdigest(),
+            manifest: _sha256(manifest)}
+
     def test_nothing_recorded_outside_the_block(self, tmp_path):
         p = tmp_path / "device.ini"
         p.write_text(DEVICE_SNIPPET)
-        with input_digests() as digests:
+        with file_digests() as digests:
             pass
         load_device(p)
+        write_manifest(tmp_path / "manifest.json", {})
         assert digests == {}
 
     def test_unreadable_file_not_recorded(self, tmp_path):
-        with input_digests() as digests, pytest.raises(ConfigError):
+        with file_digests() as digests, pytest.raises(ConfigError):
             load_plan(tmp_path / "missing.ini")
         assert digests == {}
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device that refuses every write")
+    def test_failed_write_not_recorded(self, tmp_path):
+        full = tmp_path / "manifest.json"
+        full.symlink_to("/dev/full")  # opens, then fails to write
+        with file_digests() as digests, pytest.raises(OSError):
+            written = write_manifest(tmp_path / "first.json", {})
+            write_manifest(full, {"text": "x" * 100_000})
+        assert digests == {written: _sha256(written)}
+
+    def test_block_that_raises_records_until_the_failure(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(",".join(COUNTS_HEADER) + "\nbogus,1,1,1,5,10\n")
+        with pytest.raises(ConfigError):
+            with file_digests() as digests:
+                load_device(default_device_path())
+                read_counts_csv(bad)  # parsed bytes, refused rows
+        assert memarray.io._DIGESTS.get() is None
+        assert digests == {default_device_path(): _sha256(
+            default_device_path()), bad: _sha256(bad)}
 
 
 class TestLoadDevice:
@@ -449,7 +487,6 @@ class TestCountsRoundTrip:
         a = write_counts_csv(tmp_path / "a.csv", run)
         b = write_counts_csv(tmp_path / "b.csv", run)
         assert a.read_bytes() == b.read_bytes()
-        assert file_sha256(a) == file_sha256(b)
 
     def test_header_enforced(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -552,7 +589,7 @@ class TestManifest:
             "nan_guard": math.pi,
         }
         path = write_manifest(tmp_path / "manifest.json", payload)
-        back = read_manifest(path)
+        back = json.loads(path.read_text())
         assert back["seed"] == 42
         assert back["kind"] == "signal"
         assert back["noise"]["fluorescence_decay"] == 2.0
@@ -594,12 +631,6 @@ class TestManifest:
         with pytest.raises(OSError):
             write_manifest(path, {"text": "x" * 100_000})
         assert not path.is_symlink() and not path.exists()
-
-    def test_invalid_json_rejected(self, tmp_path):
-        p = tmp_path / "m.json"
-        p.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
-            read_manifest(p)
 
 
 # ------------------------------------------------------------------------
@@ -796,3 +827,105 @@ def test_crosstalk_csvs_match_oracle(tmp_path_factory, xtalk):
     assert [p.name for p in paths] == ["matrix.csv", "err.csv", "summary.csv"]
     assert ([p.read_bytes() for p in paths]
             == csv_oracle.crosstalk_bytes(xtalk))
+
+
+# ------------------------------------------------------------------------
+# read_counts_csv against the reader of the open file
+
+
+# Fields that a row may hold: str.splitlines, unlike the csv module, ends a
+# line at "\x0b", "\x0c", "\x1c" and "\x85", and int() strips them.
+_COUNTS_FIELD = st.one_of(
+    st.sampled_from(["signal", "noise", "crosstalk", "bogus", "", "0", "1",
+                     "-1", " 2", "1\x0b", "\x0c2", "3\x1c", "\x851", "7\x85",
+                     " ", "\x00", "café", "1.0"]),
+    st.integers(-2, 12).map(str),
+    st.text(alphabet='01,"\r\n\x0b\x0c\x1c\x85 a', max_size=4))
+_LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
+_BAD_UTF8 = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82",
+                             b"\xed\xa0\x80", b"\xc0\xaf"])
+
+
+def _one_in(n: int):
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+@st.composite
+def _counts_file(draw) -> bytes:
+    """The bytes of a counts file: mostly well-formed rows of one kind,
+    with blank lines, repeated, quoted and altered fields, mixed line ends,
+    a BOM and invalid UTF-8 now and then."""
+    kind = draw(st.sampled_from([k.value for k in RunKind]))
+    keys = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                         max_size=12, unique=True))
+    n_trials = draw(st.sampled_from(["10", "7"]))
+    lines = [draw(st.lists(_COUNTS_FIELD, max_size=7)) if draw(_one_in(8))
+             else COUNTS_HEADER]
+    for a, b in keys:
+        i, j, k = (a, b, 1) if kind == "crosstalk" else (a, a, b)
+        row = [kind, str(i), str(j), str(k), str(draw(st.integers(0, 99))),
+               n_trials]
+        if draw(_one_in(6)):
+            row[draw(st.integers(0, 5))] = draw(_COUNTS_FIELD)
+        lines.append(row)
+        if draw(_one_in(6)):
+            lines.append(draw(st.sampled_from(
+                [[], row, [], draw(st.lists(_COUNTS_FIELD, max_size=7))])))
+    text = ""
+    for row in lines:
+        fields = [f'"{f.replace(chr(34), 2 * chr(34))}"'
+                  if draw(_one_in(8)) else f for f in row]
+        text += ",".join(fields) + draw(_LINE_END)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = text.encode()
+    if draw(_one_in(8)):
+        data = b"\xef\xbb\xbf" + data
+    if draw(_one_in(6)):
+        at = draw(st.just(len(data)) | st.integers(0, len(data)))
+        data = data[:at] + draw(_BAD_UTF8) + data[at:]
+    return data
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:  # the text a caller sees, by error type
+        return type(exc).__name__, str(exc)
+
+
+_HEADER_LINE = ",".join(COUNTS_HEADER).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_counts_file())
+@example(data=b"")
+@example(data=_HEADER_LINE)
+@example(data=_HEADER_LINE + b"\r\n")
+@example(data=_HEADER_LINE + b"\rnoise,1,1,1,3,5\r\rnoise,1,1,2,4,5")
+@example(data=_HEADER_LINE + b"\r\nsignal,1,1,1,\x853\x0b,5\x1c\r\n")
+@example(data=_HEADER_LINE + b'\n"signal","1\x0c",1,1,"2",5\n')
+@example(data=b"\xef\xbb\xbf" + _HEADER_LINE + b"\nnoise,1,1,1,3,5\n")
+@example(data=_HEADER_LINE + b"\nnoise,1,1,1,3,5\n\xff")
+@example(data=_HEADER_LINE + b"\nbogus,1,1,1,3,5\n\xe2\x82")
+def test_counts_reader_matches_the_file_reader(tmp_path_factory, data):
+    assert len(data) < 8192  # one read of the file reader's text stream
+    path = tmp_path_factory.getbasetemp() / "counts.csv"
+    path.write_bytes(data)
+    new = _outcome(read_counts_csv, path)
+    old = _outcome(csv_oracle.read_counts_csv, path)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        truncated = exc.reason == "unexpected end of data"
+    else:
+        truncated = False
+    if truncated and new != old:
+        # The file reader holds back an incomplete UTF-8 sequence at the
+        # end and parses the lines before it, so a bad row there came
+        # first; the whole text is decoded before any row is parsed now.
+        assert old[0] == "ConfigError" and "not UTF-8" not in old[1]
+        assert new == ("ConfigError",
+                       f"{path}: not UTF-8 text (unexpected end of data)")
+    else:
+        assert new == old
