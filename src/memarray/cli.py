@@ -179,7 +179,7 @@ def cmd_run(args) -> int:
         plan, device = _load_plan_and_device(args)
         noise, leak = load_noise(args.noise,
                                  default_dark_rate=device.dark_count_rate)
-        inputs = {name: {"path": path, "sha256": digests[path]}
+        inputs = {name: {"path": str(path), "sha256": digests[path]}
                   for name, path in (("plan", args.plan),
                                      ("device", args.device),
                                      ("noise", args.noise))}
@@ -230,8 +230,6 @@ def cmd_run(args) -> int:
                 "trials": args.trials,
                 "engine": ENGINE,
                 "inputs": inputs,
-                "resolved": {"plan": plan, "device": device, "noise": noise,
-                             "leakage": leak},
                 "outputs": {counts_path.name: digests[counts_path]},
                 "duration_seconds": round(time.monotonic() - started, 3),
             })

@@ -8,15 +8,15 @@ Every input is read by ``_read_text`` and every output written by
 ``_write_text``.  Inside a ``file_digests()`` block each of them records the
 sha256 of the bytes it parsed or wrote, so a run manifest hashes what the
 run read and what it wrote, not a second read of a file that may have
-changed since.  A table or manifest whose write fails leaves no partial
-file behind.
+changed since.  A manifest names each input by its path and that sha256
+and holds no copy of the parsed configuration: the file whose bytes match
+the hash loads again to the same records.  A table or manifest whose write
+fails leaves no partial file behind.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
-import enum
 import hashlib
 import io
 import json
@@ -438,30 +438,35 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
 
 
+def _csv_rows(text: str):
+    """The rows of ``text`` as a file opened with newline="" gives them."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:  # a NUL byte before Python 3.11, a long field
+        raise ConfigError(f"bad CSV: {exc}", line=reader.line_num) from exc
+
+
 def read_counts_csv(path) -> TrialCounts:
     """Read a counts CSV back into the TrialCounts that wrote it.
 
     Every row must share one run kind and one n_trials.  Signal and noise
     rows need input_cell == output_cell; scan rows need temporal_index 1.
     A duplicated (input_cell, output_cell, temporal_index) key is refused,
-    and so is a row without exactly one field per header column.  Row
-    errors name the file and the line.
+    and so is a row without exactly one field per header column or a line
+    the CSV reader cannot split.  Row errors name the file and the line.
     """
     path = Path(path)
     kind = n_trials = None
     counts: dict[tuple[int, int], int] = {}
     key_lines: dict[tuple[int, int], int] = {}
     with _in_file(path):
-        # Lines split as in a file opened with newline="": at "\n", "\r"
-        # and "\r\n" only.
-        reader = csv.reader(io.StringIO(_read_text(path), newline=""))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError("empty counts file") from None
+        rows = _csv_rows(_read_text(path))
+        if (header := next(rows, None)) is None:
+            raise ConfigError("empty counts file")
         if header != COUNTS_HEADER:
             raise ConfigError(f"unexpected counts header {header}", line=1)
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in enumerate(rows, start=2):
             if not row:
                 continue
             if len(row) != len(COUNTS_HEADER):
@@ -575,82 +580,9 @@ def write_crosstalk_csvs(matrix_path, err_path, summary_path, xtalk) -> list[Pat
 # manifests
 
 
-# Manifest JSON is written by one walk over the payload that converts
-# dataclasses (to their fields), enums (to their values) and paths (to str)
-# as it goes.  The text is what ``json.dumps(..., indent=2, sort_keys=True)``
-# writes for the converted payload: dict keys become ``str(key)`` (a later
-# key that collides keeps the first one's place and takes its value), and
-# floats are spelled as by ``repr``, with NaN, Infinity and -Infinity.
-
-_escape = json.encoder.encode_basestring_ascii  # json.dumps's string writer
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-# Looked up by exact type, so that enum members that are also str or int
-# still become their values.
-_SCALAR_TEXT = {
-    str: _escape,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-_scalar_text = _SCALAR_TEXT.get
-
-
-def _json(obj, pad: str) -> str:
-    """The JSON text of ``obj``, its inner lines indented by ``pad``."""
-    if (text := _scalar_text(type(obj))) is not None:
-        return text(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _json_object({f.name: getattr(obj, f.name)
-                             for f in dataclasses.fields(obj)}, pad)
-    if isinstance(obj, enum.Enum):
-        return _json(obj.value, pad)
-    if isinstance(obj, dict):
-        return _json_object({str(k): v for k, v in obj.items()}, pad)
-    if isinstance(obj, (list, tuple)):
-        return _json_array(obj, pad)
-    if isinstance(obj, Path):
-        return _escape(str(obj))
-    for base in (str, int, float):  # other subclasses, as json.dumps does
-        if isinstance(obj, base):
-            return _SCALAR_TEXT[base](obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
-                    f"serializable")
-
-
-def _json_object(members: dict[str, object], pad: str) -> str:
-    if not members:
-        return "{}"
-    inner = pad + "  "
-    return "{\n" + inner + (",\n" + inner).join([
-        _escape(k) + ": " + (text(v) if (text := _scalar_text(type(v)))
-                             else _json(v, inner))
-        for k, v in sorted(members.items())]) + "\n" + pad + "}"
-
-
-def _json_array(items, pad: str) -> str:
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if set(map(type, items)) == {float}:  # a matrix row, say
-        body = sep.join(map(float.__repr__, items))
-        if "n" in body:  # nan or inf: no finite repr has an "n"
-            body = sep.join(map(_float_text, items))
-    else:
-        body = sep.join([text(v) if (text := _scalar_text(type(v)))
-                         else _json(v, inner) for v in items])
-    return "[\n" + inner + body + "\n" + pad + "]"
-
-
 def write_manifest(path, payload: dict) -> Path:
-    """Write ``payload`` as indented JSON with sorted keys; a write that
-    fails once the file is open removes the file before re-raising."""
-    return _write_text(path, _json(payload, "") + "\n")
+    """Write ``payload``, a dict of JSON values, as indented JSON with
+    sorted keys; a write that fails once the file is open removes the file
+    before re-raising."""
+    return _write_text(path, json.dumps(payload, indent=2, sort_keys=True)
+                       + "\n")

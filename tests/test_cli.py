@@ -1,6 +1,5 @@
 """End-to-end command-line tests: exit codes, artifacts, reproducibility."""
 
-import dataclasses
 import hashlib
 import json
 import shutil
@@ -23,7 +22,6 @@ from memarray.io import (
     read_counts_csv,
     write_counts_csv,
 )
-from memarray.sequence import SequencePlan
 from memarray.simulate import RunKind, TrialCounts, run_trials
 
 
@@ -150,18 +148,26 @@ class TestRun:
         assert run.n_trials == 50
 
     def test_manifest_inventory(self, tmp_path):
-        run_cli("run", "--plan", "60mode", "--noise", "storage",
-                "--trials", "20", "--seed", "4", "--out-dir", str(tmp_path))
-        manifest = json.loads((tmp_path / "manifest_signal.json").read_text())
-        counts = tmp_path / "counts_signal.csv"
-        assert manifest["outputs"]["counts_signal.csv"] == file_sha256(counts)
-        assert manifest["seed"] == 4 and manifest["trials"] == 20
-        assert manifest["engine"] == "poisson-total"
-        plan = manifest["resolved"]["plan"]
-        assert plan["tau"] == 10.0
-        # One flat record: one key per field of SequencePlan.
-        assert set(plan) == {f.name for f in dataclasses.fields(SequencePlan)}
-        assert "duration_seconds" in manifest
+        for plan, noise, mode in (("60mode", "storage", "signal"),
+                                  ("60mode", "storage", "noise"),
+                                  ("crosstalk", "crosstalk", "crosstalk")):
+            assert run_cli("run", "--plan", plan, "--noise", noise,
+                           "--mode", mode, "--trials", "20", "--seed", "4",
+                           "--out-dir", str(tmp_path)) == 0
+            text = (tmp_path / f"manifest_{mode}.json").read_text()
+            manifest = json.loads(text)
+            # Inputs by path and hash: no copy of the parsed configuration.
+            assert set(manifest) == {
+                "tool", "version", "command", "mode", "seed", "trials",
+                "engine", "inputs", "outputs", "duration_seconds"}, mode
+            assert text == json.dumps(manifest, indent=2,
+                                      sort_keys=True) + "\n"
+            counts = tmp_path / f"counts_{mode}.csv"
+            assert manifest["outputs"] == {counts.name: file_sha256(counts)}
+            assert set(manifest["inputs"]) == {"plan", "device", "noise"}
+            assert manifest["mode"] == mode and manifest["seed"] == 4
+            assert manifest["trials"] == 20
+            assert manifest["engine"] == "poisson-total"
 
     def test_reruns_are_byte_identical(self, tmp_path, small_plan):
         noise = tmp_path / "noise.ini"
@@ -822,6 +828,37 @@ class TestAnalyze:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{sig}, line 3" in err and "expected 6 fields, got 7" in err
+
+    def test_overlong_field_exits_two(self, tmp_path, small_plan, capsys):
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        lines = sig.read_text().splitlines()
+        lines[2] = lines[2].replace("signal,", "signal," + "9" * 140_000, 1)
+        sig.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "long"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {sig}, line 3: bad CSV: field larger than field limit "
+            f"(131072)\n")
+        assert not (tmp_path / "long").exists()
+
+    def test_nul_byte_exits_two(self, tmp_path, small_plan, capsys):
+        # Python 3.10's csv reader refuses the byte; 3.11's reads it into
+        # a field that is no count.  Either way the file is named.
+        sig, bkg = self.make_runs(tmp_path, small_plan)
+        lines = sig.read_text().splitlines()
+        lines[2] = lines[2].replace("signal,", "signal,\0", 1)
+        sig.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
+                       "--plan", str(small_plan), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "nul"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sig}, line 3: ") and err.count("\n") == 1
+        assert not (tmp_path / "nul").exists()
 
 
 class TestUnreadableFiles:

@@ -1,7 +1,7 @@
 """Config parsing, CSV round-trip and manifest tests."""
 
+import csv
 import dataclasses
-import enum
 import hashlib
 import json
 import math
@@ -13,7 +13,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
 import memarray.io
-from manifest_oracle import manifest_text
 from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
 from memarray.defaults import (
     PLANS,
@@ -45,7 +44,7 @@ from memarray.sequence import (
     TimelineEvent,
     compile_plan,
 )
-from memarray.simulate import NoiseParams, RunKind, TrialCounts
+from memarray.simulate import RunKind, TrialCounts
 
 
 DEVICE_SNIPPET = """\
@@ -573,54 +572,36 @@ class TestTimelineCsv:
         assert any(line.startswith("DemuxAOD,EchoWindow,1,1,") for line in lines)
 
 
-MANIFEST_SHA256 = "4ed1d0155bf6f50d0ffcfa8f9ee76291e1d9751475b45e042fde361f1196c468"
+MANIFEST_SHA256 = "c2ff1d150c4f60bbc857a0e89490084a389bf0261795465603e09e4bb53c8c32"
 
 
 class TestManifest:
-    def test_round_trip_with_rich_types(self, tmp_path):
-        noise = NoiseParams(base_noise_per_window=1e-5,
-                            fluorescence_amplitude=0.0,
-                            fluorescence_decay=2.0, dark_rate=15.0)
-        payload = {
-            "seed": 42,
-            "kind": RunKind.SIGNAL,
-            "noise": noise,
-            "outputs": [tmp_path / "counts.csv"],
-            "nan_guard": math.pi,
-        }
-        path = write_manifest(tmp_path / "manifest.json", payload)
-        back = json.loads(path.read_text())
-        assert back["seed"] == 42
-        assert back["kind"] == "signal"
-        assert back["noise"]["fluorescence_decay"] == 2.0
-        assert back["outputs"] == [str(tmp_path / "counts.csv")]
-
     def test_manifest_is_byte_stable(self, tmp_path):
-        payload = {"b": 1, "a": {"z": [3, 2], "y": RunKind.NOISE}}
+        payload = {"b": 1, "a": {"z": [3, 2], "y": "noise"}}
         p1 = write_manifest(tmp_path / "m1.json", payload)
         p2 = write_manifest(tmp_path / "m2.json", payload)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_manifest_bytes_pinned(self, tmp_path):
-        # A run manifest of the shipped cross-talk inputs: dataclasses,
-        # enums, tuple-keyed dicts, nested tuples, paths and None.
-        device = load_device(default_device_path())
-        noise, leak = load_noise(default_noise_path("crosstalk"))
+        # A run manifest: each input by path and sha256, each output by sha256.
         payload = {
             "tool": "memarray",
+            "version": "0.0.0",
             "command": "run",
-            "mode": RunKind.CROSSTALK,
+            "mode": "crosstalk",
             "seed": 7,
             "trials": 2000,
-            "inputs": {"plan": {"path": Path("plan_crosstalk.ini"),
-                                "sha256": None}},
-            "resolved": {"plan": load_plan(default_plan_path("crosstalk")),
-                         "device": device, "noise": noise, "leakage": leak},
+            "engine": "poisson-total",
+            "inputs": {name: {"path": f"{name}_crosstalk.ini",
+                              "sha256": digit * 64}
+                       for name, digit in (("plan", "1"), ("device", "2"),
+                                           ("noise", "3"))},
             "outputs": {"counts_crosstalk.csv": "0" * 64},
             "duration_seconds": 0.125,
         }
         data = write_manifest(tmp_path / "manifest.json", payload).read_bytes()
-        assert data.endswith(b"}\n")
+        assert data == (json.dumps(payload, indent=2, sort_keys=True)
+                        + "\n").encode()
         assert hashlib.sha256(data).hexdigest() == MANIFEST_SHA256
 
     @pytest.mark.skipif(not Path("/dev/full").exists(),
@@ -631,82 +612,6 @@ class TestManifest:
         with pytest.raises(OSError):
             write_manifest(path, {"text": "x" * 100_000})
         assert not path.is_symlink() and not path.exists()
-
-
-# ------------------------------------------------------------------------
-# write_manifest against json.dumps of the converted payload
-
-
-class _Word(str, enum.Enum):
-    PLAIN = "plain"
-    ACCENT = "caf\u00e9"
-
-
-class _Level(enum.Enum):
-    LOW = 1
-    HIGH = -7
-
-
-class _Rank(enum.IntEnum):
-    FIRST = 1
-
-
-class _Name(str):
-    pass
-
-
-class _Count(int):
-    pass
-
-
-class _Real(float):
-    pass
-
-
-@dataclasses.dataclass(frozen=True)
-class _Record:
-    label: object
-    value: object
-
-
-_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 1e-300]
-_AWKWARD_TEXT = ['"quoted"', "back\\slash", "tab\tnew\nline", "\x00\x1f\x7f",
-                 "caf\u00e9", "\u2028", "\U0001f600", ""]
-_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.integers(),
-    st.floats(), st.sampled_from(_SPECIAL_FLOATS),
-    st.text(max_size=6), st.sampled_from(_AWKWARD_TEXT),
-    st.sampled_from([*_Word, *_Level, *_Rank]),
-    st.text(max_size=6).map(Path),
-    st.one_of(st.text(max_size=4).map(_Name), st.integers().map(_Count),
-              st.sampled_from(_SPECIAL_FLOATS).map(_Real)))
-# Keys that collide after str(): 1 and "1", (1, 2) and "(1, 2)", ...
-_KEYS = st.one_of(
-    st.sampled_from([1, "1", (1, 2), "(1, 2)", None, "None", 1.5, "1.5",
-                     _Word.PLAIN, "plain", (), "()"]),
-    st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.text(max_size=4), st.sampled_from(_AWKWARD_TEXT))
-_VALUES = st.recursive(
-    _SCALARS,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), max_size=5),
-        st.dictionaries(_KEYS, inner, max_size=4),
-        st.builds(_Record, inner, inner)),
-    max_leaves=12)
-
-
-@settings(max_examples=200, deadline=None)
-@given(payload=st.dictionaries(_KEYS, _VALUES, max_size=6))
-@example(payload={"empty": [[], (), {}, [[]], {"a": {}}]})
-@example(payload={"floats": _SPECIAL_FLOATS, "one": [math.nan],
-                  "mixed": [1, 1.0, True, None, "1"]})
-@example(payload={1: "int", "1": "str", (1, 2): "tuple", "(1, 2)": "text"})
-def test_manifest_matches_json_dumps(tmp_path_factory, payload):
-    path = write_manifest(tmp_path_factory.getbasetemp() / "manifest.json",
-                          payload)
-    assert path.read_bytes() == manifest_text(payload).encode()
 
 
 # ------------------------------------------------------------------------
@@ -912,8 +817,27 @@ def test_counts_reader_matches_the_file_reader(tmp_path_factory, data):
     assert len(data) < 8192  # one read of the file reader's text stream
     path = tmp_path_factory.getbasetemp() / "counts.csv"
     path.write_bytes(data)
+    _check_against_the_file_reader(path, data)
+
+
+def _csv_error_line(path) -> int:
+    """The line at which a csv.reader over the open file raises csv.Error."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        with pytest.raises(csv.Error):
+            for _ in reader:
+                pass
+    return reader.line_num
+
+
+def _check_against_the_file_reader(path, data: bytes):
     new = _outcome(read_counts_csv, path)
     old = _outcome(csv_oracle.read_counts_csv, path)
+    if isinstance(old, tuple) and old[0] == "Error":
+        # The file reader lets csv.Error escape (Python 3.10 raises it for a
+        # NUL byte); it is a ConfigError naming the file and the line now.
+        old = ("ConfigError",
+               f"{path}, line {_csv_error_line(path)}: bad CSV: {old[1]}")
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -929,3 +853,22 @@ def test_counts_reader_matches_the_file_reader(tmp_path_factory, data):
                        f"{path}: not UTF-8 text (unexpected end of data)")
     else:
         assert new == old
+
+
+# With the field limit below a 20-digit count, csv.Error stands for any error
+# of the csv module; a row error on an earlier line must still come first.
+@pytest.mark.parametrize("rows", [
+    [b"noise,1,1,1,3,5", b"noise,1,1,2," + b"9" * 20 + b",5"],
+    [b"noise,1,1,1,3,5", b"noise,1,1,1,3,5", b"noise,1,1,2," + b"9" * 20],
+    [b"noise,1,1,1,3,5", b"signal,1,1,2,3,5", b"\r", b'"9' + b"9" * 20],
+    [b"noise,1,1,1,3,5", b"noise,1,1,2,3," + b"9" * 20, b"\xff"],
+])
+def test_csv_errors_come_in_line_order(tmp_path, rows):
+    data = b"\n".join([_HEADER_LINE, *rows]) + b"\n"
+    path = tmp_path / "counts.csv"
+    path.write_bytes(data)
+    limit = csv.field_size_limit(16)  # "temporal_index" has 14 characters
+    try:
+        _check_against_the_file_reader(path, data)
+    finally:
+        csv.field_size_limit(limit)
