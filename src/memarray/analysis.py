@@ -17,8 +17,6 @@ from .errors import ConfigError, ModeSetMismatch
 from .sequence import SequencePlan
 from .simulate import RunKind, TrialCounts
 
-SNR_DEFINITIONS = ("ratio", "excess")
-
 
 @dataclass(frozen=True)
 class ModeStats:
@@ -92,32 +90,30 @@ def _ratio_err(a: float, sa: float, b: float, sb: float) -> float:
     return abs(r) * math.sqrt((sa / a) ** 2 + (sb / b) ** 2)
 
 
+def _rate(total: int, n: int) -> tuple[float, float]:
+    """Mean and Poisson error of a count total over ``n`` trials (trials
+    times modes for a total pooled over modes)."""
+    return total / n, math.sqrt(total) / n
+
+
 def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
-                   snr_definition: str = "ratio",
                    ) -> dict[tuple[int, int], ModeStats]:
     """Counts per trial, Poisson errors and SNR for every mode.
 
-    ``snr_definition``: "ratio" is c_S/c_B (all detected counts over noise);
-    "excess" subtracts the background first, (c_S - c_B)/c_B.  Modes whose
-    noise total is zero get snr=+inf instead of an error.
+    The SNR is c_S/c_B, all detected counts over noise; the excess form
+    (c_S - c_B)/c_B is snr - 1 with the same error.  Modes whose noise total
+    is zero get snr=+inf instead of an error.
     """
-    if snr_definition not in SNR_DEFINITIONS:
-        raise ConfigError(f"snr_definition must be one of {SNR_DEFINITIONS}, "
-                          f"got {snr_definition!r}")
     ModeSetMismatch.check(signal.counts, noise.counts)
     out: dict[tuple[int, int], ModeStats] = {}
     for key in signal.counts:
-        a, b = signal.counts[key], noise.counts[key]
-        c_s, c_b = a / signal.n_trials, b / noise.n_trials
-        err_s = math.sqrt(a) / signal.n_trials
-        err_b = math.sqrt(b) / noise.n_trials
-        if b == 0:
+        c_s, err_s = _rate(signal.counts[key], signal.n_trials)
+        c_b, err_b = _rate(noise.counts[key], noise.n_trials)
+        if c_b == 0:
             snr = snr_err = math.inf
         else:
             snr = c_s / c_b
             snr_err = _ratio_err(c_s, err_s, c_b, err_b)
-            if snr_definition == "excess":
-                snr -= 1.0  # same propagated error: the shift is exact
         out[key] = ModeStats(c_signal=c_s, c_noise=c_b,
                              err_signal=err_s, err_noise=err_b,
                              snr=snr, snr_err=snr_err)
@@ -211,12 +207,10 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     out = []
     for i, cell_id in enumerate(plan.cell_order):
         block = modes[i * n:(i + 1) * n]  # this cell's modes
-        a = sum(signal.counts[m] for m in block)
-        b = sum(noise.counts[m] for m in block)
-        denom_s = signal.n_trials * n
-        denom_b = noise.n_trials * n
-        c_s, err_s = a / denom_s, math.sqrt(a) / denom_s
-        c_b, err_b = b / denom_b, math.sqrt(b) / denom_b
+        c_s, err_s = _rate(sum(signal.counts[m] for m in block),
+                           signal.n_trials * n)
+        c_b, err_b = _rate(sum(noise.counts[m] for m in block),
+                           noise.n_trials * n)
 
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (
@@ -266,10 +260,6 @@ def crosstalk_matrix(scan: TrialCounts,
     ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts,
                           sides=("scan cells", "noise run"))
 
-    def per_trial(pair: tuple[int, int]) -> tuple[float, float]:
-        total = scan.counts[pair]
-        return total / scan.n_trials, math.sqrt(total) / scan.n_trials
-
     n = len(ids)
     c = [[0.0] * n for _ in range(n)]
     cerr = [[0.0] * n for _ in range(n)]
@@ -277,7 +267,7 @@ def crosstalk_matrix(scan: TrialCounts,
     offdiag = []
     noise_contribution = {}
     for a, i in enumerate(ids):
-        c_ii, err_ii = per_trial((i, i))
+        c_ii, err_ii = _rate(scan.counts[(i, i)], scan.n_trials)
         if c_ii == 0.0:
             invalid.append(i)
             for b in range(n):
@@ -288,7 +278,7 @@ def crosstalk_matrix(scan: TrialCounts,
             if i == j:
                 c[a][b], cerr[a][b] = 1.0, 0.0
                 continue
-            c_ij, err_ij = per_trial((i, j))
+            c_ij, err_ij = _rate(scan.counts[(i, j)], scan.n_trials)
             c[a][b] = c_ij / c_ii
             cerr[a][b] = _ratio_err(c_ij, err_ij, c_ii, err_ii)
             offdiag.append(c[a][b])

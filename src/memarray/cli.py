@@ -25,12 +25,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    SNR_DEFINITIONS,
-    crosstalk_matrix,
-    per_mode_stats,
-    project_cells,
-)
+from .analysis import crosstalk_matrix, per_mode_stats, project_cells
 from .defaults import (
     NOISE_MODELS,
     PLANS,
@@ -134,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="plan file (required unless the input is a scan)")
     p_an.add_argument("--device", type=_resolve_device, default=None,
                       help="device file (required unless the input is a scan)")
-    p_an.add_argument("--snr-definition", default="ratio",
-                      choices=list(SNR_DEFINITIONS),
-                      help="ratio: counts over noise; excess: subtract one")
     p_an.add_argument("--out-dir", default=Path("."), type=Path,
                       help="output directory (default .)")
     p_an.set_defaults(func=cmd_analyze)
@@ -179,7 +171,8 @@ def cmd_run(args) -> int:
         plan, device = _load_plan_and_device(args)
         noise, leak = load_noise(args.noise,
                                  default_dark_rate=device.dark_count_rate)
-        inputs = {name: {"path": str(path), "sha256": digests[path]}
+        inputs = {name: {"path": str(path.absolute()),
+                         "sha256": digests[path]}
                   for name, path in (("plan", args.plan),
                                      ("device", args.device),
                                      ("noise", args.noise))}
@@ -289,7 +282,7 @@ def cmd_analyze(args) -> int:
         ModeSetMismatch.check(modes, run.counts, sides=("plan", "counts"),
                               path=path)
 
-    stats = per_mode_stats(signal, noise, args.snr_definition)
+    stats = per_mode_stats(signal, noise)
 
     # Running sums over the plan's mode order.  Poisson errors add in
     # quadrature, so the error series are running sums of variances.

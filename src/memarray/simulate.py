@@ -59,8 +59,9 @@ class NoiseParams:
                      "dark_rate"):
             if not 0 <= (v := getattr(self, name)) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0, got {v}")
-        if not self.fluorescence_decay > 0:
-            raise ConfigError("fluorescence_decay must be positive")
+        if not 0 < (v := self.fluorescence_decay) < math.inf:
+            raise ConfigError(f"fluorescence_decay must be finite and "
+                              f"positive, got {v}")
         for (i, j), v in self.offresonant_echo_leak.items():
             if not 0 <= v < math.inf:
                 raise ConfigError(f"offresonant_echo_leak[{i},{j}] must be "

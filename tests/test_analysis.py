@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memarray.analysis import (
-    SNR_DEFINITIONS,
     adjusted_snr,
     crosstalk_matrix,
     fidelity_bound,
@@ -60,26 +59,12 @@ class TestPerModeStats:
         [st_] = per_mode_stats(sig, bkg).values()
         assert st_.snr == st_.snr_err == math.inf
 
-    def test_excess_definition_shifts_by_one(self):
-        sig = counts(RunKind.SIGNAL, {(1, 1): 1000}, 10_000)
-        bkg = counts(RunKind.NOISE, {(1, 1): 100}, 10_000)
-        ratio = per_mode_stats(sig, bkg, "ratio")[(1, 1)]
-        excess = per_mode_stats(sig, bkg, "excess")[(1, 1)]
-        assert excess.snr == pytest.approx(ratio.snr - 1.0)
-        assert excess.snr_err == pytest.approx(ratio.snr_err)
-
     def test_mode_set_mismatch(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 5, (1, 2): 5}, 10)
         bkg = counts(RunKind.NOISE, {(1, 1): 1}, 10)
         with pytest.raises(ModeSetMismatch) as err:
             per_mode_stats(sig, bkg)
         assert (1, 2) in err.value.missing_in_noise
-
-    def test_unknown_definition_rejected(self):
-        sig = counts(RunKind.SIGNAL, {(1, 1): 1}, 10)
-        with pytest.raises(ConfigError):
-            per_mode_stats(sig, sig, "bogus")
-        assert SNR_DEFINITIONS == ("ratio", "excess")
 
 
 class TestRescaleSignal:

@@ -133,10 +133,17 @@ class TestValidate:
 
 
 class TestRun:
-    def test_zero_trials_is_usage_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("trials, message", [
+        ("0", "must be >= 1, got 0"),
+        ("abc", "expected an integer, got 'abc'"),
+    ], ids=["0", "abc"])
+    def test_bad_trials_is_usage_error(self, tmp_path, capsys, trials,
+                                       message):
         code = run_cli("run", "--plan", "60mode", "--noise", "storage",
-                       "--trials", "0", "--out-dir", str(tmp_path))
+                       "--trials", trials, "--out-dir", str(tmp_path))
         assert code == 2
+        assert (f"memarray run: error: argument --trials: {message}\n"
+                in capsys.readouterr().err)
 
     def test_sixty_mode_run_row_count(self, tmp_path):
         assert run_cli("run", "--plan", "60mode", "--noise", "storage",
@@ -376,7 +383,7 @@ class TestManifestHashes:
     def _check(self, out, mode, inputs):
         manifest = json.loads((out / f"manifest_{mode}.json").read_text())
         assert {k: v["path"] for k, v in manifest["inputs"].items()} == {
-            k: str(p) for k, p in inputs.items()}
+            k: str(Path(p).absolute()) for k, p in inputs.items()}
         for name, entry in manifest["inputs"].items():
             assert entry["sha256"] == file_sha256(inputs[name]), name
         counts = (out / f"counts_{mode}.csv").read_bytes()
@@ -400,6 +407,20 @@ class TestManifestHashes:
                        "--trials", "10", "--out-dir", str(tmp_path)) == 0
         self._check(tmp_path, "noise", {"plan": small_plan, "device": device,
                                         "noise": noise})
+
+    def test_relative_path_is_recorded_absolute(self, tmp_path, small_plan,
+                                                monkeypatch):
+        (tmp_path / "cfg").mkdir()
+        shutil.move(small_plan, tmp_path / "cfg" / "plan.ini")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--plan", "cfg/plan.ini", "--noise", "storage",
+                       "--trials", "10", "--out-dir", "out") == 0
+        manifest = json.loads((tmp_path / "out" / "manifest_signal.json")
+                              .read_text())
+        recorded = Path(manifest["inputs"]["plan"]["path"])
+        assert recorded.is_absolute()
+        assert recorded.samefile(tmp_path / "cfg" / "plan.ini")
+        assert manifest["inputs"]["plan"]["sha256"] == file_sha256(recorded)
 
     def test_crosstalk_noise_file(self, tmp_path):
         assert run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
@@ -486,6 +507,15 @@ class TestAnalyze:
                            str(noise), "--trials", trials, "--seed", "21",
                            "--mode", mode, "--out-dir", str(tmp_path)) == 0
         return (tmp_path / "counts_signal.csv", tmp_path / "counts_noise.csv")
+
+    def test_snr_definition_is_unrecognized(self, tmp_path, capsys):
+        # The SNR column is always c_S/c_B; there is no option to choose.
+        code = run_cli("analyze", "--signal", str(tmp_path / "s.csv"),
+                       "--noise", str(tmp_path / "n.csv"),
+                       "--snr-definition", "ratio")
+        assert code == 2
+        assert ("memarray: error: unrecognized arguments: --snr-definition "
+                "ratio\n") in capsys.readouterr().err
 
     def test_full_statistics_pipeline(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)

@@ -351,6 +351,8 @@ class TestDiagnostics:
          "expected 'tau:eta' pairs, got '10-0.1, 25:0.05'"),
         ("plan", "input_shape = gaussian", "input_shape = triangle",
          "input_shape", None),
+        ("noise", "row_2 = 0.1, 1", "col_2 = 0.1, 1", "col_2",
+         "expected row_<cell_id> keys in [leakage]"),
     ])
     def test_parse_error_names_key_and_line(self, tmp_path, kind, old, new,
                                             key, expected):
@@ -370,6 +372,10 @@ class TestDiagnostics:
         ("plan", "tau_us = 10.0", "tau_us = -1", None),
         ("noise", "base_noise_per_window = 0", "base_noise_per_window = -1",
          None),
+        # No main section.  [offresonant] is a known section of a noise
+        # file, so only the missing [noise] refuses it.
+        ("device", "[array]", "[arrays]", None),
+        ("noise", "[noise]", "[offresonant]", None),
     ])
     def test_value_error_names_file(self, tmp_path, kind, old, new, key):
         loader, path, _ = _edited(tmp_path, kind, old, new)
