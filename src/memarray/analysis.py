@@ -72,11 +72,6 @@ class CrossTalkMatrix:
     noise_contribution: dict[int, float] = field(default_factory=dict)
     invalid_rows: tuple[int, ...] = ()
 
-    def ratio(self, input_cell: int, output_cell: int) -> float:
-        i = self.cell_ids.index(input_cell)
-        j = self.cell_ids.index(output_cell)
-        return self.c[i][j]
-
 
 # --------------------------------------------------------------------------
 # per-mode statistics
@@ -199,11 +194,14 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     noise tallies are too sparse to divide by), converted to mean counts per
     mode per trial, rescaled to a heralded source and pushed through the
     correlation and fidelity formulas with first-order error propagation.
-    Both runs must cover exactly ``plan.modes``, else ModeSetMismatch.
+    Both runs must cover exactly ``plan.modes``, else ModeSetMismatch with
+    source "signal" or "noise", the signal run checked first.
     """
     modes, n = plan.modes, plan.n_temporal
-    ModeSetMismatch.check(modes, signal.counts, sides=("plan", "signal run"))
-    ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"))
+    ModeSetMismatch.check(modes, signal.counts, sides=("plan", "signal run"),
+                          source="signal")
+    ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"),
+                          source="noise")
     out = []
     for i, cell_id in enumerate(plan.cell_order):
         block = modes[i * n:(i + 1) * n]  # this cell's modes
@@ -250,15 +248,18 @@ def crosstalk_matrix(scan: TrialCounts,
     else ModeSetMismatch.
     Its counts give the noise contribution C_N = n_ii / c_ii of each
     diagonal.  Rows with zero diagonal counts are flagged invalid and
-    skipped in the mean.
+    skipped in the mean; a scan whose every row is invalid is a ConfigError.
+    Each error's source names the run at fault: "signal" for the scan,
+    "noise" for the no-input run.
     """
     if scan.kind is not RunKind.CROSSTALK:
-        raise ConfigError("crosstalk_matrix needs cross-talk scan counts")
+        raise ConfigError("crosstalk_matrix needs cross-talk scan counts",
+                          source="signal")
     ids = sorted({cell for pair in scan.counts for cell in pair})
     ModeSetMismatch.check([(i, j) for i in ids for j in ids], scan.counts,
-                          sides=("cell pairs", "scan"))
+                          sides=("cell pairs", "scan"), source="signal")
     ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts,
-                          sides=("scan cells", "noise run"))
+                          sides=("scan cells", "noise run"), source="noise")
 
     n = len(ids)
     c = [[0.0] * n for _ in range(n)]
@@ -286,7 +287,7 @@ def crosstalk_matrix(scan: TrialCounts,
         noise_contribution[i] = n_ii / c_ii
     if not offdiag and len(ids) > 1:
         raise ConfigError("every scan row has a zero diagonal; nothing to "
-                          "normalize")
+                          "normalize", source="signal")
     mean_off = sum(offdiag) / len(offdiag) if offdiag else 0.0
     return CrossTalkMatrix(cell_ids=tuple(ids),
                            c=tuple(tuple(r) for r in c),

@@ -33,7 +33,6 @@ from .defaults import (
     default_noise_path,
     default_plan_path,
 )
-from .device import check_calibration_span
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
     all_or_none,
@@ -50,7 +49,7 @@ from .io import (
     write_projections_csv,
     write_timeline_csv,
 )
-from .sequence import check_plan, compile_plan, trial_duration
+from .sequence import compile_plan, trial_duration
 from .simulate import ENGINE, RunKind, run_crosstalk_scan, run_trials
 
 
@@ -147,7 +146,7 @@ def _load_plan_and_device(args):
     missing = [c for c in plan.cell_order if c not in device.cell_ids]
     if missing:
         raise ConfigError(f"plan names cells {missing} that the device "
-                          f"does not have", path=args.plan)
+                          f"does not have", source="plan")
     return plan, device
 
 
@@ -177,28 +176,8 @@ def cmd_run(args) -> int:
                                      ("device", args.device),
                                      ("noise", args.noise))}
 
-        if args.mode == "crosstalk":
-            if leak is None:
-                raise ConfigError("cross-talk runs need a [leakage] matrix "
-                                  "in the noise file", path=args.noise)
-            # The scan covers the plan's cells, one input pulse each.
-            if plan.n_temporal != 1:
-                raise ConfigError(f"cross-talk scans use a single input "
-                                  f"pulse per trial; got "
-                                  f"n_temporal={plan.n_temporal}",
-                                  path=args.plan)
-            missing = [c for c in plan.cell_order if c not in leak.cell_ids]
-            if missing:
-                raise ConfigError(f"[leakage] has no row for plan cells "
-                                  f"{missing}", path=args.noise)
-        check_plan(plan)  # timing violations first, as validate reports them
-        for cell in plan.cell_order:
-            try:
-                check_calibration_span(device.cell(cell), plan.tau)
-            except ConfigError as exc:
-                raise ConfigError(f"{exc} of {args.device}",
-                                  path=args.plan) from None
-
+        # Each run checks the plan's timing rules, as validate reports
+        # them, and its calibration span before it draws.
         if args.mode == "crosstalk":
             result = run_crosstalk_scan(device, leak, noise, plan,
                                         n_trials=args.trials, seed=args.seed)
@@ -236,22 +215,13 @@ def _read_noise_run(path: Path):
     counts = read_counts_csv(path)
     if counts.kind is not RunKind.NOISE:
         raise ConfigError(f"--noise needs a noise (no-input) run, but this "
-                          f"file holds a {counts.kind.value} run", path=path)
+                          f"file holds a {counts.kind.value} run",
+                          source="noise")
     return counts
 
 
 def _analyze_scan(args, scan) -> int:
-    noise = _read_noise_run(args.noise)
-    try:
-        matrix = crosstalk_matrix(scan, noise)
-    except ModeSetMismatch as exc:
-        # crosstalk_matrix checks the scan for every pair of its cells, then
-        # the noise run for one window per scan cell: name the file at fault.
-        exc.path = args.signal if exc.sides[1] == "scan" else args.noise
-        raise
-    except ConfigError as exc:  # a scan whose every diagonal is zero
-        exc.path = args.signal
-        raise
+    matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
                                  args.out_dir / "crosstalk_matrix_err.csv",
@@ -270,7 +240,7 @@ def cmd_analyze(args) -> int:
     if signal.kind is not RunKind.SIGNAL:
         raise ConfigError(f"--signal needs a signal or crosstalk run, but "
                           f"this file holds a {signal.kind.value} run",
-                          path=args.signal)
+                          source="signal")
 
     if args.plan is None or args.device is None:
         raise ConfigError("signal/noise analysis needs --plan and --device "
@@ -278,10 +248,9 @@ def cmd_analyze(args) -> int:
     plan, device = _load_plan_and_device(args)
     noise = _read_noise_run(args.noise)
     modes = plan.modes
-    for run, path in ((signal, args.signal), (noise, args.noise)):
-        ModeSetMismatch.check(modes, run.counts, sides=("plan", "counts"),
-                              path=path)
-
+    # project_cells checks both runs against the plan's modes, so it comes
+    # first: a mismatch names the run at fault.
+    projections = project_cells(signal, noise, device, plan)
     stats = per_mode_stats(signal, noise)
 
     # Running sums over the plan's mode order.  Poisson errors add in
@@ -292,7 +261,6 @@ def cmd_analyze(args) -> int:
         [stats[m].err_noise ** 2 for m in modes]))
     cum_s_err = [v ** 0.5 for v in var_s]
     cum_b_err = [v ** 0.5 for v in var_b]
-    projections = project_cells(signal, noise, device, plan)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     with all_or_none() as paths:
@@ -319,15 +287,14 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ModeSetMismatch) as exc:
+        if exc.path is None and exc.source:  # the option names the file
+            exc.path = getattr(args, exc.source)
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConfigError) else 1
     except CompilationError as exc:
         for violation in exc.violations:
             print(f"violation: {violation}", file=sys.stderr)
-        return 1
-    except ModeSetMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:  # inputs fail as ConfigError: this is an output
         where = "" if exc.filename is None else f"{exc.filename}: "

@@ -144,12 +144,13 @@ class ArrayDevice:
 
 def check_calibration_span(cell: CellParams, tau: float) -> None:
     """Refuse a storage time ``tau`` (us) more than a factor of two outside
-    the cell's calibration span."""
+    the cell's calibration span.  The plan sets tau, so the error names it
+    as the source."""
     lo, hi = cell.afc_calibration[0][0], cell.afc_calibration[-1][0]
     if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
         raise ConfigError(
             f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
-            f"outside the calibration span [{lo}, {hi}] us")
+            f"outside the calibration span [{lo}, {hi}] us", source="plan")
 
 
 def afc_efficiency_at(cell: CellParams, tau: float) -> float:

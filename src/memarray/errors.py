@@ -7,14 +7,18 @@ class ConfigError(Exception):
     """A configuration value or file is invalid.
 
     Carries enough context (path / key / line) for the CLI to print a parse
-    diagnostic that points at the offending entry.
+    diagnostic that points at the offending entry.  A library check that
+    holds no path sets ``source`` instead: the input at fault, named by its
+    CLI option ("plan", "device", "noise" or "signal"), whose path the CLI
+    fills in.
     """
 
     def __init__(self, message: str, *, path=None, key: str | None = None,
-                 line: int | None = None):
+                 line: int | None = None, source: str | None = None):
         self.path = path
         self.key = key
         self.line = line
+        self.source = source
         super().__init__(message)
 
     def __str__(self) -> str:
@@ -55,16 +59,18 @@ class ModeSetMismatch(Exception):
     same spatio-temporal modes.
 
     ``sides`` names the two mode sets in the message; the first is the one
-    ``missing_in_signal`` is missing from.  ``path``, when set, names the
-    file at fault, as in a ConfigError.
+    ``missing_in_signal`` is missing from.  ``source`` names the input at
+    fault and ``path``, once the CLI has set it, its file, as in a
+    ConfigError.
     """
 
     def __init__(self, missing_in_signal, missing_in_noise,
-                 sides=("signal run", "noise run"), path=None):
+                 sides=("signal run", "noise run"), source=None):
         self.missing_in_signal = tuple(sorted(missing_in_signal))
         self.missing_in_noise = tuple(sorted(missing_in_noise))
         self.sides = tuple(sides)
-        self.path = path
+        self.source = source
+        self.path = None
         parts = [f"missing in {side}: {_listing(missing)}" for side, missing
                  in zip(sides, (self.missing_in_signal, self.missing_in_noise))
                  if missing]
@@ -76,7 +82,7 @@ class ModeSetMismatch(Exception):
 
     @classmethod
     def check(cls, first, second, sides=("signal run", "noise run"),
-              path=None) -> None:
+              source=None) -> None:
         """Raise unless ``first`` and ``second`` hold the same keys."""
         if (a := set(first)) != (b := set(second)):
-            raise cls(b - a, a - b, sides, path)
+            raise cls(b - a, a - b, sides, source)

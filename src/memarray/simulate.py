@@ -240,15 +240,20 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
     return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
 
 
-def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
+def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
                        noise: NoiseParams, plan: SequencePlan,
                        n_trials: int, seed: int) -> TrialCounts:
     """Sweep every ordered (input cell, output cell) pair of the plan's
     cells, taken in the leakage matrix's order: the input enters cell i
     while collection is set to output j.  Every pair is one trial of
     ``plan``'s single-mode cell block, with the means of
-    ``mode_expectations``, so the plan's timing rules are checked as in
-    ``run_trials``.  A plan cell without a leakage row is a ConfigError.
+    ``mode_expectations``, so the plan's timing rules and calibration span
+    are checked as in ``run_trials``.
+
+    Before those, three ConfigErrors refuse the scan, in this order: no
+    leakage matrix (``leak`` is None; source "noise"), a plan with more
+    than one temporal mode (source "plan"), and plan cells without a
+    leakage row, all listed in one error (source "noise").
 
     Returns one CROSSTALK table keyed by (input_cell, output_cell).
     Expected counts per window:
@@ -258,10 +263,18 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix,
     reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
+    if leak is None:
+        raise ConfigError("cross-talk runs need a [leakage] matrix in the "
+                          "noise file", source="noise")
     if plan.n_temporal != 1:
         raise ConfigError(f"cross-talk scans use a single input pulse per "
-                          f"trial; got n_temporal={plan.n_temporal}")
-    cells = sorted(plan.cell_order, key=leak._index)
+                          f"trial; got n_temporal={plan.n_temporal}",
+                          source="plan")
+    missing = [c for c in plan.cell_order if c not in leak.cell_ids]
+    if missing:
+        raise ConfigError(f"[leakage] has no row for plan cells {missing}",
+                          source="noise")
+    cells = sorted(plan.cell_order, key=leak.cell_ids.index)
     exp = mode_expectations(device, plan, noise)
 
     pairs = [(i, j) for i in cells for j in cells]

@@ -239,6 +239,7 @@ class TestProjectCells:
         with pytest.raises(ModeSetMismatch) as err:
             project_cells(sig, bkg, device, plan)
         assert "missing in signal run: [(1, 2)]" in str(err.value)
+        assert err.value.source == "signal"
 
 
 def scan_table(totals, n_trials=1000):
@@ -251,9 +252,10 @@ class TestCrossTalkMatrix:
         scan = scan_table({(1, 1): 100, (1, 2): 5, (2, 1): 8, (2, 2): 80})
         bkg = counts(RunKind.NOISE, {(1, 1): 2, (2, 1): 4}, 1000)
         m = crosstalk_matrix(scan, bkg)
-        assert m.ratio(1, 2) == pytest.approx(0.05)
-        assert m.ratio(2, 1) == pytest.approx(0.1)
-        assert m.ratio(1, 1) == 1.0 and m.ratio(2, 2) == 1.0
+        assert m.cell_ids == (1, 2)
+        assert m.c[0][1] == pytest.approx(0.05)
+        assert m.c[1][0] == pytest.approx(0.1)
+        assert m.c[0][0] == 1.0 and m.c[1][1] == 1.0
         assert m.mean_offdiagonal == pytest.approx((0.05 + 0.1) / 2)
         # C_N = n_ii / c_ii with matching per-trial normalization
         assert m.noise_contribution[1] == pytest.approx(2 / 100)
@@ -267,8 +269,8 @@ class TestCrossTalkMatrix:
         scan = scan_table({(1, 1): 50, (1, 2): 0, (2, 1): 0, (2, 2): 50})
         bkg = counts(RunKind.NOISE, {(1, 1): 0, (2, 1): 0}, 1000)
         m = crosstalk_matrix(scan, bkg)
-        assert m.ratio(1, 2) == 0.0
-        assert m.ratio(2, 1) == 0.0
+        assert m.c[0][1] == 0.0
+        assert m.c[1][0] == 0.0
         assert m.mean_offdiagonal == 0.0
         assert m.invalid_rows == ()
 
@@ -288,6 +290,7 @@ class TestCrossTalkMatrix:
         with pytest.raises(ModeSetMismatch) as err:
             crosstalk_matrix(scan, bkg)
         assert str(err.value) == "mode sets differ: missing in scan: [(2, 1)]"
+        assert err.value.source == "signal"
 
     @pytest.mark.parametrize("noise_keys", [
         [(1, 1), (1, 2), (2, 1), (2, 2)],  # two windows per cell
@@ -296,8 +299,9 @@ class TestCrossTalkMatrix:
     def test_noise_run_of_another_plan_rejected(self, noise_keys):
         scan = scan_table({(1, 1): 100, (1, 2): 5, (2, 1): 8, (2, 2): 80})
         bkg = counts(RunKind.NOISE, dict.fromkeys(noise_keys, 3), 1000)
-        with pytest.raises(ModeSetMismatch):
+        with pytest.raises(ModeSetMismatch) as err:
             crosstalk_matrix(scan, bkg)
+        assert err.value.source == "noise"
 
     def test_wrong_kind_rejected(self):
         scan = counts(RunKind.SIGNAL, {(1, 1): 10}, 1000)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from memarray.io import (
     read_counts_csv,
     write_counts_csv,
 )
+from memarray.sequence import check_plan
 from memarray.simulate import RunKind, TrialCounts, run_trials
 
 
@@ -216,7 +218,7 @@ class TestRun:
         assert code == 2
         assert capsys.readouterr().err == (
             f"error: {p}: cell 1: tau=60.0 us is more than 2.0x outside the "
-            f"calibration span [10.0, 25.0] us of {default_device_path()}\n")
+            f"calibration span [10.0, 25.0] us\n")
         assert not out.exists()
 
     def test_seed_changes_bytes(self, tmp_path, small_plan):
@@ -275,6 +277,27 @@ class TestRun:
         assert len(lines) == n_lines
         assert all(line.startswith("violation: ") for line in lines)
         assert capsys.readouterr().err == validated
+
+    @pytest.mark.parametrize("mode, plan, noise", [
+        ("signal", "60mode", "storage"), ("noise", "60mode", "storage"),
+        ("crosstalk", "crosstalk", "crosstalk")])
+    def test_run_checks_the_plan_once(self, tmp_path, monkeypatch, mode, plan,
+                                      noise):
+        # Count the calls through every memarray name bound to check_plan:
+        # simulate's, which mode_expectations looks up, and any other.
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return check_plan(p)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("memarray.")]:
+            if getattr(module, "check_plan", None) is check_plan:
+                monkeypatch.setattr(module, "check_plan", counted)
+        assert memarray.simulate.check_plan is counted
+        assert run_cli("run", "--plan", plan, "--noise", noise, "--mode", mode,
+                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
+        assert len(calls) == 1
 
     def test_value_error_is_not_an_exit_code(self, tmp_path, monkeypatch):
         # Exit 1 is for domain errors the library names; any other
@@ -654,7 +677,7 @@ class TestAnalyze:
         ("250mode", "250mode", "60mode", "signal",
          "missing in plan: 190 modes, first 10: [(1, 7), "),
         ("60mode", "60mode", "250mode", "signal",
-         "missing in counts: 190 modes, first 10: [(1, 7), "),
+         "missing in signal run: 190 modes, first 10: [(1, 7), "),
         ("60mode", "250mode", "60mode", "noise",
          "missing in plan: 190 modes, first 10: [(1, 7), (1, 8), (1, 9), "
          "(1, 10), (1, 11), (1, 12), (1, 13), (1, 14), (1, 15), (1, 16)]\n"),

@@ -5,8 +5,8 @@ only the ones it uses.  numpy is loaded only by the Poisson draw of
 ``memarray run``, and config files are parsed without ``configparser``.
 The cold-path check first sets ``sys.modules["numpy"]`` and
 ``sys.modules["configparser"]`` to None, which makes every import of either
-raise, so it fails as soon as ``import memarray``, ``validate`` or
-``analyze`` needs one of them again.
+raise, so it fails as soon as ``import memarray``, ``validate``,
+``analyze`` or a refused ``run`` needs one of them again.
 Diagnostics must not depend on the interpreter's string-hash seed, and an
 output path that cannot be written is a one-line error, not a traceback.
 """
@@ -34,6 +34,7 @@ from pathlib import Path
 
 import memarray
 from memarray.cli import main
+from memarray.defaults import default_plan_path
 import test_analyze_bytes as pinned
 
 for plan in ("60mode", "250mode", "crosstalk"):
@@ -43,6 +44,18 @@ for name, test in (("storage", pinned.test_storage_analyze_bytes),
                    ("scan", pinned.test_scan_analyze_bytes)):
     (out / name).mkdir()
     test(out / name)  # analyze, then assert the pinned output hashes
+# Every refusal of run comes before the draw that imports numpy: an
+# infeasible plan, a scan of a six-mode plan, a tau far outside calibration.
+text = default_plan_path("60mode").read_text()
+infeasible, far = out / "infeasible.ini", out / "far.ini"
+infeasible.write_text(text.replace("n_temporal = 6",
+                                   "n_temporal = 7\\nmode_period_us = 1.0833"))
+far.write_text(text.replace("tau_us = 10.0", "tau_us = 60.0"))
+for plan, noise, mode, code in ((infeasible, "storage", "signal", 1),
+                                ("60mode", "crosstalk", "crosstalk", 2),
+                                (far, "storage", "signal", 2)):
+    assert main(["run", "--plan", str(plan), "--noise", noise, "--mode", mode,
+                 "--trials", "10", "--out-dir", str(out / "refused")]) == code
 try:
     main(["run", "--plan", "60mode", "--noise", "storage", "--trials", "10",
           "--out-dir", str(out / "run")])

@@ -10,6 +10,7 @@ probability at most 1e-4 whatever the seed.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -400,16 +401,19 @@ class TestCrossTalkScan:
 
     def test_plan_cell_missing_from_leakage_rejected(self):
         device, plan = self.scan_setup()
-        with pytest.raises(ConfigError, match="cell 3 not in leakage matrix"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "[leakage] has no row for plan cells [3]")) as err:
             run_crosstalk_scan(device, identity_leak(2), QUIET, plan,
                                n_trials=10, seed=0)
+        assert err.value.source == "noise"
 
     def test_requires_single_temporal_mode(self):
         device, _ = self.scan_setup()
         two_modes = make_plan(n_temporal=2)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             run_crosstalk_scan(device, identity_leak(), QUIET, two_modes,
                                n_trials=10, seed=0)
+        assert err.value.source == "plan"
 
     def test_counts_equal_one_seeded_poisson_draw(self):
         # One Poisson(n * lambda) draw over the pairs in (input, output)
