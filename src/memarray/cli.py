@@ -35,7 +35,6 @@ from .defaults import (
 )
 from .errors import CompilationError, ConfigError, ModeSetMismatch
 from .io import (
-    all_or_none,
     file_digests,
     load_device,
     load_noise,
@@ -188,23 +187,22 @@ def cmd_run(args) -> int:
 
         args.out_dir.mkdir(parents=True, exist_ok=True)
         manifest_path = args.out_dir / f"manifest_{args.mode}.json"
-        # A counts file without its manifest traces to nothing.
-        with all_or_none() as written:
-            counts_path = write_counts_csv(
-                args.out_dir / f"counts_{args.mode}.csv", result)
-            written.append(counts_path)
-            write_manifest(manifest_path, {
-                "tool": "memarray",
-                "version": __version__,
-                "command": "run",
-                "mode": args.mode,
-                "seed": args.seed,
-                "trials": args.trials,
-                "engine": ENGINE,
-                "inputs": inputs,
-                "outputs": {counts_path.name: digests[counts_path]},
-                "duration_seconds": round(time.monotonic() - started, 3),
-            })
+        # A counts file without its manifest traces to nothing: if the
+        # manifest write fails, the block removes the counts file too.
+        counts_path = write_counts_csv(
+            args.out_dir / f"counts_{args.mode}.csv", result)
+        write_manifest(manifest_path, {
+            "tool": "memarray",
+            "version": __version__,
+            "command": "run",
+            "mode": args.mode,
+            "seed": args.seed,
+            "trials": args.trials,
+            "engine": ENGINE,
+            "inputs": inputs,
+            "outputs": {counts_path.name: digests[counts_path]},
+            "duration_seconds": round(time.monotonic() - started, 3),
+        })
     print(f"wrote {counts_path} ({len(result.counts)} rows) and "
           f"{manifest_path}")
     return 0
@@ -221,6 +219,10 @@ def _read_noise_run(path: Path):
 
 
 def _analyze_scan(args, scan) -> int:
+    for option in ("plan", "device"):
+        if getattr(args, option) is not None:
+            raise ConfigError(f"--signal holds a cross-talk scan, whose "
+                              f"analysis takes no --{option}", source=option)
     matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
@@ -263,14 +265,11 @@ def cmd_analyze(args) -> int:
     cum_b_err = [v ** 0.5 for v in var_b]
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    with all_or_none() as paths:
-        paths.append(write_mode_stats_csv(args.out_dir / "mode_stats.csv",
-                                          stats))
-        paths.append(write_cumulative_csv(args.out_dir / "cumulative.csv",
-                                          modes, cum_s, cum_s_err, cum_b,
-                                          cum_b_err))
-        paths.append(write_projections_csv(args.out_dir / "projections.csv",
-                                           projections))
+    paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),
+             write_cumulative_csv(args.out_dir / "cumulative.csv", modes,
+                                  cum_s, cum_s_err, cum_b, cum_b_err),
+             write_projections_csv(args.out_dir / "projections.csv",
+                                   projections))
     finite = [s.snr for s in stats.values() if math.isfinite(s.snr)]
     mean_snr = sum(finite) / len(finite) if finite else float("inf")
     print(f"{len(modes)} modes: cumulative signal {cum_s[-1]:.4g}, "
@@ -286,7 +285,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed the diagnostic
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.func(args)
+        # One record for the call: if it fails, every file it wrote goes.
+        with file_digests():
+            return args.func(args)
     except (ConfigError, ModeSetMismatch) as exc:
         if exc.path is None and exc.source:  # the option names the file
             exc.path = getattr(args, exc.source)

@@ -142,17 +142,6 @@ class ArrayDevice:
 # efficiency arithmetic
 
 
-def check_calibration_span(cell: CellParams, tau: float) -> None:
-    """Refuse a storage time ``tau`` (us) more than a factor of two outside
-    the cell's calibration span.  The plan sets tau, so the error names it
-    as the source."""
-    lo, hi = cell.afc_calibration[0][0], cell.afc_calibration[-1][0]
-    if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
-        raise ConfigError(
-            f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
-            f"outside the calibration span [{lo}, {hi}] us", source="plan")
-
-
 def afc_efficiency_at(cell: CellParams, tau: float) -> float:
     """Echo efficiency of the cell's comb at storage time ``tau`` (us).
 
@@ -165,8 +154,12 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
     for t, eta in table:
         if tau == t:
             return eta
-    check_calibration_span(cell, tau)
     lo, hi = table[0][0], table[-1][0]
+    if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
+        # The plan sets tau, so the error names it as the source.
+        raise ConfigError(
+            f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
+            f"outside the calibration span [{lo}, {hi}] us", source="plan")
     if tau < lo or tau > hi:
         log.warning(
             "cell %d: extrapolating AFC efficiency to tau=%g us outside the "

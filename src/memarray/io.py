@@ -11,7 +11,8 @@ run read and what it wrote, not a second read of a file that may have
 changed since.  A manifest names each input by its path and that sha256
 and holds no copy of the parsed configuration: the file whose bytes match
 the hash loads again to the same records.  A table or manifest whose write
-fails leaves no partial file behind.
+fails leaves no partial file behind, and a ``file_digests()`` block that
+raises removes every file written in it: a command runs in one such block.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from .sequence import SequencePlan
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
 _COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
-# The dict of the innermost ``file_digests()`` block, if any.
-_DIGESTS: ContextVar[dict | None] = ContextVar("file_digests", default=None)
+# The record of the innermost ``file_digests()`` block, if any: the dict it
+# yields and the list of the files written in it.
+_DIGESTS: ContextVar[tuple | None] = ContextVar("file_digests", default=None)
 
 
 @contextmanager
@@ -43,19 +45,33 @@ def file_digests():
 
     Yields a dict that maps the ``Path`` of every file that a loader or
     reader parses, or a writer writes, in the block to the hex digest of
-    the bytes it parsed or wrote.
+    the bytes it parsed or wrote.  If the block raises, the files written
+    in it, never one it only read, are removed before it re-raises; if it
+    ends normally, its record joins that of the enclosing block, if any.
     """
     digests: dict[Path, str] = {}
-    token = _DIGESTS.set(digests)
+    written: list[Path] = []
+    outer = _DIGESTS.get()
+    token = _DIGESTS.set((digests, written))
     try:
         yield digests
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     finally:
         _DIGESTS.reset(token)
+    if outer is not None:
+        outer[0].update(digests)
+        outer[1].extend(written)
 
 
-def _record(path: Path, data: bytes) -> None:
-    if (digests := _DIGESTS.get()) is not None:
+def _record(path: Path, data: bytes, wrote: bool = False) -> None:
+    if (record := _DIGESTS.get()) is not None:
+        digests, written = record
         digests[path] = hashlib.sha256(data).hexdigest()
+        if wrote:
+            written.append(path)
 
 
 def _read_text(path: Path) -> str:
@@ -389,7 +405,7 @@ def _write_text(path, text: str) -> Path:
         if exc.filename is None:  # a failed write or flush names no file
             exc.filename = str(path)
         raise
-    _record(path, data)
+    _record(path, data, wrote=True)
     return path
 
 
@@ -399,19 +415,6 @@ def _write_table(path, columns, row_format: str, rows) -> Path:
     row_format += "\n"
     return _write_text(path, ",".join(columns) + "\n"
                        + "".join([row_format % row for row in rows]))
-
-
-@contextmanager
-def all_or_none():
-    """Yield a list for the paths that the block writes; if the block
-    raises OSError, remove each of them before re-raising."""
-    paths: list[Path] = []
-    try:
-        yield paths
-    except OSError:
-        for path in paths:
-            path.unlink(missing_ok=True)
-        raise
 
 
 COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
@@ -566,14 +569,13 @@ def write_crosstalk_csvs(matrix_path, err_path, summary_path, xtalk) -> list[Pat
                 for cid in ids
                 if cid in xtalk.noise_contribution]  # absent for invalid rows
     summary += [("invalid_row", cid, "") for cid in xtalk.invalid_rows]
-    with all_or_none() as paths:
-        for path, table in ((matrix_path, xtalk.c), (err_path, xtalk.c_err)):
-            paths.append(_write_table(
-                path, header, row_format,
-                [(cid, *row) for cid, row in zip(ids, table)]))
-        paths.append(_write_table(summary_path, ["quantity", "cell", "value"],
-                                  "%s,%s,%s", summary))
-    return paths
+    rows = [[(cid, *row) for cid, row in zip(ids, table)]
+            for table in (xtalk.c, xtalk.c_err)]
+    with file_digests():  # all three files or none
+        return [_write_table(matrix_path, header, row_format, rows[0]),
+                _write_table(err_path, header, row_format, rows[1]),
+                _write_table(summary_path, ["quantity", "cell", "value"],
+                             "%s,%s,%s", summary)]
 
 
 # --------------------------------------------------------------------------

@@ -812,6 +812,27 @@ class TestAnalyze:
             f"nothing to normalize\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, value", [
+        ("plan", "60mode"), ("device", "/nonexistent/device.ini")])
+    def test_scan_refuses_plan_and_device(self, tmp_path, capsys, option,
+                                          value):
+        for mode, seed in (("crosstalk", "6"), ("noise", "7")):
+            assert run_cli("run", "--plan", "crosstalk", "--noise",
+                           "crosstalk", "--mode", mode, "--trials", "50",
+                           "--seed", seed, "--out-dir", str(tmp_path)) == 0
+        capsys.readouterr()
+        out = tmp_path / "xt"
+        code = run_cli("analyze",
+                       "--signal", str(tmp_path / "counts_crosstalk.csv"),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       f"--{option}", value, "--out-dir", str(out))
+        assert code == 2
+        named = default_plan_path(value) if option == "plan" else value
+        assert capsys.readouterr() == ("", (
+            f"error: {named}: --signal holds a cross-talk scan, whose "
+            f"analysis takes no --{option}\n"))
+        assert not out.exists()
+
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)
         lines = sig.read_text().splitlines()

@@ -146,6 +146,55 @@ class TestFileDigests:
         assert digests == {default_device_path(): _sha256(
             default_device_path()), bad: _sha256(bad)}
 
+    def test_block_that_raises_removes_what_it_wrote(self, tmp_path):
+        run = TrialCounts(kind=RunKind.NOISE, counts={(1, 1): 3}, n_trials=5)
+        with pytest.raises(RuntimeError):
+            with file_digests() as digests:
+                written = [write_counts_csv(tmp_path / "counts.csv", run),
+                           write_manifest(tmp_path / "manifest.json", {})]
+                raise RuntimeError("not an OSError")
+        assert set(digests) == set(written)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_that_raises_leaves_what_it_did_not_write(self, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(",".join(COUNTS_HEADER) + "\nnoise,1,1,1,3,5\n")
+        with file_digests():
+            earlier = write_manifest(tmp_path / "earlier.json", {"a": 1})
+            with pytest.raises(RuntimeError):
+                with file_digests() as digests:
+                    read_counts_csv(counts)
+                    load_device(default_device_path())
+                    write_manifest(tmp_path / "manifest.json", {})
+                    raise RuntimeError
+            assert len(digests) == 3
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "counts.csv", "earlier.json"]
+        assert earlier.read_text() == '{\n  "a": 1\n}\n'
+
+    def test_nested_block_records_into_the_enclosing_one(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with file_digests() as outer:
+                with file_digests() as inner:
+                    load_device(default_device_path())
+                    written = write_manifest(tmp_path / "manifest.json", {})
+                assert outer == inner == {
+                    default_device_path(): _sha256(default_device_path()),
+                    written: _sha256(written)}
+                raise RuntimeError
+        assert not written.exists()
+
+    def test_failed_crosstalk_write_leaves_none_of_the_three(self, tmp_path):
+        xtalk = CrossTalkMatrix(
+            cell_ids=(1, 2), c=((1.0, 0.1), (0.2, 1.0)),
+            c_err=((0.0, 0.01), (0.02, 0.0)), mean_offdiagonal=0.15,
+            noise_contribution={1: 0.0, 2: 0.0}, invalid_rows=())
+        (tmp_path / "summary.csv").mkdir()  # the last of the three fails
+        with pytest.raises(OSError):
+            write_crosstalk_csvs(tmp_path / "matrix.csv", tmp_path / "err.csv",
+                                 tmp_path / "summary.csv", xtalk)
+        assert [p.name for p in tmp_path.iterdir()] == ["summary.csv"]
+
 
 class TestLoadDevice:
     def test_shipped_default(self):
