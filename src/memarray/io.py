@@ -441,6 +441,12 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
 
 
+class _Ints(dict):  # int() of each distinct text, parsed on first lookup
+    def __missing__(self, text: str) -> int:
+        self[text] = value = int(text)
+        return value
+
+
 def _csv_rows(text: str):
     """The rows of ``text`` as a file opened with newline="" gives them."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -460,7 +466,7 @@ def read_counts_csv(path) -> TrialCounts:
     the CSV reader cannot split.  Row errors name the file and the line.
     """
     path = Path(path)
-    kind = n_trials = None
+    kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
     counts: dict[tuple[int, int], int] = {}
     key_lines: dict[tuple[int, int], int] = {}
     with _in_file(path):
@@ -477,14 +483,15 @@ def read_counts_csv(path) -> TrialCounts:
                                   f"{len(COUNTS_HEADER)} fields, got "
                                   f"{len(row)})", line=lineno)
             try:
-                i, j, k, total, n = map(int, row[1:])
-                row_kind = _RUN_KINDS[row[0]]
+                kind_text, i, j, k, total, n = row
+                i, j, k, n = ints[i], ints[j], ints[k], ints[n]
+                row_kind, total = _RUN_KINDS[kind_text], int(total)
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"bad counts row: {row}",
                                   line=lineno) from exc
             if kind is None:
                 kind, n_trials = row_kind, n
-            scan = kind is RunKind.CROSSTALK
+                scan = kind is RunKind.CROSSTALK
             key = (i, j) if scan else (i, k)
             if total < 0 or n < 1:
                 msg = (f"bad counts row: {row} (total_counts must be >= 0 "

@@ -2,14 +2,14 @@
 compilation.
 
 All times are microseconds unless a name says otherwise.  ``check_plan``
-tests a plan's timing rules and ``control_gap`` gives each window's distance
-from its control pulse in closed form, so a run needs no timeline.  A
-compiled timeline is a tuple of events, in time order, on four
-acousto-optic deflector channels.  ``compile_plan`` runs ``check_plan``
-first and packs the cell blocks by the channels' switching times, so by
-construction every timeline it returns keeps each channel's switching time
-and overlaps no control pulse with the preparation or with its cell's echo
-windows.
+tests a plan's timing rules, and ``control_gap``, ``event_count`` and
+``trial_duration`` give a window's gap to its control pulse and a trial's
+size and span in closed form, so neither a run nor a plain validation lays
+out a timeline.  ``compile_plan`` runs ``check_plan`` and lays one out, in
+time order on four acousto-optic deflector channels, packing the cell
+blocks by the channels' switching times: by construction every timeline it
+returns keeps each channel's switching time and overlaps no control pulse
+with the preparation or with its cell's echo windows.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .device import PulseShape, _check_fraction
 from .errors import CompilationError, ConfigError
@@ -200,14 +201,15 @@ def control_gap(plan: SequencePlan, temporal_index: int) -> float:
             - (plan.n_temporal - temporal_index) * p)
 
 
-def _block_spacing(plan: SequencePlan, period: float) -> float:
-    """Smallest start-to-start offset between consecutive cell blocks that
-    satisfies every same-channel switching constraint."""
+def _block_starts(plan: SequencePlan, period: float) -> list[float]:
+    """Each cell block's start: one mux switch after the preparation, then
+    step by step, the least step every channel's switching time allows."""
     span_in = (plan.n_temporal - 1) * period
-    mux = span_in + plan.input_duration + SWITCH_MUX_US
-    control = plan.t_spin + CONTROL_PULSE_US + SWITCH_CONTROL_US
-    demux = span_in + plan.window_duration + SWITCH_DEMUX_US
-    return max(mux, control, demux)
+    step = max(span_in + plan.input_duration + SWITCH_MUX_US,
+               plan.t_spin + CONTROL_PULSE_US + SWITCH_CONTROL_US,
+               span_in + plan.window_duration + SWITCH_DEMUX_US)
+    return list(accumulate([step] * (len(plan.cell_order) - 1),
+                           initial=PREP_US + SWITCH_MUX_US))
 
 
 def check_plan(plan: SequencePlan) -> float:
@@ -274,10 +276,7 @@ def compile_plan(plan: SequencePlan) -> tuple[TimelineEvent, ...]:
 
     events = [TimelineEvent(EventKind.PREPARE, 0, start=0.0,
                             duration=PREP_US)]
-    block_start = PREP_US + SWITCH_MUX_US
-    spacing = _block_spacing(plan, period)
-    for cell in plan.cell_order:
-        t0 = block_start
+    for cell, t0 in zip(plan.cell_order, _block_starts(plan, period)):
         for k in range(1, plan.n_temporal + 1):
             events.append(TimelineEvent(
                 EventKind.INPUT, cell, start=t0 + (k - 1) * period,
@@ -292,15 +291,22 @@ def compile_plan(plan: SequencePlan) -> tuple[TimelineEvent, ...]:
                 EventKind.ECHO_WINDOW, cell,
                 start=t0 + (k - 1) * period + plan.tau + plan.t_spin,
                 duration=w, temporal_index=k))
-        block_start += spacing
 
     return tuple(sorted(events, key=lambda e: (e.start, e.channel.value,
                                                e.cell_id,
                                                e.temporal_index or 0)))
 
 
-def trial_duration(events) -> float:
-    """Span of one trial: end of the last event minus start of the first."""
-    if not events:
-        raise ConfigError("cannot take the duration of an empty timeline")
-    return max(ev.end for ev in events) - min(ev.start for ev in events)
+def event_count(plan: SequencePlan) -> int:
+    """How many events ``compile_plan`` lays out for ``plan``."""
+    return 1 + len(plan.cell_order) * (2 * plan.n_temporal + 2)
+
+
+def trial_duration(plan: SequencePlan) -> float:
+    """Span, to the bit, of the timeline ``compile_plan`` lays out for
+    ``plan`` (or its CompilationError), without laying it out: from 0 to the
+    later end of the last block's second control pulse and last window."""
+    period = check_plan(plan)
+    last = _block_starts(plan, period)[-1] + (plan.n_temporal - 1) * period
+    return max(last + plan.input_duration + plan.t_spin + CONTROL_PULSE_US,
+               last + plan.tau + plan.t_spin + plan.window_duration)

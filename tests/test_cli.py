@@ -10,6 +10,7 @@ import pytest
 
 import memarray.cli
 import memarray.io
+import memarray.sequence
 from memarray.cli import main
 from memarray.defaults import (
     default_device_path,
@@ -132,6 +133,21 @@ class TestValidate:
         assert run_cli("validate", "--plan", plan, "--timeline", str(out)) == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == self.TIMELINE_SHA256[plan]
+
+    @pytest.mark.parametrize("plan", list(SHIPPED))
+    def test_plain_validate_lays_out_no_timeline(self, tmp_path, capsys,
+                                                 monkeypatch, plan):
+        out = tmp_path / "timeline.csv"
+        assert run_cli("validate", "--plan", plan, "--timeline", str(out)) == 0
+        plan_ok = capsys.readouterr().out.splitlines()[-1]
+
+        def lay_out(*args, **kwargs):
+            raise AssertionError("validate laid out a timeline")
+
+        monkeypatch.setattr(memarray.cli, "compile_plan", lay_out)
+        monkeypatch.setattr(memarray.sequence, "TimelineEvent", lay_out)
+        assert run_cli("validate", "--plan", plan) == 0
+        assert capsys.readouterr() == (plan_ok + "\n", "")
 
 
 class TestRun:

@@ -21,10 +21,11 @@ from memarray.sequence import (
     check_plan,
     compile_plan,
     control_gap,
+    event_count,
     max_temporal_modes,
     trial_duration,
 )
-from timeline_oracle import first_event, pairwise_validate
+from timeline_oracle import first_event, pairwise_validate, timeline_span
 
 
 def of_kind(timeline, kind):
@@ -363,21 +364,24 @@ class TestValidateTimeline:
 
 
 class TestTrialDuration:
+    """The closed-form span on the shipped plans, and the events-based
+    oracle that tests hold it to."""
+
     def test_single_event(self):
         ev = TimelineEvent(EventKind.CONTROL1, 1,
                            start=0.0, duration=3.5)
-        assert trial_duration((ev,)) == 3.5
+        assert timeline_span((ev,)) == 3.5
 
     def test_two_event_span(self):
         a = TimelineEvent(EventKind.INPUT, 1,
                           start=0.0, duration=2.0, temporal_index=1)
         b = TimelineEvent(EventKind.INPUT, 1,
                           start=10.0, duration=2.0, temporal_index=2)
-        assert trial_duration((a, b)) == 12.0
+        assert timeline_span((a, b)) == 12.0
 
     def test_empty_timeline_rejected(self):
         with pytest.raises(ConfigError):
-            trial_duration(())
+            timeline_span(())
 
     def test_two_fifty_mode_span(self):
         # Hand-derived: blocks are spaced by the binding channel constraint,
@@ -386,15 +390,28 @@ class TestTrialDuration:
         # 3.2 + 9*25.5 = 232.7.  Its last window opens 24 periods (24*0.86 =
         # 20.64) plus tau + t_spin = 45 later and lasts 0.351:
         # 232.7 + 20.64 + 45 + 0.351 = 298.691.
-        tl = compile_plan(PLAN_250)
-        assert trial_duration(tl) == pytest.approx(298.691, abs=1e-9)
+        assert trial_duration(PLAN_250) == pytest.approx(298.691, abs=1e-9)
+        assert event_count(PLAN_250) == 1 + 10 * (2 * 25 + 2)
 
     def test_sixty_mode_span(self):
         # Same arithmetic: spacing max(7.968, 21.0, 8.068) = 21.0, last block
         # at 3.2 + 9*21 = 192.2, last window end 192.2 + 5*(6.5/6) + 25.5
         # + 0.351 = 223.4676666...
-        tl = compile_plan(PLAN_60)
-        assert trial_duration(tl) == pytest.approx(223.4676667, abs=1e-6)
+        assert trial_duration(PLAN_60) == pytest.approx(223.4676667, abs=1e-6)
+        assert event_count(PLAN_60) == 1 + 10 * (2 * 6 + 2)
+
+    def test_second_control_pulse_can_end_last(self):
+        # tau sits just inside the timing slack below the last input plus
+        # the control pulse (4.0 us) and the window is 1e-10 us long, so the
+        # echo window ends before the second control pulse does.
+        plan = make_plan(tau=4.0 - 5e-10, t_spin=5.0, n_temporal=1,
+                         cell_order=(2, 1), mode_period=0.5 - 5e-10,
+                         input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=500),
+                         detection_window=1e-7)
+        tl = compile_plan(plan)
+        assert max(tl, key=lambda ev: ev.end).kind is EventKind.CONTROL2
+        assert trial_duration(plan) == timeline_span(tl)
+        assert event_count(plan) == len(tl) == 9
 
 
 @st.composite

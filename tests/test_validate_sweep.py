@@ -1,11 +1,15 @@
 """``check_plan`` decides feasibility: the property behind ``validate``.
 
-``validate`` checks a plan only through ``compile_plan``, which runs
-``check_plan`` and then packs the cell blocks by the channels' switching
-times.  So over random plans, every plan that ``check_plan`` accepts must
-compile to a timeline that the all-pairs event oracle finds clean, with its
-first input one mux switch after the preparation, and every plan it refuses
-must make ``compile_plan`` refuse it with the same error.
+``validate`` checks a plan through ``check_plan`` and reports the event
+count and span of its timeline in closed form; only ``--timeline`` lays the
+events out, through ``compile_plan``, which runs ``check_plan`` and then
+packs the cell blocks by the channels' switching times.  So over random
+plans, with and without an explicit mode period, every plan that
+``check_plan`` accepts must compile to a timeline that the all-pairs event
+oracle finds clean, with its first input one mux switch after the
+preparation and with exactly the event count and span, to the bit, that the
+closed forms give; and every plan it refuses must make ``compile_plan`` and
+``trial_duration`` refuse it with the same error.
 """
 
 import math
@@ -23,8 +27,10 @@ from memarray.sequence import (
     TimelineEvent,
     check_plan,
     compile_plan,
+    event_count,
+    trial_duration,
 )
-from timeline_oracle import pairwise_validate
+from timeline_oracle import pairwise_validate, timeline_span
 
 
 @st.composite
@@ -50,15 +56,18 @@ class TestCheckPlanDecidesFeasibility:
         try:
             check_plan(plan)
         except CompilationError as refusal:
-            with pytest.raises(CompilationError) as again:
-                compile_plan(plan)
-            assert str(again.value) == str(refusal)
+            for fn in (compile_plan, trial_duration):
+                with pytest.raises(CompilationError) as again:
+                    fn(plan)
+                assert str(again.value) == str(refusal)
         else:
             timeline = compile_plan(plan)
             assert pairwise_validate(timeline) == []
             first_input = min(e.start for e in timeline
                               if e.kind is EventKind.INPUT)
             assert first_input == PREP_US + SWITCH_MUX_US
+            assert event_count(plan) == len(timeline)
+            assert trial_duration(plan) == timeline_span(timeline)
 
 
 class TestEventTimesAreNumbers:

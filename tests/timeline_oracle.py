@@ -11,6 +11,8 @@ the events themselves:
 - ``expected_noise_per_mode`` reads each window's noise from its distance
   to the control pulse on the timeline; ``mode_expectations`` must agree
   with it on every compiled plan.
+- ``timeline_span`` reads a trial's span off its events; the closed-form
+  ``trial_duration`` must equal it, to the bit, on every compiled plan.
 """
 
 import math
@@ -88,6 +90,13 @@ def pairwise_validate(events):
                         message=(f"echo window overlaps a control pulse on "
                                  f"cell {a.cell_id}")))
     return out
+
+
+def timeline_span(events) -> float:
+    """Span of one trial: end of the last event minus start of the first."""
+    if not events:
+        raise ConfigError("cannot take the duration of an empty timeline")
+    return max(ev.end for ev in events) - min(ev.start for ev in events)
 
 
 def first_event(timeline, kind, cell_id, temporal_index=None):
