@@ -3,8 +3,9 @@
 Turns raw per-mode count tallies into rates with Poisson errors, SNR,
 per-cell network projections (rescaled signal, adjusted SNR, inferred
 second-order correlation, time-bin fidelity bound) and the cross-talk ratio
-matrix.  All error bars are first-order (delta-method) propagation of
-Poisson standard errors.
+matrix.  Pooled counts are integer totals made rates by ``_rate``, as in
+``analyze``'s cumulative series, and ratio errors come from ``_ratio_err``:
+every error bar is first-order (delta-method) Poisson propagation.
 """
 
 from __future__ import annotations
@@ -221,10 +222,8 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
         fid = fidelity_bound(g2)
         if math.isinf(snr_adj):  # zero pooled noise: no finite error bar
             snr_err = g2_err = fid_err = math.inf
-        else:
-            # d/dc_tilde = 1/c_b; d/dc_b = -c_tilde/c_b^2
-            snr_err = math.sqrt((err_tilde / c_b) ** 2
-                                + (c_tilde * err_b / c_b ** 2) ** 2)
+        else:  # snr_adj is c_tilde/c_b - 1: the ratio's error
+            snr_err = _ratio_err(c_tilde, err_tilde, c_b, err_b)
             g2_err = _g2_slope(snr_clamped, plan.g2_source) * snr_err
             fid_err = _fidelity_slope(g2) * g2_err
         out.append(NetworkProjection(

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
-from .analysis import crosstalk_matrix, per_mode_stats, project_cells
+from .analysis import _rate, crosstalk_matrix, per_mode_stats, project_cells
 from .defaults import (
     NOISE_MODELS,
     PLANS,
@@ -97,7 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="device file (default: the shipped ten-cell array)")
 
     p_val = sub.add_parser("validate", parents=[common],
-                           help="compile a plan and check every timing rule")
+                           help="check a plan's timing rules (--timeline also "
+                                "writes the compiled timeline)")
     p_val.add_argument("--timeline", type=Path, default=None,
                        help="also write the compiled timeline CSV here")
     p_val.set_defaults(func=cmd_validate)
@@ -252,14 +252,15 @@ def cmd_analyze(args) -> int:
     projections = project_cells(signal, noise, device, plan)
     stats = per_mode_stats(signal, noise)
 
-    # Running sums over the plan's mode order.  Poisson errors add in
-    # quadrature, so the error series are running sums of variances.
-    cum_s, cum_b, var_s, var_b = (list(accumulate(series)) for series in (
-        [stats[m].c_signal for m in modes], [stats[m].c_noise for m in modes],
-        [stats[m].err_signal ** 2 for m in modes],
-        [stats[m].err_noise ** 2 for m in modes]))
-    cum_s_err = [v ** 0.5 for v in var_s]
-    cum_b_err = [v ** 0.5 for v in var_b]
+    # Running count totals over the plan's mode order, each a Poisson rate
+    # as project_cells pools a cell: the last row is the plan's pooled rate.
+    # Flat lists: holding every (rate, error) tuple at once sets off the GC.
+    series = []
+    for run in (signal, noise):
+        flat = [x for total in accumulate(run.counts[m] for m in modes)
+                for x in _rate(total, run.n_trials)]  # rate, error, rate, ...
+        series += flat[::2], flat[1::2]
+    cum_s, cum_s_err, cum_b, cum_b_err = series
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),
@@ -267,10 +268,9 @@ def cmd_analyze(args) -> int:
                                   cum_s, cum_s_err, cum_b, cum_b_err),
              write_projections_csv(args.out_dir / "projections.csv",
                                    projections))
-    finite = [s.snr for s in stats.values() if math.isfinite(s.snr)]
-    mean_snr = sum(finite) / len(finite) if finite else float("inf")
+    snr = cum_s[-1] / cum_b[-1] if cum_b[-1] else float("inf")
     print(f"{len(modes)} modes: cumulative signal {cum_s[-1]:.4g}, "
-          f"cumulative noise {cum_b[-1]:.4g}, mean SNR {mean_snr:.3g}")
+          f"cumulative noise {cum_b[-1]:.4g}, pooled SNR {snr:.3g}")
     for p in paths:
         print(f"wrote {p}")
     return 0

@@ -68,6 +68,18 @@ def test_storage_analyze_bytes(tmp_path):
     assert all(field != "nan" for row in rows for field in row.split(","))
 
 
+def test_storage_analyze_summary(tmp_path, capsys):
+    # The pair pools 1553 signal and 67 noise counts, each over 14227
+    # trials: the printed SNR is their ratio, zero-noise modes included.
+    sig, bkg = write_storage_pair(tmp_path)
+    assert main(["analyze", "--signal", str(sig), "--noise", str(bkg),
+                 "--plan", "60mode", "--device", "10cell",
+                 "--out-dir", str(tmp_path / "stats")]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "60 modes: cumulative signal 0.1092, cumulative noise 0.004709, "
+        "pooled SNR 23.2")
+
+
 def test_scan_analyze_bytes(tmp_path):
     scan, bkg = write_scan_pair(tmp_path)
     out = tmp_path / "xt"

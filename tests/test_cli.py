@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import math
 import shutil
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import memarray.cli
 import memarray.io
@@ -18,6 +21,7 @@ from memarray.defaults import (
     default_plan_path,
 )
 from memarray.io import (
+    COUNTS_HEADER,
     load_device,
     load_noise,
     load_plan,
@@ -45,11 +49,7 @@ dark_rate_hz = 15.0
 """
 
 
-@pytest.fixture
-def small_plan(tmp_path):
-    """Two cells, two temporal modes: fast to simulate."""
-    p = tmp_path / "small_plan.ini"
-    p.write_text("""\
+SMALL_PLAN = """\
 [plan]
 tau_us = 10.0
 t_spin_us = 15.5
@@ -59,7 +59,14 @@ mean_photon_number = 1.03
 detection_window_ns = 351
 input_shape = gaussian
 input_fwhm_ns = 351
-""")
+"""
+
+
+@pytest.fixture
+def small_plan(tmp_path):
+    """Two cells, two temporal modes: fast to simulate."""
+    p = tmp_path / "small_plan.ini"
+    p.write_text(SMALL_PLAN)
     return p
 
 
@@ -586,6 +593,35 @@ class TestAnalyze:
         assert [tuple(int(f) for f in row.split(",")[1:3])
                 for row in rows[1:]] == list(plan.modes)
 
+    @settings(max_examples=30, deadline=None)
+    @given(totals=st.lists(st.integers(0, 10 ** 12), min_size=8, max_size=8),
+           trials=st.lists(st.integers(1, 10 ** 10), min_size=2, max_size=2))
+    def test_cumulative_rows_pool_integer_totals(self, tmp_path_factory,
+                                                 totals, trials):
+        # Each row is the running count total over the plan's mode order
+        # as a Poisson rate: total / n_trials and sqrt(total) / n_trials.
+        # The counts files list the modes in sorted order, not plan order.
+        tmp = tmp_path_factory.getbasetemp()
+        plan = tmp / "plan_2_1.ini"
+        plan.write_text(SMALL_PLAN.replace("cell_order = 1, 2",
+                                           "cell_order = 2, 1"))
+        modes = [(2, 1), (2, 2), (1, 1), (1, 2)]
+        pooled = []
+        for kind, run_totals, n in (("signal", totals[:4], trials[0]),
+                                    ("noise", totals[4:], trials[1])):
+            (tmp / f"{kind}.csv").write_text("".join(
+                [",".join(COUNTS_HEADER) + "\n"]
+                + [f"{kind},{c},{c},{k},{t},{n}\n"
+                   for (c, k), t in sorted(zip(modes, run_totals))]))
+            pooled.append(["%.10g,%.10g" % (t / n, math.sqrt(t) / n)
+                           for t in accumulate(run_totals)])
+        assert run_cli("analyze", "--signal", str(tmp / "signal.csv"),
+                       "--noise", str(tmp / "noise.csv"), "--plan", str(plan),
+                       "--device", "10cell", "--out-dir", str(tmp / "cum")) == 0
+        rows = (tmp / "cum" / "cumulative.csv").read_text().splitlines()
+        assert rows[1:] == [f"{i},{c},{k},{s},{b}" for i, ((c, k), s, b)
+                            in enumerate(zip(modes, *pooled), start=1)]
+
     def test_identical_inputs_give_unit_snr(self, tmp_path, small_plan):
         # A signal run whose counts equal the noise run's, line for line.
         _, bkg = self.make_runs(tmp_path, small_plan)
@@ -1084,3 +1120,10 @@ class TestUsage:
 
     def test_unknown_subcommand(self, capsys):
         assert run_cli("frobnicate") == 2
+
+    def test_validate_help_names_the_timeline_option(self, capsys):
+        # A plain validate compiles nothing, and its help says so.
+        assert run_cli("--help") == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("validate check a plan's timing rules (--timeline also "
+                "writes the compiled timeline)") in out

@@ -381,6 +381,43 @@ def _edited(tmp_path, kind, old, new):
     return loader, path, line
 
 
+# (kind, old line, new line, ConfigError key, message): each file parses
+# but holds a value its loader refuses.
+_VALUE_ERRORS = [
+    ("device", "eta_mux = 0.862", "eta_mux = 1.5", "cell 1",
+     "eta_mux must be a fraction in [0, 1], got 1.5"),
+    ("device", "eta_detection_path = 0.14", "eta_detection_path = 2",
+     None, "eta_detection_path must be a fraction in [0, 1], got 2.0"),
+    ("plan", "tau_us = 10.0", "tau_us = -1", None,
+     "tau must be finite and positive, got -1.0"),
+    ("noise", "base_noise_per_window = 0", "base_noise_per_window = -1",
+     None, "base_noise_per_window must be finite and >= 0, got -1.0"),
+    # No main section.  [offresonant] is a known section of a noise
+    # file, so only the missing [noise] refuses it.
+    ("device", "[array]", "[arrays]", None,
+     "device file needs an [array] section"),
+    ("noise", "[noise]", "[offresonant]", None,
+     "noise file needs a [noise] section"),
+    # Cells 1 and 2 both read cell_id = 1.
+    ("device", "cell_id = 2", "cell_id = 1", None,
+     "duplicate cell ids: [1, 1, 3, 4, 5, 6, 7, 8, 9, 10]"),
+    ("device", "cell_id = 1", "cell_id = 0", "cell 1",
+     "cell_id must be >= 1, got 0"),
+    ("device", "afc_calibration = 10:0.150, 25:0.0538",
+     "afc_calibration = 10:0.150, 10:0.1", "cell 1",
+     "duplicate calibration tau"),
+    ("device", "afc_calibration = 10:0.150, 25:0.0538",
+     "afc_calibration = 10:1.5, 25:0.0538", "cell 1",
+     "AFC efficiencies must be in (0, 1]"),
+    # g2_source has a default, so its line can make room for the key.
+    ("plan", "g2_source = 100.0", "capture_override = 0.5", None,
+     "capture_override is only meaningful for lorentzian pulses"),
+    ("plan", "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+     "cell_order = 0, 2, 3, 4, 5, 6, 7, 8, 9, 10", None,
+     "cell ids must be >= 1"),
+]
+
+
 class TestDiagnostics:
     """Every parse and value error names the file; parse errors also name
     the key and the line and say what was expected."""
@@ -414,25 +451,31 @@ class TestDiagnostics:
         if expected is not None:
             assert expected in str(err.value)
 
-    @pytest.mark.parametrize("kind, old, new, key", [
-        ("device", "eta_mux = 0.862", "eta_mux = 1.5", "cell 1"),
-        ("device", "eta_detection_path = 0.14", "eta_detection_path = 2",
-         None),
-        ("plan", "tau_us = 10.0", "tau_us = -1", None),
-        ("noise", "base_noise_per_window = 0", "base_noise_per_window = -1",
-         None),
-        # No main section.  [offresonant] is a known section of a noise
-        # file, so only the missing [noise] refuses it.
-        ("device", "[array]", "[arrays]", None),
-        ("noise", "[noise]", "[offresonant]", None),
-    ])
-    def test_value_error_names_file(self, tmp_path, kind, old, new, key):
+    @pytest.mark.parametrize(
+        "kind, old, new, key, message", _VALUE_ERRORS,
+        ids=["-".join(map(str, row[:4])) for row in _VALUE_ERRORS])
+    def test_value_error_names_file(self, tmp_path, kind, old, new, key,
+                                    message):
         loader, path, _ = _edited(tmp_path, kind, old, new)
         with pytest.raises(ConfigError) as err:
             loader(path)
         assert err.value.path == path
-        if key is not None:
-            assert err.value.key == key
+        assert err.value.key == key
+        assert message in str(err.value)
+
+    @pytest.mark.parametrize("loader, text, message", [
+        (load_device, "[array]\neta_detection_path = 0.14\n"
+                      "dark_count_rate_hz = 15.0\n",
+         "a device needs at least one cell"),
+        (load_noise, _SMALL_NOISE.split("[leakage]")[0] + "[leakage]\n",
+         "leakage matrix needs at least one cell"),
+    ], ids=["device-no-cell", "noise-empty-leakage"])
+    def test_empty_section_refused(self, tmp_path, loader, text, message):
+        path = tmp_path / "config.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message) as err:
+            loader(path)
+        assert err.value.path == path
 
 
 class TestGrammar:
