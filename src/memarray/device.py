@@ -83,7 +83,7 @@ class CellParams:
         if self.cell_id < 1:
             raise ConfigError(f"cell_id must be >= 1, got {self.cell_id}")
         for name in ("eta_mux", "eta_demux", "eta_fiber", "eta_transfer"):
-            _check_fraction(name, getattr(self, name))
+            _check_fraction(f"cell {self.cell_id}: {name}", getattr(self, name))
         table = tuple(sorted((float(t), float(e)) for t, e in self.afc_calibration))
         if len(table) < 2:
             raise ConfigError(

@@ -1,8 +1,10 @@
 """Configuration-file parsing, CSV emission/ingestion and run manifests.
 
-Config files are INI-style structured text.  Parsing is strict: unknown keys
-are rejected, and diagnostics carry the file, key and line number so the CLI
-can point at the offending entry.
+Config files are INI-style structured text.  One schema per section maps
+each key to its record field and its parser; a key is optional when its
+field has a default.  Parsing is strict: unknown keys are rejected, and
+diagnostics carry the file, key and line number so the CLI can point at
+the offending entry.
 
 Every input is read by ``_read_text`` and every output written by
 ``_write_text``.  Inside a ``file_digests()`` block each of them records the
@@ -25,8 +27,9 @@ import math
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
+from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .device import ArrayDevice, CellParams, PulseKind, PulseShape
 from .errors import ConfigError
@@ -137,16 +140,14 @@ def _load_ini(path) -> tuple[dict[str, _Section], Path]:
 
 
 @contextmanager
-def _in_file(path: Path, key: str | None = None):
+def _in_file(path: Path):
     """Give a ConfigError raised in the block that names no file this
-    file's path, and ``key`` if it names no key either."""
+    file's path."""
     try:
         yield
     except ConfigError as exc:
         if exc.path is None:
             exc.path = path
-            if exc.key is None:
-                exc.key = key
         raise
 
 
@@ -161,10 +162,6 @@ def _floats(text: str) -> list[float]:
     return [_finite(tok) for tok in text.split(",")]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
-
-
 def _pairs(text: str) -> list[tuple[float, float]]:
     """Parse 'a:b, c:d' pairs (calibration tables)."""
     pairs = []
@@ -172,6 +169,27 @@ def _pairs(text: str) -> list[tuple[float, float]]:
         a, b = tok.split(":")
         pairs.append((_finite(a), _finite(b)))
     return pairs
+
+
+class _Key(NamedTuple):
+    """How a config key's text becomes the value of a record field, the
+    one named like the key if ``field`` is None: a ValueError from
+    ``parse`` refuses the text as not ``expected``, by default a number."""
+
+    field: str | None = None
+    parse: Callable = _finite
+    expected: str = "a number"
+
+
+def _schema(records, keys: dict[str, _Key], optional=()):
+    """A config section's keys, each mapped to the _Key that fills a field
+    of one of ``records``, and the keys it requires, sorted: all but those
+    of ``optional`` and those whose field has a default, which applies
+    when the key is absent."""
+    defaults = {f.name for record in records for f in fields(record)
+                if f.default is not MISSING or f.default_factory is not MISSING}
+    return keys, sorted(key for key, spec in keys.items() if key not in
+                        optional and (spec.field or key) not in defaults)
 
 
 class _Section:
@@ -185,21 +203,24 @@ class _Section:
         self.name = name
         self.entries: dict[str, list] = {}
 
-    def check_keys(self, allowed: set[str], required: set[str]) -> None:
+    def read(self, schema) -> dict:
+        """The section as record keyword arguments.  Refuses an unknown key,
+        the first in file order, then a missing required key, the first in
+        sorted order; then parses the keys present in schema order."""
+        keys, required = schema
         for key, (_, line) in self.entries.items():
-            if key not in allowed:
+            if key not in keys:
                 raise ConfigError(f"unknown key in [{self.name}]",
                                   key=key, line=line)
-        for key in sorted(required):
+        for key in required:
             if key not in self.entries:
-                raise ConfigError(f"[{self.name}] is missing required key '{key}'",
-                                  key=key)
+                raise ConfigError(f"[{self.name}] is missing required key "
+                                  f"'{key}'", key=key)
+        return {spec.field or key: self.value(key, spec.parse, spec.expected)
+                for key, spec in keys.items() if key in self.entries}
 
-    def value(self, key: str, parse: Callable, expected: str, default=None):
-        """``parse`` the key's text, or return ``default`` if it is absent;
-        a ValueError from ``parse`` means the text is not ``expected``."""
-        if key not in self.entries:
-            return default
+    def value(self, key: str, parse: Callable, expected: str):
+        """``parse`` the key's text, refused if not ``expected``."""
         text, line = self.entries[key]
         try:
             return parse(text)
@@ -207,100 +228,88 @@ class _Section:
             raise ConfigError(f"expected {expected}, got {text!r}",
                               key=key, line=line) from exc
 
-    def float(self, key: str, default=None) -> float:
-        return self.value(key, _finite, "a number", default)
-
-    def int(self, key: str, default=None) -> int:
-        return self.value(key, int, "an integer", default)
-
 
 # --------------------------------------------------------------------------
 # device file
 
 
-_CELL_KEYS = {"cell_id", "eta_mux", "eta_demux", "eta_fiber", "eta_transfer",
-              "afc_calibration"}
-_ARRAY_KEYS = {"eta_detection_path", "dark_count_rate_hz"}
+_CELL_ID = "cell_id"  # named again when two cells share an id
+_CELL = _schema([CellParams], {
+    _CELL_ID: _Key(None, int, "an integer"), "eta_mux": _Key(),
+    "eta_demux": _Key(), "eta_fiber": _Key(), "eta_transfer": _Key(),
+    "afc_calibration": _Key(None, _pairs, "'tau:eta' pairs")})
+_ARRAY = _schema([ArrayDevice], {
+    "eta_detection_path": _Key(),
+    "dark_count_rate_hz": _Key("dark_count_rate")})
 
 
 def load_device(path) -> ArrayDevice:
-    """Read an array device file ([array] section plus one [cell N] each)."""
+    """Read an array device file: an [array] section (schema ``_ARRAY``)
+    and one [cell N] section (``_CELL``) per cell, no two with one id."""
     sections, path = _load_ini(path)
     with _in_file(path):
         if "array" not in sections:
             raise ConfigError("device file needs an [array] section")
-        array = sections.pop("array")
-        array.check_keys(_ARRAY_KEYS, _ARRAY_KEYS)
-        cells = []
+        array = sections.pop("array").read(_ARRAY)
+        cells = {}  # cell id -> (the cell, "[its section] on line N")
         for name, sec in sections.items():
             if not name.lower().startswith("cell"):
                 raise ConfigError(f"unexpected section [{name}] in device file")
-            sec.check_keys(_CELL_KEYS, _CELL_KEYS)
-            with _in_file(path, key=name):
-                cells.append(CellParams(
-                    cell_id=sec.int("cell_id"),
-                    eta_mux=sec.float("eta_mux"),
-                    eta_demux=sec.float("eta_demux"),
-                    eta_fiber=sec.float("eta_fiber"),
-                    eta_transfer=sec.float("eta_transfer"),
-                    afc_calibration=tuple(sec.value(
-                        "afc_calibration", _pairs, "'tau:eta' pairs")),
-                ))
-        cells.sort(key=lambda c: c.cell_id)
-        return ArrayDevice(
-            cells=tuple(cells),
-            eta_detection_path=array.float("eta_detection_path"),
-            dark_count_rate=array.float("dark_count_rate_hz"),
-        )
+            cell = CellParams(**sec.read(_CELL))
+            line = sec.entries[_CELL_ID][1]
+            if cell.cell_id in cells:
+                raise ConfigError(f"two sections for cell {cell.cell_id}: "
+                                  f"{cells[cell.cell_id][1]} and [{name}] on "
+                                  f"line {line}", key=_CELL_ID, line=line)
+            cells[cell.cell_id] = cell, f"[{name}] on line {line}"
+        return ArrayDevice(cells=tuple(cells[i][0] for i in sorted(cells)),
+                           **array)
 
 
 # --------------------------------------------------------------------------
 # plan file
 
 
-_PLAN_KEYS = {"tau_us", "t_spin_us", "n_temporal", "mode_period_us",
-              "cell_order", "mean_photon_number", "detection_window_ns",
-              "input_shape", "input_fwhm_ns", "capture_override",
-              "eta_herald", "g2_source"}
+# The input pulse keys fill the plan's PulseShape, the others the plan.
+_PLAN = _schema([PulseShape, SequencePlan], {
+    "input_shape": _Key("kind", lambda text: PulseKind(text.strip().lower()),
+                        f"one of {[k.value for k in PulseKind]}"),
+    "input_fwhm_ns": _Key("fwhm"), "capture_override": _Key(),
+    "tau_us": _Key("tau"), "t_spin_us": _Key("t_spin"),
+    "n_temporal": _Key(None, int, "an integer"), "mean_photon_number": _Key(),
+    "detection_window_ns": _Key("detection_window"),
+    "eta_herald": _Key(), "g2_source": _Key(),
+    "cell_order": _Key(None, lambda text: [int(t) for t in text.split(",")],
+                       "comma-separated integers"),
+    "mode_period_us": _Key("mode_period")})
 
 
 def load_plan(path) -> SequencePlan:
-    """Read a storage plan file (single [plan] section)."""
+    """Read a storage plan file: a single [plan] section, read with the
+    ``_PLAN`` schema."""
     sections, path = _load_ini(path)
     with _in_file(path):
         if "plan" not in sections:
             raise ConfigError("plan file needs a [plan] section")
-        sec = sections["plan"]
         extra = set(sections) - {"plan"}
         if extra:
             raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
-        sec.check_keys(_PLAN_KEYS, _PLAN_KEYS - {
-            "mode_period_us", "capture_override", "eta_herald", "g2_source"})
-        shape = PulseShape(
-            sec.value("input_shape", lambda v: PulseKind(v.strip().lower()),
-                      f"one of {[k.value for k in PulseKind]}"),
-            fwhm=sec.float("input_fwhm_ns"),
-            capture_override=sec.float("capture_override"))
-        return SequencePlan(
-            tau=sec.float("tau_us"),
-            t_spin=sec.float("t_spin_us"),
-            n_temporal=sec.int("n_temporal"),
-            mean_photon_number=sec.float("mean_photon_number"),
-            input_shape=shape,
-            detection_window=sec.float("detection_window_ns"),
-            eta_herald=sec.float("eta_herald", SequencePlan.eta_herald),
-            g2_source=sec.float("g2_source", SequencePlan.g2_source),
-            cell_order=tuple(sec.value("cell_order", _ints,
-                                       "comma-separated integers")),
-            mode_period=sec.float("mode_period_us"))
+        plan = sections["plan"].read(_PLAN)
+        shape = PulseShape(**{f.name: plan.pop(f.name)
+                              for f in fields(PulseShape) if f.name in plan})
+        return SequencePlan(input_shape=shape, **plan)
 
 
 # --------------------------------------------------------------------------
 # noise file
 
 
-_NOISE_KEYS = {"base_noise_per_window", "fluorescence_amplitude",
-               "fluorescence_decay_us", "dark_rate_hz"}
+_DARK_RATE = "dark_rate_hz"  # optional: the device's rate can stand in
+_NOISE = _schema([NoiseParams], {
+    _DARK_RATE: _Key("dark_rate"), "base_noise_per_window": _Key(),
+    "fluorescence_amplitude": _Key(),
+    "fluorescence_decay_us": _Key("fluorescence_decay"),
+}, optional={_DARK_RATE})
 _ROW_RE = re.compile(r"^row_(\d+)$")
 
 
@@ -333,8 +342,9 @@ def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
 
 def load_noise(path, default_dark_rate: float | None = None,
                ) -> tuple[NoiseParams, LeakageMatrix | None]:
-    """Read a noise file: [noise] scalars plus optional [leakage] and
-    [offresonant] matrices.
+    """Read a noise file: a [noise] section, read with the ``_NOISE``
+    schema, plus optional [leakage] and [offresonant] matrices, one
+    ``row_<cell_id>`` key per cell.
 
     dark_rate_hz may be omitted when the device file already supplies a
     detector dark-count rate; pass it as ``default_dark_rate``.
@@ -346,14 +356,10 @@ def load_noise(path, default_dark_rate: float | None = None,
         extra = set(sections) - {"noise", "leakage", "offresonant"}
         if extra:
             raise ConfigError(f"unexpected sections in noise file: {sorted(extra)}")
-        sec = sections["noise"]
-        sec.check_keys(_NOISE_KEYS, {"base_noise_per_window",
-                                     "fluorescence_amplitude",
-                                     "fluorescence_decay_us"})
-        dark = sec.float("dark_rate_hz", default_dark_rate)
-        if dark is None:
-            raise ConfigError("dark_rate_hz missing and no device fallback given",
-                              key="dark_rate_hz")
+        noise = sections["noise"].read(_NOISE)
+        if noise.setdefault("dark_rate", default_dark_rate) is None:
+            raise ConfigError(f"{_DARK_RATE} missing and no device fallback "
+                              f"given", key=_DARK_RATE)
 
         leak = None
         if "leakage" in sections:
@@ -369,14 +375,7 @@ def load_noise(path, default_dark_rate: float | None = None,
                     if rows[i][j] != 0.0:
                         offres[(cid, cjd)] = rows[i][j]
 
-        noise = NoiseParams(
-            base_noise_per_window=sec.float("base_noise_per_window"),
-            fluorescence_amplitude=sec.float("fluorescence_amplitude"),
-            fluorescence_decay=sec.float("fluorescence_decay_us"),
-            dark_rate=dark,
-            offresonant_echo_leak=offres,
-        )
-    return noise, leak
+        return NoiseParams(offresonant_echo_leak=offres, **noise), leak
 
 
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from importlib import resources
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import csv_oracle
 import memarray.io
 from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
 from memarray.defaults import (
+    NOISE_MODELS,
     PLANS,
     data_path,
     default_device_path,
@@ -384,8 +386,8 @@ def _edited(tmp_path, kind, old, new):
 # (kind, old line, new line, ConfigError key, message): each file parses
 # but holds a value its loader refuses.
 _VALUE_ERRORS = [
-    ("device", "eta_mux = 0.862", "eta_mux = 1.5", "cell 1",
-     "eta_mux must be a fraction in [0, 1], got 1.5"),
+    ("device", "eta_mux = 0.862", "eta_mux = 1.5", None,
+     "device.ini: cell 1: eta_mux must be a fraction in [0, 1], got 1.5"),
     ("device", "eta_detection_path = 0.14", "eta_detection_path = 2",
      None, "eta_detection_path must be a fraction in [0, 1], got 2.0"),
     ("plan", "tau_us = 10.0", "tau_us = -1", None,
@@ -399,22 +401,87 @@ _VALUE_ERRORS = [
     ("noise", "[noise]", "[offresonant]", None,
      "noise file needs a [noise] section"),
     # Cells 1 and 2 both read cell_id = 1.
-    ("device", "cell_id = 2", "cell_id = 1", None,
-     "duplicate cell ids: [1, 1, 3, 4, 5, 6, 7, 8, 9, 10]"),
-    ("device", "cell_id = 1", "cell_id = 0", "cell 1",
-     "cell_id must be >= 1, got 0"),
+    ("device", "cell_id = 2", "cell_id = 1", "cell_id",
+     "device.ini, line 29, key 'cell_id': two sections for cell 1: "
+     "[cell 1] on line 21 and [cell 2] on line 29"),
+    ("device", "cell_id = 1", "cell_id = 0", None,
+     "device.ini: cell_id must be >= 1, got 0"),
     ("device", "afc_calibration = 10:0.150, 25:0.0538",
-     "afc_calibration = 10:0.150, 10:0.1", "cell 1",
-     "duplicate calibration tau"),
+     "afc_calibration = 10:0.150, 10:0.1", None,
+     "device.ini: cell 1: duplicate calibration tau"),
     ("device", "afc_calibration = 10:0.150, 25:0.0538",
-     "afc_calibration = 10:1.5, 25:0.0538", "cell 1",
-     "AFC efficiencies must be in (0, 1]"),
+     "afc_calibration = 10:1.5, 25:0.0538", None,
+     "device.ini: cell 1: AFC efficiencies must be in (0, 1]"),
     # g2_source has a default, so its line can make room for the key.
     ("plan", "g2_source = 100.0", "capture_override = 0.5", None,
      "capture_override is only meaningful for lorentzian pulses"),
     ("plan", "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
      "cell_order = 0, 2, 3, 4, 5, 6, 7, 8, 9, 10", None,
      "cell ids must be >= 1"),
+]
+
+
+_SHIPPED = ([(load_device, default_device_path())]
+            + [(load_plan, default_plan_path(p)) for p in PLANS]
+            + [(load_noise, default_noise_path(n)) for n in NOISE_MODELS])
+# The keys a file may leave out: their record fields have defaults.
+_OPTIONAL_KEYS = {"mode_period_us", "capture_override", "eta_herald",
+                  "g2_source"}
+_KEY_LINE = re.compile(r"^(\w+)\s*[=:]")
+
+
+def _mutations(text):
+    """Every one-fault edit of a config file's text, as (fault, key, line,
+    edited text): each key line given a value no key accepts ("value"),
+    removed ("drop") or repeated on the next line ("repeat"), and an
+    unknown key on the line after each section header ("unknown").  The
+    line is the one a diagnostic should name; None for a dropped key."""
+    lines = text.splitlines(keepends=True)
+    for i, row in enumerate(lines):
+        before, after = "".join(lines[:i]), "".join(lines[i + 1:])
+        if row.startswith("["):
+            yield ("unknown", "frobnicate", i + 2,
+                   before + row + "frobnicate = 1\n" + after)
+        elif m := _KEY_LINE.match(row):
+            key = m.group(1)
+            yield "value", key, i + 1, before + f"{key} = wat\n" + after
+            yield "drop", key, None, before + after
+            yield "repeat", key, i + 2, before + row + row + after
+
+
+_UNKNOWN, _MISSING = "unknown key", "missing required key"
+# (kind, (old, new) edits, key reported, fault): files with several faults
+# in one section.  An unknown key, the first in file order, comes before a
+# missing key, the first in sorted order, and that before a value that does
+# not parse.
+_PRECEDENCE = [
+    ("plan", [("tau_us = 10.0\n", ""),
+              ("g2_source = 100.0", "g2_source = 100.0\nwibble = 1\nwobble = 2")],
+     "wibble", _UNKNOWN),
+    ("plan", [("tau_us = 10.0", "tau_us = wat"), ("n_temporal = 6\n", "")],
+     "n_temporal", _MISSING),
+    ("plan", [("tau_us = 10.0\n", ""),
+              ("cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10\n", "")],
+     "cell_order", _MISSING),
+    ("device", [("eta_fiber = 0.26\n", ""),
+                ("25:0.0538\n", "25:0.0538\nfrobnicate = 1\nwobble = 2\n")],
+     "frobnicate", _UNKNOWN),
+    ("device", [("eta_mux = 0.862", "eta_mux = wat"),
+                ("afc_calibration = 10:0.150, 25:0.0538\n", "")],
+     "afc_calibration", _MISSING),
+    ("device", [("eta_mux = 0.862\n", ""),
+                ("afc_calibration = 10:0.150, 25:0.0538\n", "")],
+     "afc_calibration", _MISSING),
+    ("noise", [("fluorescence_decay_us = 2.0\n", ""),
+               ("dark_rate_hz = 15.0", "dark_rate_hz = 15.0\nfrobnicate = 1\n"
+                                       "wobble = 2")],
+     "frobnicate", _UNKNOWN),
+    ("noise", [("base_noise_per_window = 4.3e-5", "base_noise_per_window = wat"),
+               ("fluorescence_decay_us = 2.0\n", "")],
+     "fluorescence_decay_us", _MISSING),
+    ("noise", [("fluorescence_decay_us = 2.0\n", ""),
+               ("fluorescence_amplitude = 8.0e-5\n", "")],
+     "fluorescence_amplitude", _MISSING),
 ]
 
 
@@ -476,6 +543,51 @@ class TestDiagnostics:
         with pytest.raises(ConfigError, match=message) as err:
             loader(path)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("loader, shipped", _SHIPPED,
+                             ids=[path.stem for _, path in _SHIPPED])
+    def test_every_one_line_fault_is_refused(self, tmp_path, loader, shipped):
+        # Each key line of a shipped file given a bad value, removed or
+        # repeated, and an unknown key opening each section: the loader
+        # raises a ConfigError naming the file, and for a fault on a line
+        # the key and the line too, or, for an optional key removed, loads.
+        path = tmp_path / shipped.name
+        for fault, key, line, text in _mutations(shipped.read_text()):
+            path.write_text(text)
+            try:
+                loader(path)
+                got = None
+            except ConfigError as exc:
+                got = (exc.path, exc.key, exc.line)
+            case = (fault, key, line, got)
+            if fault != "drop":
+                assert got == (path, key, line), case
+            elif key in _OPTIONAL_KEYS:
+                assert got is None, case
+            elif key.startswith("row_"):  # a row too long for the rest
+                assert got[0] == path and got[1].startswith("row_"), case
+                assert got[2] is not None, case
+            else:
+                assert got == (path, key, None), case
+
+    @pytest.mark.parametrize(
+        "kind, edits, key, fault", _PRECEDENCE,
+        ids=[f"{row[0]}-{rule}" for row, rule in zip(_PRECEDENCE, [
+            "unknown-first", "missing-before-value", "sorted-missing"] * 3)])
+    def test_first_fault_reported(self, tmp_path, kind, edits, key, fault):
+        loader, default = _LOADERS[kind]
+        text = (default_noise_path("storage") if default is None
+                else default()).read_text()
+        for old, new in edits:
+            assert old in text
+            text = text.replace(old, new, 1)
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(text)
+        keys = [row.split("=")[0].strip() for row in text.splitlines()]
+        with pytest.raises(ConfigError, match=fault) as err:
+            loader(path)
+        assert (err.value.path, err.value.key, err.value.line) == (
+            path, key, keys.index(key) + 1 if fault == _UNKNOWN else None)
 
 
 class TestGrammar:
