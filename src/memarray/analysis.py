@@ -21,24 +21,21 @@ from .simulate import RunKind, TrialCounts
 
 @dataclass(frozen=True)
 class ModeStats:
-    """Counts per trial for one (cell, temporal) mode, with Poisson errors.
+    """Counts per trial, Poisson errors and SNR of every mode, as columns:
+    entry i of each column belongs to ``modes[i]``, the (cell,
+    temporal_index) keys in sorted order.
 
     A mode whose noise run recorded zero counts has snr = snr_err = +inf
     rather than failing.
     """
 
-    c_signal: float
-    c_noise: float
-    err_signal: float
-    err_noise: float
-    snr: float
-    snr_err: float
-
-    def __post_init__(self):
-        if self.c_signal < 0 or self.c_noise < 0:
-            raise ConfigError("counts per trial must be non-negative")
-        if self.err_signal < 0 or self.err_noise < 0:
-            raise ConfigError("errors must be non-negative")
+    modes: tuple[tuple[int, int], ...]
+    c_signal: tuple[float, ...]
+    err_signal: tuple[float, ...]
+    c_noise: tuple[float, ...]
+    err_noise: tuple[float, ...]
+    snr: tuple[float, ...]
+    snr_err: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -92,28 +89,31 @@ def _rate(total: int, n: int) -> tuple[float, float]:
     return total / n, math.sqrt(total) / n
 
 
-def per_mode_stats(signal: TrialCounts, noise: TrialCounts,
-                   ) -> dict[tuple[int, int], ModeStats]:
-    """Counts per trial, Poisson errors and SNR for every mode.
+def _rates(totals, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``_rate`` of each of ``totals``, as a column of means and one of errors.
+    Flat: holding every (rate, error) tuple at once sets off the GC."""
+    flat = [x for total in totals for x in _rate(total, n)]
+    return tuple(flat[::2]), tuple(flat[1::2])
+
+
+def per_mode_stats(signal: TrialCounts, noise: TrialCounts) -> ModeStats:
+    """Counts per trial, Poisson errors and SNR of every mode, one
+    ModeStats column record in sorted mode order.
 
     The SNR is c_S/c_B, all detected counts over noise; the excess form
     (c_S - c_B)/c_B is snr - 1 with the same error.  Modes whose noise total
     is zero get snr=+inf instead of an error.
     """
     ModeSetMismatch.check(signal.counts, noise.counts)
-    out: dict[tuple[int, int], ModeStats] = {}
-    for key in signal.counts:
-        c_s, err_s = _rate(signal.counts[key], signal.n_trials)
-        c_b, err_b = _rate(noise.counts[key], noise.n_trials)
-        if c_b == 0:
-            snr = snr_err = math.inf
-        else:
-            snr = c_s / c_b
-            snr_err = _ratio_err(c_s, err_s, c_b, err_b)
-        out[key] = ModeStats(c_signal=c_s, c_noise=c_b,
-                             err_signal=err_s, err_noise=err_b,
-                             snr=snr, snr_err=snr_err)
-    return out
+    modes = tuple(sorted(signal.counts))
+    c_s, err_s = _rates([signal.counts[m] for m in modes], signal.n_trials)
+    c_b, err_b = _rates([noise.counts[m] for m in modes], noise.n_trials)
+    return ModeStats(
+        modes=modes, c_signal=c_s, err_signal=err_s, c_noise=c_b,
+        err_noise=err_b,
+        snr=tuple([s / b if b else math.inf for s, b in zip(c_s, c_b)]),
+        snr_err=tuple([_ratio_err(s, es, b, eb) if b else math.inf
+                       for s, es, b, eb in zip(c_s, err_s, c_b, err_b)]))
 
 
 # --------------------------------------------------------------------------
@@ -203,13 +203,12 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
                           source="signal")
     ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"),
                           source="noise")
+    sig, bkg = ([run.counts[m] for m in modes] for run in (signal, noise))
     out = []
     for i, cell_id in enumerate(plan.cell_order):
-        block = modes[i * n:(i + 1) * n]  # this cell's modes
-        c_s, err_s = _rate(sum(signal.counts[m] for m in block),
-                           signal.n_trials * n)
-        c_b, err_b = _rate(sum(noise.counts[m] for m in block),
-                           noise.n_trials * n)
+        block = slice(i * n, (i + 1) * n)  # this cell's modes
+        c_s, err_s = _rate(sum(sig[block]), signal.n_trials * n)
+        c_b, err_b = _rate(sum(bkg[block]), noise.n_trials * n)
 
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (

@@ -24,7 +24,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from . import __version__
-from .analysis import _rate, crosstalk_matrix, per_mode_stats, project_cells
+from .analysis import _rates, crosstalk_matrix, per_mode_stats, project_cells
 from .defaults import (
     NOISE_MODELS,
     PLANS,
@@ -254,13 +254,10 @@ def cmd_analyze(args) -> int:
 
     # Running count totals over the plan's mode order, each a Poisson rate
     # as project_cells pools a cell: the last row is the plan's pooled rate.
-    # Flat lists: holding every (rate, error) tuple at once sets off the GC.
-    series = []
-    for run in (signal, noise):
-        flat = [x for total in accumulate(run.counts[m] for m in modes)
-                for x in _rate(total, run.n_trials)]  # rate, error, rate, ...
-        series += flat[::2], flat[1::2]
-    cum_s, cum_s_err, cum_b, cum_b_err = series
+    cum_s, cum_s_err = _rates(accumulate([signal.counts[m] for m in modes]),
+                              signal.n_trials)
+    cum_b, cum_b_err = _rates(accumulate([noise.counts[m] for m in modes]),
+                              noise.n_trials)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),

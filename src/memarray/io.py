@@ -530,13 +530,15 @@ def write_timeline_csv(path, events) -> Path:
 
 
 def write_mode_stats_csv(path, stats) -> Path:
-    """stats: mapping (spatial_mode, temporal_index) -> ModeStats."""
+    """Write a ModeStats column record, one row per mode in its order; a
+    column of another length than ``stats.modes`` raises, writing nothing."""
     return _write_table(
         path, ["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
                "c_noise", "c_noise_err", "snr", "snr_err"],
         "%s,%s" + ",%.10g" * 6,
-        [(cell, k, s.c_signal, s.err_signal, s.c_noise, s.err_noise, s.snr,
-          s.snr_err) for (cell, k), s in sorted(stats.items())])
+        zip(*zip(*stats.modes),  # the cell column, then the index column
+            stats.c_signal, stats.err_signal, stats.c_noise, stats.err_noise,
+            stats.snr, stats.snr_err, strict=True))
 
 
 def write_cumulative_csv(path, modes, cum_signal, cum_signal_err,

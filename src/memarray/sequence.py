@@ -15,6 +15,7 @@ with the preparation or with its cell's echo windows.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -145,7 +146,7 @@ class SequencePlan:
             raise ConfigError(f"mode_period must be finite and positive "
                               f"when given, got {self.mode_period}")
 
-    @property
+    @functools.cached_property
     def modes(self) -> tuple[tuple[int, int], ...]:
         """(cell, k) for each cell of cell_order and k in 1..n_temporal: the
         mode order of counts, expected means and cumulative series."""

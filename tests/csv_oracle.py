@@ -57,9 +57,9 @@ def mode_stats_bytes(stats) -> bytes:
     return _csv(
         ["spatial_mode", "temporal_index", "c_signal", "c_signal_err",
          "c_noise", "c_noise_err", "snr", "snr_err"],
-        ([cell, k, _fmt(s.c_signal), _fmt(s.err_signal), _fmt(s.c_noise),
-          _fmt(s.err_noise), _fmt(s.snr), _fmt(s.snr_err)]
-         for (cell, k), s in sorted(stats.items())))
+        ([cell, k, *map(_fmt, values)] for (cell, k), *values in sorted(zip(
+            stats.modes, stats.c_signal, stats.err_signal, stats.c_noise,
+            stats.err_noise, stats.snr, stats.snr_err))))
 
 
 def cumulative_bytes(modes, cum_signal, cum_signal_err, cum_noise,

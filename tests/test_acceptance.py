@@ -152,8 +152,10 @@ def test_criterion_5_tuned_default_consistency():
                          seed=seed + 100, with_input=False)
         stats = per_mode_stats(sig, bkg)
         modes = plan.modes
-        cum_sig = sum(stats[m].c_signal for m in modes)
-        cum_bkg = sum(stats[m].c_noise for m in modes)
+        c_signal = dict(zip(stats.modes, stats.c_signal, strict=True))
+        c_noise = dict(zip(stats.modes, stats.c_noise, strict=True))
+        cum_sig = sum(c_signal[m] for m in modes)
+        cum_bkg = sum(c_noise[m] for m in modes)
         avg_snr = cum_sig / cum_bkg  # pooled over all modes
         assert abs(cum_sig - target) <= 0.10 * target
         assert snr_band[0] <= avg_snr <= snr_band[1]

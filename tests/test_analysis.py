@@ -34,30 +34,44 @@ class TestPerModeStats:
     def test_hand_computed_ratio(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 1000}, 10_000)
         bkg = counts(RunKind.NOISE, {(1, 1): 100}, 10_000)
-        [st_] = per_mode_stats(sig, bkg).values()
-        assert st_.c_signal == pytest.approx(0.1)
-        assert st_.c_noise == pytest.approx(0.01)
-        assert st_.snr == pytest.approx(10.0)
-        assert st_.err_signal == pytest.approx(math.sqrt(1000) / 10_000,
-                                               rel=1e-12)
-        assert st_.err_signal == pytest.approx(0.00316, abs=5e-6)
+        st_ = per_mode_stats(sig, bkg)
+        assert st_.modes == ((1, 1),)
+        [c_signal], [c_noise], [snr] = st_.c_signal, st_.c_noise, st_.snr
+        [err_signal], [snr_err] = st_.err_signal, st_.snr_err
+        assert c_signal == pytest.approx(0.1)
+        assert c_noise == pytest.approx(0.01)
+        assert snr == pytest.approx(10.0)
+        assert err_signal == pytest.approx(math.sqrt(1000) / 10_000,
+                                           rel=1e-12)
+        assert err_signal == pytest.approx(0.00316, abs=5e-6)
         # delta method: snr * sqrt((1/sqrt(1000))^2 + (1/sqrt(100))^2)
         expect_err = 10.0 * math.sqrt(1 / 1000 + 1 / 100)
-        assert st_.snr_err == pytest.approx(expect_err, rel=1e-12)
+        assert snr_err == pytest.approx(expect_err, rel=1e-12)
 
     def test_equal_totals_give_unit_snr(self):
         table = {(1, 1): 37, (1, 2): 4, (2, 1): 0}
         sig = counts(RunKind.SIGNAL, table, 500)
         bkg = counts(RunKind.NOISE, table, 500)
-        for st_ in per_mode_stats(sig, bkg).values():
-            if st_.c_noise > 0:
-                assert st_.snr == pytest.approx(1.0)
+        st_ = per_mode_stats(sig, bkg)
+        assert st_.modes == ((1, 1), (1, 2), (2, 1))
+        for c_noise, snr in zip(st_.c_noise, st_.snr, strict=True):
+            if c_noise > 0:
+                assert snr == pytest.approx(1.0)
 
     def test_zero_noise_flags_infinity(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 12}, 100)
         bkg = counts(RunKind.NOISE, {(1, 1): 0}, 100)
-        [st_] = per_mode_stats(sig, bkg).values()
-        assert st_.snr == st_.snr_err == math.inf
+        st_ = per_mode_stats(sig, bkg)
+        assert st_.snr == st_.snr_err == (math.inf,)
+
+    def test_columns_follow_sorted_mode_order(self):
+        sig = counts(RunKind.SIGNAL, {(2, 1): 30, (1, 2): 20, (1, 1): 10}, 10)
+        bkg = counts(RunKind.NOISE, {(1, 1): 1, (2, 1): 3, (1, 2): 2}, 10)
+        st_ = per_mode_stats(sig, bkg)
+        assert st_.modes == ((1, 1), (1, 2), (2, 1))
+        assert st_.c_signal == (1.0, 2.0, 3.0)
+        assert st_.c_noise == (0.1, 0.2, 0.3)
+        assert st_.snr == (10.0, 10.0, 10.0)
 
     def test_mode_set_mismatch(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 5, (1, 2): 5}, 10)

@@ -2,13 +2,14 @@
 
 The counts CSVs are written from fixed integer formulas (no random draws),
 so the sha256 of every analyze output is a constant of the analysis code.
-Zero noise totals and a zero scan diagonal are included on purpose: they
-exercise the ``inf`` and ``nan`` branches of the writers.
+Zero noise totals, zero signal totals and a zero scan diagonal are included
+on purpose: they exercise the ``inf`` and ``nan`` branches of the writers.
 """
 
 import hashlib
 
 from memarray.cli import main
+from memarray.defaults import default_plan_path
 
 HEADER = "run_kind,input_cell,output_cell,temporal_index,total_counts,n_trials\n"
 CELLS = range(1, 11)
@@ -25,6 +26,25 @@ def write_storage_pair(tmp_path):
         f"noise,{c},{c},{k},{(c * k) % 4},14227\n"
         for c in CELLS for k in range(1, 7)))
     return sig, bkg
+
+
+def write_reversed_250mode(tmp_path):
+    """The shipped 250mode plan with its cells filled in reverse order, and
+    a signal/noise pair for it (10 cells x 25) with zero totals of both
+    kinds: sorted mode order and plan order then differ everywhere."""
+    plan = tmp_path / "plan_reversed.ini"
+    plan.write_text(default_plan_path("250mode").read_text().replace(
+        "cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+        "cell_order = 10, 9, 8, 7, 6, 5, 4, 3, 2, 1"))
+    sig = tmp_path / "counts_signal.csv"
+    bkg = tmp_path / "counts_noise.csv"
+    sig.write_text(HEADER + "".join(
+        f"signal,{c},{c},{k},{(11 * c + 5 * k) % 23},14227\n"
+        for c in CELLS for k in range(1, 26)))
+    bkg.write_text(HEADER + "".join(
+        f"noise,{c},{c},{k},{(c + 2 * k) % 5},20000\n"
+        for c in CELLS for k in range(1, 26)))
+    return plan, sig, bkg
 
 
 def write_scan_pair(tmp_path):
@@ -78,6 +98,36 @@ def test_storage_analyze_summary(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == (
         "60 modes: cumulative signal 0.1092, cumulative noise 0.004709, "
         "pooled SNR 23.2")
+
+
+def test_reversed_250mode_analyze_bytes(tmp_path):
+    # mode_stats.csv is in sorted mode order; cumulative.csv and
+    # projections.csv follow the plan, here cell 10 first.
+    plan, sig, bkg = write_reversed_250mode(tmp_path)
+    out = tmp_path / "stats"
+    assert main(["analyze", "--signal", str(sig), "--noise", str(bkg),
+                 "--plan", str(plan), "--device", "10cell",
+                 "--out-dir", str(out)]) == 0
+    assert {name: sha256(out / name) for name in
+            ("mode_stats.csv", "cumulative.csv", "projections.csv")} == {
+        "mode_stats.csv":
+            "40af04144d970e01554c6e317373a2433f4bc016b25863cf4220bf56a1551777",
+        "cumulative.csv":
+            "b953826ef1e4e1f14d0fe742a744b128eb68c93e52d50293dc06772a5cf21f38",
+        "projections.csv":
+            "dc011823842c0219e173918d657d94cf863e72aec61a1eef7ec4d81548d88bcf",
+    }
+    rows = [row.split(",") for row in
+            (out / "mode_stats.csv").read_text().splitlines()[1:]]
+    assert [row[:2] for row in rows[:2]] == [["1", "1"], ["1", "2"]]
+    # A zero signal total over nonzero noise (error sa/b), and zero noise.
+    assert any(row[2] == "0" and row[4] != "0" for row in rows)
+    assert any(row[4] == "0" and row[6] == "inf" for row in rows)
+    cumulative = (out / "cumulative.csv").read_text().splitlines()
+    assert cumulative[1].startswith("1,10,1,")
+    assert [row.split(",")[0] for row in
+            (out / "projections.csv").read_text().splitlines()[1:3]] == [
+        "10", "9"]
 
 
 def test_scan_analyze_bytes(tmp_path):

@@ -844,13 +844,22 @@ _EVENTS = st.lists(st.builds(
     TimelineEvent, kind=st.sampled_from(EventKind), cell_id=_ID,
     start=_NON_NEGATIVE, duration=_POSITIVE,
     temporal_index=st.none() | st.integers(1, 2 ** 60)), max_size=6)
-_STATS = st.dictionaries(st.tuples(_ID, _ID), st.builds(
-    ModeStats, c_signal=_NON_NEGATIVE | st.just(math.nan),
-    c_noise=_NON_NEGATIVE, err_signal=_NON_NEGATIVE,
-    err_noise=_NON_NEGATIVE, snr=_FLOAT,
-    snr_err=_FLOAT), max_size=6)
 _PROJECTIONS = st.lists(st.builds(
     NetworkProjection, _ID, *[_FLOAT] * 8), max_size=6)
+
+
+@st.composite
+def _stats(draw):
+    modes = sorted(draw(st.sets(st.tuples(_ID, _ID), max_size=6)))
+
+    def column(values):
+        return tuple(draw(st.lists(values, min_size=len(modes),
+                                   max_size=len(modes))))
+    return ModeStats(
+        modes=tuple(modes), c_signal=column(_NON_NEGATIVE | st.just(math.nan)),
+        err_signal=column(_NON_NEGATIVE), c_noise=column(_NON_NEGATIVE),
+        err_noise=column(_NON_NEGATIVE), snr=column(_FLOAT),
+        snr_err=column(_FLOAT))
 
 
 @st.composite
@@ -902,14 +911,25 @@ def test_timeline_csv_matches_oracle(tmp_path_factory, events):
 
 
 @settings(max_examples=30, deadline=None)
-@given(stats=_STATS)
-@example(stats={(2, 1): ModeStats(math.nan, 0.0, -0.0, 1e-300, math.inf,
-                                  -math.inf),
-                (1, 2): ModeStats(0.1 + 0.2, 5e-324, 1e16, 0.0, -0.0,
-                                  math.nan)})
+@given(stats=_stats())
+@example(stats=ModeStats(modes=((1, 2), (2, 1)),
+                         c_signal=(0.1 + 0.2, math.nan),
+                         err_signal=(1e16, -0.0), c_noise=(5e-324, 0.0),
+                         err_noise=(0.0, 1e-300), snr=(-0.0, math.inf),
+                         snr_err=(math.nan, -math.inf)))
 def test_mode_stats_csv_matches_oracle(tmp_path_factory, stats):
     assert (_written(tmp_path_factory, write_mode_stats_csv, stats)
             == csv_oracle.mode_stats_bytes(stats))
+
+
+def test_mode_stats_csv_refuses_a_short_column(tmp_path):
+    stats = ModeStats(modes=((1, 1), (1, 2)), c_signal=(0.1, 0.2),
+                      err_signal=(0.01, 0.02), c_noise=(0.01,),
+                      err_noise=(0.001, 0.002), snr=(10.0, 20.0),
+                      snr_err=(1.0, 2.0))
+    with pytest.raises(ValueError):
+        write_mode_stats_csv(tmp_path / "mode_stats.csv", stats)
+    assert not (tmp_path / "mode_stats.csv").exists()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,0 +1,65 @@
+"""Rules on the package source itself, checked by parsing it.
+
+Each module-level import is named somewhere in its module, and each
+"_"-prefixed module-level def, class or assignment is named somewhere in
+the package, so that neither an import nor a helper or key table can
+outlive its last use.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "memarray"
+TREES = {path.relative_to(SRC.parents[1]).as_posix():
+         ast.parse(path.read_text(encoding="utf-8"), str(path))
+         for path in sorted(SRC.glob("*.py"))}
+
+
+def test_sources_found():
+    assert "src/memarray/cli.py" in TREES
+
+
+def test_no_unused_module_level_import():
+    bad = []
+    for path, tree in TREES.items():
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    bad.append(f"{path}:{node.lineno}: {name} is imported "
+                               f"but never named")
+    assert bad == []
+
+
+def test_no_unused_private_module_level_name():
+    used = set()
+    for tree in TREES.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    bad = []
+    for path, tree in TREES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            bad += [f"{path}:{node.lineno}: {name} is defined but never named"
+                    for name in names
+                    if name.startswith("_") and not name.startswith("__")
+                    and name not in used]
+    assert bad == []
