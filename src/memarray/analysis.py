@@ -104,12 +104,11 @@ def per_mode_stats(signal: TrialCounts, noise: TrialCounts) -> ModeStats:
     (c_S - c_B)/c_B is snr - 1 with the same error.  Modes whose noise total
     is zero get snr=+inf instead of an error.
     """
-    ModeSetMismatch.check(signal.counts, noise.counts)
-    modes = tuple(sorted(signal.counts))
-    c_s, err_s = _rates([signal.counts[m] for m in modes], signal.n_trials)
-    c_b, err_b = _rates([noise.counts[m] for m in modes], noise.n_trials)
+    ModeSetMismatch.check(signal.keys, noise.keys)
+    c_s, err_s = _rates(signal.totals, signal.n_trials)
+    c_b, err_b = _rates(noise.totals, noise.n_trials)
     return ModeStats(
-        modes=modes, c_signal=c_s, err_signal=err_s, c_noise=c_b,
+        modes=signal.keys, c_signal=c_s, err_signal=err_s, c_noise=c_b,
         err_noise=err_b,
         snr=tuple([s / b if b else math.inf for s, b in zip(c_s, c_b)]),
         snr_err=tuple([_ratio_err(s, es, b, eb) if b else math.inf
@@ -186,6 +185,14 @@ def _fidelity_slope(g2: float) -> float:
     return 1.5 / (g2 + 1.0) ** 2
 
 
+def _cell_blocks(run: TrialCounts, plan: SequencePlan) -> list[tuple]:
+    """Each cell's totals, in cell_order, of a run over ``plan.modes``: the
+    slice of its sorted keys at the cell's rank in sorted(cell_order)."""
+    n, ranked = plan.n_temporal, sorted(plan.cell_order)
+    return [run.totals[r * n:(r + 1) * n]
+            for r in map(ranked.index, plan.cell_order)]
+
+
 def project_cells(signal: TrialCounts, noise: TrialCounts,
                   device: ArrayDevice, plan: SequencePlan,
                   ) -> list[NetworkProjection]:
@@ -198,17 +205,15 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     Both runs must cover exactly ``plan.modes``, else ModeSetMismatch with
     source "signal" or "noise", the signal run checked first.
     """
-    modes, n = plan.modes, plan.n_temporal
-    ModeSetMismatch.check(modes, signal.counts, sides=("plan", "signal run"),
-                          source="signal")
-    ModeSetMismatch.check(modes, noise.counts, sides=("plan", "noise run"),
-                          source="noise")
-    sig, bkg = ([run.counts[m] for m in modes] for run in (signal, noise))
+    modes, n = tuple(sorted(plan.modes)), plan.n_temporal
+    for run, side in ((signal, "signal"), (noise, "noise")):
+        ModeSetMismatch.check(modes, run.keys, sides=("plan", f"{side} run"),
+                              source=side)
     out = []
-    for i, cell_id in enumerate(plan.cell_order):
-        block = slice(i * n, (i + 1) * n)  # this cell's modes
-        c_s, err_s = _rate(sum(sig[block]), signal.n_trials * n)
-        c_b, err_b = _rate(sum(bkg[block]), noise.n_trials * n)
+    for cell_id, sig, bkg in zip(plan.cell_order, _cell_blocks(signal, plan),
+                                 _cell_blocks(noise, plan)):
+        c_s, err_s = _rate(sum(sig), signal.n_trials * n)
+        c_b, err_b = _rate(sum(bkg), noise.n_trials * n)
 
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (
@@ -253,43 +258,36 @@ def crosstalk_matrix(scan: TrialCounts,
     if scan.kind is not RunKind.CROSSTALK:
         raise ConfigError("crosstalk_matrix needs cross-talk scan counts",
                           source="signal")
-    ids = sorted({cell for pair in scan.counts for cell in pair})
-    ModeSetMismatch.check([(i, j) for i in ids for j in ids], scan.counts,
+    ids = sorted({cell for pair in scan.keys for cell in pair})
+    ModeSetMismatch.check(tuple([(i, j) for i in ids for j in ids]), scan.keys,
                           sides=("cell pairs", "scan"), source="signal")
-    ModeSetMismatch.check([(i, 1) for i in ids], noise_diag.counts,
+    ModeSetMismatch.check(tuple([(i, 1) for i in ids]), noise_diag.keys,
                           sides=("scan cells", "noise run"), source="noise")
 
     n = len(ids)
-    c = [[0.0] * n for _ in range(n)]
-    cerr = [[0.0] * n for _ in range(n)]
-    invalid = []
-    offdiag = []
-    noise_contribution = {}
+    c, cerr, offdiag, invalid, noise_contribution = [], [], [], [], {}
     for a, i in enumerate(ids):
-        c_ii, err_ii = _rate(scan.counts[(i, i)], scan.n_trials)
+        rates = [_rate(total, scan.n_trials)  # of (i, j) for each j of ids
+                 for total in scan.totals[a * n:(a + 1) * n]]
+        c_ii, err_ii = rates[a]
         if c_ii == 0.0:
             invalid.append(i)
-            for b in range(n):
-                c[a][b] = math.nan
-                cerr[a][b] = math.nan
+            c.append((math.nan,) * n)
+            cerr.append((math.nan,) * n)
             continue
-        for b, j in enumerate(ids):
-            if i == j:
-                c[a][b], cerr[a][b] = 1.0, 0.0
-                continue
-            c_ij, err_ij = _rate(scan.counts[(i, j)], scan.n_trials)
-            c[a][b] = c_ij / c_ii
-            cerr[a][b] = _ratio_err(c_ij, err_ij, c_ii, err_ii)
-            offdiag.append(c[a][b])
-        n_ii = noise_diag.counts[(i, 1)] / noise_diag.n_trials
+        c.append(tuple([1.0 if b == a else c_ij / c_ii
+                        for b, (c_ij, _) in enumerate(rates)]))
+        cerr.append(tuple([0.0 if b == a
+                           else _ratio_err(c_ij, err_ij, c_ii, err_ii)
+                           for b, (c_ij, err_ij) in enumerate(rates)]))
+        offdiag += c[-1][:a] + c[-1][a + 1:]
+        n_ii = noise_diag.totals[a] / noise_diag.n_trials
         noise_contribution[i] = n_ii / c_ii
     if not offdiag and len(ids) > 1:
         raise ConfigError("every scan row has a zero diagonal; nothing to "
                           "normalize", source="signal")
     mean_off = sum(offdiag) / len(offdiag) if offdiag else 0.0
-    return CrossTalkMatrix(cell_ids=tuple(ids),
-                           c=tuple(tuple(r) for r in c),
-                           c_err=tuple(tuple(r) for r in cerr),
+    return CrossTalkMatrix(cell_ids=tuple(ids), c=tuple(c), c_err=tuple(cerr),
                            mean_offdiagonal=mean_off,
                            noise_contribution=noise_contribution,
                            invalid_rows=tuple(invalid))

@@ -20,11 +20,12 @@ import argparse
 import functools
 import sys
 import time
-from itertools import accumulate
+from itertools import accumulate, chain
 from pathlib import Path
 
 from . import __version__
-from .analysis import _rates, crosstalk_matrix, per_mode_stats, project_cells
+from .analysis import (_cell_blocks, _rates, crosstalk_matrix, per_mode_stats,
+                       project_cells)
 from .defaults import (
     NOISE_MODELS,
     PLANS,
@@ -200,7 +201,7 @@ def cmd_run(args) -> int:
             "outputs": {counts_path.name: digests[counts_path]},
             "duration_seconds": round(time.monotonic() - started, 3),
         })
-    print(f"wrote {counts_path} ({len(result.counts)} rows) and "
+    print(f"wrote {counts_path} ({len(result.keys)} rows) and "
           f"{manifest_path}")
     return 0
 
@@ -246,7 +247,6 @@ def cmd_analyze(args) -> int:
                           "for mode ordering and network projections")
     plan, device = _load_plan_and_device(args)
     noise = _read_noise_run(args.noise)
-    modes = plan.modes
     # project_cells checks both runs against the plan's modes, so it comes
     # first: a mismatch names the run at fault.
     projections = project_cells(signal, noise, device, plan)
@@ -254,19 +254,19 @@ def cmd_analyze(args) -> int:
 
     # Running count totals over the plan's mode order, each a Poisson rate
     # as project_cells pools a cell: the last row is the plan's pooled rate.
-    cum_s, cum_s_err = _rates(accumulate([signal.counts[m] for m in modes]),
-                              signal.n_trials)
-    cum_b, cum_b_err = _rates(accumulate([noise.counts[m] for m in modes]),
-                              noise.n_trials)
+    cum_s, cum_s_err = _rates(
+        accumulate(chain(*_cell_blocks(signal, plan))), signal.n_trials)
+    cum_b, cum_b_err = _rates(
+        accumulate(chain(*_cell_blocks(noise, plan))), noise.n_trials)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),
-             write_cumulative_csv(args.out_dir / "cumulative.csv", modes,
+             write_cumulative_csv(args.out_dir / "cumulative.csv", plan.modes,
                                   cum_s, cum_s_err, cum_b, cum_b_err),
              write_projections_csv(args.out_dir / "projections.csv",
                                    projections))
     snr = cum_s[-1] / cum_b[-1] if cum_b[-1] else float("inf")
-    print(f"{len(modes)} modes: cumulative signal {cum_s[-1]:.4g}, "
+    print(f"{len(plan.modes)} modes: cumulative signal {cum_s[-1]:.4g}, "
           f"cumulative noise {cum_b[-1]:.4g}, pooled SNR {snr:.3g}")
     for p in paths:
         print(f"wrote {p}")

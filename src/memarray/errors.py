@@ -83,6 +83,8 @@ class ModeSetMismatch(Exception):
     @classmethod
     def check(cls, first, second, sides=("signal run", "noise run"),
               source=None) -> None:
-        """Raise unless ``first`` and ``second`` hold the same keys."""
-        if (a := set(first)) != (b := set(second)):
-            raise cls(b - a, a - b, sides, source)
+        """Raise unless ``first`` and ``second``, two tuples of unique keys
+        in sorted order, are equal; sets are built only to word the error."""
+        if first != second:
+            raise cls(set(second) - set(first), set(first) - set(second),
+                      sides, source)

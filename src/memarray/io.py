@@ -421,20 +421,18 @@ COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
 
 
 def write_counts_csv(path, result: TrialCounts) -> Path:
-    """Write a counts table, one row per window in sorted key order, so
-    identical runs produce byte-identical files.
+    """Write a counts table, one row per window in the run's sorted key
+    order, so identical runs produce byte-identical files.
 
     A signal or noise run's (cell, k) key becomes input = output = cell at
     temporal index k; a scan's (input, output) key is written at temporal
     index 1.
     """
     kind, n = result.kind.value, result.n_trials
-    windows = sorted(result.counts.items())  # unique keys: no count compared
-    if result.kind is RunKind.CROSSTALK:
-        rows = [(kind, a, b, 1, c, n) for (a, b), c in windows]
-    else:
-        rows = [(kind, a, a, b, c, n) for (a, b), c in windows]
-    return _write_table(path, COUNTS_HEADER, "%s,%s,%s,%s,%s,%s", rows)
+    scan = result.kind is RunKind.CROSSTALK
+    return _write_table(path, COUNTS_HEADER, "%s,%s,%s,%s,%s,%s", [
+        (kind, a, b, 1, c, n) if scan else (kind, a, a, b, c, n)
+        for (a, b), c in zip(result.keys, result.totals)])
 
 
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
@@ -456,7 +454,8 @@ def _csv_rows(text: str):
 
 
 def read_counts_csv(path) -> TrialCounts:
-    """Read a counts CSV back into the TrialCounts that wrote it.
+    """Read a counts CSV, its rows in any order, back into the TrialCounts
+    that wrote it.
 
     Every row must share one run kind and one n_trials.  Signal and noise
     rows need input_cell == output_cell; scan rows need temporal_index 1.
@@ -466,8 +465,8 @@ def read_counts_csv(path) -> TrialCounts:
     """
     path = Path(path)
     kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
-    counts: dict[tuple[int, int], int] = {}
-    key_lines: dict[tuple[int, int], int] = {}
+    key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
+    totals: list[int] = []
     with _in_file(path):
         rows = _csv_rows(_read_text(path))
         if (header := next(rows, None)) is None:
@@ -512,12 +511,12 @@ def read_counts_csv(path) -> TrialCounts:
                        f"{key_lines[key]} and {lineno}")
             else:
                 key_lines[key] = lineno
-                counts[key] = total
+                totals.append(total)
                 continue
             raise ConfigError(msg, line=lineno)
         if kind is None:
             raise ConfigError("counts file has no data rows")
-    return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
+    return TrialCounts(kind, tuple(key_lines), totals, n_trials)
 
 
 def write_timeline_csv(path, events) -> Path:

@@ -149,7 +149,7 @@ class SequencePlan:
     @functools.cached_property
     def modes(self) -> tuple[tuple[int, int], ...]:
         """(cell, k) for each cell of cell_order and k in 1..n_temporal: the
-        mode order of counts, expected means and cumulative series."""
+        order of a run's draws, expected means and cumulative series."""
         ks = range(1, self.n_temporal + 1)
         return tuple((cell, k) for cell in self.cell_order for k in ks)
 

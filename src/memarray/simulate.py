@@ -96,35 +96,39 @@ class LeakageMatrix:
                         f"off-diagonal leakage must be in [0, 1), got {v} at "
                         f"({self.cell_ids[i]}, {self.cell_ids[j]})")
 
-    def _index(self, cell_id: int) -> int:
-        try:
-            return self.cell_ids.index(cell_id)
-        except ValueError:
-            raise ConfigError(f"cell {cell_id} not in leakage matrix "
-                              f"(has {list(self.cell_ids)})") from None
-
     def leak(self, input_cell: int, output_cell: int) -> float:
-        return self.values[self._index(input_cell)][self._index(output_cell)]
+        index = self.cell_ids.index  # a cell not in the matrix: ValueError
+        return self.values[index(input_cell)][index(output_cell)]
 
 
 @dataclass(frozen=True)
 class TrialCounts:
-    """Window totals of one run over ``n_trials`` trials.
+    """Window totals of one run over ``n_trials`` trials: ``totals[i]`` is
+    the total of window ``keys[i]``.  A signal or noise run is keyed by
+    (cell_id, temporal_index); a cross-talk scan is keyed by (input_cell,
+    output_cell), one window per pair (temporal index 1).
 
-    A signal or noise run is keyed by (cell_id, temporal_index); a
-    cross-talk scan is keyed by (input_cell, output_cell), one window per
-    pair (temporal index 1).
+    The columns, given in any order, are kept in sorted key order, so each
+    cell's windows are one slice; a repeated key, a negative total and
+    columns of two lengths (ValueError) are refused.
     """
 
     kind: RunKind
-    counts: dict[tuple[int, int], int]
+    keys: tuple[tuple[int, int], ...]
+    totals: tuple[int, ...]
     n_trials: int
 
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        if any(v < 0 for v in self.counts.values()):
+        rows = sorted(zip(self.keys, self.totals, strict=True))
+        for (a, _), (b, _) in zip(rows, rows[1:]):
+            if a == b:
+                raise ConfigError(f"repeated key {a}")
+        if any(total < 0 for _, total in rows):
             raise ConfigError("counts must be non-negative")
+        object.__setattr__(self, "keys", tuple([key for key, _ in rows]))
+        object.__setattr__(self, "totals", tuple([total for _, total in rows]))
 
 
 # --------------------------------------------------------------------------
@@ -227,17 +231,16 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
 
     With inputs on, each window draws from echo + noise means; with inputs
     blocked (``with_input=False``, the noise-floor measurement) from the
-    noise means alone.  Compilation errors from an infeasible plan
-    propagate.
+    noise means alone.  The windows are drawn in ``plan.modes`` order.
+    Compilation errors from an infeasible plan propagate.
     """
     _check_run_args(n_trials, seed)
     exp = mode_expectations(device, plan, noise)
-    modes = plan.modes
     lam = [exp.noise[m] + exp.signal[m] if with_input else exp.noise[m]
-           for m in modes]
-    counts = dict(zip(modes, _poisson_totals(lam, n_trials, seed)))
+           for m in plan.modes]
     kind = RunKind.SIGNAL if with_input else RunKind.NOISE
-    return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
+    return TrialCounts(kind, plan.modes, _poisson_totals(lam, n_trials, seed),
+                       n_trials)
 
 
 def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
@@ -255,12 +258,12 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
     than one temporal mode (source "plan"), and plan cells without a
     leakage row, all listed in one error (source "noise").
 
-    Returns one CROSSTALK table keyed by (input_cell, output_cell).
-    Expected counts per window:
+    Returns one CROSSTALK run keyed by (input_cell, output_cell), in
+    sorted key order.  Expected counts per window:
         leak[i][j] * signal_i + noise_j + offresonant_echo_leak[i, j]
     The totals of all pairs are one Poisson(n_trials * mean) draw over the
-    pair vector from the generator keyed by ``seed``, so a scan is
-    reproducible from its seed.
+    pair vector, in the matrix's order, from the generator keyed by
+    ``seed``, so a scan is reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
     if leak is None:
@@ -274,14 +277,13 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
     if missing:
         raise ConfigError(f"[leakage] has no row for plan cells {missing}",
                           source="noise")
-    cells = sorted(plan.cell_order, key=leak.cell_ids.index)
+    # (row, cell) of each plan cell, in the matrix's order
+    cells = sorted((leak.cell_ids.index(c), c) for c in plan.cell_order)
     exp = mode_expectations(device, plan, noise)
 
-    pairs = [(i, j) for i in cells for j in cells]
-    lam = [leak.leak(i, j) * exp.signal[(i, 1)] + exp.noise[(j, 1)]
+    pairs = [(i, j) for _, i in cells for _, j in cells]
+    lam = [leak.values[r][s] * exp.signal[(i, 1)] + exp.noise[(j, 1)]
            + noise.offresonant_echo_leak.get((i, j), 0.0)
-           for i, j in pairs]
-    totals = _poisson_totals(lam, n_trials, seed)
-    return TrialCounts(kind=RunKind.CROSSTALK,
-                       counts=dict(zip(pairs, totals)),
-                       n_trials=n_trials)
+           for r, i in cells for s, j in cells]
+    return TrialCounts(RunKind.CROSSTALK, pairs,
+                       _poisson_totals(lam, n_trials, seed), n_trials)

@@ -36,10 +36,9 @@ def _csv(header, rows) -> bytes:
 def counts_bytes(result) -> bytes:
     scan = result.kind is RunKind.CROSSTALK
     rows = []
-    for a, b in sorted(result.counts):
+    for (a, b), total in sorted(zip(result.keys, result.totals)):
         i, j, k = (a, b, 1) if scan else (a, a, b)
-        rows.append([result.kind.value, i, j, k, result.counts[(a, b)],
-                     result.n_trials])
+        rows.append([result.kind.value, i, j, k, total, result.n_trials])
     return _csv(["run_kind", "input_cell", "output_cell", "temporal_index",
                  "total_counts", "n_trials"], rows)
 
@@ -173,4 +172,5 @@ def read_counts_csv(path) -> TrialCounts:
             raise ConfigError(msg, path=path, line=lineno)
     if kind is None:
         raise ConfigError("counts file has no data rows", path=path)
-    return TrialCounts(kind=kind, counts=counts, n_trials=n_trials)
+    return TrialCounts(kind=kind, keys=tuple(counts),
+                       totals=tuple(counts.values()), n_trials=n_trials)

@@ -120,7 +120,8 @@ def test_criterion_4_monte_carlo_matches_analytic():
     started = time.monotonic()
     run = run_trials(PLAN_250, DEVICE, STORAGE_NOISE, n_trials=n, seed=seed)
     elapsed = time.monotonic() - started
-    problems = poisson_gate(run.counts, _criterion_4_means(n))
+    problems = poisson_gate(dict(zip(run.keys, run.totals)),
+                            _criterion_4_means(n))
     assert problems == [], problems
     assert elapsed < 60.0
     print(f"criterion 4: PASS — 250 modes at {n:.0e} trials consistent with "
@@ -234,7 +235,8 @@ def test_criterion_6_structural_properties():
         run = run_trials(plan, DEVICE, loud, n_trials=n_trials, seed=index,
                          with_input=False)
         modes = plan.modes
-        totals = np.array([run.counts[m] for m in modes], dtype=float)
+        table = dict(zip(run.keys, run.totals))
+        totals = np.array([table[m] for m in modes], dtype=float)
         cum = np.cumsum(totals) / n_trials
         idx = np.arange(1, len(modes) + 1, dtype=float)
         if len(modes) >= 3:

@@ -27,7 +27,9 @@ from memarray.simulate import RunKind, TrialCounts
 
 
 def counts(kind, table, n_trials):
-    return TrialCounts(kind=kind, counts=dict(table), n_trials=n_trials)
+    table = dict(table)
+    return TrialCounts(kind=kind, keys=tuple(table),
+                       totals=tuple(table.values()), n_trials=n_trials)
 
 
 class TestPerModeStats:

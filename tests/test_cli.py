@@ -1,5 +1,6 @@
 """End-to-end command-line tests: exit codes, artifacts, reproducibility."""
 
+import csv
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import memarray.cli
+import memarray.defaults
 import memarray.io
 import memarray.sequence
 from memarray.cli import main
@@ -377,7 +379,7 @@ class TestRun:
                        "--out-dir", str(tmp_path)) == 0
         scan = read_counts_csv(tmp_path / "counts_crosstalk.csv")
         assert scan.kind is RunKind.CROSSTALK
-        assert len(scan.counts) == 100
+        assert len(scan.keys) == 100
 
 
     def test_crosstalk_run_scans_the_plan_cells(self, tmp_path, capsys):
@@ -391,8 +393,9 @@ class TestRun:
                            "--mode", mode, "--trials", "20000",
                            "--out-dir", str(tmp_path)) == 0
         scan = read_counts_csv(tmp_path / "counts_crosstalk.csv")
-        assert set(scan.counts) == {(i, j) for i in (1, 2) for j in (1, 2)}
-        assert len(read_counts_csv(tmp_path / "counts_noise.csv").counts) == 2
+        assert scan.keys == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert read_counts_csv(tmp_path / "counts_noise.csv").keys == (
+            (1, 1), (2, 1))
         assert run_cli("analyze",
                        "--signal", str(tmp_path / "counts_crosstalk.csv"),
                        "--noise", str(tmp_path / "counts_noise.csv"),
@@ -574,8 +577,8 @@ class TestAnalyze:
         assert len((stats_dir / "projections.csv").read_text().splitlines()) == 3
 
     def test_mode_order_follows_plan(self, tmp_path, small_plan):
-        # With cell_order 2, 1 the run's keys and the cumulative series run
-        # in plan order, not in the sorted order of the counts CSV.
+        # With cell_order 2, 1 the cumulative series runs in plan order,
+        # while a run's keys, like the counts CSV, are in sorted order.
         small_plan.write_text(small_plan.read_text().replace(
             "cell_order = 1, 2", "cell_order = 2, 1"))
         sig, bkg = self.make_runs(tmp_path, small_plan)
@@ -585,7 +588,7 @@ class TestAnalyze:
         noise, _ = load_noise(tmp_path / "noise.ini",
                               default_dark_rate=device.dark_count_rate)
         run = run_trials(plan, device, noise, n_trials=50, seed=3)
-        assert list(run.counts) == list(plan.modes)
+        assert run.keys == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert run_cli("analyze", "--signal", str(sig), "--noise", str(bkg),
                        "--plan", str(small_plan), "--device", "10cell",
                        "--out-dir", str(tmp_path / "stats")) == 0
@@ -621,6 +624,41 @@ class TestAnalyze:
         rows = (tmp / "cum" / "cumulative.csv").read_text().splitlines()
         assert rows[1:] == [f"{i},{c},{k},{s},{b}" for i, ((c, k), s, b)
                             in enumerate(zip(modes, *pooled), start=1)]
+
+    @pytest.mark.parametrize("plan, reverse", [
+        ("60mode", False), ("250mode", False), ("250mode", True)])
+    def test_last_cumulative_row_is_the_pooled_rate(self, tmp_path, plan,
+                                                    reverse):
+        # cumulative.csv pools integer count totals over the plan's modes,
+        # whatever their order, so its last row is sum(total) / n and
+        # sqrt(sum(total)) / n of the counts files.  At 10**6 trials each
+        # window is still one Poisson draw.
+        text = default_plan_path(plan).read_text()
+        if reverse:
+            text = text.replace("cell_order = 1, 2, 3, 4, 5, 6, 7, 8, 9, 10",
+                                "cell_order = 10, 9, 8, 7, 6, 5, 4, 3, 2, 1")
+            assert "cell_order = 10," in text
+        plan_path = tmp_path / "plan.ini"
+        plan_path.write_text(text)
+        pooled = []
+        for mode, seed in (("signal", "2718"), ("noise", "2719")):
+            assert run_cli("run", "--plan", str(plan_path), "--noise",
+                           "storage", "--mode", mode, "--trials", "1000000",
+                           "--seed", seed, "--out-dir", str(tmp_path)) == 0
+            with open(tmp_path / f"counts_{mode}.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            total = sum(int(row["total_counts"]) for row in rows)
+            n = int(rows[0]["n_trials"])
+            pooled += ["%.10g" % (total / n), "%.10g" % (math.sqrt(total) / n)]
+        assert run_cli("analyze", "--signal",
+                       str(tmp_path / "counts_signal.csv"), "--noise",
+                       str(tmp_path / "counts_noise.csv"), "--plan",
+                       str(plan_path), "--device", "10cell",
+                       "--out-dir", str(tmp_path / "stats")) == 0
+        with open(tmp_path / "stats" / "cumulative.csv", newline="") as fh:
+            last = list(csv.reader(fh))[-1]
+        assert last[0] == str(len(load_plan(plan_path).modes))
+        assert last[3:] == pooled
 
     def test_identical_inputs_give_unit_snr(self, tmp_path, small_plan):
         # A signal run whose counts equal the noise run's, line for line.
@@ -849,10 +887,11 @@ class TestAnalyze:
                                                           capsys):
         # A one-trial scan often sees no echo in any cell.
         cells = (1, 2)
-        scan = TrialCounts(RunKind.CROSSTALK, n_trials=1, counts={
-            (i, j): int(i != j) for i in cells for j in cells})
+        pairs = [(i, j) for i in cells for j in cells]
+        scan = TrialCounts(RunKind.CROSSTALK, n_trials=1, keys=pairs,
+                           totals=[int(i != j) for i, j in pairs])
         noise = TrialCounts(RunKind.NOISE, n_trials=1,
-                            counts={(i, 1): 0 for i in cells})
+                            keys=[(i, 1) for i in cells], totals=[0, 0])
         scan_csv = write_counts_csv(tmp_path / "counts_crosstalk.csv", scan)
         noise_csv = write_counts_csv(tmp_path / "counts_noise.csv", noise)
         out = tmp_path / "xt"
@@ -1006,6 +1045,14 @@ class TestUnreadableFiles:
             "plan.ini", default_plan_path("60mode").read_text())
         assert run_cli("validate", "--plan", str(plan)) == 2
         assert capsys.readouterr().err.startswith(f"error: {plan}: {reason}")
+
+    def test_missing_packaged_file(self, tmp_path, monkeypatch, capsys):
+        # A packaged name whose file is gone is refused by its loader, as a
+        # missing file given by its path is.
+        monkeypatch.setattr(memarray.defaults, "_DATA", tmp_path)
+        assert run_cli("validate", "--plan", "60mode") == 2
+        assert capsys.readouterr() == (
+            "", f"error: {tmp_path / 'plan_60mode.ini'}: file not found\n")
 
     def test_counts_file(self, unreadable, tmp_path, capsys):
         assert run_cli("run", "--plan", "60mode", "--noise", "storage",

@@ -87,7 +87,7 @@ def test_run_draws_in_a_fresh_process(tmp_path):
                       "--noise", "storage", "--trials", "100", "--seed", "1",
                       "--out-dir", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert len(read_counts_csv(tmp_path / "counts_signal.csv").counts) == 60
+    assert len(read_counts_csv(tmp_path / "counts_signal.csv").keys) == 60
 
 
 def test_missing_key_diagnostic_ignores_hash_seed(tmp_path):

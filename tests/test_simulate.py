@@ -14,6 +14,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from memarray.defaults import (
     default_device_path,
@@ -47,6 +48,11 @@ from memarray.simulate import (
 )
 from timeline_oracle import assert_noise_matches_timeline, expected_noise_per_mode
 from stat_gates import ALPHA, binned_g2_pvalue, poisson_gate
+
+
+def table(run):
+    """A run's totals by key."""
+    return dict(zip(run.keys, run.totals))
 
 
 def make_cell(cell_id=1, **kw):
@@ -206,8 +212,8 @@ class TestRunTrials:
         out = run_trials(plan, make_device(), QUIET, n_trials=500, seed=1,
                          with_input=False)
         assert out.kind is RunKind.NOISE
-        assert sum(out.counts.values()) == 0
-        assert set(out.counts) == {(1, k) for k in range(1, 7)}
+        assert sum(out.totals) == 0
+        assert out.keys == tuple((1, k) for k in range(1, 7))
 
     def test_million_trial_concentration(self):
         # Single mode with expected 1e-3 counts/trial: over 1e6 trials the
@@ -219,7 +225,7 @@ class TestRunTrials:
                             fluorescence_decay=2.0, dark_rate=0.0)
         out = run_trials(plan, make_device(), noise, n_trials=10 ** 6,
                          seed=20240217, with_input=False)
-        assert poisson_gate(out.counts, {(1, 1): 1000.0}) == []
+        assert poisson_gate(table(out), {(1, 1): 1000.0}) == []
 
     def test_signal_run_mean_matches_expectation(self):
         plan = make_plan()
@@ -230,8 +236,8 @@ class TestRunTrials:
         n = 10 ** 7
         out = run_trials(plan, device, noise, n_trials=n, seed=99)
         exp = mode_expectations(device, plan, noise)
-        assert poisson_gate(out.counts, {key: n * total_mean(exp, key)
-                                         for key in plan.modes}) == []
+        assert poisson_gate(table(out), {key: n * total_mean(exp, key)
+                                        for key in plan.modes}) == []
 
     def test_counts_equal_one_seeded_poisson_draw(self):
         # The engine contract, exactly: one Poisson(n * lambda) total per
@@ -248,7 +254,7 @@ class TestRunTrials:
             lam = np.array([total_mean(exp, k) if with_input
                             else exp.noise[k] for k in plan.modes])
             want = np.random.default_rng(seed).poisson(n * lam)
-            assert out.counts == {k: int(c)
+            assert table(out) == {k: int(c)
                                   for k, c in zip(plan.modes, want)}
 
     def test_same_seed_reruns_are_identical(self):
@@ -258,7 +264,7 @@ class TestRunTrials:
                             fluorescence_decay=2.0, dark_rate=15.0)
         runs = [run_trials(plan, make_device(), noise, n_trials=1000, seed=7,
                            with_input=False) for _ in range(2)]
-        assert runs[0].counts == runs[1].counts
+        assert runs[0] == runs[1]
 
     def test_seed_changes_counts(self):
         plan = make_plan(n_temporal=4)
@@ -269,7 +275,7 @@ class TestRunTrials:
                        with_input=False)
         b = run_trials(plan, make_device(), noise, 1000, seed=2,
                        with_input=False)
-        assert a.counts != b.counts
+        assert a.totals != b.totals
 
     def test_infeasible_plan_propagates(self):
         plan = make_plan(n_temporal=7, mode_period=6.5 / 6)
@@ -312,9 +318,9 @@ class TestRunTrials:
                             fluorescence_decay=2.0, dark_rate=0.0)
         n, seeds = 2000, range(4000)
         exp = mode_expectations(make_device(), plan, noise)
-        totals = np.array([[run_trials(plan, make_device(), noise,
-                                       n_trials=n, seed=seed,
-                                       with_input=False).counts[k]
+        totals = np.array([[table(run_trials(plan, make_device(), noise,
+                                             n_trials=n, seed=seed,
+                                             with_input=False))[k]
                             for k in plan.modes] for seed in seeds])
         for column, key in zip(totals.T, plan.modes):
             p = binned_g2_pvalue(column, n * exp.noise[key])
@@ -343,9 +349,9 @@ class TestCrossTalkScan:
         scan = run_crosstalk_scan(device, identity_leak(), QUIET, plan,
                                   n_trials=10 ** 6, seed=11)
         assert scan.kind is RunKind.CROSSTALK
-        assert set(scan.counts) == {(i, j) for i in (1, 2, 3)
-                                    for j in (1, 2, 3)}
-        for (i, j), total in scan.counts.items():
+        assert set(scan.keys) == {(i, j) for i in (1, 2, 3)
+                                  for j in (1, 2, 3)}
+        for (i, j), total in zip(scan.keys, scan.totals):
             if i != j:
                 assert total == 0
             else:
@@ -359,7 +365,7 @@ class TestCrossTalkScan:
         expected = {i: n * expected_signal_per_mode(device.cell(i), plan,
                                                     device)
                     for i in (1, 2, 3)}
-        assert poisson_gate({i: scan.counts[(i, i)] for i in expected},
+        assert poisson_gate({i: table(scan)[(i, i)] for i in expected},
                             expected) == []
 
     def test_leakage_scales_off_diagonal(self):
@@ -370,7 +376,7 @@ class TestCrossTalkScan:
         scan = run_crosstalk_scan(device, leak, QUIET, plan,
                                   n_trials=n, seed=3)
         lam = 0.05 * expected_signal_per_mode(device.cell(1), plan, device)
-        assert poisson_gate({(1, 2): scan.counts[(1, 2)]},
+        assert poisson_gate({(1, 2): table(scan)[(1, 2)]},
                             {(1, 2): lam * n}) == []
 
     def test_offresonant_leak_adds_to_specific_pair(self):
@@ -382,9 +388,9 @@ class TestCrossTalkScan:
         n = 100_000
         scan = run_crosstalk_scan(device, identity_leak(2), noise, plan,
                                   n_trials=n, seed=8)
-        assert poisson_gate({(2, 1): scan.counts[(2, 1)]},
+        assert poisson_gate({(2, 1): table(scan)[(2, 1)]},
                             {(2, 1): 0.02 * n}) == []
-        assert scan.counts[(1, 2)] == 0
+        assert table(scan)[(1, 2)] == 0
 
     def test_scans_the_plan_cells_in_leakage_order(self):
         # Cells of the matrix outside the plan are not scanned, and the
@@ -395,8 +401,8 @@ class TestCrossTalkScan:
                                      (0.0, 0.0, 1.0)))
         swapped = dataclasses.replace(plan, cell_order=(2, 1))
         scans = [run_crosstalk_scan(device, leak, QUIET, p, n_trials=1000,
-                                    seed=4).counts for p in (plan, swapped)]
-        assert list(scans[0]) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+                                    seed=4) for p in (plan, swapped)]
+        assert scans[0].keys == ((1, 1), (1, 2), (2, 1), (2, 2))
         assert scans[0] == scans[1]
 
     def test_plan_cell_missing_from_leakage_rejected(self):
@@ -435,7 +441,7 @@ class TestCrossTalkScan:
                         + (0.02 if (i, j) == (2, 1) else 0.0)
                         for i, j in pairs])
         want = np.random.default_rng(seed).poisson(n * lam)
-        assert scan.counts == dict(zip(pairs, want.tolist()))
+        assert table(scan) == dict(zip(pairs, want.tolist()))
 
     def test_same_seed_reruns_are_identical(self):
         device, plan = self.scan_setup()
@@ -476,5 +482,27 @@ class TestDataTypes:
             NoiseParams(**kw)
 
     def test_trial_counts_reject_negative(self):
-        with pytest.raises(ConfigError):
-            TrialCounts(kind=RunKind.SIGNAL, counts={(1, 1): -1}, n_trials=10)
+        with pytest.raises(ConfigError, match="non-negative"):
+            TrialCounts(kind=RunKind.SIGNAL, keys=((1, 1), (1, 2)),
+                        totals=(4, -1), n_trials=10)
+
+    def test_trial_counts_reject_a_repeated_key(self):
+        with pytest.raises(ConfigError,
+                           match=re.escape("repeated key (1, 2)")):
+            TrialCounts(kind=RunKind.SIGNAL, keys=((1, 2), (1, 1), (1, 2)),
+                        totals=(4, 5, 4), n_trials=10)
+
+    @pytest.mark.parametrize("totals", [(4,), (4, 5, 6)])
+    def test_trial_counts_reject_columns_of_two_lengths(self, totals):
+        with pytest.raises(ValueError, match="zip"):
+            TrialCounts(kind=RunKind.SIGNAL, keys=((1, 1), (1, 2)),
+                        totals=totals, n_trials=10)
+
+    @given(st.permutations([(c, k) for c in (1, 2, 3, 10) for k in (1, 2, 3)]))
+    def test_trial_counts_sort_any_producer_order(self, keys):
+        # Each total names its key, so a row that left its key shows.
+        totals = [100 * c + k for c, k in keys]
+        run = TrialCounts(kind=RunKind.NOISE, keys=keys, totals=totals,
+                          n_trials=10)
+        assert run.keys == tuple(sorted(keys))
+        assert run.totals == tuple(100 * c + k for c, k in run.keys)

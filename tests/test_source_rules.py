@@ -3,7 +3,9 @@
 Each module-level import is named somewhere in its module, and each
 "_"-prefixed module-level def, class or assignment is named somewhere in
 the package, so that neither an import nor a helper or key table can
-outlive its last use.
+outlive its last use.  Only ``io._read_text``, ``io._write_text`` and
+``io.file_digests`` open, read, write or remove a file, so that every file
+access is hashed in, and cleaned up by, a ``file_digests()`` block.
 """
 
 import ast
@@ -62,4 +64,34 @@ def test_no_unused_private_module_level_name():
                     for name in names
                     if name.startswith("_") and not name.startswith("__")
                     and name not in used]
+    assert bad == []
+
+
+# (module, function) of the only calls that touch a file, and those calls.
+FILE_ACCESS_ALLOWED = {("io", "_read_text"), ("io", "_write_text"),
+                       ("io", "file_digests")}
+FILE_ACCESS = {"open", "read_bytes", "read_text", "write_bytes",
+               "write_text", "unlink"}
+
+
+def test_file_access_only_through_the_io_record():
+    bad = []
+
+    def scan(node, path, module, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, path, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = (f.id if isinstance(f, ast.Name) and f.id == "open"
+                        else getattr(f, "attr", None))
+                if (name in FILE_ACCESS
+                        and (module, func) not in FILE_ACCESS_ALLOWED):
+                    bad.append(f"{path}:{child.lineno}: {name} called in "
+                               f"{func or 'the module body'}")
+            scan(child, path, module, func)
+
+    for path, tree in TREES.items():
+        scan(tree, path, Path(path).stem, None)
     assert bad == []
