@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import truediv
 
 from .device import ArrayDevice
 from .errors import ConfigError, ModeSetMismatch
@@ -90,10 +92,11 @@ def _rate(total: int, n: int) -> tuple[float, float]:
 
 
 def _rates(totals, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``_rate`` of each of ``totals``, as a column of means and one of errors.
-    Flat: holding every (rate, error) tuple at once sets off the GC."""
-    flat = [x for total in totals for x in _rate(total, n)]
-    return tuple(flat[::2]), tuple(flat[1::2])
+    """``_rate`` of each of ``totals``, as a column of means and one of
+    errors, each built in one C-level pass over one tuple of the totals."""
+    totals = tuple(totals)
+    return (tuple(map(truediv, totals, repeat(n))),
+            tuple(map(truediv, map(math.sqrt, totals), repeat(n))))
 
 
 def per_mode_stats(signal: TrialCounts, noise: TrialCounts) -> ModeStats:

@@ -118,8 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default .)")
     p_run.set_defaults(func=cmd_run)
 
-    p_an = sub.add_parser("analyze",
-                          help="derive statistics CSVs from counts CSVs")
+    p_an = sub.add_parser(
+        "analyze", help="derive statistics CSVs from counts CSVs",
+        description="Derive statistics CSVs from counts CSVs.  Unlike run, "
+                    "analyze has no default --device: a counts file does "
+                    "not name the device that drew it, and the projections "
+                    "rescale each cell by that device's eta_mux.")
     p_an.add_argument("--signal", required=True, type=Path,
                       help="counts CSV of the signal run or cross-talk scan")
     p_an.add_argument("--noise", required=True, type=Path,
@@ -143,8 +147,8 @@ def _load_plan_and_device(args):
     the device does not have."""
     plan = load_plan(args.plan)
     device = load_device(args.device)
-    missing = [c for c in plan.cell_order if c not in device.cell_ids]
-    if missing:
+    if not {*plan.cell_order} <= {*device.cell_ids}:
+        missing = [c for c in plan.cell_order if c not in device.cell_ids]
         raise ConfigError(f"plan names cells {missing} that the device "
                           f"does not have", source="plan")
     return plan, device

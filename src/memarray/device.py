@@ -82,27 +82,32 @@ class CellParams:
     def __post_init__(self):
         if self.cell_id < 1:
             raise ConfigError(f"cell_id must be >= 1, got {self.cell_id}")
+        # Plain loops: on a handful of values each beats a bulk test, and
+        # a refusal is worded only once a value fails.
         for name in ("eta_mux", "eta_demux", "eta_fiber", "eta_transfer"):
-            _check_fraction(f"cell {self.cell_id}: {name}", getattr(self, name))
+            if not 0.0 <= (value := getattr(self, name)) <= 1.0:
+                raise ConfigError(f"cell {self.cell_id}: {name} must be a "
+                                  f"fraction in [0, 1], got {value}")
         table = tuple(sorted((float(t), float(e)) for t, e in self.afc_calibration))
         if len(table) < 2:
             raise ConfigError(
                 f"cell {self.cell_id}: afc_calibration needs at least two "
                 f"(tau, efficiency) points, got {len(table)}")
-        taus = [t for t, _ in table]
-        etas = [e for _, e in table]
+        taus, etas = zip(*table)
         for t in taus:
             if not math.isfinite(t):
                 raise ConfigError(f"cell {self.cell_id}: calibration tau must "
                                   f"be finite, got {t}")
         if len(set(taus)) != len(taus):
             raise ConfigError(f"cell {self.cell_id}: duplicate calibration tau")
-        if any(not 0.0 < e <= 1.0 for e in etas):
-            raise ConfigError(f"cell {self.cell_id}: AFC efficiencies must be in (0, 1]")
-        if any(a <= b for a, b in zip(etas, etas[1:])):
-            raise ConfigError(
-                f"cell {self.cell_id}: AFC efficiency must strictly decrease "
-                f"with storage time")
+        for e in etas:
+            if not 0.0 < e <= 1.0:
+                raise ConfigError(f"cell {self.cell_id}: AFC efficiencies must be in (0, 1]")
+        for a, b in zip(etas, etas[1:]):
+            if a <= b:
+                raise ConfigError(
+                    f"cell {self.cell_id}: AFC efficiency must strictly decrease "
+                    f"with storage time")
         object.__setattr__(self, "afc_calibration", table)
 
 

@@ -28,6 +28,8 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import MISSING, fields
+from itertools import repeat
+from operator import le, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -102,38 +104,50 @@ def _read_text(path: Path) -> str:
 def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     """Parse an INI file in one pass: ``[name]`` headers, ``key = value`` or
     ``key: value`` lines, ``#``/``;`` comments and indented lines that
-    continue a value.  Syntax errors name the file and the line."""
+    continue a value.  Syntax errors name the file and the line.
+
+    Every line is stripped in one ``map``; a blank or whole-comment line is
+    skipped on its first character, a comment inside a line is cut only if
+    the line holds ``#`` or ``;``, the key is split from its value with
+    ``str.partition``, and indentation is measured only for a line that
+    starts with whitespace."""
     path = Path(path)
-    text = _read_text(path)
+    lines = _read_text(path).splitlines()
     sections: dict[str, _Section] = {}
     sec = key = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = (_COMMENT_RE.split(raw, 1)[0] if "#" in raw or ";" in raw else raw).strip()
-        indent = len(raw) - len(raw.lstrip())
-        if not line:
+    for lineno, raw, line in zip(range(1, len(lines) + 1), lines,
+                                 map(str.strip, lines)):
+        if not line or line[0] in "#;":
             continue
-        if key is not None and indent > key_indent:
-            sec.entries[key][0] += "\n" + line
-            continue
+        if "#" in line or ";" in line:
+            line = _COMMENT_RE.split(line, 1)[0].rstrip()
+        if raw[0] == line[0]:
+            indent = 0
+        else:
+            indent = len(raw) - len(raw.lstrip())
+            if key is not None and indent > key_indent:
+                entries[key][0] += "\n" + line
+                continue
         if line[0] == "[" and line[-1] == "]" and len(line) > 2:
             if line[1:-1] in sections:
                 raise ConfigError(f"duplicate section {line}", path=path, line=lineno)
             sec = sections[line[1:-1]] = _Section(line[1:-1])
-            key = None
+            entries, key = sec.entries, None
             continue
         if sec is None:
             raise ConfigError(f"text before the first section: {line!r}",
                               path=path, line=lineno)
-        eq, colon = line.find("="), line.find(":")
-        cut = eq if colon < 0 or 0 <= eq < colon else colon
-        if cut < 1:
+        key, eq, value = line.partition("=")
+        if ":" in key:  # the first delimiter splits
+            key, eq, value = line.partition(":")
+        if not key or not eq:
             raise ConfigError(f"expected 'key = value' or a [section] header, "
                               f"got {line!r}", path=path, line=lineno)
-        key, key_indent = line[:cut].rstrip().lower(), indent
-        if key in sec.entries:
+        key, key_indent = key.rstrip().lower(), indent
+        if key in entries:
             raise ConfigError(f"duplicate key in [{sec.name}]", path=path,
                               key=key, line=lineno)
-        sec.entries[key] = [line[cut + 1:].lstrip(), lineno]
+        entries[key] = [value.lstrip(), lineno]
     if not sections:
         raise ConfigError("no sections found (empty or comment-only file)", path=path)
     return sections, path
@@ -159,7 +173,11 @@ def _finite(text: str) -> float:
 
 
 def _floats(text: str) -> list[float]:
-    return [_finite(tok) for tok in text.split(",")]
+    """Comma-separated finite numbers, parsed and checked in bulk."""
+    values = list(map(float, text.split(",")))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"not all finite: {text!r}")
+    return values
 
 
 def _pairs(text: str) -> list[tuple[float, float]]:
@@ -173,8 +191,9 @@ def _pairs(text: str) -> list[tuple[float, float]]:
 
 class _Key(NamedTuple):
     """How a config key's text becomes the value of a record field, the
-    one named like the key if ``field`` is None: a ValueError from
-    ``parse`` refuses the text as not ``expected``, by default a number."""
+    one named like the key if ``field`` is None (``_schema`` fills it in):
+    a ValueError from ``parse`` refuses the text as not ``expected``, by
+    default a number."""
 
     field: str | None = None
     parse: Callable = _finite
@@ -188,8 +207,10 @@ def _schema(records, keys: dict[str, _Key], optional=()):
     when the key is absent."""
     defaults = {f.name for record in records for f in fields(record)
                 if f.default is not MISSING or f.default_factory is not MISSING}
-    return keys, sorted(key for key, spec in keys.items() if key not in
-                        optional and (spec.field or key) not in defaults)
+    keys = {key: spec._replace(field=spec.field or key)
+            for key, spec in keys.items()}
+    return keys, sorted(key for key, spec in keys.items()
+                        if key not in optional and spec.field not in defaults)
 
 
 class _Section:
@@ -206,27 +227,38 @@ class _Section:
     def read(self, schema) -> dict:
         """The section as record keyword arguments.  Refuses an unknown key,
         the first in file order, then a missing required key, the first in
-        sorted order; then parses the keys present in schema order."""
-        keys, required = schema
-        for key, (_, line) in self.entries.items():
-            if key not in keys:
-                raise ConfigError(f"unknown key in [{self.name}]",
-                                  key=key, line=line)
-        for key in required:
-            if key not in self.entries:
-                raise ConfigError(f"[{self.name}] is missing required key "
-                                  f"'{key}'", key=key)
-        return {spec.field or key: self.value(key, spec.parse, spec.expected)
-                for key, spec in keys.items() if key in self.entries}
+        sorted order; then parses the keys present in schema order.
 
-    def value(self, key: str, parse: Callable, expected: str):
-        """``parse`` the key's text, refused if not ``expected``."""
-        text, line = self.entries[key]
+        Each refusal is tested in bulk: one set comparison for unknown keys
+        and one ``all`` for the required ones, and the entries are walked
+        only to name the key at fault.  The values are parsed in one loop,
+        and a ValueError is worded for the key it was parsing."""
+        keys, required = schema
+        entries = self.entries
+        if not keys.keys() >= entries.keys():
+            for key, (_, line) in entries.items():
+                if key not in keys:
+                    raise ConfigError(f"unknown key in [{self.name}]",
+                                      key=key, line=line)
+        if not all(map(entries.__contains__, required)):
+            for key in required:
+                if key not in entries:
+                    raise ConfigError(f"[{self.name}] is missing required "
+                                      f"key '{key}'", key=key)
+        values = {}
         try:
-            return parse(text)
+            for key, (field, parse, _) in keys.items():
+                if key in entries:
+                    values[field] = parse(entries[key][0])
         except ValueError as exc:
-            raise ConfigError(f"expected {expected}, got {text!r}",
-                              key=key, line=line) from exc
+            raise self.refusal(key, keys[key].expected) from exc
+        return values
+
+    def refusal(self, key: str, expected: str) -> ConfigError:
+        """The error that refuses the key's text as not ``expected``."""
+        text, line = self.entries[key]
+        return ConfigError(f"expected {expected}, got {text!r}", key=key,
+                           line=line)
 
 
 # --------------------------------------------------------------------------
@@ -251,17 +283,20 @@ def load_device(path) -> ArrayDevice:
         if "array" not in sections:
             raise ConfigError("device file needs an [array] section")
         array = sections.pop("array").read(_ARRAY)
-        cells = {}  # cell id -> (the cell, "[its section] on line N")
+        cells = {}  # cell id -> (the cell, the name of its section)
         for name, sec in sections.items():
             if not name.lower().startswith("cell"):
                 raise ConfigError(f"unexpected section [{name}] in device file")
             cell = CellParams(**sec.read(_CELL))
-            line = sec.entries[_CELL_ID][1]
             if cell.cell_id in cells:
+                first = cells[cell.cell_id][1]
+                line = sec.entries[_CELL_ID][1]
                 raise ConfigError(f"two sections for cell {cell.cell_id}: "
-                                  f"{cells[cell.cell_id][1]} and [{name}] on "
-                                  f"line {line}", key=_CELL_ID, line=line)
-            cells[cell.cell_id] = cell, f"[{name}] on line {line}"
+                                  f"[{first}] on line "
+                                  f"{sections[first].entries[_CELL_ID][1]} and "
+                                  f"[{name}] on line {line}", key=_CELL_ID,
+                                  line=line)
+            cells[cell.cell_id] = cell, name
         return ArrayDevice(cells=tuple(cells[i][0] for i in sorted(cells)),
                            **array)
 
@@ -331,7 +366,10 @@ def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
     rows = []
     for cid in order:
         key = keys[cid]
-        row = sec.value(key, _floats, "comma-separated numbers")
+        try:
+            row = _floats(sec.entries[key][0])
+        except ValueError as exc:
+            raise sec.refusal(key, "comma-separated numbers") from exc
         if len(row) != len(order):
             raise ConfigError(f"[{sec.name}] {key} has {len(row)} entries, "
                               f"expected {len(order)} (one per cell)",
@@ -364,16 +402,13 @@ def load_noise(path, default_dark_rate: float | None = None,
         leak = None
         if "leakage" in sections:
             ids, rows = _matrix_rows(sections["leakage"])
-            leak = LeakageMatrix(cell_ids=ids,
-                                 values=tuple(tuple(r) for r in rows))
+            leak = LeakageMatrix(cell_ids=ids, values=tuple(map(tuple, rows)))
 
         offres: dict[tuple[int, int], float] = {}
         if "offresonant" in sections:
             ids, rows = _matrix_rows(sections["offresonant"])
-            for i, cid in enumerate(ids):
-                for j, cjd in enumerate(ids):
-                    if rows[i][j] != 0.0:
-                        offres[(cid, cjd)] = rows[i][j]
+            offres = {(cid, cjd): v for cid, row in zip(ids, rows)
+                      for cjd, v in zip(ids, row) if v != 0.0}
 
         return NoiseParams(offresonant_echo_leak=offres, **noise), leak
 
@@ -411,9 +446,8 @@ def _write_text(path, text: str) -> Path:
 def _write_table(path, columns, row_format: str, rows) -> Path:
     """Write the ``columns`` header and then one line of
     ``row_format % row`` for each tuple of ``rows``."""
-    row_format += "\n"
     return _write_text(path, ",".join(columns) + "\n"
-                       + "".join([row_format % row for row in rows]))
+                       + "".join(map((row_format + "\n").__mod__, rows)))
 
 
 COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
@@ -426,13 +460,16 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
 
     A signal or noise run's (cell, k) key becomes input = output = cell at
     temporal index k; a scan's (input, output) key is written at temporal
-    index 1.
+    index 1.  The run kind and n_trials, the same on every row, are part
+    of the row format.
     """
     kind, n = result.kind.value, result.n_trials
-    scan = result.kind is RunKind.CROSSTALK
-    return _write_table(path, COUNTS_HEADER, "%s,%s,%s,%s,%s,%s", [
-        (kind, a, b, 1, c, n) if scan else (kind, a, a, b, c, n)
-        for (a, b), c in zip(result.keys, result.totals)])
+    a, b = [*zip(*result.keys)] or [(), ()]  # the key columns
+    if result.kind is RunKind.CROSSTALK:
+        return _write_table(path, COUNTS_HEADER, f"{kind},%s,%s,1,%s,{n}",
+                            zip(a, b, result.totals))
+    return _write_table(path, COUNTS_HEADER, f"{kind},%s,%s,%s,%s,{n}",
+                        zip(a, a, b, result.totals))
 
 
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
@@ -462,13 +499,21 @@ def read_counts_csv(path) -> TrialCounts:
     A duplicated (input_cell, output_cell, temporal_index) key is refused,
     and so is a row without exactly one field per header column or a line
     the CSV reader cannot split.  Row errors name the file and the line.
+
+    A file as ``write_counts_csv`` writes it is checked in bulk, a column
+    at a time (``_counts_in_bulk``).  Any other file, and every file that
+    is refused, is read again a row at a time, and that row walk words
+    each refusal.
     """
     path = Path(path)
     kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
     key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
     totals: list[int] = []
     with _in_file(path):
-        rows = _csv_rows(_read_text(path))
+        text = _read_text(path)
+        if (run := _counts_in_bulk(text)) is not None:
+            return run
+        rows = _csv_rows(text)
         if (header := next(rows, None)) is None:
             raise ConfigError("empty counts file")
         if header != COUNTS_HEADER:
@@ -517,6 +562,38 @@ def read_counts_csv(path) -> TrialCounts:
         if kind is None:
             raise ConfigError("counts file has no data rows")
     return TrialCounts(kind, tuple(key_lines), totals, n_trials)
+
+
+def _counts_in_bulk(text: str) -> TrialCounts | None:
+    """The run of a counts file whose rows all have one field per header
+    column, one run kind, one n_trials text, the key fields its kind
+    needs, non-negative totals and keys in strictly ascending order,
+    checked a column at a time; None for any other file."""
+    try:
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        if header != COUNTS_HEADER or {*map(len, rows)} != {len(header)}:
+            return None
+        kinds, ins, outs, ks, totals, ns = zip(*rows)
+        (kind,), (n_trials,) = {*kinds}, {*ns}
+        kind, n_trials = _RUN_KINDS[kind], int(n_trials)
+        if kind is RunKind.CROSSTALK:
+            if {*ks} != {"1"}:
+                return None
+            second = outs
+        elif ins == outs:
+            second = ks
+        else:
+            return None
+        texts = {*ins, *second}  # a few distinct texts: int() once each
+        ints = dict(zip(texts, map(int, texts)))
+        keys = [*zip(map(ints.__getitem__, ins), map(ints.__getitem__, second))]
+        totals = [*map(int, totals)]
+    except (csv.Error, ValueError, KeyError):  # the row walk words it
+        return None
+    if (n_trials < 1 or not all(map(le, repeat(0), totals))
+            or not all(map(lt, keys, keys[1:]))):
+        return None
+    return TrialCounts(kind, keys, totals, n_trials)
 
 
 def write_timeline_csv(path, events) -> Path:

@@ -20,6 +20,8 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import le, lt
 
 from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
                      window_capture_fraction)
@@ -101,6 +103,17 @@ class LeakageMatrix:
         return self.values[index(input_cell)][index(output_cell)]
 
 
+def _holds(compare, *columns) -> bool:
+    """Whether ``compare`` holds for the items of ``columns`` taken in step,
+    tested in one C-level pass.  An item that does not compare fails the
+    test, so the walk that words a refusal meets it and raises what it
+    always raised."""
+    try:
+        return all(map(compare, *columns))
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class TrialCounts:
     """Window totals of one run over ``n_trials`` trials: ``totals[i]`` is
@@ -110,7 +123,11 @@ class TrialCounts:
 
     The columns, given in any order, are kept in sorted key order, so each
     cell's windows are one slice; a repeated key, a negative total and
-    columns of two lengths (ValueError) are refused.
+    columns of two lengths (ValueError) are refused.  Keys in strictly
+    ascending order, as every producer in the package gives them, are
+    sorted and unique, which one bulk test shows; only columns that fail it
+    are sorted and walked for a repeated key.  Totals are tested in bulk
+    too, and walked only to refuse a negative one.
     """
 
     kind: RunKind
@@ -121,14 +138,18 @@ class TrialCounts:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        rows = sorted(zip(self.keys, self.totals, strict=True))
-        for (a, _), (b, _) in zip(rows, rows[1:]):
-            if a == b:
-                raise ConfigError(f"repeated key {a}")
-        if any(total < 0 for _, total in rows):
+        keys, totals = tuple(self.keys), tuple(self.totals)
+        if len(keys) != len(totals) or not _holds(lt, keys, keys[1:]):
+            rows = sorted(zip(keys, totals, strict=True))
+            for (a, _), (b, _) in zip(rows, rows[1:]):
+                if a == b:
+                    raise ConfigError(f"repeated key {a}")
+            keys = tuple([key for key, _ in rows])
+            totals = tuple([total for _, total in rows])
+        if not _holds(le, repeat(0), totals) and any(t < 0 for t in totals):
             raise ConfigError("counts must be non-negative")
-        object.__setattr__(self, "keys", tuple([key for key, _ in rows]))
-        object.__setattr__(self, "totals", tuple([total for _, total in rows]))
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "totals", totals)
 
 
 # --------------------------------------------------------------------------

@@ -439,13 +439,22 @@ class TestManifestHashes:
         assert manifest["outputs"] == {
             f"counts_{mode}.csv": hashlib.sha256(counts).hexdigest()}
 
-    def test_packaged_names(self, tmp_path):
-        assert run_cli("run", "--plan", "60mode", "--noise", "storage",
-                       "--trials", "10", "--out-dir", str(tmp_path)) == 0
-        self._check(tmp_path, "signal", {
-            "plan": default_plan_path("60mode"),
+    @pytest.mark.parametrize("plan, noise, mode", [
+        ("60mode", "storage", "signal"), ("60mode", "storage", "noise"),
+        ("250mode", "storage", "signal"), ("250mode", "storage", "noise"),
+        ("crosstalk", "crosstalk", "signal"),
+        ("crosstalk", "crosstalk", "noise"),
+        ("crosstalk", "crosstalk", "crosstalk")])
+    def test_every_shipped_plan_and_run_kind(self, tmp_path, plan, noise,
+                                             mode):
+        # At 10**6 trials each window is still one Poisson draw.
+        assert run_cli("run", "--plan", plan, "--noise", noise, "--mode", mode,
+                       "--trials", "1000000", "--seed", "2718",
+                       "--out-dir", str(tmp_path)) == 0
+        self._check(tmp_path, mode, {
+            "plan": default_plan_path(plan),
             "device": default_device_path(),
-            "noise": default_noise_path("storage")})
+            "noise": default_noise_path(noise)})
 
     def test_explicit_paths(self, tmp_path, small_plan):
         noise = tmp_path / "noise.ini"
@@ -470,15 +479,6 @@ class TestManifestHashes:
         assert recorded.is_absolute()
         assert recorded.samefile(tmp_path / "cfg" / "plan.ini")
         assert manifest["inputs"]["plan"]["sha256"] == file_sha256(recorded)
-
-    def test_crosstalk_noise_file(self, tmp_path):
-        assert run_cli("run", "--plan", "crosstalk", "--noise", "crosstalk",
-                       "--mode", "crosstalk", "--trials", "10",
-                       "--out-dir", str(tmp_path)) == 0
-        self._check(tmp_path, "crosstalk", {
-            "plan": default_plan_path("crosstalk"),
-            "device": default_device_path(),
-            "noise": default_noise_path("crosstalk")})
 
     def test_file_changed_after_parse_keeps_the_parsed_hash(
             self, tmp_path, small_plan, monkeypatch):
@@ -923,6 +923,12 @@ class TestAnalyze:
             f"error: {named}: --signal holds a cross-talk scan, whose "
             f"analysis takes no --{option}\n"))
         assert not out.exists()
+
+    def test_help_says_why_device_has_no_default(self, capsys):
+        assert run_cli("analyze", "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("analyze has no default --device: a counts file does not "
+                "name the device that drew it") in text
 
     def test_duplicated_row_exits_two(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)

@@ -271,6 +271,73 @@ class TestValidation:
             SequencePlan(**{**PLAN_KW, name: value})
 
 
+_CAL3 = ((10.0, 0.2), (20.0, 0.1), (30.0, 0.05))
+
+
+def _cal3_with(point: int, field: int, value: float):
+    """The three-point calibration with one tau (field 0) or efficiency
+    (field 1) replaced."""
+    table = [list(p) for p in _CAL3]
+    table[point][field] = value
+    return tuple(map(tuple, table))
+
+
+class TestCellRefusals:
+    """Each rule of CellParams refuses a NaN wherever it sits in the checked
+    values, and an out-of-range value, with the message of its own loop."""
+
+    @pytest.mark.parametrize("value", [math.nan, 1.5, -0.1])
+    @pytest.mark.parametrize("name", ["eta_mux", "eta_demux", "eta_fiber",
+                                      "eta_transfer"])
+    def test_fraction(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            make_cell(_CAL3, cell_id=3, **{name: value})
+        assert str(err.value) == (
+            f"cell 3: {name} must be a fraction in [0, 1], got {value}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("point", [0, 1, 2])
+    def test_calibration_tau(self, point, value):
+        with pytest.raises(ConfigError) as err:
+            make_cell(_cal3_with(point, 0, value), cell_id=3)
+        assert str(err.value) == (
+            f"cell 3: calibration tau must be finite, got {value}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, 1.5])
+    @pytest.mark.parametrize("point", [0, 1, 2])
+    def test_calibration_efficiency(self, point, value):
+        with pytest.raises(ConfigError) as err:
+            make_cell(_cal3_with(point, 1, value), cell_id=3)
+        assert str(err.value) == "cell 3: AFC efficiencies must be in (0, 1]"
+
+    @pytest.mark.parametrize("calibration, message", [
+        (((10.0, 0.2), (10.0, 0.1)), "duplicate calibration tau"),
+        (((10.0, 0.2), (20.0, 0.2)),
+         "AFC efficiency must strictly decrease with storage time"),
+        (((10.0, 0.2),), "afc_calibration needs at least two (tau, "
+                         "efficiency) points, got 1"),
+    ], ids=["repeated-tau", "flat", "one-point"])
+    def test_calibration_table(self, calibration, message):
+        with pytest.raises(ConfigError) as err:
+            make_cell(calibration, cell_id=3)
+        assert str(err.value) == f"cell 3: {message}"
+
+    def test_cell_id(self):
+        with pytest.raises(ConfigError) as err:
+            make_cell(cell_id=0)
+        assert str(err.value) == "cell_id must be >= 1, got 0"
+
+    @pytest.mark.parametrize("faults, named", [
+        ({"eta_fiber": math.nan, "eta_transfer": 2.0}, "eta_fiber"),
+        ({"eta_mux": 1.5, "eta_demux": math.nan}, "eta_mux"),
+        ({"eta_transfer": -1.0, "afc_calibration": _cal3_with(0, 0, math.nan)},
+         "eta_transfer"),
+    ])
+    def test_first_fault_in_field_order(self, faults, named):
+        with pytest.raises(ConfigError, match=f"^cell 1: {named} must be"):
+            make_cell(**faults)
+
+
 class TestDefaultDevice:
     """The shipped calibration must stay inside the measured hardware ranges."""
 

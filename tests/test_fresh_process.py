@@ -30,15 +30,21 @@ import sys
 sys.modules["numpy"] = None
 sys.modules["configparser"] = None
 sys.path.insert(0, sys.argv[1])  # the tests directory
+import contextlib
+import io
 from pathlib import Path
 
 import memarray
 from memarray.cli import main
 from memarray.defaults import default_plan_path
 import test_analyze_bytes as pinned
+from test_cli import TestValidate
 
-for plan in ("60mode", "250mode", "crosstalk"):
-    assert main(["validate", "--plan", plan]) == 0, plan
+# Without --timeline the event count and span come in closed form.
+for plan, line in TestValidate.SHIPPED.items():
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["validate", "--plan", plan]) == 0, plan
+    assert out.getvalue() == line, (plan, out.getvalue())
 out = Path(sys.argv[2])
 for name, test in (("storage", pinned.test_storage_analyze_bytes),
                    ("scan", pinned.test_scan_analyze_bytes)):
@@ -79,7 +85,6 @@ def run_python(*args, **env):
 def test_validate_and_analyze_run_without_numpy(tmp_path):
     proc = run_python("-c", COLD_PATH, TESTS, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.count("plan OK") == 3
 
 
 def test_run_draws_in_a_fresh_process(tmp_path):

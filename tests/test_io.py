@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
+import ini_oracle
 import memarray.io
 from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
 from memarray.defaults import (
@@ -670,6 +671,94 @@ class TestGrammar:
         assert err.value.line == lines.index("g2_source = 100.0") + 2
 
 
+# Every line break str.splitlines knows, and spaces that str.strip removes.
+_INI_BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                              "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+_INI_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\xa0", "\u3000",
+                              " \t"])
+_INI_WORD = st.text(alphabet="aB1=:#;[] \t\xa0\u3000", max_size=6)
+_INI_KEY = st.sampled_from(["k", "K", "k2", "", " ", "a=b", "a:b", "a#b",
+                            "a;b", "x y", "[k]"]) | _INI_WORD
+_INI_VALUE = st.sampled_from(["1", "", "v=w", "v:w", "a#b", "a;b", "x # y",
+                              "x ;y", "x\t#y", "x\xa0;y", "[s]"]) | _INI_WORD
+
+
+@st.composite
+def _ini_line(draw) -> str:
+    space = draw(_INI_SPACE)
+    kind = draw(st.sampled_from(["header", "entry", "entry", "entry",
+                                 "comment", "blank", "text"]))
+    if kind == "header":
+        name = draw(st.sampled_from(["a", "b", "cell 1", "A", ""]) | _INI_WORD)
+        line = f"[{name}]"
+    elif kind == "entry":
+        line = (draw(_INI_KEY) + draw(_INI_SPACE) + draw(st.sampled_from("=:"))
+                + draw(_INI_SPACE) + draw(_INI_VALUE))
+    elif kind == "comment":
+        line = draw(st.sampled_from("#;")) + draw(_INI_WORD)
+    elif kind == "blank":
+        line = ""
+    else:
+        line = draw(_INI_WORD)
+    if draw(st.booleans()):
+        line += draw(_INI_SPACE) + draw(st.sampled_from(["", " #c", " ;c",
+                                                         "\t# c", "#c"]))
+    return space + line + draw(_INI_SPACE)
+
+
+@st.composite
+def _ini_text(draw) -> str:
+    """Section headers, entries, comments, blank and stray lines, indented
+    or not, joined by any line break."""
+    lines = draw(st.lists(_ini_line(), max_size=10))
+    if draw(st.integers(0, 4)):  # most texts start with a header
+        lines.insert(0, "[" + draw(st.sampled_from(["a", "b"])) + "]")
+    ends = draw(st.lists(_INI_BREAK, min_size=len(lines),
+                         max_size=len(lines)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(map(str.__add__, lines, ends))
+
+
+def _ini_outcome(read, path):
+    try:
+        return read()
+    except ConfigError as exc:
+        return str(exc), exc.path, exc.key, exc.line
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=_ini_text())
+@example(text="")
+@example(text="# only\n ; comments\n")
+@example(text="[a]\nk = 1\n  more\n\tand # not this\n")
+@example(text="[a]\n  k = 1\nj = 2\n   cont\n")
+@example(text="[a]\n  indented = right after the header\n")
+@example(text="[a]\nk=1\n[b]\nk=2\n[a]\n")
+@example(text="[a]\nK = 1\nk: 2\n")
+@example(text="[a]\na#b = c;d\nx;y: 1 #z\n")
+@example(text="[a]\n= 1\n")
+@example(text="[a]\n: 1\n")
+@example(text="[a]\nk\n")
+@example(text="k = 1\n[a]\n")
+@example(text="[]\n")
+@example(text="[a]\nk:v=w\nj=v:w\n")
+@example(text="[a]\x0bk = 1\x0c\u3000c\x1cj = 2\x1d\x1e[b]\x85"
+              "k = 3\u2028\xa0c2\u2029x = 4\r\ny = 5\rz = 6")
+@example(text="[a]\nk = 1\n\xa0;c\n\u3000#c\n\t x\n")
+def test_ini_scanner_matches_the_line_loop(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "scan.ini"
+    path.write_bytes(text.encode())
+
+    def new():
+        sections, at = memarray.io._load_ini(path)
+        assert at == path
+        return {name: sec.entries for name, sec in sections.items()}
+
+    assert (_ini_outcome(new, path)
+            == _ini_outcome(lambda: ini_oracle.scan(text, path), path))
+
+
 class TestCountsRoundTrip:
     def test_single_run(self, tmp_path):
         run = _run(RunKind.SIGNAL, {(1, 2): 7, (1, 1): 11, (2, 1): 0}, 500)
@@ -1104,3 +1193,49 @@ def test_csv_errors_come_in_line_order(tmp_path, rows):
         _check_against_the_file_reader(path, data)
     finally:
         csv.field_size_limit(limit)
+
+
+def _one_row_edits(lines):
+    """Each edit of one data row (or the row order) of a written counts
+    file, as (name, edited lines)."""
+    last = lines[-1].split(",")
+
+    def with_last(field, value):
+        row = list(last)
+        row[field] = value
+        return lines[:-1] + [",".join(row)]
+
+    return [
+        ("as-written", lines),
+        ("first-row-repeated", lines + [lines[1]]),
+        ("last-row-repeated", lines + [lines[-1]]),
+        ("rows-swapped", [lines[0], lines[2], lines[1], *lines[3:]]),
+        ("blank-line", [lines[0], lines[1], "", *lines[2:]]),
+        ("kind", with_last(0, "noise" if last[0] != "noise" else "signal")),
+        ("input-cell", with_last(1, "9")),
+        ("leading-zero", with_last(1, "0" + last[1])),
+        ("temporal-index", with_last(3, "2")),
+        ("negative-total", with_last(4, "-1")),
+        ("n-trials", with_last(5, "7")),
+        ("n-trials-spelled-differently", with_last(5, "+" + last[5])),
+        ("no-trials-on-any-row",
+         [lines[0]] + [line.rsplit(",", 1)[0] + ",0" for line in lines[1:]]),
+        ("seven-fields", with_last(5, last[5] + ",1")),
+    ]
+
+
+@pytest.mark.parametrize("kind", list(RunKind))
+def test_counts_reader_on_one_row_edits(tmp_path, kind):
+    # Every edit of a written file reads as the file reader reads it: the
+    # same run, or the same refusal on the same line.
+    scan = kind is RunKind.CROSSTALK
+    keys = ([(i, j) for i in (1, 2, 3) for j in (1, 2, 3)] if scan
+            else [(c, k) for c in (1, 2, 3) for k in (1, 2)])
+    run = TrialCounts(kind, keys, [3 * a + b for a, b in keys], 11)
+    lines = write_counts_csv(tmp_path / "written.csv", run).read_text(
+        ).splitlines()
+    for name, edited in _one_row_edits(lines):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(edited) + "\n")
+        assert (_outcome(read_counts_csv, path)
+                == _outcome(csv_oracle.read_counts_csv, path)), name

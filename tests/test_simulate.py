@@ -506,3 +506,121 @@ class TestDataTypes:
                           n_trials=10)
         assert run.keys == tuple(sorted(keys))
         assert run.totals == tuple(100 * c + k for c, k in run.keys)
+
+
+def _leakage_with(at, value):
+    """A 3x3 leakage matrix of cells 4-6 with entry ``at`` replaced."""
+    rows = [[1.0 if i == j else 0.01 * (i + 1) + 0.001 * (j + 1)
+             for j in range(3)] for i in range(3)]
+    rows[at[0]][at[1]] = value
+    return LeakageMatrix(cell_ids=(4, 5, 6), values=tuple(map(tuple, rows)))
+
+
+_NOISE_KW = dict(base_noise_per_window=1e-6, fluorescence_amplitude=0.0,
+                 fluorescence_decay=2.0, dark_rate=0.0)
+_OFFRES = {(1, 2): 0.1, (2, 1): 0.2, (3, 1): 0.3}
+_KEYS3 = ((1, 1), (1, 2), (2, 1))
+
+
+class TestRecordRefusals:
+    """Each rule of LeakageMatrix, NoiseParams and TrialCounts refuses a
+    NaN at the first, a middle and the last position of the values it
+    checks, and an out-of-range value, with the message of its own loop;
+    of two faults, the one that loop meets first is named."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.9, -0.1])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 1), (2, 2)])
+    def test_leakage_diagonal(self, at, value):
+        with pytest.raises(ConfigError) as err:
+            _leakage_with(at, value)
+        assert str(err.value) == (
+            f"leakage diagonal must be 1 (cell {4 + at[0]} has {value})")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.0, -0.1])
+    @pytest.mark.parametrize("at", [(0, 1), (1, 0), (1, 2), (2, 1)])
+    def test_leakage_off_diagonal(self, at, value):
+        with pytest.raises(ConfigError) as err:
+            _leakage_with(at, value)
+        assert str(err.value) == (
+            f"off-diagonal leakage must be in [0, 1), got {value} at "
+            f"({4 + at[0]}, {4 + at[1]})")
+
+    @pytest.mark.parametrize("faults, message", [
+        ({(0, 2): math.nan, (1, 0): 2.0},
+         "off-diagonal leakage must be in [0, 1), got nan at (4, 6)"),
+        ({(2, 2): 0.5, (1, 0): 2.0},
+         "off-diagonal leakage must be in [0, 1), got 2.0 at (5, 4)"),
+        ({(1, 1): math.nan, (2, 0): -1.0},
+         "leakage diagonal must be 1 (cell 5 has nan)"),
+    ])
+    def test_leakage_first_fault_in_row_order(self, faults, message):
+        rows = [list(row) for row in _leakage_with((0, 0), 1.0).values]
+        for (i, j), value in faults.items():
+            rows[i][j] = value
+        with pytest.raises(ConfigError) as err:
+            LeakageMatrix(cell_ids=(4, 5, 6), values=tuple(map(tuple, rows)))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["base_noise_per_window",
+                                      "fluorescence_amplitude", "dark_rate"])
+    def test_noise_level(self, name, value):
+        with pytest.raises(ConfigError) as err:
+            NoiseParams(**{**_NOISE_KW, name: value})
+        assert str(err.value) == f"{name} must be finite and >= 0, got {value}"
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_noise_decay(self, value):
+        with pytest.raises(ConfigError) as err:
+            NoiseParams(**{**_NOISE_KW, "fluorescence_decay": value})
+        assert str(err.value) == (
+            f"fluorescence_decay must be finite and positive, got {value}")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("key", list(_OFFRES))
+    def test_offresonant_entry(self, key, value):
+        with pytest.raises(ConfigError) as err:
+            NoiseParams(**_NOISE_KW,
+                        offresonant_echo_leak={**_OFFRES, key: value})
+        assert str(err.value) == (f"offresonant_echo_leak[{key[0]},{key[1]}] "
+                                  f"must be finite and >= 0, got {value}")
+
+    def test_noise_first_fault_in_field_order(self):
+        with pytest.raises(ConfigError) as err:
+            NoiseParams(**{**_NOISE_KW, "dark_rate": math.nan,
+                           "fluorescence_decay": 0.0},
+                        offresonant_echo_leak={**_OFFRES, (1, 2): -1.0})
+        assert str(err.value) == "dark_rate must be finite and >= 0, got nan"
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_trial_counts_negative_total(self, at):
+        totals = [4, 5, 6]
+        totals[at] = -1
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, _KEYS3, totals, n_trials=10)
+        assert str(err.value) == "counts must be non-negative"
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_trial_counts_nan_total_is_not_refused(self, at):
+        # The rule is "no total below 0", which a NaN does not break.
+        totals = [4, 5, 6]
+        totals[at] = math.nan
+        run = TrialCounts(RunKind.SIGNAL, _KEYS3, totals, n_trials=10)
+        assert run.keys == _KEYS3
+        assert math.isnan(run.totals[at])
+
+    @pytest.mark.parametrize("keys, repeated", [
+        (((1, 1), (1, 1), (1, 2), (2, 1)), (1, 1)),
+        (((1, 1), (1, 2), (1, 2), (2, 1)), (1, 2)),
+        (((1, 1), (1, 2), (2, 1), (2, 1)), (2, 1)),
+        (((2, 1), (1, 1), (1, 2), (2, 1)), (2, 1)),
+    ])
+    def test_trial_counts_repeated_key(self, keys, repeated):
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.NOISE, keys, (1, 2, 3, -4), n_trials=10)
+        assert str(err.value) == f"repeated key {repeated}"
+
+    def test_trial_counts_trials(self):
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.NOISE, _KEYS3, (-1, 2, 3), n_trials=0)
+        assert str(err.value) == "n_trials must be >= 1"
