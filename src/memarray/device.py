@@ -9,14 +9,11 @@ not modelled.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigError
-
-log = logging.getLogger(__name__)
 
 # Extrapolating the AFC decay fit beyond this multiple of the calibration
 # span is refused outright; inside it, it is allowed but logged.
@@ -166,7 +163,8 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
             f"cell {cell.cell_id}: tau={tau} us is more than {_EXTRAPOLATION_LIMIT}x "
             f"outside the calibration span [{lo}, {hi}] us", source="plan")
     if tau < lo or tau > hi:
-        log.warning(
+        import logging  # only here: it costs a cold start milliseconds
+        logging.getLogger(__name__).warning(
             "cell %d: extrapolating AFC efficiency to tau=%g us outside the "
             "calibration span [%g, %g] us", cell.cell_id, tau, lo, hi)
     # pick the bracketing pair, or the nearest edge pair when extrapolating

@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import le, lt
+from operator import index, le, lt
 
 from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
                      window_capture_fraction)
@@ -114,6 +114,15 @@ def _holds(compare, *columns) -> bool:
         return False
 
 
+def _integer(value, rule: str) -> int:
+    """``value`` as an ``int`` if it is an integer of any type (NaN and
+    4.0 are not); otherwise ConfigError, ``rule`` and the value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ConfigError(f"{rule}, got {value}") from None
+
+
 @dataclass(frozen=True)
 class TrialCounts:
     """Window totals of one run over ``n_trials`` trials: ``totals[i]`` is
@@ -122,12 +131,14 @@ class TrialCounts:
     output_cell), one window per pair (temporal index 1).
 
     The columns, given in any order, are kept in sorted key order, so each
-    cell's windows are one slice; a repeated key, a negative total and
-    columns of two lengths (ValueError) are refused.  Keys in strictly
-    ascending order, as every producer in the package gives them, are
-    sorted and unique, which one bulk test shows; only columns that fail it
-    are sorted and walked for a repeated key.  Totals are tested in bulk
-    too, and walked only to refuse a negative one.
+    cell's windows are one slice; a repeated key, a negative total, a total
+    or ``n_trials`` that is not an integer and columns of two lengths
+    (ValueError) are refused.  Integers of other types, such as numpy's,
+    are kept as ``int``.  Keys in strictly ascending order, as every
+    producer in the package gives them, are sorted and unique, which one
+    bulk test shows; only columns that fail it are sorted and walked for a
+    repeated key.  Totals are tested in bulk too, and walked only to refuse
+    a negative one or one that is not an integer.
     """
 
     kind: RunKind
@@ -136,9 +147,15 @@ class TrialCounts:
     n_trials: int
 
     def __post_init__(self):
-        if self.n_trials < 1:
+        n_trials = _integer(self.n_trials, "n_trials must be an integer")
+        if n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
         keys, totals = tuple(self.keys), tuple(self.totals)
+        try:
+            totals = tuple(map(index, totals))
+        except TypeError:
+            for total in totals:
+                _integer(total, "counts must be integers")
         if len(keys) != len(totals) or not _holds(lt, keys, keys[1:]):
             rows = sorted(zip(keys, totals, strict=True))
             for (a, _), (b, _) in zip(rows, rows[1:]):
@@ -146,10 +163,11 @@ class TrialCounts:
                     raise ConfigError(f"repeated key {a}")
             keys = tuple([key for key, _ in rows])
             totals = tuple([total for _, total in rows])
-        if not _holds(le, repeat(0), totals) and any(t < 0 for t in totals):
+        if not all(map(le, repeat(0), totals)):
             raise ConfigError("counts must be non-negative")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "totals", totals)
+        object.__setattr__(self, "n_trials", n_trials)
 
 
 # --------------------------------------------------------------------------

@@ -5,8 +5,10 @@ only the ones it uses.  numpy is loaded only by the Poisson draw of
 ``memarray run``, and config files are parsed without ``configparser``.
 The cold-path check first sets ``sys.modules["numpy"]`` and
 ``sys.modules["configparser"]`` to None, which makes every import of either
-raise, so it fails as soon as ``import memarray``, ``validate``,
-``analyze`` or a refused ``run`` needs one of them again.
+raise, so it fails as soon as ``import memarray``, ``validate`` (with or
+without ``--timeline``), ``analyze`` or a refused ``run`` needs one of them
+again.  ``import memarray.cli`` loads neither numpy nor ``logging``, which
+only a plan that extrapolates an AFC calibration needs.
 Diagnostics must not depend on the interpreter's string-hash seed, and an
 output path that cannot be written is a one-line error, not a traceback.
 """
@@ -31,6 +33,7 @@ sys.modules["numpy"] = None
 sys.modules["configparser"] = None
 sys.path.insert(0, sys.argv[1])  # the tests directory
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
@@ -46,6 +49,14 @@ for plan, line in TestValidate.SHIPPED.items():
         assert main(["validate", "--plan", plan]) == 0, plan
     assert out.getvalue() == line, (plan, out.getvalue())
 out = Path(sys.argv[2])
+# With --timeline the events are laid out and written, byte for byte as
+# test_cli pins them.
+for plan, digest in TestValidate.TIMELINE_SHA256.items():
+    timeline = out / f"timeline_{plan}.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--plan", plan,
+                     "--timeline", str(timeline)]) == 0, plan
+    assert hashlib.sha256(timeline.read_bytes()).hexdigest() == digest, plan
 for name, test in (("storage", pinned.test_storage_analyze_bytes),
                    ("scan", pinned.test_scan_analyze_bytes)):
     (out / name).mkdir()
@@ -114,6 +125,13 @@ def loaded_submodules(module):
                             f"sys.modules if m.startswith('memarray.')))")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.split()
+
+
+def test_cli_import_loads_neither_numpy_nor_logging():
+    proc = run_python("-c", "import sys, memarray.cli; print(*sorted("
+                            "{'numpy', 'logging'} & {*sys.modules}))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
 
 
 def test_package_import_loads_no_submodule():

@@ -600,14 +600,32 @@ class TestRecordRefusals:
             TrialCounts(RunKind.SIGNAL, _KEYS3, totals, n_trials=10)
         assert str(err.value) == "counts must be non-negative"
 
+    @pytest.mark.parametrize("value", [math.nan, 4.5, 4.0, "4"])
     @pytest.mark.parametrize("at", [0, 1, 2])
-    def test_trial_counts_nan_total_is_not_refused(self, at):
-        # The rule is "no total below 0", which a NaN does not break.
+    def test_trial_counts_total_not_an_integer(self, at, value):
+        # A NaN passes "no total below 0"; the integer rule refuses it.
         totals = [4, 5, 6]
-        totals[at] = math.nan
-        run = TrialCounts(RunKind.SIGNAL, _KEYS3, totals, n_trials=10)
-        assert run.keys == _KEYS3
-        assert math.isnan(run.totals[at])
+        totals[at] = value
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, _KEYS3, totals, n_trials=10)
+        assert str(err.value) == f"counts must be integers, got {value}"
+
+    def test_trial_counts_first_non_integer_total_named(self):
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, _KEYS3, [4, 4.5, math.nan], 10)
+        assert str(err.value) == "counts must be integers, got 4.5"
+
+    @pytest.mark.parametrize("value", [math.nan, 10.0, 1.5, "10"])
+    def test_trial_counts_n_trials_not_an_integer(self, value):
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, _KEYS3, (4, 5, 6), n_trials=value)
+        assert str(err.value) == f"n_trials must be an integer, got {value}"
+
+    def test_trial_counts_numpy_integers_kept_as_int(self):
+        run = TrialCounts(RunKind.SIGNAL, _KEYS3, np.array([4, 5, 6]),
+                          n_trials=np.int64(10))
+        assert run.totals == (4, 5, 6) and run.n_trials == 10
+        assert {type(t) for t in run.totals} == {type(run.n_trials)} == {int}
 
     @pytest.mark.parametrize("keys, repeated", [
         (((1, 1), (1, 1), (1, 2), (2, 1)), (1, 1)),
