@@ -65,31 +65,32 @@ def _int_at_least(low: int):
     return parse
 
 
+def _path(text: str) -> Path:
+    """An argument type: a path.  An empty value is refused, as ``Path``
+    would read it as the working directory."""
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got ''")
+    return Path(text)
+
+
 def _resolve_plan(value: str) -> Path:
-    return default_plan_path(value) if value in PLANS else Path(value)
+    return default_plan_path(value) if value in PLANS else _path(value)
 
 
 def _resolve_noise(value: str) -> Path:
-    return default_noise_path(value) if value in NOISE_MODELS else Path(value)
+    return default_noise_path(value) if value in NOISE_MODELS else _path(value)
 
 
 def _resolve_device(value: str) -> Path:
-    return default_device_path() if value == "10cell" else Path(value)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser: the source of every help text, usage line
-    and refusal of an argument."""
-    return _declare()[0]
+    return default_device_path() if value == "10cell" else _path(value)
 
 
 @functools.cache
-def _declare():
-    """The parser, and per subcommand its ``func`` and the store action of
-    each option by option string, as ``add_argument`` returned it.  Built
-    on the first call and then kept: building costs more than the work of
-    a short call.  Parsing leaves no state in either; every call gets a
-    fresh namespace."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: the source of every help text, usage line
+    and refusal of an argument.  Built on the first call and then kept:
+    building one costs more than the work of a short call.  Parsing leaves
+    no state in it; every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="memarray",
         description="Multiplexed quantum-memory array: timing validation, "
@@ -97,101 +98,53 @@ def _declare():
     parser.add_argument("--version", action="version",
                         version=f"memarray {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
 
-    def command(name, func, **kwargs):
-        """Add subcommand ``name``; return a function that adds one of its
-        options and keeps the option's action."""
-        options = {}
-        commands[name] = (func, options)
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--plan", required=True, type=_resolve_plan,
+                        help=f"plan file, or one of {'/'.join(PLANS)}")
+    common.add_argument("--device", default="10cell", type=_resolve_device,
+                        help="device file (default: the shipped ten-cell array)")
 
-        def option(string, **kwargs):
-            options[string] = p.add_argument(string, **kwargs)
-        return option
+    p_val = sub.add_parser("validate", parents=[common],
+                           help="check a plan's timing rules (--timeline also "
+                                "writes the compiled timeline)")
+    p_val.add_argument("--timeline", type=_path, default=None,
+                       help="also write the compiled timeline CSV here")
+    p_val.set_defaults(func=cmd_validate)
 
-    val = command("validate", cmd_validate,
-                  help="check a plan's timing rules (--timeline also "
-                       "writes the compiled timeline)")
-    run = command("run", cmd_run,
-                  help="simulate a counting run and write counts + manifest")
-    for add in (val, run):
-        add("--plan", required=True, type=_resolve_plan,
-            help=f"plan file, or one of {'/'.join(PLANS)}")
-        add("--device", default="10cell", type=_resolve_device,
-            help="device file (default: the shipped ten-cell array)")
+    p_run = sub.add_parser("run", parents=[common],
+                           help="simulate a counting run and write counts + manifest")
+    p_run.add_argument("--noise", required=True, type=_resolve_noise,
+                       help=f"noise file, or one of {'/'.join(NOISE_MODELS)}")
+    p_run.add_argument("--trials", required=True, type=_int_at_least(1),
+                       help="number of storage trials")
+    p_run.add_argument("--seed", default=0, type=_int_at_least(0),
+                       help="random seed (default 0)")
+    p_run.add_argument("--mode", default="signal",
+                       choices=["signal", "noise", "crosstalk"],
+                       help="run kind (default signal)")
+    p_run.add_argument("--out-dir", default=Path("."), type=_path,
+                       help="output directory (default .)")
+    p_run.set_defaults(func=cmd_run)
 
-    val("--timeline", type=Path, default=None,
-        help="also write the compiled timeline CSV here")
-
-    run("--noise", required=True, type=_resolve_noise,
-        help=f"noise file, or one of {'/'.join(NOISE_MODELS)}")
-    run("--trials", required=True, type=_int_at_least(1),
-        help="number of storage trials")
-    run("--seed", default=0, type=_int_at_least(0),
-        help="random seed (default 0)")
-    run("--mode", default="signal", choices=["signal", "noise", "crosstalk"],
-        help="run kind (default signal)")
-    run("--out-dir", default=Path("."), type=Path,
-        help="output directory (default .)")
-
-    an = command(
-        "analyze", cmd_analyze,
-        help="derive statistics CSVs from counts CSVs",
+    p_an = sub.add_parser(
+        "analyze", help="derive statistics CSVs from counts CSVs",
         description="Derive statistics CSVs from counts CSVs.  Unlike run, "
                     "analyze has no default --device: a counts file does "
                     "not name the device that drew it, and the projections "
                     "rescale each cell by that device's eta_mux.")
-    an("--signal", required=True, type=Path,
-       help="counts CSV of the signal run or cross-talk scan")
-    an("--noise", required=True, type=Path,
-       help="counts CSV of the matching no-input run")
-    an("--plan", type=_resolve_plan, default=None,
-       help="plan file (required unless the input is a scan)")
-    an("--device", type=_resolve_device, default=None,
-       help="device file (required unless the input is a scan)")
-    an("--out-dir", default=Path("."), type=Path,
-       help="output directory (default .)")
-    return parser, commands
-
-
-def _read_plain(argv):
-    """The namespace that ``build_parser().parse_args(argv)`` returns, read
-    straight from the declared actions, for argv of the shape ``<command>
-    (--option value)*``: each option spelt in full, no value starting with
-    "-".  Each value goes through its action's type and choices, and an
-    unseen option's string default through its type, as argparse does.
-    None for argv of any other shape and for any argv that argparse would
-    refuse, so argparse alone words help, usage and errors."""
-    commands = _declare()[1]
-    if len(argv) % 2 == 0 or argv[0] not in commands:
-        return None
-    func, options = commands[argv[0]]
-    given = {}
-    try:
-        for string, text in zip(argv[1::2], argv[2::2]):
-            action = options.get(string)
-            if action is None or text.startswith("-"):
-                return None
-            value = text if action.type is None else action.type(text)
-            if action.choices is not None and value not in action.choices:
-                return None
-            given[action] = value
-        values = {}
-        for action in options.values():
-            if action in given:
-                value = given[action]
-            elif action.required:
-                return None
-            else:
-                value = action.default
-                if isinstance(value, str) and action.type is not None:
-                    value = action.type(value)
-            values[action.dest] = value
-    except (argparse.ArgumentTypeError, TypeError, ValueError):
-        return None
-    return argparse.Namespace(command=argv[0], **values, func=func)
+    p_an.add_argument("--signal", required=True, type=_path,
+                      help="counts CSV of the signal run or cross-talk scan")
+    p_an.add_argument("--noise", required=True, type=_path,
+                      help="counts CSV of the matching no-input run")
+    p_an.add_argument("--plan", type=_resolve_plan, default=None,
+                      help="plan file (required unless the input is a scan)")
+    p_an.add_argument("--device", type=_resolve_device, default=None,
+                      help="device file (required unless the input is a scan)")
+    p_an.add_argument("--out-dir", default=Path("."), type=_path,
+                      help="output directory (default .)")
+    p_an.set_defaults(func=cmd_analyze)
+    return parser
 
 
 # --------------------------------------------------------------------------
@@ -334,13 +287,10 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _read_plain(argv)
-    if args is None:  # argparse reads the rest and words every refusal
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:  # argparse already printed the diagnostic
-            return 0 if exc.code in (0, None) else int(exc.code)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse already printed the diagnostic
+        return 0 if exc.code in (0, None) else int(exc.code)
     try:
         # One record for the call: if it fails, every file it wrote goes.
         with file_digests():

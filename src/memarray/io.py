@@ -28,8 +28,6 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import MISSING, fields
-from itertools import repeat
-from operator import le, lt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -498,22 +496,15 @@ def read_counts_csv(path) -> TrialCounts:
     rows need input_cell == output_cell; scan rows need temporal_index 1.
     A duplicated (input_cell, output_cell, temporal_index) key is refused,
     and so is a row without exactly one field per header column or a line
-    the CSV reader cannot split.  Row errors name the file and the line.
-
-    A file as ``write_counts_csv`` writes it is checked in bulk, a column
-    at a time (``_counts_in_bulk``).  Any other file, and every file that
-    is refused, is read again a row at a time, and that row walk words
-    each refusal.
+    the CSV reader cannot split.  The file is read a row at a time, and
+    each refusal names the file and the line.
     """
     path = Path(path)
     kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
     key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
     totals: list[int] = []
     with _in_file(path):
-        text = _read_text(path)
-        if (run := _counts_in_bulk(text)) is not None:
-            return run
-        rows = _csv_rows(text)
+        rows = _csv_rows(_read_text(path))
         if (header := next(rows, None)) is None:
             raise ConfigError("empty counts file")
         if header != COUNTS_HEADER:
@@ -562,38 +553,6 @@ def read_counts_csv(path) -> TrialCounts:
         if kind is None:
             raise ConfigError("counts file has no data rows")
     return TrialCounts(kind, tuple(key_lines), totals, n_trials)
-
-
-def _counts_in_bulk(text: str) -> TrialCounts | None:
-    """The run of a counts file whose rows all have one field per header
-    column, one run kind, one n_trials text, the key fields its kind
-    needs, non-negative totals and keys in strictly ascending order,
-    checked a column at a time; None for any other file."""
-    try:
-        header, *rows = csv.reader(io.StringIO(text, newline=""))
-        if header != COUNTS_HEADER or {*map(len, rows)} != {len(header)}:
-            return None
-        kinds, ins, outs, ks, totals, ns = zip(*rows)
-        (kind,), (n_trials,) = {*kinds}, {*ns}
-        kind, n_trials = _RUN_KINDS[kind], int(n_trials)
-        if kind is RunKind.CROSSTALK:
-            if {*ks} != {"1"}:
-                return None
-            second = outs
-        elif ins == outs:
-            second = ks
-        else:
-            return None
-        texts = {*ins, *second}  # a few distinct texts: int() once each
-        ints = dict(zip(texts, map(int, texts)))
-        keys = [*zip(map(ints.__getitem__, ins), map(ints.__getitem__, second))]
-        totals = [*map(int, totals)]
-    except (csv.Error, ValueError, KeyError):  # the row walk words it
-        return None
-    if (n_trials < 1 or not all(map(le, repeat(0), totals))
-            or not all(map(lt, keys, keys[1:]))):
-        return None
-    return TrialCounts(kind, keys, totals, n_trials)
 
 
 def write_timeline_csv(path, events) -> Path:

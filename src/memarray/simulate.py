@@ -20,8 +20,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import index, le, lt
+from operator import index
 
 from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
                      window_capture_fraction)
@@ -103,17 +102,6 @@ class LeakageMatrix:
         return self.values[index(input_cell)][index(output_cell)]
 
 
-def _holds(compare, *columns) -> bool:
-    """Whether ``compare`` holds for the items of ``columns`` taken in step,
-    tested in one C-level pass.  An item that does not compare fails the
-    test, so the walk that words a refusal meets it and raises what it
-    always raised."""
-    try:
-        return all(map(compare, *columns))
-    except TypeError:
-        return False
-
-
 def _integer(value, rule: str) -> int:
     """``value`` as an ``int`` if it is an integer of any type (NaN and
     4.0 are not); otherwise ConfigError, ``rule`` and the value."""
@@ -130,15 +118,11 @@ class TrialCounts:
     (cell_id, temporal_index); a cross-talk scan is keyed by (input_cell,
     output_cell), one window per pair (temporal index 1).
 
-    The columns, given in any order, are kept in sorted key order, so each
-    cell's windows are one slice; a repeated key, a negative total, a total
-    or ``n_trials`` that is not an integer and columns of two lengths
-    (ValueError) are refused.  Integers of other types, such as numpy's,
-    are kept as ``int``.  Keys in strictly ascending order, as every
-    producer in the package gives them, are sorted and unique, which one
-    bulk test shows; only columns that fail it are sorted and walked for a
-    repeated key.  Totals are tested in bulk too, and walked only to refuse
-    a negative one or one that is not an integer.
+    The columns, given in any order, are sorted by key, so each cell's
+    windows are one slice, and the sorted keys are walked for a repeated
+    one.  A repeated key, a negative total, a total or ``n_trials`` that is
+    not an integer and columns of two lengths (ValueError) are refused.
+    Integers of other types, such as numpy's, are kept as ``int``.
     """
 
     kind: RunKind
@@ -150,20 +134,19 @@ class TrialCounts:
         n_trials = _integer(self.n_trials, "n_trials must be an integer")
         if n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        keys, totals = tuple(self.keys), tuple(self.totals)
+        totals = tuple(self.totals)
         try:
             totals = tuple(map(index, totals))
         except TypeError:
             for total in totals:
                 _integer(total, "counts must be integers")
-        if len(keys) != len(totals) or not _holds(lt, keys, keys[1:]):
-            rows = sorted(zip(keys, totals, strict=True))
-            for (a, _), (b, _) in zip(rows, rows[1:]):
-                if a == b:
-                    raise ConfigError(f"repeated key {a}")
-            keys = tuple([key for key, _ in rows])
-            totals = tuple([total for _, total in rows])
-        if not all(map(le, repeat(0), totals)):
+        rows = sorted(zip(self.keys, totals, strict=True))
+        keys = tuple([key for key, _ in rows])
+        totals = tuple([total for _, total in rows])
+        for a, b in zip(keys, keys[1:]):
+            if a == b:
+                raise ConfigError(f"repeated key {a}")
+        if min(totals, default=0) < 0:
             raise ConfigError("counts must be non-negative")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "totals", totals)

@@ -1,10 +1,9 @@
-"""Argument parsing: the plain reading of argv against argparse.
+"""Argument parsing: argparse alone reads argv.
 
-``main`` reads argv of the shape ``<command> (--option value)*`` straight
-from the declared options and hands every other argv to argparse.  For any
-argv, the plain reading gives nothing or the namespace that argparse gives,
-and ``main``'s exit code, stdout and stderr are those of argparse alone.
-Help texts are pinned byte for byte, at a width of 80 columns.
+Help texts are pinned byte for byte, at a width of 80 columns; an option
+abbreviated or joined to its value as ``--opt=value`` reads as its full
+spelling does; and an empty value for an option that names a file or a
+directory is refused as a usage error before anything is read or written.
 """
 
 import contextlib
@@ -14,75 +13,8 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
-import memarray.cli
-from memarray.cli import _read_plain, build_parser, main
-
-# Per subcommand, each option and values that argparse accepts for it,
-# and for --mode one that is not among its choices.
-OPTIONS = {
-    "validate": {"--plan": ["60mode", "crosstalk"], "--device": ["10cell"],
-                 "--timeline": ["t.csv"]},
-    "run": {"--plan": ["60mode", "crosstalk"], "--device": ["10cell"],
-            "--noise": ["storage", "crosstalk"], "--trials": ["1", "3"],
-            "--seed": ["0", "7"],
-            "--mode": ["signal", "noise", "crosstalk", "bogus"],
-            "--out-dir": ["out"]},
-    "analyze": {"--signal": ["s.csv"], "--noise": ["n.csv"],
-                "--plan": ["60mode"], "--device": ["10cell"],
-                "--out-dir": ["out"]},
-}
-# Values that argparse refuses for some options, or that the plain reading
-# leaves to argparse: a negative number, an empty string, an option string,
-# a float, an "=" sign.
-HARD_VALUES = ["-1", "", "--plan", "1e3", "x=y"]
-# Tokens that argparse reads on its own: help, version, an option of no
-# subcommand, an option of another subcommand, the end-of-options marker.
-LOOSE_TOKENS = ["-h", "--help", "--version", "--bogus", "-x", "--timeline",
-                "--signal", "--"]
-
-
-@st.composite
-def argvs(draw):
-    """A subcommand and its options, each given once, twice or not at all,
-    in any order, each spelt in full with a value of its own; or the same
-    options after a missing or unknown command.  Then up to three edits,
-    each of which abbreviates an option, joins one to its value as
-    ``--opt=value``, gives one a hard value or puts in a loose token."""
-    command = draw(st.sampled_from(
-        [*OPTIONS] * 4 + ["frobnicate", "", "-h", "--version", None]))
-    options = OPTIONS.get(command, OPTIONS["run"])
-    pieces = [[string, draw(st.sampled_from(values))]
-              for string, values in options.items()
-              for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2])))]
-    pieces = draw(st.permutations(pieces))
-    for _ in range(draw(st.integers(0, 3))):
-        edit = draw(st.sampled_from(["abbreviate", "join", "hard", "loose"]))
-        at = draw(st.integers(0, len(pieces)))
-        if edit == "loose":
-            pieces.insert(at, [draw(st.sampled_from(LOOSE_TOKENS))])
-        elif at < len(pieces) and len(pieces[at]) == 2:
-            string, value = pieces[at]
-            if edit == "abbreviate":
-                pieces[at] = [draw(st.sampled_from([string[:3],
-                                                    string[:-1]])), value]
-            elif edit == "join":
-                pieces[at] = [f"{string}={value}"]
-            else:
-                pieces[at] = [string, draw(st.sampled_from(HARD_VALUES))]
-    head = [] if command is None else [command]
-    return head + [token for piece in pieces for token in piece]
-
-
-def parse(argv):
-    """argparse's namespace for ``argv``, or None where it exits."""
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        try:
-            return build_parser().parse_args(argv)
-        except SystemExit:
-            return None
+from memarray.cli import main
 
 
 def outcome(argv):
@@ -99,39 +31,6 @@ def outcome(argv):
         finally:
             os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
-
-
-@settings(max_examples=300, deadline=None)
-@given(argvs())
-@example(["run", "--plan", "60mode", "--noise", "storage", "--trials", "1",
-          "--mode", "bogus"])  # not a choice
-@example(["validate", "--plan", "--plan"])  # an option as the value
-@example(["validate", "--plan", "60mode", "--timeline"])  # no value
-@example(["run", "--plan", "60mode", "--noise", "storage"])  # no --trials
-def test_plain_reading_is_argparse(argv):
-    plain = _read_plain(argv)
-    assert plain is None or plain == parse(argv)
-    with mock.patch.object(memarray.cli, "_read_plain", lambda argv: None):
-        by_argparse = outcome(argv)
-    assert outcome(argv) == by_argparse
-
-
-@pytest.mark.parametrize("argv", [
-    ["validate", "--plan", "60mode"],
-    ["validate", "--timeline", "t.csv", "--device", "10cell",
-     "--plan", "crosstalk"],
-    ["run", "--plan", "60mode", "--noise", "storage", "--trials", "14227",
-     "--seed", "2718", "--mode", "noise", "--out-dir", "out"],
-    ["run", "--trials", "3", "--noise", "storage", "--plan", "60mode",
-     "--trials", "5", "--mode", "crosstalk", "--mode", "signal"],
-    ["analyze", "--signal", "s.csv", "--noise", "n.csv", "--plan", "60mode",
-     "--device", "10cell", "--out-dir", "out"],
-    ["analyze", "--signal", "x=y", "--noise", ""],
-])
-def test_plain_argv_is_read_without_argparse(argv):
-    plain = _read_plain(argv)
-    assert plain is not None and plain == parse(argv)
-    assert list(vars(plain)) == list(vars(parse(argv)))
 
 
 TOP_HELP = """\
@@ -214,3 +113,36 @@ def test_prefix_and_equals_forms_stay_accepted():
     assert full[0] == 0
     assert outcome(["run", "--pl=60mode", "--noise=storage", "--tri", "100",
                     "--out-dir", "out"]) == full
+
+
+# Per subcommand, an argv that succeeds in a directory holding a signal and
+# a noise run's counts files.  Every option but --trials names a path.
+RUNS = {
+    "validate": ["--plan", "60mode", "--device", "10cell",
+                 "--timeline", "t.csv"],
+    "run": ["--plan", "60mode", "--device", "10cell", "--noise", "storage",
+            "--trials", "3", "--out-dir", "out"],
+    "analyze": ["--signal", "counts_signal.csv", "--noise", "counts_noise.csv",
+                "--plan", "60mode", "--device", "10cell", "--out-dir", "out"],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, argv in RUNS.items()
+    for option in argv[::2] if option != "--trials"])
+def test_empty_path_value_is_a_usage_error(command, option, tmp_path,
+                                           monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for mode in ("signal", "noise"):
+        assert main(["run", "--plan", "60mode", "--noise", "storage",
+                     "--trials", "3", "--mode", mode]) == 0
+    files = sorted(tmp_path.rglob("*"))
+    argv = [command, *RUNS[command]]
+    argv[argv.index(option) + 1] = ""
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"usage: memarray {command} ")
+    assert f"error: argument {option}: expected a path, got ''" in err
+    assert sorted(tmp_path.rglob("*")) == files
