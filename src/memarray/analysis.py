@@ -3,16 +3,17 @@
 Turns raw per-mode count tallies into rates with Poisson errors, SNR,
 per-cell network projections (rescaled signal, adjusted SNR, inferred
 second-order correlation, time-bin fidelity bound) and the cross-talk ratio
-matrix.  Pooled counts are integer totals made rates by ``_rate``, as in
-``analyze``'s cumulative series, and ratio errors come from ``_ratio_err``:
-every error bar is first-order (delta-method) Poisson propagation.
+matrix.  Integer count totals are pooled in plan order, per cell in
+``project_cells`` and running in ``cumulative_counts``, and made rates by
+``_rates``; ratio errors come from ``_ratio_err``: every error bar is
+first-order (delta-method) Poisson propagation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import truediv
 
 from .device import ArrayDevice
@@ -85,15 +86,10 @@ def _ratio_err(a: float, sa: float, b: float, sb: float) -> float:
     return abs(r) * math.sqrt((sa / a) ** 2 + (sb / b) ** 2)
 
 
-def _rate(total: int, n: int) -> tuple[float, float]:
-    """Mean and Poisson error of a count total over ``n`` trials (trials
-    times modes for a total pooled over modes)."""
-    return total / n, math.sqrt(total) / n
-
-
 def _rates(totals, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``_rate`` of each of ``totals``, as a column of means and one of
-    errors, each built in one C-level pass over one tuple of the totals."""
+    """Mean total / n and Poisson error sqrt(total) / n of each count total
+    over ``n`` trials (trials times modes if pooled over modes), as a column
+    of means and one of errors, each one C-level pass over the totals."""
     totals = tuple(totals)
     return (tuple(map(truediv, totals, repeat(n))),
             tuple(map(truediv, map(math.sqrt, totals), repeat(n))))
@@ -188,9 +184,12 @@ def _fidelity_slope(g2: float) -> float:
     return 1.5 / (g2 + 1.0) ** 2
 
 
-def _cell_blocks(run: TrialCounts, plan: SequencePlan) -> list[tuple]:
+def _cell_blocks(run: TrialCounts, plan: SequencePlan, side: str) -> list:
     """Each cell's totals, in cell_order, of a run over ``plan.modes``: the
-    slice of its sorted keys at the cell's rank in sorted(cell_order)."""
+    slice of its sorted keys at the cell's rank in sorted(cell_order).  A
+    run over other modes is a ModeSetMismatch with source ``side``."""
+    ModeSetMismatch.check(tuple(sorted(plan.modes)), run.keys,
+                          sides=("plan", f"{side} run"), source=side)
     n, ranked = plan.n_temporal, sorted(plan.cell_order)
     return [run.totals[r * n:(r + 1) * n]
             for r in map(ranked.index, plan.cell_order)]
@@ -208,16 +207,13 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     Both runs must cover exactly ``plan.modes``, else ModeSetMismatch with
     source "signal" or "noise", the signal run checked first.
     """
-    modes, n = tuple(sorted(plan.modes)), plan.n_temporal
-    for run, side in ((signal, "signal"), (noise, "noise")):
-        ModeSetMismatch.check(modes, run.keys, sides=("plan", f"{side} run"),
-                              source=side)
-    out = []
-    for cell_id, sig, bkg in zip(plan.cell_order, _cell_blocks(signal, plan),
-                                 _cell_blocks(noise, plan)):
-        c_s, err_s = _rate(sum(sig), signal.n_trials * n)
-        c_b, err_b = _rate(sum(bkg), noise.n_trials * n)
-
+    n, out = plan.n_temporal, []
+    for cell_id, c_s, err_s, c_b, err_b in zip(
+            plan.cell_order,
+            *_rates(map(sum, _cell_blocks(signal, plan, "signal")),
+                    signal.n_trials * n),
+            *_rates(map(sum, _cell_blocks(noise, plan, "noise")),
+                    noise.n_trials * n)):
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (
             rescale_signal(x, device.cell(cell_id).eta_mux, plan.eta_herald,
@@ -238,6 +234,19 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
             snr_adjusted=snr_adj, snr_adjusted_err=snr_err,
             g2_inferred=g2, g2_err=g2_err, fidelity=fid, fidelity_err=fid_err))
     return out
+
+
+def cumulative_counts(signal: TrialCounts, noise: TrialCounts,
+                      plan: SequencePlan) -> tuple[tuple[float, ...], ...]:
+    """Running count totals of both runs over ``plan.modes``, in plan order,
+    each a Poisson rate per trial: (signal rates, their errors, noise rates,
+    their errors).  Entry i pools the first i + 1 modes: the last entries
+    are the plan's pooled rates, and c_S/c_B of those the pooled SNR.  Runs
+    not over ``plan.modes`` fail as in ``project_cells``."""
+    return (*_rates(accumulate(chain(*_cell_blocks(signal, plan, "signal"))),
+                    signal.n_trials),
+            *_rates(accumulate(chain(*_cell_blocks(noise, plan, "noise"))),
+                    noise.n_trials))
 
 
 # --------------------------------------------------------------------------
@@ -268,10 +277,10 @@ def crosstalk_matrix(scan: TrialCounts,
                           sides=("scan cells", "noise run"), source="noise")
 
     n = len(ids)
+    pair_rates = list(zip(*_rates(scan.totals, scan.n_trials)))
     c, cerr, offdiag, invalid, noise_contribution = [], [], [], [], {}
     for a, i in enumerate(ids):
-        rates = [_rate(total, scan.n_trials)  # of (i, j) for each j of ids
-                 for total in scan.totals[a * n:(a + 1) * n]]
+        rates = pair_rates[a * n:(a + 1) * n]  # of (i, j) for each j of ids
         c_ii, err_ii = rates[a]
         if c_ii == 0.0:
             invalid.append(i)

@@ -20,11 +20,10 @@ import argparse
 import functools
 import sys
 import time
-from itertools import accumulate, chain
 from pathlib import Path
 
 from . import __version__
-from .analysis import (_cell_blocks, _rates, crosstalk_matrix, per_mode_stats,
+from .analysis import (crosstalk_matrix, cumulative_counts, per_mode_stats,
                        project_cells)
 from .defaults import (
     NOISE_MODELS,
@@ -121,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", default=0, type=_int_at_least(0),
                        help="random seed (default 0)")
     p_run.add_argument("--mode", default="signal",
-                       choices=["signal", "noise", "crosstalk"],
+                       choices=[kind.value for kind in RunKind],
                        help="run kind (default signal)")
     p_run.add_argument("--out-dir", default=Path("."), type=_path,
                        help="output directory (default .)")
@@ -264,13 +263,7 @@ def cmd_analyze(args) -> int:
     # first: a mismatch names the run at fault.
     projections = project_cells(signal, noise, device, plan)
     stats = per_mode_stats(signal, noise)
-
-    # Running count totals over the plan's mode order, each a Poisson rate
-    # as project_cells pools a cell: the last row is the plan's pooled rate.
-    cum_s, cum_s_err = _rates(
-        accumulate(chain(*_cell_blocks(signal, plan))), signal.n_trials)
-    cum_b, cum_b_err = _rates(
-        accumulate(chain(*_cell_blocks(noise, plan))), noise.n_trials)
+    cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(signal, noise, plan)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),

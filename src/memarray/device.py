@@ -55,11 +55,6 @@ class PulseShape:
                     f"capture_override must be in (0, 1], got {self.capture_override}")
 
 
-def _check_fraction(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{name} must be a fraction in [0, 1], got {value}")
-
-
 @dataclass(frozen=True)
 class CellParams:
     """Per-cell efficiency record.
@@ -123,7 +118,9 @@ class ArrayDevice:
         ids = [c.cell_id for c in cells]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate cell ids: {ids}")
-        _check_fraction("eta_detection_path", self.eta_detection_path)
+        if not 0.0 <= self.eta_detection_path <= 1.0:
+            raise ConfigError(f"eta_detection_path must be a fraction in "
+                              f"[0, 1], got {self.eta_detection_path}")
         if not 0 <= self.dark_count_rate < math.inf:
             raise ConfigError(f"dark_count_rate must be finite and >= 0, "
                               f"got {self.dark_count_rate}")

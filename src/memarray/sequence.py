@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .device import PulseShape, _check_fraction
+from .device import PulseShape
 from .errors import CompilationError, ConfigError
 
 _TOL = 1e-9  # timing comparisons tolerate this many microseconds of slack
@@ -130,7 +130,8 @@ class SequencePlan:
             if not 0 < (v := getattr(self, name)) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, "
                                   f"got {v}")
-        _check_fraction("eta_herald", self.eta_herald)
+        if not 0.0 <= (v := self.eta_herald) <= 1.0:
+            raise ConfigError(f"eta_herald must be a fraction in [0, 1], got {v}")
         if not 1 <= self.g2_source < math.inf:
             raise ConfigError(f"g2_source must be finite and >= 1, "
                               f"got {self.g2_source}")

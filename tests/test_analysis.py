@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 from memarray.analysis import (
     adjusted_snr,
     crosstalk_matrix,
+    cumulative_counts,
     fidelity_bound,
     g2_inferred,
     per_mode_stats,
@@ -256,6 +257,52 @@ class TestProjectCells:
             project_cells(sig, bkg, device, plan)
         assert "missing in signal run: [(1, 2)]" in str(err.value)
         assert err.value.source == "signal"
+
+
+def two_cell_plan():
+    """A plan over cells 2 then 1, two temporal modes each: its mode order
+    (2, 1), (2, 2), (1, 1), (1, 2) is not the sorted one."""
+    return SequencePlan(tau=10.0, t_spin=15.5, n_temporal=2,
+                        mean_photon_number=1.03,
+                        input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                        detection_window=351.0, cell_order=(2, 1))
+
+
+class TestCumulativeCounts:
+    SIGNAL = {(1, 1): 5, (1, 2): 7, (2, 1): 11, (2, 2): 13}
+    NOISE = {(1, 1): 1, (1, 2): 0, (2, 1): 2, (2, 2): 4}
+
+    def test_running_rates_in_plan_order(self):
+        sig = counts(RunKind.SIGNAL, self.SIGNAL, 100)
+        bkg = counts(RunKind.NOISE, self.NOISE, 200)
+        cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(
+            sig, bkg, two_cell_plan())
+        # running totals over (2, 1), (2, 2), (1, 1), (1, 2)
+        assert cum_s == (0.11, 0.24, 0.29, 0.36)
+        assert cum_s_err == tuple(math.sqrt(t) / 100 for t in (11, 24, 29, 36))
+        assert cum_b == (0.01, 0.03, 0.035, 0.035)
+        assert cum_b_err == tuple(math.sqrt(t) / 200 for t in (2, 6, 7, 7))
+
+    def test_last_entries_are_the_pooled_rates(self):
+        sig = counts(RunKind.SIGNAL, self.SIGNAL, 100)
+        bkg = counts(RunKind.NOISE, self.NOISE, 200)
+        cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(
+            sig, bkg, two_cell_plan())
+        assert (cum_s[-1], cum_s_err[-1]) == (36 / 100, math.sqrt(36) / 100)
+        assert (cum_b[-1], cum_b_err[-1]) == (7 / 200, math.sqrt(7) / 200)
+        assert cum_s[-1] / cum_b[-1] == pytest.approx(36 / 3.5, rel=1e-12)
+
+    @pytest.mark.parametrize("side", ["signal", "noise"])
+    def test_run_missing_a_mode_rejected(self, side):
+        tables = {"signal": dict(self.SIGNAL), "noise": dict(self.NOISE)}
+        del tables[side][(1, 2)]
+        sig = counts(RunKind.SIGNAL, tables["signal"], 100)
+        bkg = counts(RunKind.NOISE, tables["noise"], 200)
+        with pytest.raises(ModeSetMismatch) as err:
+            cumulative_counts(sig, bkg, two_cell_plan())
+        assert err.value.source == side
+        assert str(err.value) == (f"mode sets differ: missing in {side} run: "
+                                  f"[(1, 2)]")
 
 
 def scan_table(totals, n_trials=1000):

@@ -394,6 +394,8 @@ _VALUE_ERRORS = [
      None, "eta_detection_path must be a fraction in [0, 1], got 2.0"),
     ("plan", "tau_us = 10.0", "tau_us = -1", None,
      "tau must be finite and positive, got -1.0"),
+    ("plan", "eta_herald = 0.7", "eta_herald = 1.5", None,
+     "eta_herald must be a fraction in [0, 1], got 1.5"),
     ("noise", "base_noise_per_window = 0", "base_noise_per_window = -1",
      None, "base_noise_per_window must be finite and >= 0, got -1.0"),
     # No main section.  [offresonant] is a known section of a noise

@@ -3,9 +3,11 @@
 Each module-level import is named somewhere in its module, and each
 "_"-prefixed module-level def, class or assignment is named somewhere in
 the package, so that neither an import nor a helper or key table can
-outlive its last use.  Only ``io._read_text``, ``io._write_text`` and
-``io.file_digests`` open, read, write or remove a file, so that every file
-access is hashed in, and cleaned up by, a ``file_digests()`` block.
+outlive its last use.  No module imports another's "_"-prefixed name: a
+name used across modules is public where it is defined.  Only
+``io._read_text``, ``io._write_text`` and ``io.file_digests`` open, read,
+write or remove a file, so that every file access is hashed in, and
+cleaned up by, a ``file_digests()`` block.
 """
 
 import ast
@@ -64,6 +66,22 @@ def test_no_unused_private_module_level_name():
                     for name in names
                     if name.startswith("_") and not name.startswith("__")
                     and name not in used]
+    assert bad == []
+
+
+def test_no_private_name_imported_across_modules():
+    bad = []
+    for path, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and node.module.split(".")[0] != "memarray":
+                continue
+            bad += [f"{path}:{node.lineno}: imports {alias.name} from "
+                    f"{'.' * node.level}{node.module or ''}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                    and not alias.name.startswith("__")]
     assert bad == []
 
 
