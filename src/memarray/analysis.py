@@ -188,7 +188,7 @@ def _cell_blocks(run: TrialCounts, plan: SequencePlan, side: str) -> list:
     """Each cell's totals, in cell_order, of a run over ``plan.modes``: the
     slice of its sorted keys at the cell's rank in sorted(cell_order).  A
     run over other modes is a ModeSetMismatch with source ``side``."""
-    ModeSetMismatch.check(tuple(sorted(plan.modes)), run.keys,
+    ModeSetMismatch.check(plan.sorted_modes, run.keys,
                           sides=("plan", f"{side} run"), source=side)
     n, ranked = plan.n_temporal, sorted(plan.cell_order)
     return [run.totals[r * n:(r + 1) * n]

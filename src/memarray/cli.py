@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"memarray {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # each command's parser, by name
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--plan", required=True, type=_resolve_plan,
@@ -280,8 +281,27 @@ def cmd_analyze(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.
+
+    An argv that starts with a command's name is parsed by that command's
+    parser alone, with ``command`` set first: the top-level parser would
+    classify every option string and then hand them all to that parser,
+    which classifies them again.  Arguments it leaves over are refused by
+    the top-level parser, as a full parse refuses them.  Any other argv
+    (help, ``--version``, none, an unknown or abbreviated command) goes to
+    the top-level parser.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in parser.commands:
+            args, extra = parser.commands[argv[0]].parse_known_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

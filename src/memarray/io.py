@@ -15,6 +15,8 @@ and holds no copy of the parsed configuration: the file whose bytes match
 the hash loads again to the same records.  A table or manifest whose write
 fails leaves no partial file behind, and a ``file_digests()`` block that
 raises removes every file written in it: a command runs in one such block.
+A path argument may be a ``str`` or a ``Path``, and a ``Path`` is used as
+given.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def _load_ini(path) -> tuple[dict[str, _Section], Path]:
     the line holds ``#`` or ``;``, the key is split from its value with
     ``str.partition``, and indentation is measured only for a line that
     starts with whitespace."""
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)
     lines = _read_text(path).splitlines()
     sections: dict[str, _Section] = {}
     sec = key = None
@@ -426,7 +428,7 @@ def _write_text(path, text: str) -> Path:
     untranslated, and record the sha256 of the bytes written; a write that
     fails once the file is open removes the file before re-raising, with
     the path as the error's filename."""
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)
     data = text.encode("utf-8")
     fh = path.open("wb")
     try:
@@ -499,7 +501,7 @@ def read_counts_csv(path) -> TrialCounts:
     the CSV reader cannot split.  The file is read a row at a time, and
     each refusal names the file and the line.
     """
-    path = Path(path)
+    path = path if isinstance(path, Path) else Path(path)
     kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
     key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
     totals: list[int] = []

@@ -154,6 +154,11 @@ class SequencePlan:
         ks = range(1, self.n_temporal + 1)
         return tuple((cell, k) for cell in self.cell_order for k in ks)
 
+    @functools.cached_property
+    def sorted_modes(self) -> tuple[tuple[int, int], ...]:
+        """``modes`` in sorted order, the key order of a run over them."""
+        return tuple(sorted(self.modes))
+
     def resolved_mode_period(self) -> float:
         """The given mode period, or the default one; a default period with
         no room for the control pulse within tau is a CompilationError."""

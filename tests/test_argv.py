@@ -4,6 +4,8 @@ Help texts are pinned byte for byte, at a width of 80 columns; an option
 abbreviated or joined to its value as ``--opt=value`` reads as its full
 spelling does; and an empty value for an option that names a file or a
 directory is refused as a usage error before anything is read or written.
+An argv that starts with a command is parsed by that command's parser
+alone, and gives the namespace, output and exit code of a full parse.
 """
 
 import contextlib
@@ -14,11 +16,12 @@ from unittest import mock
 
 import pytest
 
-from memarray.cli import main
+import memarray.cli
+from memarray.cli import build_parser, main
 
 
-def outcome(argv):
-    """``main(argv)``'s (exit code, stdout, stderr), run in an empty
+def outcome(argv, call=main):
+    """``call(argv)``'s (exit code, stdout, stderr), run in an empty
     directory at a terminal width of 80."""
     with tempfile.TemporaryDirectory() as work, \
             mock.patch.dict(os.environ, COLUMNS="80"), \
@@ -27,7 +30,7 @@ def outcome(argv):
         cwd = os.getcwd()
         os.chdir(work)
         try:
-            code = main(argv)
+            code = call(argv)
         finally:
             os.chdir(cwd)
     return code, out.getvalue(), err.getvalue()
@@ -146,3 +149,68 @@ def test_empty_path_value_is_a_usage_error(command, option, tmp_path,
     assert err.startswith(f"usage: memarray {command} ")
     assert f"error: argument {option}: expected a path, got ''" in err
     assert sorted(tmp_path.rglob("*")) == files
+
+
+def full_parse(argv):
+    """The exit code of ``build_parser().parse_args(argv)``, for an argv it
+    refuses or answers itself."""
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code
+    raise AssertionError(f"{argv} parsed")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["validate", "--plan", "60mode", "--bogus", "1"],
+     "memarray: error: unrecognized arguments: --bogus 1\n"),
+    (["run", *RUNS["run"], "extra", "--x"],
+     "memarray: error: unrecognized arguments: extra --x\n"),
+    (["run", *RUNS["run"], "--version"],
+     "memarray: error: unrecognized arguments: --version\n"),
+    (["run", "--version"], "memarray run: error: the following arguments "
+                           "are required: --plan, --noise, --trials\n"),
+    ([], "memarray: error: the following arguments are required: command\n"),
+    (["ru", *RUNS["run"]],
+     "memarray: error: argument command: invalid choice: 'ru'"),
+    (["analyze", *RUNS["analyze"], "--signal"],
+     "memarray analyze: error: argument --signal: expected one argument\n"),
+])
+def test_refusal_is_the_full_parse(argv, line):
+    code, out, err = outcome(argv)
+    assert (code, out, err) == outcome(argv, full_parse)
+    assert code == 2 and out == "" and line in err
+
+
+# The argv of each call the benchmark makes (perfbench/workloads.py), then
+# a repeated option, whose last value stands, and prefix and equals forms.
+PARSED = [
+    ["validate", "--plan", "60mode"],
+    ["validate", "--plan", "work/candidate_00.ini"],
+    ["run", "--plan", "crosstalk", "--noise", "crosstalk", "--trials",
+     "20000", "--seed", "12345", "--mode", "crosstalk", "--out-dir",
+     "work/pass"],
+    ["run", "--plan", "work/candidate_02.ini", "--noise", "storage",
+     "--trials", "200", "--seed", "7", "--mode", "noise", "--out-dir",
+     "work/pass"],
+    ["analyze", "--signal", "work/pass/counts_crosstalk.csv", "--noise",
+     "work/pass/counts_noise.csv", "--out-dir", "work/pass/stats"],
+    ["analyze", "--signal", "work/pass/counts_signal.csv", "--noise",
+     "work/pass/counts_noise.csv", "--out-dir", "work/pass/stats", "--plan",
+     "60mode", "--device", "10cell"],
+    ["validate", "--plan", "60mode", "--plan", "250mode"],
+    ["run", "--pl=60mode", "--noise=storage", "--tri", "3", "--seed", "1",
+     "--seed", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED)
+def test_namespace_is_the_full_parse(argv, monkeypatch):
+    calls = []
+    parser = build_parser.__wrapped__()  # a fresh parser, free to change
+    for command in parser.commands.values():
+        command.set_defaults(func=calls.append)
+    monkeypatch.setattr(memarray.cli, "build_parser", lambda: parser)
+    assert main(argv) is None
+    assert calls == [parser.parse_args(argv)]
+    assert calls[0].command == argv[0]

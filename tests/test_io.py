@@ -97,6 +97,35 @@ class TestFileDigests:
             read_counts_csv(str(paths[3]))
         assert digests == {p: _sha256(p) for p in paths}
 
+    @pytest.mark.parametrize("read", [load_plan, load_device, load_noise,
+                                      read_counts_csv])
+    def test_str_and_path_alike(self, tmp_path, read):
+        good = {load_plan: default_plan_path("60mode"),
+                load_device: default_device_path(),
+                load_noise: default_noise_path("storage")}.get(read)
+        if good is None:
+            good = write_counts_csv(tmp_path / "counts.csv",
+                                    _run(RunKind.NOISE, {(1, 1): 3}, 5))
+        bad = tmp_path / "bad"
+        bad.write_text("oops\n")
+        keys, at_fault = [], []
+        for given in (str, Path):
+            with file_digests() as digests:
+                read(given(good))
+            keys.append([*digests])
+            with pytest.raises(ConfigError) as err:
+                read(given(bad))
+            at_fault.append(err.value.path)
+        assert keys == [[good], [good]]
+        assert at_fault == [bad, bad]
+
+    def test_writer_returns_a_path_for_str_or_path(self, tmp_path):
+        p = tmp_path / "manifest.json"
+        with file_digests() as digests:
+            got = [write_manifest(given(p), {"a": 1}) for given in (str, Path)]
+        assert got == [p, p]
+        assert [*digests] == [p]
+
     def test_digest_is_of_the_parsed_bytes(self, tmp_path):
         p = tmp_path / "device.ini"
         p.write_bytes(DEVICE_SNIPPET.replace("\n", "\r\n").encode())
