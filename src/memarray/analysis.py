@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, product, repeat
 from operator import truediv
 
 from .device import ArrayDevice
@@ -187,10 +187,12 @@ def _fidelity_slope(g2: float) -> float:
 def _cell_blocks(run: TrialCounts, plan: SequencePlan, side: str) -> list:
     """Each cell's totals, in cell_order, of a run over ``plan.modes``: the
     slice of its sorted keys at the cell's rank in sorted(cell_order).  A
-    run over other modes is a ModeSetMismatch with source ``side``."""
-    ModeSetMismatch.check(plan.sorted_modes, run.keys,
-                          sides=("plan", f"{side} run"), source=side)
+    run over other modes is a ModeSetMismatch with source ``side``: its
+    keys are compared with the plan's modes as product(sorted cells, k),
+    which is their sorted order, so only the cell ids are sorted."""
     n, ranked = plan.n_temporal, sorted(plan.cell_order)
+    ModeSetMismatch.check(tuple(product(ranked, range(1, n + 1))), run.keys,
+                          sides=("plan", f"{side} run"), source=side)
     return [run.totals[r * n:(r + 1) * n]
             for r in map(ranked.index, plan.cell_order)]
 

@@ -10,6 +10,7 @@ not modelled.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -149,10 +150,10 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
     bracketing pair.  Extrapolation beyond the calibration span is tolerated
     up to a factor of two in tau (with a warning) and refused beyond that.
     """
-    table = cell.afc_calibration  # CellParams holds two points or more
-    for t, eta in table:
-        if tau == t:
-            return eta
+    table = cell.afc_calibration  # CellParams: two or more, sorted by tau
+    i = bisect_left(table, (tau,))  # the first point at tau or beyond
+    if i < len(table) and table[i][0] == tau:
+        return table[i][1]
     lo, hi = table[0][0], table[-1][0]
     if tau < lo / _EXTRAPOLATION_LIMIT or tau > hi * _EXTRAPOLATION_LIMIT:
         # The plan sets tau, so the error names it as the source.
@@ -164,13 +165,10 @@ def afc_efficiency_at(cell: CellParams, tau: float) -> float:
         logging.getLogger(__name__).warning(
             "cell %d: extrapolating AFC efficiency to tau=%g us outside the "
             "calibration span [%g, %g] us", cell.cell_id, tau, lo, hi)
-    # pick the bracketing pair, or the nearest edge pair when extrapolating
-    pairs = list(zip(table, table[1:]))
-    for (t0, e0), (t1, e1) in pairs:
-        if t0 <= tau <= t1:
-            break
-    else:
-        (t0, e0), (t1, e1) = pairs[0] if tau < lo else pairs[-1]
+    # points i - 1 and i bracket tau; clamping i gives the nearest edge
+    # pair when extrapolating
+    i = min(max(i, 1), len(table) - 1)
+    (t0, e0), (t1, e1) = table[i - 1], table[i]
     t_eff = (t1 - t0) / math.log(e0 / e1)
     return e0 * math.exp(-(tau - t0) / t_eff)
 

@@ -172,14 +172,6 @@ def _finite(text: str) -> float:
     return x
 
 
-def _floats(text: str) -> list[float]:
-    """Comma-separated finite numbers, parsed and checked in bulk."""
-    values = list(map(float, text.split(",")))
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"not all finite: {text!r}")
-    return values
-
-
 def _pairs(text: str) -> list[tuple[float, float]]:
     """Parse 'a:b, c:d' pairs (calibration tables)."""
     pairs = []
@@ -229,22 +221,19 @@ class _Section:
         the first in file order, then a missing required key, the first in
         sorted order; then parses the keys present in schema order.
 
-        Each refusal is tested in bulk: one set comparison for unknown keys
-        and one ``all`` for the required ones, and the entries are walked
-        only to name the key at fault.  The values are parsed in one loop,
-        and a ValueError is worded for the key it was parsing."""
+        Each rule is one walk: the entries for an unknown key, the required
+        keys for a missing one, and the schema to parse the values, where a
+        ValueError is worded for the key it was parsing."""
         keys, required = schema
         entries = self.entries
-        if not keys.keys() >= entries.keys():
-            for key, (_, line) in entries.items():
-                if key not in keys:
-                    raise ConfigError(f"unknown key in [{self.name}]",
-                                      key=key, line=line)
-        if not all(map(entries.__contains__, required)):
-            for key in required:
-                if key not in entries:
-                    raise ConfigError(f"[{self.name}] is missing required "
-                                      f"key '{key}'", key=key)
+        for key, (_, line) in entries.items():
+            if key not in keys:
+                raise ConfigError(f"unknown key in [{self.name}]",
+                                  key=key, line=line)
+        for key in required:
+            if key not in entries:
+                raise ConfigError(f"[{self.name}] is missing required "
+                                  f"key '{key}'", key=key)
         values = {}
         try:
             for key, (field, parse, _) in keys.items():
@@ -367,7 +356,7 @@ def _matrix_rows(sec: _Section) -> tuple[tuple[int, ...], list[list[float]]]:
     for cid in order:
         key = keys[cid]
         try:
-            row = _floats(sec.entries[key][0])
+            row = list(map(_finite, sec.entries[key][0].split(",")))
         except ValueError as exc:
             raise sec.refusal(key, "comma-separated numbers") from exc
         if len(row) != len(order):
@@ -475,12 +464,6 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
 
 
-class _Ints(dict):  # int() of each distinct text, parsed on first lookup
-    def __missing__(self, text: str) -> int:
-        self[text] = value = int(text)
-        return value
-
-
 def _csv_rows(text: str):
     """The rows of ``text`` as a file opened with newline="" gives them."""
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -502,7 +485,7 @@ def read_counts_csv(path) -> TrialCounts:
     each refusal names the file and the line.
     """
     path = path if isinstance(path, Path) else Path(path)
-    kind, n_trials, ints = None, None, _Ints()  # ids, indices, n_trials recur
+    kind, n_trials = None, None
     key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
     totals: list[int] = []
     with _in_file(path):
@@ -520,8 +503,8 @@ def read_counts_csv(path) -> TrialCounts:
                                   f"{len(row)})", line=lineno)
             try:
                 kind_text, i, j, k, total, n = row
-                i, j, k, n = ints[i], ints[j], ints[k], ints[n]
-                row_kind, total = _RUN_KINDS[kind_text], int(total)
+                i, j, k, total, n = int(i), int(j), int(k), int(total), int(n)
+                row_kind = _RUN_KINDS[kind_text]
             except (ValueError, KeyError) as exc:
                 raise ConfigError(f"bad counts row: {row}",
                                   line=lineno) from exc

@@ -18,7 +18,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .device import PulseShape
 from .errors import CompilationError, ConfigError
@@ -151,13 +151,7 @@ class SequencePlan:
     def modes(self) -> tuple[tuple[int, int], ...]:
         """(cell, k) for each cell of cell_order and k in 1..n_temporal: the
         order of a run's draws, expected means and cumulative series."""
-        ks = range(1, self.n_temporal + 1)
-        return tuple((cell, k) for cell in self.cell_order for k in ks)
-
-    @functools.cached_property
-    def sorted_modes(self) -> tuple[tuple[int, int], ...]:
-        """``modes`` in sorted order, the key order of a run over them."""
-        return tuple(sorted(self.modes))
+        return tuple(product(self.cell_order, range(1, self.n_temporal + 1)))
 
     def resolved_mode_period(self) -> float:
         """The given mode period, or the default one; a default period with

@@ -134,12 +134,8 @@ class TrialCounts:
         n_trials = _integer(self.n_trials, "n_trials must be an integer")
         if n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        totals = tuple(self.totals)
-        try:
-            totals = tuple(map(index, totals))
-        except TypeError:
-            for total in totals:
-                _integer(total, "counts must be integers")
+        totals = [_integer(total, "counts must be integers")
+                  for total in self.totals]
         rows = sorted(zip(self.keys, totals, strict=True))
         keys = tuple([key for key, _ in rows])
         totals = tuple([total for _, total in rows])

@@ -118,6 +118,12 @@ class TestAdjustedSnr:
     def test_zero_noise_is_infinite(self):
         assert math.isinf(adjusted_snr(0.01, 0.0))
 
+    @pytest.mark.parametrize("c_tilde, c_noise", [(-0.01, 0.01), (0.01, -0.01)])
+    def test_negative_counts_refused(self, c_tilde, c_noise):
+        with pytest.raises(ValueError) as err:
+            adjusted_snr(c_tilde, c_noise)
+        assert str(err.value) == "counts per trial must be non-negative"
+
 
 class TestG2Inferred:
     def test_pure_noise_is_uncorrelated(self):

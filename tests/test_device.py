@@ -77,6 +77,19 @@ class TestAfcEfficiency:
         assert just_below == pytest.approx(at, abs=1e-6)
         assert just_above == pytest.approx(at, abs=1e-6)
 
+    @pytest.mark.parametrize("tau, pair", [
+        (20.0, 1), (12.5, 0), (7.0, 0), (40.0, 1),
+    ], ids=["inside-second", "inside-first", "below-span", "above-span"])
+    def test_bracket_pair_chosen_exactly(self, tau, pair):
+        # The pair that brackets tau, or the nearest edge pair outside the
+        # span, fitted by the two-point formula: a lookup one pair off
+        # returns another number.
+        table = ((10.0, 0.191), (17.0, 0.12), (25.0, 0.079))
+        (t0, e0), (t1, e1) = table[pair], table[pair + 1]
+        t_eff = (t1 - t0) / math.log(e0 / e1)
+        expected = e0 * math.exp(-(tau - t0) / t_eff)
+        assert afc_efficiency_at(make_cell(calibration=table), tau) == expected
+
     def test_extrapolation_is_flagged_but_allowed(self, caplog):
         cell = make_cell()
         with caplog.at_level("WARNING", logger="memarray.device"):
@@ -206,6 +219,14 @@ class TestWindowCapture:
             a, b = window_capture_fraction(shape, lo), window_capture_fraction(shape, hi)
             assert 0.0 < a < b < 1.0
 
+    @pytest.mark.parametrize("window", [0.0, -351.0, math.nan])
+    def test_window_must_be_positive(self, window):
+        shape = PulseShape(PulseKind.GAUSSIAN, fwhm=351.0)
+        with pytest.raises(ConfigError) as err:
+            window_capture_fraction(shape, window)
+        assert str(err.value) == (
+            f"detection window must be positive, got {window}")
+
     def test_override_only_valid_for_lorentzian(self):
         with pytest.raises(ConfigError):
             PulseShape(PulseKind.GAUSSIAN, fwhm=351.0, capture_override=0.5)
@@ -233,6 +254,26 @@ class TestValidation:
             SequencePlan(**{**PLAN_KW, "tau": 0.0})
         with pytest.raises(ConfigError):
             SequencePlan(**{**PLAN_KW, "n_temporal": 0})
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PulseShape("gaussian", fwhm=351.0),
+         "unknown pulse kind 'gaussian'"),
+        (lambda: PulseShape(PulseKind.LORENTZIAN, 130.0, capture_override=1.5),
+         "capture_override must be in (0, 1], got 1.5"),
+        (lambda: PulseShape(PulseKind.LORENTZIAN, 130.0, capture_override=0.0),
+         "capture_override must be in (0, 1], got 0.0"),
+        (lambda: ArrayDevice(cells=(make_cell(), make_cell()),
+                             eta_detection_path=0.14, dark_count_rate=10.0),
+         "duplicate cell ids: [1, 1]"),
+        (lambda: ArrayDevice(cells=(make_cell(),), eta_detection_path=0.14,
+                             dark_count_rate=10.0).cell(9),
+         "no cell with id 9 (have [1])"),
+    ], ids=["kind-not-a-PulseKind", "override-above-one", "override-zero",
+            "duplicate-cell-ids", "unknown-cell-id"])
+    def test_refusal_message(self, build, message):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_pulse_fwhm_must_be_finite(self, value):

@@ -80,6 +80,17 @@ class TestDataPath:
         resource = resources.files("memarray").joinpath("data", name)
         assert data_path(name) == Path(str(resource))
 
+    @pytest.mark.parametrize("lookup, message", [
+        (default_plan_path, "unknown plan 'plan_60mode'; choose from "
+                            "('60mode', '250mode', 'crosstalk')"),
+        (default_noise_path, "unknown noise model 'plan_60mode'; choose "
+                             "from ('storage', 'crosstalk')"),
+    ])
+    def test_unknown_name_refused(self, lookup, message):
+        with pytest.raises(ValueError) as err:
+            lookup("plan_60mode")
+        assert str(err.value) == message
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()

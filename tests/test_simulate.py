@@ -462,6 +462,17 @@ class TestDataTypes:
         with pytest.raises(ConfigError):
             LeakageMatrix(cell_ids=(1, 2), values=((1.0, 1.0), (0.0, 1.0)))
 
+    @pytest.mark.parametrize("cell_ids, values, message", [
+        ((1, 1), ((1.0, 0.0), (0.0, 1.0)),
+         "leakage matrix has duplicate cell ids"),
+        ((1, 2), ((1.0, 0.0),), "leakage matrix must be 2x2"),
+        ((1, 2), ((1.0, 0.0), (0.0, 1.0, 0.0)), "leakage matrix must be 2x2"),
+    ], ids=["duplicate-ids", "one-row", "long-row"])
+    def test_leakage_shape_refused(self, cell_ids, values, message):
+        with pytest.raises(ConfigError) as err:
+            LeakageMatrix(cell_ids=cell_ids, values=values)
+        assert str(err.value) == message
+
     def test_noise_params_reject_negative(self):
         with pytest.raises(ConfigError):
             NoiseParams(base_noise_per_window=-1e-6,

@@ -7,7 +7,9 @@ outlive its last use.  No module imports another's "_"-prefixed name: a
 name used across modules is public where it is defined.  Only
 ``io._read_text``, ``io._write_text`` and ``io.file_digests`` open, read,
 write or remove a file, so that every file access is hashed in, and
-cleaned up by, a ``file_digests()`` block.
+cleaned up by, a ``file_digests()`` block.  Each memo (``functools.cache``,
+``lru_cache``, ``cached_property`` or a ``__missing__`` method) is on an
+allowlist with its reason, so that no cache outlives the cost it saved.
 """
 
 import ast
@@ -112,4 +114,48 @@ def test_file_access_only_through_the_io_record():
 
     for path, tree in TREES.items():
         scan(tree, path, Path(path).stem, None)
+    assert bad == []
+
+
+# module.qualname of each memo in the package, and why it is kept.
+MEMO_ALLOWED = {
+    "cli.build_parser": "building the argparse tree costs more than parsing "
+                        "a short command line with it",
+    "sequence.SequencePlan.modes": "the one definition of a frozen plan's "
+                                   "mode order, read by the engine, the "
+                                   "expected means and analyze",
+}
+MEMO_NAMES = {"cache", "lru_cache", "cached_property"}
+
+
+def _is_memo(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id in MEMO_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in MEMO_NAMES)
+
+
+def test_memo_machinery_only_where_allowed():
+    found, bad = set(), []
+
+    def scan(node, qual, decorators):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                name = f"{qual}.{child.name}"
+                memo = {id(n) for d in child.decorator_list
+                        for n in ast.walk(d) if _is_memo(n)}
+                if memo or child.name == "__missing__":
+                    found.add(name)
+                scan(child, name, memo)
+            elif _is_memo(child) and id(child) not in decorators:
+                bad.append(f"{qual}:{child.lineno}: {ast.unparse(child)} "
+                           f"used other than as a decorator")
+            else:
+                scan(child, qual, decorators)
+
+    for path, tree in TREES.items():
+        scan(tree, Path(path).stem, set())
+    bad += [f"{name} is a memo that MEMO_ALLOWED does not name"
+            for name in sorted(found - MEMO_ALLOWED.keys())]
+    bad += [f"{name} is allowed but is no memo"
+            for name in sorted(MEMO_ALLOWED.keys() - found)]
     assert bad == []
