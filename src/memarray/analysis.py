@@ -3,17 +3,17 @@
 Turns raw per-mode count tallies into rates with Poisson errors, SNR,
 per-cell network projections (rescaled signal, adjusted SNR, inferred
 second-order correlation, time-bin fidelity bound) and the cross-talk ratio
-matrix.  Integer count totals are pooled in plan order, per cell in
-``project_cells`` and running in ``cumulative_counts``, and made rates by
-``_rates``; ratio errors come from ``_ratio_err``: every error bar is
-first-order (delta-method) Poisson propagation.
+matrix.  Integer count totals are pooled from ``PlanRuns.cell_blocks``,
+per cell in ``project_cells`` and running in ``cumulative_counts``, and
+made rates by ``_rates``; ratio errors come from ``_ratio_err``: every
+error bar is first-order (delta-method) Poisson propagation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, product, repeat
+from itertools import accumulate, chain, repeat
 from operator import truediv
 
 from .device import ArrayDevice
@@ -74,16 +74,41 @@ class CrossTalkMatrix:
     invalid_rows: tuple[int, ...] = ()
 
 
+@dataclass(frozen=True)
+class PlanRuns:
+    """A signal run and a noise run over ``plan.modes``, each checked once,
+    when the record is built, the signal run first: a run over other modes
+    is a ModeSetMismatch with sides ("plan", "<side> run") and source
+    "signal" or "noise"."""
+
+    signal: TrialCounts
+    noise: TrialCounts
+    plan: SequencePlan
+
+    def __post_init__(self):
+        modes = tuple(sorted(self.plan.modes))  # the runs' key order
+        for side in ("signal", "noise"):
+            ModeSetMismatch.check(modes, getattr(self, side).keys,
+                                  ("plan", f"{side} run"), side)
+
+    def cell_blocks(self) -> tuple[list, list]:
+        """Each cell's totals, in cell_order, of the signal and the noise
+        run: a run's slice at the cell's rank in sorted(cell_order)."""
+        n, ranked = self.plan.n_temporal, sorted(self.plan.cell_order)
+        return tuple([run.totals[r * n:(r + 1) * n]
+                      for r in map(ranked.index, self.plan.cell_order)]
+                     for run in (self.signal, self.noise))
+
+
 # --------------------------------------------------------------------------
 # per-mode statistics
 
 
 def _ratio_err(a: float, sa: float, b: float, sb: float) -> float:
     """Delta-method error of a/b given means and errors of a and b."""
-    r = a / b
     if a == 0.0:
         return sa / b
-    return abs(r) * math.sqrt((sa / a) ** 2 + (sb / b) ** 2)
+    return abs(a / b) * math.sqrt((sa / a) ** 2 + (sb / b) ** 2)
 
 
 def _rates(totals, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -95,19 +120,17 @@ def _rates(totals, n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             tuple(map(truediv, map(math.sqrt, totals), repeat(n))))
 
 
-def per_mode_stats(signal: TrialCounts, noise: TrialCounts) -> ModeStats:
+def per_mode_stats(runs: PlanRuns) -> ModeStats:
     """Counts per trial, Poisson errors and SNR of every mode, one
     ModeStats column record in sorted mode order.
 
     The SNR is c_S/c_B, all detected counts over noise; the excess form
-    (c_S - c_B)/c_B is snr - 1 with the same error.  Modes whose noise total
-    is zero get snr=+inf instead of an error.
+    (c_S - c_B)/c_B is snr - 1 with the same error.
     """
-    ModeSetMismatch.check(signal.keys, noise.keys)
-    c_s, err_s = _rates(signal.totals, signal.n_trials)
-    c_b, err_b = _rates(noise.totals, noise.n_trials)
+    c_s, err_s = _rates(runs.signal.totals, runs.signal.n_trials)
+    c_b, err_b = _rates(runs.noise.totals, runs.noise.n_trials)
     return ModeStats(
-        modes=signal.keys, c_signal=c_s, err_signal=err_s, c_noise=c_b,
+        modes=runs.signal.keys, c_signal=c_s, err_signal=err_s, c_noise=c_b,
         err_noise=err_b,
         snr=tuple([s / b if b else math.inf for s, b in zip(c_s, c_b)]),
         snr_err=tuple([_ratio_err(s, es, b, eb) if b else math.inf
@@ -184,38 +207,21 @@ def _fidelity_slope(g2: float) -> float:
     return 1.5 / (g2 + 1.0) ** 2
 
 
-def _cell_blocks(run: TrialCounts, plan: SequencePlan, side: str) -> list:
-    """Each cell's totals, in cell_order, of a run over ``plan.modes``: the
-    slice of its sorted keys at the cell's rank in sorted(cell_order).  A
-    run over other modes is a ModeSetMismatch with source ``side``: its
-    keys are compared with the plan's modes as product(sorted cells, k),
-    which is their sorted order, so only the cell ids are sorted."""
-    n, ranked = plan.n_temporal, sorted(plan.cell_order)
-    ModeSetMismatch.check(tuple(product(ranked, range(1, n + 1))), run.keys,
-                          sides=("plan", f"{side} run"), source=side)
-    return [run.totals[r * n:(r + 1) * n]
-            for r in map(ranked.index, plan.cell_order)]
-
-
-def project_cells(signal: TrialCounts, noise: TrialCounts,
-                  device: ArrayDevice, plan: SequencePlan,
-                  ) -> list[NetworkProjection]:
+def project_cells(runs: PlanRuns,
+                  device: ArrayDevice) -> list[NetworkProjection]:
     """Per-spatial-mode network projections from a signal and a noise run.
 
     Counts are pooled over each cell's temporal modes (per-temporal-mode
     noise tallies are too sparse to divide by), converted to mean counts per
     mode per trial, rescaled to a heralded source and pushed through the
     correlation and fidelity formulas with first-order error propagation.
-    Both runs must cover exactly ``plan.modes``, else ModeSetMismatch with
-    source "signal" or "noise", the signal run checked first.
     """
-    n, out = plan.n_temporal, []
+    plan, out = runs.plan, []
+    signal, noise = runs.cell_blocks()
     for cell_id, c_s, err_s, c_b, err_b in zip(
             plan.cell_order,
-            *_rates(map(sum, _cell_blocks(signal, plan, "signal")),
-                    signal.n_trials * n),
-            *_rates(map(sum, _cell_blocks(noise, plan, "noise")),
-                    noise.n_trials * n)):
+            *_rates(map(sum, signal), runs.signal.n_trials * plan.n_temporal),
+            *_rates(map(sum, noise), runs.noise.n_trials * plan.n_temporal)):
         # The rescaling is linear, so it carries the error bar too.
         c_tilde, err_tilde = (
             rescale_signal(x, device.cell(cell_id).eta_mux, plan.eta_herald,
@@ -238,17 +244,14 @@ def project_cells(signal: TrialCounts, noise: TrialCounts,
     return out
 
 
-def cumulative_counts(signal: TrialCounts, noise: TrialCounts,
-                      plan: SequencePlan) -> tuple[tuple[float, ...], ...]:
+def cumulative_counts(runs: PlanRuns) -> tuple[tuple[float, ...], ...]:
     """Running count totals of both runs over ``plan.modes``, in plan order,
     each a Poisson rate per trial: (signal rates, their errors, noise rates,
     their errors).  Entry i pools the first i + 1 modes: the last entries
-    are the plan's pooled rates, and c_S/c_B of those the pooled SNR.  Runs
-    not over ``plan.modes`` fail as in ``project_cells``."""
-    return (*_rates(accumulate(chain(*_cell_blocks(signal, plan, "signal"))),
-                    signal.n_trials),
-            *_rates(accumulate(chain(*_cell_blocks(noise, plan, "noise"))),
-                    noise.n_trials))
+    are the plan's pooled rates, and c_S/c_B of those the pooled SNR."""
+    signal, noise = runs.cell_blocks()
+    return (*_rates(accumulate(chain(*signal)), runs.signal.n_trials),
+            *_rates(accumulate(chain(*noise)), runs.noise.n_trials))
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .analysis import (crosstalk_matrix, cumulative_counts, per_mode_stats,
-                       project_cells)
+from .analysis import (PlanRuns, crosstalk_matrix, cumulative_counts,
+                       per_mode_stats, project_cells)
 from .defaults import (
     NOISE_MODELS,
     PLANS,
@@ -115,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", parents=[common],
                            help="simulate a counting run and write counts + manifest")
     p_run.add_argument("--noise", required=True, type=_resolve_noise,
+                       metavar="NOISE_MODEL",
                        help=f"noise file, or one of {'/'.join(NOISE_MODELS)}")
     p_run.add_argument("--trials", required=True, type=_int_at_least(1),
                        help="number of storage trials")
@@ -259,12 +260,10 @@ def cmd_analyze(args) -> int:
         raise ConfigError("signal/noise analysis needs --plan and --device "
                           "for mode ordering and network projections")
     plan, device = _load_plan_and_device(args)
-    noise = _read_noise_run(args.noise)
-    # project_cells checks both runs against the plan's modes, so it comes
-    # first: a mismatch names the run at fault.
-    projections = project_cells(signal, noise, device, plan)
-    stats = per_mode_stats(signal, noise)
-    cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(signal, noise, plan)
+    runs = PlanRuns(signal, _read_noise_run(args.noise), plan)
+    stats = per_mode_stats(runs)
+    cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(runs)
+    projections = project_cells(runs, device)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = (write_mode_stats_csv(args.out_dir / "mode_stats.csv", stats),

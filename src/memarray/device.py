@@ -91,6 +91,9 @@ class CellParams:
             if not math.isfinite(t):
                 raise ConfigError(f"cell {self.cell_id}: calibration tau must "
                                   f"be finite, got {t}")
+        if taus[0] <= 0:  # the smallest, as the table is sorted
+            raise ConfigError(f"cell {self.cell_id}: calibration tau must "
+                              f"be positive, got {taus[0]}")
         if len(set(taus)) != len(taus):
             raise ConfigError(f"cell {self.cell_id}: duplicate calibration tau")
         for e in etas:

@@ -30,9 +30,7 @@ class ConfigError(Exception):
             where.append(f"line {self.line}")
         if self.key is not None:
             where.append(f"key '{self.key}'")
-        if where:
-            return f"{': '.join([', '.join(where), msg])}"
-        return msg
+        return f"{', '.join(where)}: {msg}" if where else msg
 
 
 class CompilationError(Exception):
@@ -64,11 +62,9 @@ class ModeSetMismatch(Exception):
     ConfigError.
     """
 
-    def __init__(self, missing_in_signal, missing_in_noise,
-                 sides=("signal run", "noise run"), source=None):
+    def __init__(self, missing_in_signal, missing_in_noise, sides, source):
         self.missing_in_signal = tuple(sorted(missing_in_signal))
         self.missing_in_noise = tuple(sorted(missing_in_noise))
-        self.sides = tuple(sides)
         self.source = source
         self.path = None
         parts = [f"missing in {side}: {_listing(missing)}" for side, missing
@@ -81,8 +77,7 @@ class ModeSetMismatch(Exception):
         return msg if self.path is None else f"{self.path}: {msg}"
 
     @classmethod
-    def check(cls, first, second, sides=("signal run", "noise run"),
-              source=None) -> None:
+    def check(cls, first, second, sides, source) -> None:
         """Raise unless ``first`` and ``second``, two tuples of unique keys
         in sorted order, are equal; sets are built only to word the error."""
         if first != second:

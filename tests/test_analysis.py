@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from memarray.analysis import (
+    PlanRuns,
     adjusted_snr,
     crosstalk_matrix,
     cumulative_counts,
@@ -33,11 +34,48 @@ def counts(kind, table, n_trials):
                        totals=tuple(table.values()), n_trials=n_trials)
 
 
+def small_plan(cell_order=(1,), n_temporal=1):
+    """A plan over ``cell_order`` with ``n_temporal`` modes per cell."""
+    return SequencePlan(tau=10.0, t_spin=15.5, n_temporal=n_temporal,
+                        mean_photon_number=1.03,
+                        input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                        detection_window=351.0, cell_order=cell_order)
+
+
+def two_cell_plan():
+    """A plan over cells 2 then 1, two temporal modes each: its mode order
+    (2, 1), (2, 2), (1, 1), (1, 2) is not the sorted one."""
+    return small_plan((2, 1), 2)
+
+
+class TestPlanRuns:
+    SIGNAL = {(1, 1): 5, (1, 2): 7, (2, 1): 11, (2, 2): 13}
+    NOISE = {(1, 1): 1, (1, 2): 0, (2, 1): 2, (2, 2): 4}
+
+    def test_cell_blocks_follow_cell_order(self):
+        runs = PlanRuns(counts(RunKind.SIGNAL, self.SIGNAL, 100),
+                        counts(RunKind.NOISE, self.NOISE, 200),
+                        two_cell_plan())
+        assert runs.cell_blocks() == ([(11, 13), (5, 7)], [(2, 4), (1, 0)])
+
+    def test_runs_of_another_plan_refused_signal_first(self):
+        # Both runs cover cells 1 and 2 with two modes each; the plan has
+        # cell 1 alone, with three.
+        sig = counts(RunKind.SIGNAL, self.SIGNAL, 100)
+        bkg = counts(RunKind.NOISE, self.NOISE, 200)
+        with pytest.raises(ModeSetMismatch) as err:
+            PlanRuns(sig, bkg, small_plan((1,), 3))
+        assert err.value.source == "signal"
+        assert str(err.value) == (
+            "mode sets differ: missing in plan: [(2, 1), (2, 2)]; "
+            "missing in signal run: [(1, 3)]")
+
+
 class TestPerModeStats:
     def test_hand_computed_ratio(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 1000}, 10_000)
         bkg = counts(RunKind.NOISE, {(1, 1): 100}, 10_000)
-        st_ = per_mode_stats(sig, bkg)
+        st_ = per_mode_stats(PlanRuns(sig, bkg, small_plan()))
         assert st_.modes == ((1, 1),)
         [c_signal], [c_noise], [snr] = st_.c_signal, st_.c_noise, st_.snr
         [err_signal], [snr_err] = st_.err_signal, st_.snr_err
@@ -52,11 +90,11 @@ class TestPerModeStats:
         assert snr_err == pytest.approx(expect_err, rel=1e-12)
 
     def test_equal_totals_give_unit_snr(self):
-        table = {(1, 1): 37, (1, 2): 4, (2, 1): 0}
+        table = {(1, 1): 37, (1, 2): 4, (2, 1): 0, (2, 2): 9}
         sig = counts(RunKind.SIGNAL, table, 500)
         bkg = counts(RunKind.NOISE, table, 500)
-        st_ = per_mode_stats(sig, bkg)
-        assert st_.modes == ((1, 1), (1, 2), (2, 1))
+        st_ = per_mode_stats(PlanRuns(sig, bkg, small_plan((1, 2), 2)))
+        assert st_.modes == ((1, 1), (1, 2), (2, 1), (2, 2))
         for c_noise, snr in zip(st_.c_noise, st_.snr, strict=True):
             if c_noise > 0:
                 assert snr == pytest.approx(1.0)
@@ -64,24 +102,29 @@ class TestPerModeStats:
     def test_zero_noise_flags_infinity(self):
         sig = counts(RunKind.SIGNAL, {(1, 1): 12}, 100)
         bkg = counts(RunKind.NOISE, {(1, 1): 0}, 100)
-        st_ = per_mode_stats(sig, bkg)
+        st_ = per_mode_stats(PlanRuns(sig, bkg, small_plan()))
         assert st_.snr == st_.snr_err == (math.inf,)
 
     def test_columns_follow_sorted_mode_order(self):
-        sig = counts(RunKind.SIGNAL, {(2, 1): 30, (1, 2): 20, (1, 1): 10}, 10)
-        bkg = counts(RunKind.NOISE, {(1, 1): 1, (2, 1): 3, (1, 2): 2}, 10)
-        st_ = per_mode_stats(sig, bkg)
-        assert st_.modes == ((1, 1), (1, 2), (2, 1))
-        assert st_.c_signal == (1.0, 2.0, 3.0)
-        assert st_.c_noise == (0.1, 0.2, 0.3)
-        assert st_.snr == (10.0, 10.0, 10.0)
+        sig = counts(RunKind.SIGNAL,
+                     {(2, 2): 40, (2, 1): 30, (1, 2): 20, (1, 1): 10}, 10)
+        bkg = counts(RunKind.NOISE,
+                     {(1, 1): 1, (2, 1): 3, (1, 2): 2, (2, 2): 4}, 10)
+        # The plan's own order, cell 2 first, does not reorder the columns.
+        st_ = per_mode_stats(PlanRuns(sig, bkg, two_cell_plan()))
+        assert st_.modes == ((1, 1), (1, 2), (2, 1), (2, 2))
+        assert st_.c_signal == (1.0, 2.0, 3.0, 4.0)
+        assert st_.c_noise == (0.1, 0.2, 0.3, 0.4)
+        assert st_.snr == (10.0, 10.0, 10.0, 10.0)
 
     def test_mode_set_mismatch(self):
+        # The signal run covers the plan; the noise run misses (1, 2).
         sig = counts(RunKind.SIGNAL, {(1, 1): 5, (1, 2): 5}, 10)
         bkg = counts(RunKind.NOISE, {(1, 1): 1}, 10)
         with pytest.raises(ModeSetMismatch) as err:
-            per_mode_stats(sig, bkg)
+            PlanRuns(sig, bkg, small_plan((1,), 2))
         assert (1, 2) in err.value.missing_in_noise
+        assert err.value.source == "noise"
 
 
 class TestRescaleSignal:
@@ -196,7 +239,7 @@ class TestProjectCells:
         device, plan = projection_fixture()
         sig = counts(RunKind.SIGNAL, {(1, 1): 800, (1, 2): 600}, 10_000)
         bkg = counts(RunKind.NOISE, {(1, 1): 40, (1, 2): 30}, 14_000)
-        [proj] = project_cells(sig, bkg, device, plan)
+        [proj] = project_cells(PlanRuns(sig, bkg, plan), device)
 
         # pooled per-mode rates: 1400/(1e4*2), 70/(1.4e4*2)
         c_s, c_b = 1400 / 20_000, 70 / 28_000
@@ -227,7 +270,7 @@ class TestProjectCells:
         device, plan = projection_fixture()
         sig = counts(RunKind.SIGNAL, {(1, 1): 80, (1, 2): 60}, 1000)
         bkg = counts(RunKind.NOISE, {(1, 1): 0, (1, 2): 0}, 1000)
-        [proj] = project_cells(sig, bkg, device, plan)
+        [proj] = project_cells(PlanRuns(sig, bkg, plan), device)
         assert math.isinf(proj.snr_adjusted)
         assert proj.g2_inferred == 100.0
         assert proj.fidelity == pytest.approx(0.75 * 99 / 101 + 0.25)
@@ -242,47 +285,37 @@ class TestProjectCells:
         device, plan = projection_fixture()
         sig = counts(RunKind.SIGNAL, {(1, 1): 10, (1, 2): 10}, 10_000)
         bkg = counts(RunKind.NOISE, {(1, 1): 50, (1, 2): 50}, 10_000)
-        [proj] = project_cells(sig, bkg, device, plan)
+        [proj] = project_cells(PlanRuns(sig, bkg, plan), device)
         assert proj.snr_adjusted < 0
         assert proj.g2_inferred == 1.0
         assert proj.fidelity == 0.25
 
     def test_mode_set_mismatch(self):
-        device, plan = projection_fixture()
+        _, plan = projection_fixture()
         sig = counts(RunKind.SIGNAL, {(1, 1): 10, (1, 2): 10}, 100)
         bkg = counts(RunKind.NOISE, {(1, 1): 1}, 100)
         with pytest.raises(ModeSetMismatch):
-            project_cells(sig, bkg, device, plan)
+            PlanRuns(sig, bkg, plan)
 
     def test_runs_covering_part_of_the_plan(self):
         # The two runs agree with each other, but neither covers (1, 2).
-        device, plan = projection_fixture()
+        _, plan = projection_fixture()
         sig = counts(RunKind.SIGNAL, {(1, 1): 10}, 100)
         bkg = counts(RunKind.NOISE, {(1, 1): 1}, 100)
         with pytest.raises(ModeSetMismatch) as err:
-            project_cells(sig, bkg, device, plan)
+            PlanRuns(sig, bkg, plan)
         assert "missing in signal run: [(1, 2)]" in str(err.value)
         assert err.value.source == "signal"
 
 
-def two_cell_plan():
-    """A plan over cells 2 then 1, two temporal modes each: its mode order
-    (2, 1), (2, 2), (1, 1), (1, 2) is not the sorted one."""
-    return SequencePlan(tau=10.0, t_spin=15.5, n_temporal=2,
-                        mean_photon_number=1.03,
-                        input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
-                        detection_window=351.0, cell_order=(2, 1))
-
-
 class TestCumulativeCounts:
-    SIGNAL = {(1, 1): 5, (1, 2): 7, (2, 1): 11, (2, 2): 13}
-    NOISE = {(1, 1): 1, (1, 2): 0, (2, 1): 2, (2, 2): 4}
+    SIGNAL, NOISE = TestPlanRuns.SIGNAL, TestPlanRuns.NOISE
 
     def test_running_rates_in_plan_order(self):
         sig = counts(RunKind.SIGNAL, self.SIGNAL, 100)
         bkg = counts(RunKind.NOISE, self.NOISE, 200)
         cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(
-            sig, bkg, two_cell_plan())
+            PlanRuns(sig, bkg, two_cell_plan()))
         # running totals over (2, 1), (2, 2), (1, 1), (1, 2)
         assert cum_s == (0.11, 0.24, 0.29, 0.36)
         assert cum_s_err == tuple(math.sqrt(t) / 100 for t in (11, 24, 29, 36))
@@ -293,7 +326,7 @@ class TestCumulativeCounts:
         sig = counts(RunKind.SIGNAL, self.SIGNAL, 100)
         bkg = counts(RunKind.NOISE, self.NOISE, 200)
         cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(
-            sig, bkg, two_cell_plan())
+            PlanRuns(sig, bkg, two_cell_plan()))
         assert (cum_s[-1], cum_s_err[-1]) == (36 / 100, math.sqrt(36) / 100)
         assert (cum_b[-1], cum_b_err[-1]) == (7 / 200, math.sqrt(7) / 200)
         assert cum_s[-1] / cum_b[-1] == pytest.approx(36 / 3.5, rel=1e-12)
@@ -305,7 +338,7 @@ class TestCumulativeCounts:
         sig = counts(RunKind.SIGNAL, tables["signal"], 100)
         bkg = counts(RunKind.NOISE, tables["noise"], 200)
         with pytest.raises(ModeSetMismatch) as err:
-            cumulative_counts(sig, bkg, two_cell_plan())
+            PlanRuns(sig, bkg, two_cell_plan())
         assert err.value.source == side
         assert str(err.value) == (f"mode sets differ: missing in {side} run: "
                                   f"[(1, 2)]")

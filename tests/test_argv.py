@@ -1,6 +1,10 @@
 """Argument parsing: argparse alone reads argv.
 
-Help texts are pinned byte for byte, at a width of 80 columns; an option
+Help texts are pinned byte for byte, at a width of 80 columns, one set of
+bytes for every supported Python.  argparse before 3.13 may break a usage
+line between a required option and its metavar, and from 3.13 it may not,
+so no break falls there: ``run``'s ``--noise NOISE_MODEL`` is long enough
+that ``--trials TRIALS`` starts the second line whole.  An option
 abbreviated or joined to its value as ``--opt=value`` reads as its full
 spelling does; and an empty value for an option that names a file or a
 directory is refused as a usage error before anything is read or written.
@@ -66,15 +70,15 @@ options:
 """
 
 RUN_HELP = """\
-usage: memarray run [-h] --plan PLAN [--device DEVICE] --noise NOISE --trials
-                    TRIALS [--seed SEED] [--mode {signal,noise,crosstalk}]
-                    [--out-dir OUT_DIR]
+usage: memarray run [-h] --plan PLAN [--device DEVICE] --noise NOISE_MODEL
+                    --trials TRIALS [--seed SEED]
+                    [--mode {signal,noise,crosstalk}] [--out-dir OUT_DIR]
 
 options:
   -h, --help            show this help message and exit
   --plan PLAN           plan file, or one of 60mode/250mode/crosstalk
   --device DEVICE       device file (default: the shipped ten-cell array)
-  --noise NOISE         noise file, or one of storage/crosstalk
+  --noise NOISE_MODEL   noise file, or one of storage/crosstalk
   --trials TRIALS       number of storage trials
   --seed SEED           random seed (default 0)
   --mode {signal,noise,crosstalk}

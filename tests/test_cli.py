@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -22,6 +23,7 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
+from memarray.errors import ModeSetMismatch
 from memarray.io import (
     COUNTS_HEADER,
     load_device,
@@ -118,6 +120,19 @@ class TestValidate:
         assert run_cli("validate", "--plan", "60mode", "--device", str(p)) == 2
         err = capsys.readouterr().err
         assert f"{p}, line {i + 1}, key '{key}': unknown key" in err
+
+    def test_calibration_tau_below_zero_exits_two(self, tmp_path, capsys):
+        # A tau at or below zero made afc_efficiency_at refuse storage times
+        # inside the span; the device file is now refused as it loads.
+        text = default_device_path().read_text()
+        p = tmp_path / "device.ini"
+        p.write_text(text.replace("afc_calibration = 10:0.150, 25:0.0538",
+                                  "afc_calibration = -4:0.2, 10:0.1"))
+        assert p.read_text() != text
+        assert run_cli("validate", "--plan", "60mode", "--device", str(p)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {p}: cell 1: calibration tau must be positive, "
+                f"got -4.0\n")
 
     def test_timeline_export(self, tmp_path, capsys):
         out = tmp_path / "timeline.csv"
@@ -796,6 +811,30 @@ class TestAnalyze:
         assert err.count("missing in") == 1
         assert len(err.encode()) < 300
         assert not out.exists()
+
+    def test_one_coverage_check_per_run(self, tmp_path, monkeypatch):
+        # One signal/noise analyze checks each run against the plan's modes
+        # once, when it pairs them, the signal run first: no later step
+        # checks again.
+        for mode in ("signal", "noise"):
+            assert run_cli("run", "--plan", "250mode", "--noise", "storage",
+                           "--trials", "50", "--mode", mode,
+                           "--out-dir", str(tmp_path)) == 0
+        check, sources = ModeSetMismatch.check, []
+
+        def counted(cls, *args, **kwargs):
+            call = inspect.signature(check).bind(*args, **kwargs)
+            call.apply_defaults()
+            sources.append(call.arguments["source"])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(ModeSetMismatch, "check", classmethod(counted))
+        assert run_cli("analyze",
+                       "--signal", str(tmp_path / "counts_signal.csv"),
+                       "--noise", str(tmp_path / "counts_noise.csv"),
+                       "--plan", "250mode", "--device", "10cell",
+                       "--out-dir", str(tmp_path / "stats")) == 0
+        assert sources == ["signal", "noise"]
 
     def test_signal_analysis_requires_plan(self, tmp_path, small_plan, capsys):
         sig, bkg = self.make_runs(tmp_path, small_plan)

@@ -344,6 +344,15 @@ class TestCellRefusals:
         assert str(err.value) == (
             f"cell 3: calibration tau must be finite, got {value}")
 
+    @pytest.mark.parametrize("value", [0.0, -4.0])
+    @pytest.mark.parametrize("point", [0, 1, 2])
+    def test_calibration_tau_not_positive(self, point, value):
+        # afc_efficiency_at's extrapolation bound, lo / 2, assumes lo > 0.
+        with pytest.raises(ConfigError) as err:
+            make_cell(_cal3_with(point, 0, value), cell_id=3)
+        assert str(err.value) == (
+            f"cell 3: calibration tau must be positive, got {value}")
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, 1.5])
     @pytest.mark.parametrize("point", [0, 1, 2])
     def test_calibration_efficiency(self, point, value):
