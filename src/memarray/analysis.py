@@ -74,18 +74,28 @@ class CrossTalkMatrix:
     invalid_rows: tuple[int, ...] = ()
 
 
+def _check_kind(run: TrialCounts, kind: RunKind, source: str) -> None:
+    """Refuse ``run`` unless it is a ``kind`` run; ``source`` names it."""
+    if run.kind is not kind:
+        wanted = "noise (no-input)" if kind is RunKind.NOISE else kind.value
+        raise ConfigError(f"--{source} needs a {wanted} run, but this file "
+                          f"holds a {run.kind.value} run", source=source)
+
+
 @dataclass(frozen=True)
 class PlanRuns:
-    """A signal run and a noise run over ``plan.modes``, each checked once,
-    when the record is built, the signal run first: a run over other modes
-    is a ModeSetMismatch with sides ("plan", "<side> run") and source
-    "signal" or "noise"."""
+    """A signal run and a noise run over ``plan.modes``, checked when the
+    record is built: each run's kind (a ConfigError), then each run's
+    modes, the signal run first (a ModeSetMismatch with sides ("plan",
+    "<side> run")); the source is "signal" or "noise"."""
 
     signal: TrialCounts
     noise: TrialCounts
     plan: SequencePlan
 
     def __post_init__(self):
+        _check_kind(self.signal, RunKind.SIGNAL, "signal")
+        _check_kind(self.noise, RunKind.NOISE, "noise")
         modes = tuple(sorted(self.plan.modes))  # the runs' key order
         for side in ("signal", "noise"):
             ModeSetMismatch.check(modes, getattr(self, side).keys,
@@ -262,19 +272,19 @@ def crosstalk_matrix(scan: TrialCounts,
                      noise_diag: TrialCounts) -> CrossTalkMatrix:
     """Normalize a cross-talk scan: C_ij = c_ij / c_ii.
 
-    ``scan`` is a CROSSTALK run keyed by (input_cell, output_cell) and must
-    cover every pair of its cells, else ModeSetMismatch.  ``noise_diag`` is
-    the matching no-input run: exactly one window (cell, 1) per scan cell,
-    else ModeSetMismatch.
+    ``scan`` must be a CROSSTALK and ``noise_diag`` a NOISE run, else
+    ConfigError, both checked before the modes.  ``scan`` is keyed by
+    (input_cell, output_cell) and must cover every pair of its cells, else
+    ModeSetMismatch.  ``noise_diag`` must hold exactly one window (cell, 1)
+    per scan cell, else ModeSetMismatch.
     Its counts give the noise contribution C_N = n_ii / c_ii of each
     diagonal.  Rows with zero diagonal counts are flagged invalid and
     skipped in the mean; a scan whose every row is invalid is a ConfigError.
     Each error's source names the run at fault: "signal" for the scan,
     "noise" for the no-input run.
     """
-    if scan.kind is not RunKind.CROSSTALK:
-        raise ConfigError("crosstalk_matrix needs cross-talk scan counts",
-                          source="signal")
+    _check_kind(scan, RunKind.CROSSTALK, "signal")
+    _check_kind(noise_diag, RunKind.NOISE, "noise")
     ids = sorted({cell for pair in scan.keys for cell in pair})
     ModeSetMismatch.check(tuple([(i, j) for i in ids for j in ids]), scan.keys,
                           sides=("cell pairs", "scan"), source="signal")
@@ -283,6 +293,7 @@ def crosstalk_matrix(scan: TrialCounts,
 
     n = len(ids)
     pair_rates = list(zip(*_rates(scan.totals, scan.n_trials)))
+    noise_rates, _ = _rates(noise_diag.totals, noise_diag.n_trials)
     c, cerr, offdiag, invalid, noise_contribution = [], [], [], [], {}
     for a, i in enumerate(ids):
         rates = pair_rates[a * n:(a + 1) * n]  # of (i, j) for each j of ids
@@ -298,8 +309,7 @@ def crosstalk_matrix(scan: TrialCounts,
                            else _ratio_err(c_ij, err_ij, c_ii, err_ii)
                            for b, (c_ij, err_ij) in enumerate(rates)]))
         offdiag += c[-1][:a] + c[-1][a + 1:]
-        n_ii = noise_diag.totals[a] / noise_diag.n_trials
-        noise_contribution[i] = n_ii / c_ii
+        noise_contribution[i] = noise_rates[a] / c_ii
     if not offdiag and len(ids) > 1:
         raise ConfigError("every scan row has a zero diagonal; nothing to "
                           "normalize", source="signal")

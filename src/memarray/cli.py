@@ -220,22 +220,12 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_noise_run(path: Path):
-    """Read the counts CSV given as ``--noise``: it must be a no-input run."""
-    counts = read_counts_csv(path)
-    if counts.kind is not RunKind.NOISE:
-        raise ConfigError(f"--noise needs a noise (no-input) run, but this "
-                          f"file holds a {counts.kind.value} run",
-                          source="noise")
-    return counts
-
-
 def _analyze_scan(args, scan) -> int:
     for option in ("plan", "device"):
         if getattr(args, option) is not None:
             raise ConfigError(f"--signal holds a cross-talk scan, whose "
                               f"analysis takes no --{option}", source=option)
-    matrix = crosstalk_matrix(scan, _read_noise_run(args.noise))
+    matrix = crosstalk_matrix(scan, read_counts_csv(args.noise))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     paths = write_crosstalk_csvs(args.out_dir / "crosstalk_matrix.csv",
                                  args.out_dir / "crosstalk_matrix_err.csv",
@@ -260,7 +250,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError("signal/noise analysis needs --plan and --device "
                           "for mode ordering and network projections")
     plan, device = _load_plan_and_device(args)
-    runs = PlanRuns(signal, _read_noise_run(args.noise), plan)
+    runs = PlanRuns(signal, read_counts_csv(args.noise), plan)
     stats = per_mode_stats(runs)
     cum_s, cum_s_err, cum_b, cum_b_err = cumulative_counts(runs)
     projections = project_cells(runs, device)
@@ -307,11 +297,11 @@ def main(argv=None) -> int:
         # One record for the call: if it fails, every file it wrote goes.
         with file_digests():
             return args.func(args)
-    except (ConfigError, ModeSetMismatch) as exc:
+    except ConfigError as exc:
         if exc.path is None and exc.source:  # the option names the file
             exc.path = getattr(args, exc.source)
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+        return 1 if isinstance(exc, ModeSetMismatch) else 2
     except CompilationError as exc:
         for violation in exc.violations:
             print(f"violation: {violation}", file=sys.stderr)

@@ -1,16 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: ConfigError, of which
+ModeSetMismatch is one, for every refused input, and CompilationError for
+a plan that breaks a timing rule."""
 
 from __future__ import annotations
 
 
 class ConfigError(Exception):
-    """A configuration value or file is invalid.
+    """A configuration value, file or run is invalid.
 
     Carries enough context (path / key / line) for the CLI to print a parse
     diagnostic that points at the offending entry.  A library check that
     holds no path sets ``source`` instead: the input at fault, named by its
     CLI option ("plan", "device", "noise" or "signal"), whose path the CLI
-    fills in.
+    fills in.  The CLI exits 2 on one, and 1 on a ModeSetMismatch.
     """
 
     def __init__(self, message: str, *, path=None, key: str | None = None,
@@ -52,34 +54,25 @@ def _listing(modes: tuple) -> str:
     return f"{len(modes)} modes, first 10: {list(modes[:10])}"
 
 
-class ModeSetMismatch(Exception):
+class ModeSetMismatch(ConfigError):
     """Two count tables, or a count table and its plan, do not cover the
-    same spatio-temporal modes.
+    same spatio-temporal modes: a domain error, which ``main`` exits 1 on.
 
-    ``sides`` names the two mode sets in the message; the first is the one
-    ``missing_in_signal`` is missing from.  ``source`` names the input at
-    fault and ``path``, once the CLI has set it, its file, as in a
-    ConfigError.
+    ``missing`` maps each side's name, in the order ``check`` received the
+    sides, to the sorted modes missing from that side.
     """
 
-    def __init__(self, missing_in_signal, missing_in_noise, sides, source):
-        self.missing_in_signal = tuple(sorted(missing_in_signal))
-        self.missing_in_noise = tuple(sorted(missing_in_noise))
-        self.source = source
-        self.path = None
-        parts = [f"missing in {side}: {_listing(missing)}" for side, missing
-                 in zip(sides, (self.missing_in_signal, self.missing_in_noise))
-                 if missing]
-        super().__init__("mode sets differ: " + "; ".join(parts))
-
-    def __str__(self) -> str:
-        msg = super().__str__()
-        return msg if self.path is None else f"{self.path}: {msg}"
+    def __init__(self, missing: dict, source: str):
+        self.missing = missing
+        super().__init__("mode sets differ: " + "; ".join(
+            f"missing in {side}: {_listing(modes)}"
+            for side, modes in missing.items() if modes), source=source)
 
     @classmethod
     def check(cls, first, second, sides, source) -> None:
         """Raise unless ``first`` and ``second``, two tuples of unique keys
         in sorted order, are equal; sets are built only to word the error."""
         if first != second:
-            raise cls(set(second) - set(first), set(first) - set(second),
-                      sides, source)
+            raise cls(dict(zip(sides, (tuple(sorted({*second} - {*first})),
+                                       tuple(sorted({*first} - {*second}))))),
+                      source)

@@ -70,6 +70,32 @@ class TestPlanRuns:
             "mode sets differ: missing in plan: [(2, 1), (2, 2)]; "
             "missing in signal run: [(1, 3)]")
 
+    def test_mismatch_is_a_config_error_without_fields_of_its_own(self):
+        assert issubclass(ModeSetMismatch, ConfigError)
+        assert {"__str__", "path", "source"}.isdisjoint(vars(ModeSetMismatch))
+
+    def test_swapped_pair_refused_for_the_signal_kind(self):
+        with pytest.raises(ConfigError) as err:
+            PlanRuns(counts(RunKind.NOISE, self.NOISE, 200),
+                     counts(RunKind.SIGNAL, self.SIGNAL, 100),
+                     two_cell_plan())
+        assert err.value.source == "signal"
+        assert "--signal" in str(err.value)
+
+    @pytest.mark.parametrize("kind,table", [
+        (RunKind.SIGNAL, SIGNAL),
+        # a scan that does not cover the plan: its kind is checked first
+        (RunKind.CROSSTALK, {(1, 1): 3, (1, 3): 1}),
+    ], ids=["signal", "crosstalk-of-another-plan"])
+    def test_noise_run_of_another_kind_refused(self, kind, table):
+        with pytest.raises(ConfigError) as err:
+            PlanRuns(counts(RunKind.SIGNAL, self.SIGNAL, 100),
+                     counts(kind, table, 200), two_cell_plan())
+        assert not isinstance(err.value, ModeSetMismatch)
+        assert err.value.source == "noise"
+        assert str(err.value) == (f"--noise needs a noise (no-input) run, "
+                                  f"but this file holds a {kind.value} run")
+
 
 class TestPerModeStats:
     def test_hand_computed_ratio(self):
@@ -123,7 +149,7 @@ class TestPerModeStats:
         bkg = counts(RunKind.NOISE, {(1, 1): 1}, 10)
         with pytest.raises(ModeSetMismatch) as err:
             PlanRuns(sig, bkg, small_plan((1,), 2))
-        assert (1, 2) in err.value.missing_in_noise
+        assert (1, 2) in err.value.missing["noise run"]
         assert err.value.source == "noise"
 
 
@@ -342,6 +368,7 @@ class TestCumulativeCounts:
         assert err.value.source == side
         assert str(err.value) == (f"mode sets differ: missing in {side} run: "
                                   f"[(1, 2)]")
+        assert err.value.missing == {"plan": (), f"{side} run": ((1, 2),)}
 
 
 def scan_table(totals, n_trials=1000):
@@ -410,3 +437,16 @@ class TestCrossTalkMatrix:
         bkg = counts(RunKind.NOISE, {(1, 1): 0}, 1000)
         with pytest.raises(ConfigError):
             crosstalk_matrix(scan, bkg)
+
+    @pytest.mark.parametrize("noise_keys", [
+        [(1, 1), (2, 1)],                  # the scan cells' windows
+        [(1, 1), (1, 2), (2, 1), (2, 2)],  # another plan's: kind comes first
+    ])
+    def test_signal_run_as_noise_rejected(self, noise_keys):
+        scan = scan_table({(1, 1): 100, (1, 2): 5, (2, 1): 8, (2, 2): 80})
+        sig = counts(RunKind.SIGNAL, dict.fromkeys(noise_keys, 90), 1000)
+        with pytest.raises(ConfigError) as err:
+            crosstalk_matrix(scan, sig)
+        assert err.value.source == "noise"
+        assert str(err.value) == ("--noise needs a noise (no-input) run, but "
+                                  "this file holds a signal run")

@@ -10,9 +10,12 @@ write or remove a file, so that every file access is hashed in, and
 cleaned up by, a ``file_digests()`` block.  Each memo (``functools.cache``,
 ``lru_cache``, ``cached_property`` or a ``__missing__`` method) is on an
 allowlist with its reason, so that no cache outlives the cost it saved.
+Every exception class is a ``ConfigError`` but those on an allowlist with
+their reason, so that ``main`` reports a refused input through one clause.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "memarray"
@@ -159,3 +162,27 @@ def test_memo_machinery_only_where_allowed():
     bad += [f"{name} is allowed but is no memo"
             for name in sorted(MEMO_ALLOWED.keys() - found)]
     assert bad == []
+
+
+# The package's exception classes that are not ConfigErrors, and why.
+NOT_CONFIG_ERROR = {
+    "CompilationError": "main prints it as one violation: line per rule",
+}
+
+
+def test_every_exception_is_a_config_error():
+    bases = {node.name: [ast.unparse(b) for b in node.bases]
+             for tree in TREES.values() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        return (isinstance(builtin, type) and issubclass(builtin, BaseException)
+                or any(map(is_exception, bases.get(name, ()))))
+
+    def is_config_error(name):
+        return (name == "ConfigError"
+                or any(map(is_config_error, bases.get(name, ()))))
+
+    assert {name for name in bases if is_exception(name)
+            and not is_config_error(name)} == NOT_CONFIG_ERROR.keys()
