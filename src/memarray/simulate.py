@@ -6,18 +6,20 @@ its timing rules and each window's noise follows from its closed-form gap to
 the control pulse, so a run lays out no timeline.
 
 The sum of n independent Poisson(lambda) draws is exactly Poisson(n *
-lambda), so a run draws one seeded Poisson total per window:
-``default_rng(seed).poisson(n_trials * lambda)`` over the mode vector.  The
-same seed always gives the same totals.
-
-numpy is imported only inside that draw, so importing this module, and the
-``validate`` and ``analyze`` commands that use it, never load numpy.
+lambda), so a run draws one seeded Poisson total per window, in the
+standard library alone: each (seed, run kind) has its own ``random.Random``
+stream, and each total is drawn with PTRS (Hörmann 1993, "The transformed
+rejection method for generating Poisson random variables") at a mean of at
+least 10, and with Knuth's multiplication method (TAOCP vol. 2, §3.4.1)
+below it.  The same seed always gives the same totals, and runs of one seed
+and different kinds draw independent totals.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from operator import index
@@ -212,10 +214,11 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
 
 # Recorded in run manifests, so that counts files drawn by a different
 # counting engine can be told apart.
-ENGINE = "poisson-total"
+ENGINE = "poisson-total-stdlib"
 
-# Largest mean numpy's Poisson sampler accepts (int64 max - 10 sqrt of it).
-_POISSON_LAM_MAX = (2**63 - 1) - 10 * math.sqrt(2**63 - 1)
+# Largest window mean the sampler takes: PTRS finds each total as the floor
+# of a float near the mean, which is an exact integer below 2**53.
+_POISSON_LAM_MAX = 2.0 ** 52
 
 
 def _check_run_args(n_trials: int, seed: int) -> None:
@@ -225,9 +228,47 @@ def _check_run_args(n_trials: int, seed: int) -> None:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
-def _poisson_totals(lam: list[float], n_trials: int, seed: int) -> list[int]:
+def _poisson(lam: float, rnd) -> int:
+    """One Poisson(lam) draw from ``rnd``, a source of floats in [0, 1):
+    PTRS at lam >= 10, Knuth's multiplication method below.
+
+    Where C's PTRS meets an infinity, this takes C's branch instead of
+    raising: ``us == 0`` makes k minus infinity, which is rejected, and
+    ``v == 0`` makes log(v) minus infinity, which accepts.
+    """
+    if lam < 10.0:
+        bound, k, prod = math.exp(-lam), 0, rnd()
+        while prod > bound:
+            k += 1
+            prod *= rnd()
+        return k
+    log_lam = math.log(lam)
+    b = 0.931 + 2.53 * math.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    log_inv_alpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+    vr = 0.9277 - 3.6224 / (b - 2.0)
+    while True:
+        u = rnd() - 0.5
+        v = rnd()
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + lam + 0.43)
+        if us >= 0.07 and v <= vr:
+            return k
+        if k < 0 or (us < 0.013 and v > us):
+            continue
+        if v == 0.0 or (math.log(v) + log_inv_alpha
+                        - math.log(a / (us * us) + b)
+                        <= -lam + k * log_lam - math.lgamma(k + 1)):
+            return k
+
+
+def _poisson_totals(lam: list[float], n_trials: int, seed: int,
+                    kind: RunKind) -> list[int]:
     """Window totals over ``n_trials`` trials: one Poisson(n_trials * lam)
-    draw per window from the generator keyed by ``seed``."""
+    draw per window, in order, from the stream keyed by ``seed`` and
+    ``kind``."""
     peak = max(lam, default=0.0)
     # Most trials the sampler accepts; comparing the int with this float
     # never converts (and so never overflows) the trial count.
@@ -237,8 +278,8 @@ def _poisson_totals(lam: list[float], n_trials: int, seed: int) -> list[int]:
             f"n_trials (--trials) {n_trials} is too large: at most "
             f"{limit:.4g} trials fit this run (the Poisson sampler takes "
             f"window means up to {_POISSON_LAM_MAX:.4g})")
-    import numpy as np  # here only, so that loading memarray never loads numpy
-    return np.random.default_rng(seed).poisson(np.array(lam) * n_trials).tolist()
+    rnd = random.Random(f"{kind.value}:{seed}").random
+    return [_poisson(mean * n_trials, rnd) for mean in lam]
 
 
 def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
@@ -249,7 +290,9 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
 
     With inputs on, each window draws from echo + noise means; with inputs
     blocked (``with_input=False``, the noise-floor measurement) from the
-    noise means alone.  The windows are drawn in ``plan.modes`` order.
+    noise means alone.  The windows are drawn in ``plan.modes`` order from
+    the stream of ``seed`` and the run's kind, so a signal and a noise run
+    of one seed are independent.
     Compilation errors from an infeasible plan propagate.
     """
     _check_run_args(n_trials, seed)
@@ -257,8 +300,8 @@ def run_trials(plan: SequencePlan, device: ArrayDevice, noise: NoiseParams,
     lam = [exp.noise[m] + exp.signal[m] if with_input else exp.noise[m]
            for m in plan.modes]
     kind = RunKind.SIGNAL if with_input else RunKind.NOISE
-    return TrialCounts(kind, plan.modes, _poisson_totals(lam, n_trials, seed),
-                       n_trials)
+    return TrialCounts(kind, plan.modes,
+                       _poisson_totals(lam, n_trials, seed, kind), n_trials)
 
 
 def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
@@ -279,8 +322,8 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
     Returns one CROSSTALK run keyed by (input_cell, output_cell), in
     sorted key order.  Expected counts per window:
         leak[i][j] * signal_i + noise_j + offresonant_echo_leak[i, j]
-    The totals of all pairs are one Poisson(n_trials * mean) draw over the
-    pair vector, in the matrix's order, from the generator keyed by
+    The totals of all pairs are Poisson(n_trials * mean) draws over the
+    pair vector, in the matrix's order, from the scan's stream keyed by
     ``seed``, so a scan is reproducible from its seed.
     """
     _check_run_args(n_trials, seed)
@@ -304,4 +347,5 @@ def run_crosstalk_scan(device: ArrayDevice, leak: LeakageMatrix | None,
            + noise.offresonant_echo_leak.get((i, j), 0.0)
            for r, i in cells for s, j in cells]
     return TrialCounts(RunKind.CROSSTALK, pairs,
-                       _poisson_totals(lam, n_trials, seed), n_trials)
+                       _poisson_totals(lam, n_trials, seed, RunKind.CROSSTALK),
+                       n_trials)

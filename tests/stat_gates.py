@@ -18,7 +18,17 @@ most ``ALPHA``:
 
 ``binned_g2_pvalue`` tests a sample of totals (one per seed) against the
 Poisson pmf, with bins merged until each expects ``MIN_BIN_EXPECTED``.
+
+``independence_gate`` tests paired totals (one pair per seed) for
+correlation with Fisher's z, two-sided at nominal ``ALPHA / 2``.  Where
+one side of each pair is normal and the pairs are independent, r^2 is
+exactly Beta(1/2, (R - 2) / 2) over R pairs, so the gate's false-alarm rate
+is 5.5e-5 at R = 200 (scipy's beta tail at z's threshold).  The rest of
+``ALPHA`` is margin for Poisson totals, normal to within a skew of
+1 / sqrt(mean).
 """
+
+import math
 
 import numpy as np
 from scipy import special, stats
@@ -85,3 +95,15 @@ def binned_g2_pvalue(totals, mean: float) -> float:
     exp = np.array([pmf[b].sum() * totals.size for b in bins])
     g2 = float(np.sum(2.0 * special.xlogy(obs, obs / exp)))
     return float(stats.chi2.sf(g2, len(bins) - 1))
+
+
+def independence_gate(x, y, alpha: float = ALPHA) -> list[str]:
+    """Paired samples ``x`` and ``y`` against independence: Fisher's z of
+    their correlation over the R pairs.  Returns the failed check; empty
+    means consistent."""
+    r = float(np.corrcoef(x, y)[0, 1])
+    z = math.atanh(r) * math.sqrt(len(x) - 3) if abs(r) < 1.0 else math.inf
+    p = float(2.0 * stats.norm.sf(abs(z)))
+    if p < alpha / 2:
+        return [f"correlation {r:.3g} over {len(x)} pairs (p={p:.2g})"]
+    return []

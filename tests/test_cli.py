@@ -216,7 +216,32 @@ class TestRun:
             assert set(manifest["inputs"]) == {"plan", "device", "noise"}
             assert manifest["mode"] == mode and manifest["seed"] == 4
             assert manifest["trials"] == 20
-            assert manifest["engine"] == "poisson-total"
+            assert manifest["engine"] == "poisson-total-stdlib"
+
+    # Counts of every shipped plan and run kind at --trials 14227 --seed
+    # 2718: constants of the engine, the same on every supported Python.
+    COUNTS_SHA256 = {
+        ("60mode", "storage", "signal"):
+            "598cfd1df03647df254cd9d1a70f14e8cda5ce7a043520b722a4af7d6834055b",
+        ("60mode", "storage", "noise"):
+            "64baf4a2ef706f97abd94b20410d1bdae835fa96fb5c9dc3b27c7d88d7311512",
+        ("250mode", "storage", "signal"):
+            "0fcb243518998a7febfa1c56597ba78043f5efca38d6d809eed1e33f80e07d5f",
+        ("250mode", "storage", "noise"):
+            "5436a05d76ce42f05d80360ace969590995e2769a146aeb62136ce22235331b8",
+        ("crosstalk", "crosstalk", "crosstalk"):
+            "a7db980bc64fc4d92a465dce06f907620c956a114072af3a272b86dce89b0207",
+        ("crosstalk", "crosstalk", "noise"):
+            "1dac6f0c3f1156b18f73e909401de7c283dc62481282338ea918b2900aa6d868",
+    }
+
+    @pytest.mark.parametrize("plan, noise, mode", list(COUNTS_SHA256))
+    def test_counts_bytes_pinned(self, tmp_path, plan, noise, mode):
+        assert run_cli("run", "--plan", plan, "--noise", noise, "--mode", mode,
+                       "--trials", "14227", "--seed", "2718",
+                       "--out-dir", str(tmp_path)) == 0
+        digest = file_sha256(tmp_path / f"counts_{mode}.csv")
+        assert digest == self.COUNTS_SHA256[plan, noise, mode]
 
     def test_reruns_are_byte_identical(self, tmp_path, small_plan):
         noise = tmp_path / "noise.ini"
@@ -232,7 +257,7 @@ class TestRun:
 
     def test_oversized_trials_exits_two(self, tmp_path, capsys):
         # 1e25 trials at ~1e-3 counts per window passes the Poisson
-        # sampler's ~9.2e18 limit on a window's mean.
+        # sampler's 2**52 (~4.5e15) limit on a window's mean.
         code = run_cli("run", "--plan", "60mode", "--noise", "storage",
                        "--trials", str(10 ** 25), "--out-dir", str(tmp_path))
         assert code == 2

@@ -1,14 +1,16 @@
 """CLI and import checks that need a fresh interpreter.
 
 ``import memarray`` loads none of its submodules, and each submodule loads
-only the ones it uses.  numpy is loaded only by the Poisson draw of
-``memarray run``, and config files are parsed without ``configparser``.
-The cold-path check first sets ``sys.modules["numpy"]`` and
-``sys.modules["configparser"]`` to None, which makes every import of either
-raise, so it fails as soon as ``import memarray``, ``validate`` (with or
-without ``--timeline``), ``analyze`` or a refused ``run`` needs one of them
-again.  ``import memarray.cli`` loads neither numpy nor ``logging``, which
-only a plan that extrapolates an AFC calibration needs.
+only the ones it uses.  No command loads numpy: ``memarray run`` draws its
+Poisson totals with the standard library.  Config files are parsed without
+``configparser``.  The cold-path check first sets ``sys.modules["numpy"]``
+and ``sys.modules["configparser"]`` to None, which makes every import of
+either raise, so it fails as soon as ``import memarray``, ``validate``
+(with or without ``--timeline``), ``analyze`` or ``run``, refused or not,
+needs one of them again; the counts that ``run`` writes there must be the
+bytes of the same run without the block.
+``import memarray.cli`` loads neither numpy nor ``logging``, which only a
+plan that extrapolates an AFC calibration needs.
 Diagnostics must not depend on the interpreter's string-hash seed, and an
 output path that cannot be written is a one-line error, not a traceback.
 """
@@ -61,8 +63,8 @@ for name, test in (("storage", pinned.test_storage_analyze_bytes),
                    ("scan", pinned.test_scan_analyze_bytes)):
     (out / name).mkdir()
     test(out / name)  # analyze, then assert the pinned output hashes
-# Every refusal of run comes before the draw that imports numpy: an
-# infeasible plan, a scan of a six-mode plan, a tau far outside calibration.
+# Refusals of run: an infeasible plan, a scan of a six-mode plan, a tau far
+# outside calibration.
 text = default_plan_path("60mode").read_text()
 infeasible, far = out / "infeasible.ini", out / "far.ini"
 infeasible.write_text(text.replace("n_temporal = 6",
@@ -73,14 +75,11 @@ for plan, noise, mode, code in ((infeasible, "storage", "signal", 1),
                                 (far, "storage", "signal", 2)):
     assert main(["run", "--plan", str(plan), "--noise", noise, "--mode", mode,
                  "--trials", "10", "--out-dir", str(out / "refused")]) == code
-try:
-    main(["run", "--plan", "60mode", "--noise", "storage", "--trials", "10",
-          "--out-dir", str(out / "run")])
-except ImportError:
-    pass  # the draw needs numpy: proof that the block holds
-else:
-    raise AssertionError("run drew its counts with numpy blocked")
+# The draw needs neither: the run of the remaining arguments.
+assert main(sys.argv[3:] + ["--out-dir", str(out / "run")]) == 0
 """
+RUN = ["run", "--plan", "60mode", "--noise", "storage", "--trials", "14227",
+       "--seed", "5"]
 
 
 def run_python(*args, **env):
@@ -94,8 +93,12 @@ def run_python(*args, **env):
 
 
 def test_validate_and_analyze_run_without_numpy(tmp_path):
-    proc = run_python("-c", COLD_PATH, TESTS, tmp_path)
+    proc = run_python("-c", COLD_PATH, TESTS, tmp_path, *RUN)
     assert proc.returncode == 0, proc.stderr
+    # The same run here, where numpy may load, writes the same counts.
+    assert main(RUN + ["--out-dir", str(tmp_path / "unblocked")]) == 0
+    assert ((tmp_path / "run" / "counts_signal.csv").read_bytes()
+            == (tmp_path / "unblocked" / "counts_signal.csv").read_bytes())
 
 
 def test_run_draws_in_a_fresh_process(tmp_path):

@@ -916,7 +916,7 @@ class TestTimelineCsv:
         assert any(line.startswith("DemuxAOD,EchoWindow,1,1,") for line in lines)
 
 
-MANIFEST_SHA256 = "c2ff1d150c4f60bbc857a0e89490084a389bf0261795465603e09e4bb53c8c32"
+MANIFEST_SHA256 = "9a9c36b891b8c5f2312715900ead43f160f05242edafc00b5034c77d79d59cbe"
 
 
 class TestManifest:
@@ -935,7 +935,7 @@ class TestManifest:
             "mode": "crosstalk",
             "seed": 7,
             "trials": 2000,
-            "engine": "poisson-total",
+            "engine": "poisson-total-stdlib",
             "inputs": {name: {"path": f"{name}_crosstalk.ini",
                               "sha256": digit * 64}
                        for name, digit in (("plan", "1"), ("device", "2"),

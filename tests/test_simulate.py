@@ -3,9 +3,12 @@
 The derived expectations were frozen before implementation: the six-factor
 signal product by hand multiplication, noise means by evaluating the decay
 exponential at hand-computed gaps.  The engine contract is checked exactly
-(counts equal ``default_rng(seed).poisson(n * lambda)``); the Monte Carlo
-checks use the gates of ``stat_gates``, each failing a correct engine with
-probability at most 1e-4 whatever the seed.
+(counts equal the sampler's draws over the run's means, in draw order, from
+the stream of the run's seed and kind); the Monte Carlo checks use the gates
+of ``stat_gates``, each failing a correct engine with probability at most
+1e-4 whatever the seed.  The sampler is gated on both of its branches (PTRS
+at a mean of at least 10, Knuth's method below), and same-seed runs of two
+kinds are gated for independence.
 """
 
 import dataclasses
@@ -41,13 +44,16 @@ from memarray.simulate import (
     NoiseParams,
     RunKind,
     TrialCounts,
+    _poisson,
+    _poisson_totals,
     expected_signal_per_mode,
     mode_expectations,
     run_crosstalk_scan,
     run_trials,
 )
 from timeline_oracle import assert_noise_matches_timeline, expected_noise_per_mode
-from stat_gates import ALPHA, binned_g2_pvalue, poisson_gate
+from stat_gates import (ALPHA, binned_g2_pvalue, independence_gate,
+                        poisson_gate)
 
 
 def table(run):
@@ -241,21 +247,23 @@ class TestRunTrials:
 
     def test_counts_equal_one_seeded_poisson_draw(self):
         # The engine contract, exactly: one Poisson(n * lambda) total per
-        # window, drawn in block order from default_rng(seed).
-        plan = make_plan(n_temporal=3)
+        # window, drawn in plan.modes order (cell 2's block first) from the
+        # stream of (seed, kind).
+        device = make_device((make_cell(1), make_cell(2, eta_fiber=0.3)))
+        plan = make_plan(n_temporal=3, cell_order=(2, 1))
         noise = NoiseParams(base_noise_per_window=0.05,
                             fluorescence_amplitude=0.02,
                             fluorescence_decay=2.0, dark_rate=15.0)
-        exp = mode_expectations(make_device(), plan, noise)
+        exp = mode_expectations(device, plan, noise)
         n, seed = 12345, 2024
-        for with_input in (True, False):
-            out = run_trials(plan, make_device(), noise, n_trials=n,
+        for with_input, kind in ((True, RunKind.SIGNAL),
+                                 (False, RunKind.NOISE)):
+            out = run_trials(plan, device, noise, n_trials=n,
                              seed=seed, with_input=with_input)
-            lam = np.array([total_mean(exp, k) if with_input
-                            else exp.noise[k] for k in plan.modes])
-            want = np.random.default_rng(seed).poisson(n * lam)
-            assert table(out) == {k: int(c)
-                                  for k, c in zip(plan.modes, want)}
+            lam = [total_mean(exp, k) if with_input else exp.noise[k]
+                   for k in plan.modes]
+            want = _poisson_totals(lam, n, seed, kind)
+            assert table(out) == dict(zip(plan.modes, want))
 
     def test_same_seed_reruns_are_identical(self):
         plan = make_plan(n_temporal=4)
@@ -286,7 +294,7 @@ class TestRunTrials:
                                      dict(n_trials=10 ** 25)])
     def test_rejects_bad_run_arguments(self, bad):
         # 1e25 trials at ~1e-3 counts per window passes the sampler's
-        # ~9.2e18 limit on a window's mean.
+        # 2**52 (~4.5e15) limit on a window's mean.
         plan = make_plan()
         noise = NoiseParams(base_noise_per_window=1e-3,
                             fluorescence_amplitude=0.0,
@@ -437,11 +445,10 @@ class TestCrossTalkScan:
         sig = [expected_signal_per_mode(device.cell(c), plan, device)
                for c in (1, 2)]
         pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-        lam = np.array([leak.leak(i, j) * sig[i - 1] + 1e-4
-                        + (0.02 if (i, j) == (2, 1) else 0.0)
-                        for i, j in pairs])
-        want = np.random.default_rng(seed).poisson(n * lam)
-        assert table(scan) == dict(zip(pairs, want.tolist()))
+        lam = [leak.leak(i, j) * sig[i - 1] + 1e-4
+               + (0.02 if (i, j) == (2, 1) else 0.0) for i, j in pairs]
+        want = _poisson_totals(lam, n, seed, RunKind.CROSSTALK)
+        assert table(scan) == dict(zip(pairs, want))
 
     def test_same_seed_reruns_are_identical(self):
         device, plan = self.scan_setup()
@@ -451,6 +458,80 @@ class TestCrossTalkScan:
         a, b = (run_crosstalk_scan(device, identity_leak(), noise, plan,
                                    n_trials=3000, seed=13) for _ in range(2))
         assert a == b
+
+
+class TestSampler:
+    @pytest.mark.parametrize("lam, uniforms, k", [
+        # u = -0.5 makes us = 0, where C's PTRS rejects k = -inf; the next
+        # pair (u = 0, v = 0.5 <= vr) takes the fast branch, k = 40.
+        (40.0, [0.0, 0.7, 0.5, 0.5], 40),
+        # us = 0.05 < 0.07 passes the fast branch by, and v = 0 is accepted
+        # as C's log(0) = -inf is: k = floor((2a / us + b) u + 40.43), with
+        # b = 16.93, a = 0.3614 and u = 0.45.
+        (40.0, [0.95, 0.0], 54),
+        # Knuth: products 0.5, 0.25 and 0.125, the first at or below
+        # e^-2 = 0.135, so k = 2.
+        (2.0, [0.5, 0.5, 0.5], 2),
+    ], ids=["ptrs-us-zero-rejected", "ptrs-v-zero-accepted", "knuth"])
+    def test_stubbed_uniforms(self, lam, uniforms, k):
+        rest = iter(uniforms)
+        assert _poisson(lam, rest.__next__) == k
+        assert next(rest, None) is None  # every uniform used, no more
+
+    @pytest.mark.parametrize("lam", [0.5, 9.99, 10.0, 40.0])
+    def test_both_branches_draw_poisson(self, lam):
+        # 100000 draws of Poisson(lam) from one stream, on each side of
+        # the branch point.  poisson_gate at ALPHA / 2 tests 50 sums of 2000
+        # draws; the binned G^2 of the draws is read at nominal ALPHA / 4,
+        # leaving ALPHA / 4 as margin for its chi-square approximation, so a
+        # correct sampler fails with probability at most ALPHA.
+        windows, size = 50, 2000
+        draws = _poisson_totals([lam] * (windows * size), 1, 38,
+                                RunKind.NOISE)
+        sums = {w: sum(draws[w * size:(w + 1) * size])
+                for w in range(windows)}
+        assert poisson_gate(sums, dict.fromkeys(sums, size * lam),
+                            alpha=ALPHA / 2) == []
+        assert binned_g2_pvalue(draws, lam) >= ALPHA / 4
+
+
+class TestStreams:
+    """Same-seed signal and noise runs draw from independent streams: the
+    grand totals of R = 200 same-seed pairs of ``250mode`` pass
+    ``independence_gate``, which a stream shared by both kinds fails."""
+
+    SEEDS = range(200)
+    N = 10 ** 6
+
+    @staticmethod
+    def shipped():
+        device = load_device(default_device_path())
+        noise, _ = load_noise(default_noise_path("storage"),
+                              default_dark_rate=device.dark_count_rate)
+        return device, load_plan(default_plan_path("250mode")), noise
+
+    def test_signal_and_noise_runs_are_independent(self):
+        device, plan, noise = self.shipped()
+        pairs = [[sum(run_trials(plan, device, noise, self.N, seed,
+                                 with_input=with_input).totals)
+                  for seed in self.SEEDS] for with_input in (True, False)]
+        assert independence_gate(*pairs) == []
+
+    @pytest.mark.parametrize("draw", [
+        lambda lam, n, seed: np.random.default_rng(seed).poisson(
+            n * np.array(lam)).tolist(),
+        lambda lam, n, seed: _poisson_totals(lam, n, seed, RunKind.SIGNAL),
+    ], ids=["numpy-engine", "one-key-for-both-kinds"])
+    def test_a_shared_stream_fails_the_gate(self, draw):
+        # Power: both kinds drawn from one stream per seed, as the numpy
+        # engine drew them, correlate at about 0.9.
+        device, plan, noise = self.shipped()
+        exp = mode_expectations(device, plan, noise)
+        means = ([total_mean(exp, k) for k in plan.modes],
+                 [exp.noise[k] for k in plan.modes])
+        pairs = [[sum(draw(lam, self.N, seed)) for seed in self.SEEDS]
+                 for lam in means]
+        assert independence_gate(*pairs) != []
 
 
 class TestDataTypes:
