@@ -1,5 +1,7 @@
 """Physical parameterization of the memory array and the deterministic
-efficiency arithmetic built on top of it.
+efficiency arithmetic built on top of it.  The input pulse is part of the
+plan: ``PulseKind`` and ``window_capture_fraction(plan)`` are in
+``memarray.sequence``.
 
 All efficiencies are phenomenological: they come from a calibration run with
 classical light and enter the photon-counting model as plain multiplicative
@@ -12,48 +14,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import ConfigError
 
 # Extrapolating the AFC decay fit beyond this multiple of the calibration
 # span is refused outright; inside it, it is allowed but logged.
 _EXTRAPOLATION_LIMIT = 2.0
-
-
-class PulseKind(Enum):
-    GAUSSIAN = "gaussian"
-    LORENTZIAN = "lorentzian"
-    SQUARE = "square"
-
-
-@dataclass(frozen=True)
-class PulseShape:
-    """Temporal intensity profile of an input photon or pulse.
-
-    fwhm is in nanoseconds.  ``capture_override`` replaces the analytic
-    centred-window integral for Lorentzian waveforms whose effective window
-    placement is known only from measurement (e.g. heralded-photon
-    waveforms); it is meaningless for the other kinds.
-    """
-
-    kind: PulseKind
-    fwhm: float
-    capture_override: float | None = None
-
-    def __post_init__(self):
-        if not isinstance(self.kind, PulseKind):
-            raise ConfigError(f"unknown pulse kind {self.kind!r}")
-        if not 0 < self.fwhm < math.inf:
-            raise ConfigError(f"pulse fwhm must be finite and positive, "
-                              f"got {self.fwhm}")
-        if self.capture_override is not None:
-            if self.kind is not PulseKind.LORENTZIAN:
-                raise ConfigError(
-                    "capture_override is only meaningful for lorentzian pulses")
-            if not 0.0 < self.capture_override <= 1.0:
-                raise ConfigError(
-                    f"capture_override must be in (0, 1], got {self.capture_override}")
 
 
 @dataclass(frozen=True)
@@ -180,27 +146,3 @@ def spin_wave_efficiency(cell: CellParams, tau: float) -> float:
     """Full storage-and-retrieval efficiency of the cell: comb echo at the
     given delay times the two-way spin transfer."""
     return afc_efficiency_at(cell, tau) * cell.eta_transfer
-
-
-def window_capture_fraction(shape: PulseShape, window: float) -> float:
-    """Fraction of the pulse energy inside a detection window of ``window``
-    ns centred on the pulse peak.
-
-    Gaussian and Lorentzian use the analytic centred integral of the
-    normalized intensity profile; a Lorentzian with ``capture_override`` set
-    returns the override instead.  Square pulses clip linearly.
-    """
-    if not window > 0:
-        raise ConfigError(f"detection window must be positive, got {window}")
-    f = shape.fwhm
-    if shape.kind is PulseKind.GAUSSIAN:
-        # intensity exp(-4 ln2 t^2 / f^2); integral over [-w/2, w/2]
-        return math.erf(math.sqrt(math.log(2.0)) * window / f)
-    if shape.kind is PulseKind.LORENTZIAN:
-        if shape.capture_override is not None:
-            return shape.capture_override
-        # intensity 1/(1 + (2t/f)^2); normalized integral is (2/pi) atan(w/f)
-        return (2.0 / math.pi) * math.atan(window / f)
-    # square: uniform over [-f/2, f/2]
-    return min(window / f, 1.0)
-

@@ -33,9 +33,9 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .device import ArrayDevice, CellParams, PulseKind, PulseShape
+from .device import ArrayDevice, CellParams
 from .errors import ConfigError
-from .sequence import SequencePlan
+from .sequence import PulseKind, SequencePlan
 from .simulate import LeakageMatrix, NoiseParams, RunKind, TrialCounts
 
 _COMMENT_RE = re.compile(r"(?:^|\s)[#;]")
@@ -192,12 +192,12 @@ class _Key(NamedTuple):
     expected: str = "a number"
 
 
-def _schema(records, keys: dict[str, _Key], optional=()):
+def _schema(record, keys: dict[str, _Key], optional=()):
     """A config section's keys, each mapped to the _Key that fills a field
-    of one of ``records``, and the keys it requires, sorted: all but those
-    of ``optional`` and those whose field has a default, which applies
-    when the key is absent."""
-    defaults = {f.name for record in records for f in fields(record)
+    of ``record``, and the keys it requires, sorted: all but those of
+    ``optional`` and those whose field has a default, which applies when
+    the key is absent."""
+    defaults = {f.name for f in fields(record)
                 if f.default is not MISSING or f.default_factory is not MISSING}
     keys = {key: spec._replace(field=spec.field or key)
             for key, spec in keys.items()}
@@ -255,11 +255,11 @@ class _Section:
 
 
 _CELL_ID = "cell_id"  # named again when two cells share an id
-_CELL = _schema([CellParams], {
+_CELL = _schema(CellParams, {
     _CELL_ID: _Key(None, int, "an integer"), "eta_mux": _Key(),
     "eta_demux": _Key(), "eta_fiber": _Key(), "eta_transfer": _Key(),
     "afc_calibration": _Key(None, _pairs, "'tau:eta' pairs")})
-_ARRAY = _schema([ArrayDevice], {
+_ARRAY = _schema(ArrayDevice, {
     "eta_detection_path": _Key(),
     "dark_count_rate_hz": _Key("dark_count_rate")})
 
@@ -294,11 +294,10 @@ def load_device(path) -> ArrayDevice:
 # plan file
 
 
-# The input pulse keys fill the plan's PulseShape, the others the plan.
-_PLAN = _schema([PulseShape, SequencePlan], {
-    "input_shape": _Key("kind", lambda text: PulseKind(text.strip().lower()),
+_PLAN = _schema(SequencePlan, {
+    "input_shape": _Key(None, lambda text: PulseKind(text.strip().lower()),
                         f"one of {[k.value for k in PulseKind]}"),
-    "input_fwhm_ns": _Key("fwhm"), "capture_override": _Key(),
+    "input_fwhm_ns": _Key("input_fwhm"), "capture_override": _Key(),
     "tau_us": _Key("tau"), "t_spin_us": _Key("t_spin"),
     "n_temporal": _Key(None, int, "an integer"), "mean_photon_number": _Key(),
     "detection_window_ns": _Key("detection_window"),
@@ -318,10 +317,7 @@ def load_plan(path) -> SequencePlan:
         extra = set(sections) - {"plan"}
         if extra:
             raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
-        plan = sections["plan"].read(_PLAN)
-        shape = PulseShape(**{f.name: plan.pop(f.name)
-                              for f in fields(PulseShape) if f.name in plan})
-        return SequencePlan(input_shape=shape, **plan)
+        return SequencePlan(**sections["plan"].read(_PLAN))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +325,7 @@ def load_plan(path) -> SequencePlan:
 
 
 _DARK_RATE = "dark_rate_hz"  # optional: the device's rate can stand in
-_NOISE = _schema([NoiseParams], {
+_NOISE = _schema(NoiseParams, {
     _DARK_RATE: _Key("dark_rate"), "base_noise_per_window": _Key(),
     "fluorescence_amplitude": _Key(),
     "fluorescence_decay_us": _Key("fluorescence_decay"),

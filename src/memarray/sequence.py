@@ -1,5 +1,6 @@
-"""Storage-sequence timing: plan capacity, plan checks, timeline
-compilation.
+"""Storage plans and their timing: the plan record, its input pulse's
+``PulseKind`` and ``window_capture_fraction(plan)``, plan capacity, plan
+checks, timeline compilation.
 
 All times are microseconds unless a name says otherwise.  ``check_plan``
 tests a plan's timing rules, and ``control_gap``, ``event_count`` and
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, product
 
-from .device import PulseShape
 from .errors import CompilationError, ConfigError
 
 _TOL = 1e-9  # timing comparisons tolerate this many microseconds of slack
@@ -95,6 +95,12 @@ class TimelineEvent:
         return self.start + self.duration
 
 
+class PulseKind(enum.Enum):
+    GAUSSIAN = "gaussian"
+    LORENTZIAN = "lorentzian"
+    SQUARE = "square"
+
+
 @dataclass(frozen=True)
 class SequencePlan:
     """A storage plan, one field per key of a plan file's [plan] section:
@@ -104,22 +110,41 @@ class SequencePlan:
     Times are in us, except the detection window and the input pulse's
     FWHM, which are in ns.  ``mode_period`` of None means "fill the
     available span": the period defaults to (tau - CONTROL_PULSE_US) /
-    n_temporal.  The deflector timings are the module constants, not part
-    of the plan.
+    n_temporal.  ``capture_override`` replaces the analytic centred-window
+    capture of a Lorentzian input whose effective window placement is known
+    only from measurement (e.g. heralded-photon waveforms); it is
+    meaningless for the other kinds.  The deflector timings are the module
+    constants, not part of the plan.
     """
 
     tau: float                 # AFC two-level delay
     t_spin: float              # spin-wave storage time
     n_temporal: int            # temporal modes per cell
     mean_photon_number: float  # calibrated after the multiplexer
-    input_shape: PulseShape
+    input_shape: PulseKind
+    input_fwhm: float          # ns
     detection_window: float    # ns
     cell_order: tuple[int, ...]
     mode_period: float | None = None
+    capture_override: float | None = None
     eta_herald: float = 0.7
     g2_source: float = 100.0
 
     def __post_init__(self):
+        # The input pulse first: a plan file's pulse fault is named before
+        # any other.
+        if not isinstance(self.input_shape, PulseKind):
+            raise ConfigError(f"unknown pulse kind {self.input_shape!r}")
+        if not 0 < self.input_fwhm < math.inf:
+            raise ConfigError(f"pulse fwhm must be finite and positive, "
+                              f"got {self.input_fwhm}")
+        if self.capture_override is not None:
+            if self.input_shape is not PulseKind.LORENTZIAN:
+                raise ConfigError(
+                    "capture_override is only meaningful for lorentzian pulses")
+            if not 0.0 < self.capture_override <= 1.0:
+                raise ConfigError(
+                    f"capture_override must be in (0, 1], got {self.capture_override}")
         if not 0 < self.tau < math.inf:
             raise ConfigError(f"tau must be finite and positive, got {self.tau}")
         if not 0 <= self.t_spin < math.inf:
@@ -166,12 +191,33 @@ class SequencePlan:
     @property
     def input_duration(self) -> float:
         """Input pulse duration in us (FWHM is stored in ns)."""
-        return self.input_shape.fwhm * 1e-3
+        return self.input_fwhm * 1e-3
 
     @property
     def window_duration(self) -> float:
         """Detection window duration in us."""
         return self.detection_window * 1e-3
+
+
+def window_capture_fraction(plan: SequencePlan) -> float:
+    """Fraction of the input pulse's energy inside the plan's detection
+    window, centred on the pulse peak.
+
+    Gaussian and Lorentzian use the analytic centred integral of the
+    normalized intensity profile; a Lorentzian with ``capture_override`` set
+    returns the override instead.  Square pulses clip linearly.
+    """
+    window, f = plan.detection_window, plan.input_fwhm
+    if plan.input_shape is PulseKind.GAUSSIAN:
+        # intensity exp(-4 ln2 t^2 / f^2); integral over [-w/2, w/2]
+        return math.erf(math.sqrt(math.log(2.0)) * window / f)
+    if plan.input_shape is PulseKind.LORENTZIAN:
+        if plan.capture_override is not None:
+            return plan.capture_override
+        # intensity 1/(1 + (2t/f)^2); normalized integral is (2/pi) atan(w/f)
+        return (2.0 / math.pi) * math.atan(window / f)
+    # square: uniform over [-f/2, f/2]
+    return min(window / f, 1.0)
 
 
 def max_temporal_modes(tau: float, mode_period: float) -> int:

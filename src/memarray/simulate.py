@@ -24,10 +24,10 @@ import sys
 from dataclasses import dataclass, field
 from operator import index
 
-from .device import (ArrayDevice, CellParams, spin_wave_efficiency,
-                     window_capture_fraction)
+from .device import ArrayDevice, CellParams, spin_wave_efficiency
 from .errors import ConfigError
-from .sequence import SequencePlan, check_plan, control_gap
+from .sequence import (SequencePlan, check_plan, control_gap,
+                       window_capture_fraction)
 
 
 class RunKind(enum.Enum):
@@ -163,7 +163,7 @@ def expected_signal_per_mode(cell: CellParams, plan: SequencePlan,
     eta_mux does not appear here: signal = n_bar * spin-wave efficiency *
     eta_demux * eta_fiber * eta_detection_path * window capture fraction.
     """
-    capture = window_capture_fraction(plan.input_shape, plan.detection_window)
+    capture = window_capture_fraction(plan)
     return (plan.mean_photon_number
             * spin_wave_efficiency(cell, plan.tau)
             * cell.eta_demux
@@ -216,9 +216,11 @@ def mode_expectations(device: ArrayDevice, plan: SequencePlan,
 # counting engine can be told apart.
 ENGINE = "poisson-total-stdlib"
 
-# Largest window mean the sampler takes: PTRS finds each total as the floor
-# of a float near the mean, which is an exact integer below 2**53.
-_POISSON_LAM_MAX = 2.0 ** 52
+# Largest window mean the sampler takes.  PTRS's log test compares with
+# ``_log_pmf``, whose terms cancel: at k = lam its absolute error is about
+# 4e-6 at this cap, but 6e-4 at 2**40 and 13 at 2**52, where it would accept
+# draws with the wrong probabilities.
+_POISSON_LAM_MAX = 2.0 ** 30
 
 
 def _check_run_args(n_trials: int, seed: int) -> None:
@@ -226,6 +228,12 @@ def _check_run_args(n_trials: int, seed: int) -> None:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
+
+
+def _log_pmf(k: int, lam: float, log_lam: float) -> float:
+    """log P(k) of Poisson(lam), given log_lam = log(lam): the right-hand
+    side of PTRS's log test."""
+    return -lam + k * log_lam - math.lgamma(k + 1)
 
 
 def _poisson(lam: float, rnd) -> int:
@@ -260,7 +268,7 @@ def _poisson(lam: float, rnd) -> int:
             continue
         if v == 0.0 or (math.log(v) + log_inv_alpha
                         - math.log(a / (us * us) + b)
-                        <= -lam + k * log_lam - math.lgamma(k + 1)):
+                        <= _log_pmf(k, lam, log_lam)):
             return k
 
 

@@ -27,7 +27,6 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
-from memarray.device import PulseKind, PulseShape
 from memarray.io import (
     load_device,
     load_noise,
@@ -36,6 +35,7 @@ from memarray.io import (
 )
 from memarray.sequence import (
     EventKind,
+    PulseKind,
     SequencePlan,
     compile_plan,
     max_temporal_modes,
@@ -183,7 +183,8 @@ def _random_plan(rng):
         t_spin=float(rng.uniform(3.5, 25.0)),
         n_temporal=n_temporal,
         mean_photon_number=float(rng.uniform(0.5, 1.5)),
-        input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=300.0),
+        input_shape=PulseKind.GAUSSIAN,
+        input_fwhm=300.0,
         detection_window=300.0,
         cell_order=cells,
     )

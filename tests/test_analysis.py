@@ -22,9 +22,9 @@ from memarray.analysis import (
     project_cells,
     rescale_signal,
 )
-from memarray.device import ArrayDevice, CellParams, PulseKind, PulseShape
+from memarray.device import ArrayDevice, CellParams
 from memarray.errors import ConfigError, ModeSetMismatch
-from memarray.sequence import SequencePlan
+from memarray.sequence import PulseKind, SequencePlan
 from memarray.simulate import RunKind, TrialCounts
 
 
@@ -38,7 +38,7 @@ def small_plan(cell_order=(1,), n_temporal=1):
     """A plan over ``cell_order`` with ``n_temporal`` modes per cell."""
     return SequencePlan(tau=10.0, t_spin=15.5, n_temporal=n_temporal,
                         mean_photon_number=1.03,
-                        input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                        input_shape=PulseKind.GAUSSIAN, input_fwhm=351.0,
                         detection_window=351.0, cell_order=cell_order)
 
 
@@ -254,7 +254,7 @@ def projection_fixture():
                          dark_count_rate=15.0)
     plan = SequencePlan(tau=10.0, t_spin=15.5, n_temporal=2,
                         mean_photon_number=1.03,
-                        input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
+                        input_shape=PulseKind.GAUSSIAN, input_fwhm=351.0,
                         detection_window=351.0, cell_order=(1,),
                         eta_herald=0.7, g2_source=100.0)
     return device, plan

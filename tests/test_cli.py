@@ -257,7 +257,7 @@ class TestRun:
 
     def test_oversized_trials_exits_two(self, tmp_path, capsys):
         # 1e25 trials at ~1e-3 counts per window passes the Poisson
-        # sampler's 2**52 (~4.5e15) limit on a window's mean.
+        # sampler's 2**30 (~1.1e9) limit on a window's mean.
         code = run_cli("run", "--plan", "60mode", "--noise", "storage",
                        "--trials", str(10 ** 25), "--out-dir", str(tmp_path))
         assert code == 2

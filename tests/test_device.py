@@ -6,6 +6,7 @@ quadrature) before the implementation was written.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,16 +16,13 @@ from scipy.integrate import quad
 from memarray.device import (
     ArrayDevice,
     CellParams,
-    PulseKind,
-    PulseShape,
     afc_efficiency_at,
     spin_wave_efficiency,
-    window_capture_fraction,
 )
 from memarray.defaults import default_device_path
 from memarray.errors import ConfigError
 from memarray.io import load_device
-from memarray.sequence import SequencePlan
+from memarray.sequence import PulseKind, SequencePlan, window_capture_fraction
 
 
 def total_device_efficiency(cell, tau):
@@ -166,12 +164,28 @@ class TestSpinWaveAndTotal:
             assert total_device_efficiency(hi, 10.0) >= ref
 
 
+PLAN_KW = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
+               input_shape=PulseKind.GAUSSIAN, input_fwhm=351.0,
+               detection_window=351.0, cell_order=(1,))
+LORENTZIAN_KW = {**PLAN_KW, "input_shape": PulseKind.LORENTZIAN,
+                 "input_fwhm": 130.0}
+
+
+def capture(kind, fwhm, window, capture_override=None):
+    """window_capture_fraction of a plan with this input pulse and a
+    detection window of ``window`` ns."""
+    plan = SequencePlan(**{**PLAN_KW, "input_shape": kind, "input_fwhm": fwhm,
+                           "capture_override": capture_override})
+    return window_capture_fraction(replace(plan, detection_window=window))
+
+
+# The capture fraction reads only plan fields and lives in memarray.sequence,
+# but it is one of the efficiency factors tested here.
 class TestWindowCapture:
     def test_gaussian_fwhm_window(self):
         # Window equal to the FWHM centred on the peak captures erf(sqrt(ln 2)).
-        shape = PulseShape(PulseKind.GAUSSIAN, fwhm=351.0)
         expected = math.erf(math.sqrt(math.log(2.0)))
-        got = window_capture_fraction(shape, 351.0)
+        got = capture(PulseKind.GAUSSIAN, 351.0, 351.0)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.7609, abs=1e-4)
 
@@ -181,7 +195,7 @@ class TestWindowCapture:
         for window in (100.0, 351.0, 900.0):
             num, _ = quad(lambda t: math.exp(-t * t / (2 * sigma * sigma)), -window / 2, window / 2)
             den = sigma * math.sqrt(2 * math.pi)
-            got = window_capture_fraction(PulseShape(PulseKind.GAUSSIAN, fwhm), window)
+            got = capture(PulseKind.GAUSSIAN, fwhm, window)
             assert got == pytest.approx(num / den, rel=1e-9)
 
     def test_lorentzian_matches_quadrature(self):
@@ -190,22 +204,21 @@ class TestWindowCapture:
         for window in (130.0, 351.0, 1000.0):
             num, _ = quad(lambda t: 1.0 / (1.0 + (t / half) ** 2), -window / 2, window / 2)
             den = math.pi * half
-            got = window_capture_fraction(PulseShape(PulseKind.LORENTZIAN, fwhm), window)
+            got = capture(PulseKind.LORENTZIAN, fwhm, window)
             assert got == pytest.approx(num / den, rel=1e-9)
 
     def test_lorentzian_override(self):
-        shape = PulseShape(PulseKind.LORENTZIAN, fwhm=130.0, capture_override=0.57)
-        assert window_capture_fraction(shape, 351.0) == 0.57
+        assert capture(PulseKind.LORENTZIAN, 130.0, 351.0,
+                       capture_override=0.57) == 0.57
 
     def test_wide_window_approaches_unity(self):
         for kind in (PulseKind.GAUSSIAN, PulseKind.LORENTZIAN):
-            got = window_capture_fraction(PulseShape(kind, 351.0), 1e9)
+            got = capture(kind, 351.0, 1e9)
             assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_square_pulse(self):
-        shape = PulseShape(PulseKind.SQUARE, fwhm=200.0)
-        assert window_capture_fraction(shape, 100.0) == pytest.approx(0.5)
-        assert window_capture_fraction(shape, 400.0) == 1.0
+        assert capture(PulseKind.SQUARE, 200.0, 100.0) == pytest.approx(0.5)
+        assert capture(PulseKind.SQUARE, 200.0, 400.0) == 1.0
 
     # cap at ~3 FWHM: beyond that the Gaussian integral saturates to 1.0
     # in double precision and strict monotonicity no longer holds
@@ -215,26 +228,12 @@ class TestWindowCapture:
         if hi - lo < 1e-6:
             return
         for kind in (PulseKind.GAUSSIAN, PulseKind.LORENTZIAN):
-            shape = PulseShape(kind, fwhm=351.0)
-            a, b = window_capture_fraction(shape, lo), window_capture_fraction(shape, hi)
+            a, b = capture(kind, 351.0, lo), capture(kind, 351.0, hi)
             assert 0.0 < a < b < 1.0
-
-    @pytest.mark.parametrize("window", [0.0, -351.0, math.nan])
-    def test_window_must_be_positive(self, window):
-        shape = PulseShape(PulseKind.GAUSSIAN, fwhm=351.0)
-        with pytest.raises(ConfigError) as err:
-            window_capture_fraction(shape, window)
-        assert str(err.value) == (
-            f"detection window must be positive, got {window}")
 
     def test_override_only_valid_for_lorentzian(self):
         with pytest.raises(ConfigError):
-            PulseShape(PulseKind.GAUSSIAN, fwhm=351.0, capture_override=0.5)
-
-
-PLAN_KW = dict(tau=10.0, t_spin=15.5, n_temporal=6, mean_photon_number=1.0,
-               input_shape=PulseShape(PulseKind.GAUSSIAN, 351.0),
-               detection_window=351.0, cell_order=(1,))
+            capture(PulseKind.GAUSSIAN, 351.0, 351.0, capture_override=0.5)
 
 
 class TestValidation:
@@ -246,7 +245,7 @@ class TestValidation:
 
     def test_pulse_shape_requires_positive_fwhm(self):
         with pytest.raises(ConfigError):
-            PulseShape(PulseKind.GAUSSIAN, fwhm=0.0)
+            SequencePlan(**{**PLAN_KW, "input_fwhm": 0.0})
 
     # The storage values of a plan are checked by SequencePlan itself.
     def test_storage_config_bounds(self):
@@ -256,11 +255,11 @@ class TestValidation:
             SequencePlan(**{**PLAN_KW, "n_temporal": 0})
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: PulseShape("gaussian", fwhm=351.0),
+        (lambda: SequencePlan(**{**PLAN_KW, "input_shape": "gaussian"}),
          "unknown pulse kind 'gaussian'"),
-        (lambda: PulseShape(PulseKind.LORENTZIAN, 130.0, capture_override=1.5),
+        (lambda: SequencePlan(**{**LORENTZIAN_KW, "capture_override": 1.5}),
          "capture_override must be in (0, 1], got 1.5"),
-        (lambda: PulseShape(PulseKind.LORENTZIAN, 130.0, capture_override=0.0),
+        (lambda: SequencePlan(**{**LORENTZIAN_KW, "capture_override": 0.0}),
          "capture_override must be in (0, 1], got 0.0"),
         (lambda: ArrayDevice(cells=(make_cell(), make_cell()),
                              eta_detection_path=0.14, dark_count_rate=10.0),
@@ -278,7 +277,30 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_pulse_fwhm_must_be_finite(self, value):
         with pytest.raises(ConfigError, match="^pulse fwhm must be finite"):
-            PulseShape(PulseKind.GAUSSIAN, fwhm=value)
+            SequencePlan(**{**PLAN_KW, "input_fwhm": value})
+
+    # A plan file's diagnostics name a pulse fault before any other.
+    @pytest.mark.parametrize("pulse, message", [
+        ({"input_shape": "gaussian"}, "unknown pulse kind 'gaussian'"),
+        ({"input_fwhm": 0.0}, "pulse fwhm must be finite and positive, got 0.0"),
+        ({"capture_override": 0.5},
+         "capture_override is only meaningful for lorentzian pulses"),
+        ({**LORENTZIAN_KW, "capture_override": 1.5},
+         "capture_override must be in (0, 1], got 1.5"),
+    ], ids=["kind", "fwhm", "override-kind", "override-range"])
+    def test_pulse_fault_comes_before_a_tau_fault(self, pulse, message):
+        with pytest.raises(ConfigError) as err:
+            SequencePlan(**{**PLAN_KW, **pulse, "tau": 0.0})
+        assert str(err.value) == message
+
+    # The plan refuses these windows, so window_capture_fraction never
+    # sees one.
+    @pytest.mark.parametrize("window", [0.0, -351.0, math.nan])
+    def test_detection_window_must_be_positive(self, window):
+        with pytest.raises(ConfigError) as err:
+            SequencePlan(**{**PLAN_KW, "detection_window": window})
+        assert str(err.value) == (
+            f"detection_window must be finite and positive, got {window}")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("name", ["mean_photon_number",

@@ -143,7 +143,12 @@ def test_package_import_loads_no_submodule():
 
 def test_sequence_import_loads_only_what_it_uses():
     assert loaded_submodules("memarray.sequence") == [
-        "memarray.device", "memarray.errors", "memarray.sequence"]
+        "memarray.errors", "memarray.sequence"]
+
+
+def test_device_import_loads_only_what_it_uses():
+    assert loaded_submodules("memarray.device") == [
+        "memarray.device", "memarray.errors"]
 
 
 @pytest.mark.parametrize("argv, target", [

@@ -24,7 +24,7 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
-from memarray.device import PulseKind
+from memarray.device import ArrayDevice, CellParams
 from memarray.errors import ConfigError
 from memarray.io import (
     COUNTS_HEADER,
@@ -43,11 +43,12 @@ from memarray.io import (
 )
 from memarray.sequence import (
     EventKind,
+    PulseKind,
     SequencePlan,
     TimelineEvent,
     compile_plan,
 )
-from memarray.simulate import RunKind, TrialCounts
+from memarray.simulate import NoiseParams, RunKind, TrialCounts
 
 
 def _run(kind, table: dict, n_trials: int) -> TrialCounts:
@@ -292,8 +293,8 @@ class TestLoadPlan:
         assert plan.tau == 10.0 and plan.t_spin == 15.5
         assert plan.n_temporal == 6
         assert plan.cell_order == tuple(range(1, 11))
-        assert plan.input_shape.kind is PulseKind.GAUSSIAN
-        assert plan.input_shape.fwhm == 351.0
+        assert plan.input_shape is PulseKind.GAUSSIAN
+        assert plan.input_fwhm == 351.0
         assert plan.eta_herald == 0.7 and plan.g2_source == 100.0
         assert plan.mode_period is None  # compiler fills the comb window
 
@@ -311,7 +312,7 @@ class TestLoadPlan:
     def test_shipped_crosstalk_plan_overrides_capture(self):
         plan = load_plan(default_plan_path("crosstalk"))
         assert plan.n_temporal == 1
-        assert plan.input_shape.capture_override == 0.57
+        assert plan.capture_override == 0.57
         assert plan.mean_photon_number == 0.95
 
     def test_bad_shape_rejected(self, tmp_path):
@@ -402,6 +403,21 @@ class TestLoadNoise:
         with pytest.raises(ConfigError, match="cell 3 has 0.9") as err:
             load_noise(p)
         assert err.value.path == p
+
+
+@pytest.mark.parametrize("schema, record, unread", [
+    (memarray.io._PLAN, SequencePlan, set()),
+    (memarray.io._CELL, CellParams, set()),
+    (memarray.io._ARRAY, ArrayDevice, {"cells"}),
+    (memarray.io._NOISE, NoiseParams, {"offresonant_echo_leak"}),
+], ids=["plan", "cell", "array", "noise"])
+def test_each_key_fills_one_field_of_one_record(schema, record, unread):
+    # The cells are the [cell N] sections, and the off-resonant leak the
+    # [offresonant] matrix; every other field has exactly one key.
+    keys, _ = schema
+    assert sorted(spec.field for spec in keys.values()) == sorted(
+        f.name for f in dataclasses.fields(record)
+        if f.init and f.name not in unread)
 
 
 _SMALL_NOISE = ("[noise]\nbase_noise_per_window = 0\n"

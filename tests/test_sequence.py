@@ -11,11 +11,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memarray.device import PulseKind, PulseShape
 from memarray.errors import CompilationError, ConfigError
 from memarray.sequence import (
     Channel,
     EventKind,
+    PulseKind,
     SequencePlan,
     TimelineEvent,
     check_plan,
@@ -42,7 +42,8 @@ def make_plan(**kw):
         t_spin=15.5,
         n_temporal=6,
         mean_photon_number=1.03,
-        input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=351.0),
+        input_shape=PulseKind.GAUSSIAN,
+        input_fwhm=351.0,
         detection_window=351.0,
         cell_order=tuple(range(1, 11)),
     )
@@ -203,10 +204,6 @@ class TestCompilePlan:
         assert ks == [1, 2, 3, 4, 5, 6]
 
 
-def _gaussian(fwhm):
-    return PulseShape(PulseKind.GAUSSIAN, fwhm=fwhm)
-
-
 # One infeasible plan per timing rule, then one that breaks every rule the
 # capacity branch allows.  A control pulse longer than tau always breaks the
 # lead rule too.  Without a given period such a tau leaves no default period
@@ -222,15 +219,15 @@ INFEASIBLE = {
         dict(tau=3.5, n_temporal=1), None,
         ["control pulse (3.5 us) does not fit within the echo delay "
          "tau=3.5 us"]),
-    "input-pulse": (dict(input_shape=_gaussian(600.0)), 0.5,
+    "input-pulse": (dict(input_fwhm=600.0), 0.5,
                     ["input pulse (0.6 us)"]),
     "window": (dict(detection_window=600.0), 0.5,
                ["detection window (0.6 us)"]),
     "spin-pause": (dict(t_spin=1.0), None, ["spin pause"]),
-    "lead": (dict(n_temporal=7, input_shape=_gaussian(1100.0)), 0.92,
+    "lead": (dict(n_temporal=7, input_fwhm=1100.0), 0.92,
              ["input pulse", "last input plus control pulse end at 10.12"]),
     "lead-alone": (dict(tau=13.499999995, n_temporal=1,
-                        input_shape=_gaussian(10000.0)), 10.0,
+                        input_fwhm=10000.0), 10.0,
                    ["last input plus control pulse end at 13.5 us after the "
                     "first input, beyond the echo delay tau=13.499999995 us"]),
     "every-rule": (dict(n_temporal=40, t_spin=1.0), 0.2,
@@ -406,7 +403,7 @@ class TestTrialDuration:
         # echo window ends before the second control pulse does.
         plan = make_plan(tau=4.0 - 5e-10, t_spin=5.0, n_temporal=1,
                          cell_order=(2, 1), mode_period=0.5 - 5e-10,
-                         input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=500),
+                         input_shape=PulseKind.GAUSSIAN, input_fwhm=500,
                          detection_window=1e-7)
         tl = compile_plan(plan)
         assert max(tl, key=lambda ev: ev.end).kind is EventKind.CONTROL2

@@ -24,26 +24,24 @@ from memarray.defaults import (
     default_noise_path,
     default_plan_path,
 )
-from memarray.device import (
-    ArrayDevice,
-    CellParams,
-    PulseKind,
-    PulseShape,
-    window_capture_fraction,
-)
+from memarray.device import ArrayDevice, CellParams
 from memarray.errors import CompilationError, ConfigError
 from memarray.io import load_device, load_noise, load_plan
 from memarray.sequence import (
     EventKind,
+    PulseKind,
     SequencePlan,
     TimelineEvent,
     compile_plan,
+    window_capture_fraction,
 )
 from memarray.simulate import (
     LeakageMatrix,
     NoiseParams,
     RunKind,
     TrialCounts,
+    _POISSON_LAM_MAX,
+    _log_pmf,
     _poisson,
     _poisson_totals,
     expected_signal_per_mode,
@@ -85,7 +83,8 @@ def make_plan(**kw):
         t_spin=15.5,
         n_temporal=6,
         mean_photon_number=1.03,
-        input_shape=PulseShape(PulseKind.GAUSSIAN, fwhm=351.0),
+        input_shape=PulseKind.GAUSSIAN,
+        input_fwhm=351.0,
         detection_window=351.0,
         cell_order=(1,),
     )
@@ -110,8 +109,7 @@ class TestExpectedSignal:
         cell = make_cell()
         device = make_device((cell,))
         got = expected_signal_per_mode(cell, make_plan(), device)
-        capture = window_capture_fraction(
-            PulseShape(PulseKind.GAUSSIAN, 351.0), 351.0)
+        capture = window_capture_fraction(make_plan())
         assert got == pytest.approx(
             1.03 * 0.0191 * 0.80 * 0.45 * 0.14 * capture, rel=1e-12)
         assert got == pytest.approx(7.54e-4, abs=1e-6)
@@ -294,7 +292,7 @@ class TestRunTrials:
                                      dict(n_trials=10 ** 25)])
     def test_rejects_bad_run_arguments(self, bad):
         # 1e25 trials at ~1e-3 counts per window passes the sampler's
-        # 2**52 (~4.5e15) limit on a window's mean.
+        # 2**30 (~1.1e9) limit on a window's mean.
         plan = make_plan()
         noise = NoiseParams(base_noise_per_window=1e-3,
                             fluorescence_amplitude=0.0,
@@ -493,6 +491,18 @@ class TestSampler:
         assert poisson_gate(sums, dict.fromkeys(sums, size * lam),
                             alpha=ALPHA / 2) == []
         assert binned_g2_pvalue(draws, lam) >= ALPHA / 4
+
+    @pytest.mark.parametrize("lam, accurate", [(_POISSON_LAM_MAX, True),
+                                               (2.0 ** 52, False)],
+                             ids=["cap", "2**52-power"])
+    def test_log_pmf_holds_up_to_the_cap(self, lam, accurate):
+        # At k = lam, Stirling's series gives log P(k) = -log(2 pi lam) / 2
+        # - 1 / (12 lam) + O(lam**-3).  The log test's terms cancel, so its
+        # error grows with lam: within 1e-5 at the sampler's cap, but off by
+        # 13 at the old cap of 2**52, which this check must catch.
+        stirling = -0.5 * math.log(2 * math.pi * lam) - 1 / (12 * lam)
+        got = _log_pmf(int(lam), lam, math.log(lam))
+        assert (abs(got - stirling) < 1e-5) is accurate
 
 
 class TestStreams:

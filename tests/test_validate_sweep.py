@@ -17,11 +17,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from memarray.device import PulseKind, PulseShape
 from memarray.errors import CompilationError, ConfigError
 from memarray.sequence import (
     EventKind,
     PREP_US,
+    PulseKind,
     SWITCH_MUX_US,
     SequencePlan,
     TimelineEvent,
@@ -42,8 +42,8 @@ def plans(draw):
         t_spin=draw(st.floats(0.0, 20.0)),
         n_temporal=draw(st.integers(1, 12)),
         mean_photon_number=1.0,
-        input_shape=PulseShape(PulseKind.GAUSSIAN,
-                               fwhm=draw(st.floats(10.0, 1000.0))),
+        input_shape=PulseKind.GAUSSIAN,
+        input_fwhm=draw(st.floats(10.0, 1000.0)),
         detection_window=draw(st.floats(10.0, 1000.0)),
         cell_order=cells,
         mode_period=draw(st.one_of(st.none(), st.floats(0.05, 5.0))))
