@@ -12,7 +12,10 @@ sha256 of the bytes it parsed or wrote, so a run manifest hashes what the
 run read and what it wrote, not a second read of a file that may have
 changed since.  A manifest names each input by its path and that sha256
 and holds no copy of the parsed configuration: the file whose bytes match
-the hash loads again to the same records.  A table or manifest whose write
+the hash loads again to the same records.  A loader reads and hashes its
+file on every call, but parses and checks each distinct text only once per
+process and hands every later call the same frozen records; a refused file
+is parsed and refused again on every call.  A table or manifest whose write
 fails leaves no partial file behind, and a ``file_digests()`` block that
 raises removes every file written in it: a command runs in one such block.
 A path argument may be a ``str`` or a ``Path``, and a ``Path`` is used as
@@ -30,6 +33,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import MISSING, fields
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -101,18 +105,18 @@ def _read_text(path: Path) -> str:
 # low-level INI handling
 
 
-def _load_ini(path) -> tuple[dict[str, _Section], Path]:
-    """Parse an INI file in one pass: ``[name]`` headers, ``key = value`` or
+def _load_ini(text: str) -> dict[str, _Section]:
+    """Parse INI text in one pass: ``[name]`` headers, ``key = value`` or
     ``key: value`` lines, ``#``/``;`` comments and indented lines that
-    continue a value.  Syntax errors name the file and the line.
+    continue a value.  Syntax errors name the line; the loader, which
+    parses inside ``_in_file``, names the file.
 
     Every line is stripped in one ``map``; a blank or whole-comment line is
     skipped on its first character, a comment inside a line is cut only if
     the line holds ``#`` or ``;``, the key is split from its value with
     ``str.partition``, and indentation is measured only for a line that
     starts with whitespace."""
-    path = path if isinstance(path, Path) else Path(path)
-    lines = _read_text(path).splitlines()
+    lines = text.splitlines()
     sections: dict[str, _Section] = {}
     sec = key = None
     for lineno, raw, line in zip(range(1, len(lines) + 1), lines,
@@ -130,27 +134,27 @@ def _load_ini(path) -> tuple[dict[str, _Section], Path]:
                 continue
         if line[0] == "[" and line[-1] == "]" and len(line) > 2:
             if line[1:-1] in sections:
-                raise ConfigError(f"duplicate section {line}", path=path, line=lineno)
+                raise ConfigError(f"duplicate section {line}", line=lineno)
             sec = sections[line[1:-1]] = _Section(line[1:-1])
             entries, key = sec.entries, None
             continue
         if sec is None:
             raise ConfigError(f"text before the first section: {line!r}",
-                              path=path, line=lineno)
+                              line=lineno)
         key, eq, value = line.partition("=")
         if ":" in key:  # the first delimiter splits
             key, eq, value = line.partition(":")
         if not key or not eq:
             raise ConfigError(f"expected 'key = value' or a [section] header, "
-                              f"got {line!r}", path=path, line=lineno)
+                              f"got {line!r}", line=lineno)
         key, key_indent = key.rstrip().lower(), indent
         if key in entries:
-            raise ConfigError(f"duplicate key in [{sec.name}]", path=path,
-                              key=key, line=lineno)
+            raise ConfigError(f"duplicate key in [{sec.name}]", key=key,
+                              line=lineno)
         entries[key] = [value.lstrip(), lineno]
     if not sections:
-        raise ConfigError("no sections found (empty or comment-only file)", path=path)
-    return sections, path
+        raise ConfigError("no sections found (empty or comment-only file)")
+    return sections
 
 
 @contextmanager
@@ -163,6 +167,24 @@ def _in_file(path: Path):
         if exc.path is None:
             exc.path = path
         raise
+
+
+def _load(path, parse, *args):
+    """``parse(sections, *args)`` of the INI file at ``path``.  The file is
+    read, and its sha256 recorded, on every call; its text is parsed and
+    checked only when ``_parsed`` has not seen it, and a refusal, never
+    kept, names the file."""
+    path = path if isinstance(path, Path) else Path(path)
+    text = _read_text(path)
+    with _in_file(path):
+        return _parsed(parse, text, *args)
+
+
+@lru_cache(maxsize=64, typed=True)
+def _parsed(parse, text: str, *args):
+    """The frozen records of one config text, kept for the last 64 distinct
+    (parse, text, args) keys; an argument's type is part of its key."""
+    return parse(_load_ini(text), *args)
 
 
 def _finite(text: str) -> float:
@@ -267,27 +289,29 @@ _ARRAY = _schema(ArrayDevice, {
 def load_device(path) -> ArrayDevice:
     """Read an array device file: an [array] section (schema ``_ARRAY``)
     and one [cell N] section (``_CELL``) per cell, no two with one id."""
-    sections, path = _load_ini(path)
-    with _in_file(path):
-        if "array" not in sections:
-            raise ConfigError("device file needs an [array] section")
-        array = sections.pop("array").read(_ARRAY)
-        cells = {}  # cell id -> (the cell, the name of its section)
-        for name, sec in sections.items():
-            if not name.lower().startswith("cell"):
-                raise ConfigError(f"unexpected section [{name}] in device file")
-            cell = CellParams(**sec.read(_CELL))
-            if cell.cell_id in cells:
-                first = cells[cell.cell_id][1]
-                line = sec.entries[_CELL_ID][1]
-                raise ConfigError(f"two sections for cell {cell.cell_id}: "
-                                  f"[{first}] on line "
-                                  f"{sections[first].entries[_CELL_ID][1]} and "
-                                  f"[{name}] on line {line}", key=_CELL_ID,
-                                  line=line)
-            cells[cell.cell_id] = cell, name
-        return ArrayDevice(cells=tuple(cells[i][0] for i in sorted(cells)),
-                           **array)
+    return _load(path, _parse_device)
+
+
+def _parse_device(sections) -> ArrayDevice:
+    if "array" not in sections:
+        raise ConfigError("device file needs an [array] section")
+    array = sections.pop("array").read(_ARRAY)
+    cells = {}  # cell id -> (the cell, the name of its section)
+    for name, sec in sections.items():
+        if not name.lower().startswith("cell"):
+            raise ConfigError(f"unexpected section [{name}] in device file")
+        cell = CellParams(**sec.read(_CELL))
+        if cell.cell_id in cells:
+            first = cells[cell.cell_id][1]
+            line = sec.entries[_CELL_ID][1]
+            raise ConfigError(f"two sections for cell {cell.cell_id}: "
+                              f"[{first}] on line "
+                              f"{sections[first].entries[_CELL_ID][1]} and "
+                              f"[{name}] on line {line}", key=_CELL_ID,
+                              line=line)
+        cells[cell.cell_id] = cell, name
+    return ArrayDevice(cells=tuple(cells[i][0] for i in sorted(cells)),
+                       **array)
 
 
 # --------------------------------------------------------------------------
@@ -310,14 +334,16 @@ _PLAN = _schema(SequencePlan, {
 def load_plan(path) -> SequencePlan:
     """Read a storage plan file: a single [plan] section, read with the
     ``_PLAN`` schema."""
-    sections, path = _load_ini(path)
-    with _in_file(path):
-        if "plan" not in sections:
-            raise ConfigError("plan file needs a [plan] section")
-        extra = set(sections) - {"plan"}
-        if extra:
-            raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
-        return SequencePlan(**sections["plan"].read(_PLAN))
+    return _load(path, _parse_plan)
+
+
+def _parse_plan(sections) -> SequencePlan:
+    if "plan" not in sections:
+        raise ConfigError("plan file needs a [plan] section")
+    extra = set(sections) - {"plan"}
+    if extra:
+        raise ConfigError(f"unexpected sections in plan file: {sorted(extra)}")
+    return SequencePlan(**sections["plan"].read(_PLAN))
 
 
 # --------------------------------------------------------------------------
@@ -372,30 +398,32 @@ def load_noise(path, default_dark_rate: float | None = None,
     dark_rate_hz may be omitted when the device file already supplies a
     detector dark-count rate; pass it as ``default_dark_rate``.
     """
-    sections, path = _load_ini(path)
-    with _in_file(path):
-        if "noise" not in sections:
-            raise ConfigError("noise file needs a [noise] section")
-        extra = set(sections) - {"noise", "leakage", "offresonant"}
-        if extra:
-            raise ConfigError(f"unexpected sections in noise file: {sorted(extra)}")
-        noise = sections["noise"].read(_NOISE)
-        if noise.setdefault("dark_rate", default_dark_rate) is None:
-            raise ConfigError(f"{_DARK_RATE} missing and no device fallback "
-                              f"given", key=_DARK_RATE)
+    return _load(path, _parse_noise, default_dark_rate)
 
-        leak = None
-        if "leakage" in sections:
-            ids, rows = _matrix_rows(sections["leakage"])
-            leak = LeakageMatrix(cell_ids=ids, values=tuple(map(tuple, rows)))
 
-        offres: dict[tuple[int, int], float] = {}
-        if "offresonant" in sections:
-            ids, rows = _matrix_rows(sections["offresonant"])
-            offres = {(cid, cjd): v for cid, row in zip(ids, rows)
-                      for cjd, v in zip(ids, row) if v != 0.0}
+def _parse_noise(sections, default_dark_rate):
+    if "noise" not in sections:
+        raise ConfigError("noise file needs a [noise] section")
+    extra = set(sections) - {"noise", "leakage", "offresonant"}
+    if extra:
+        raise ConfigError(f"unexpected sections in noise file: {sorted(extra)}")
+    noise = sections["noise"].read(_NOISE)
+    if noise.setdefault("dark_rate", default_dark_rate) is None:
+        raise ConfigError(f"{_DARK_RATE} missing and no device fallback "
+                          f"given", key=_DARK_RATE)
 
-        return NoiseParams(offresonant_echo_leak=offres, **noise), leak
+    leak = None
+    if "leakage" in sections:
+        ids, rows = _matrix_rows(sections["leakage"])
+        leak = LeakageMatrix(cell_ids=ids, values=tuple(map(tuple, rows)))
+
+    offres: dict[tuple[int, int], float] = {}
+    if "offresonant" in sections:
+        ids, rows = _matrix_rows(sections["offresonant"])
+        offres = {(cid, cjd): v for cid, row in zip(ids, rows)
+                  for cjd, v in zip(ids, row) if v != 0.0}
+
+    return NoiseParams(offresonant_echo_leak=offres, **noise), leak
 
 
 # --------------------------------------------------------------------------

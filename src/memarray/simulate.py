@@ -23,6 +23,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 from operator import index
+from types import MappingProxyType
+from typing import Mapping
 
 from .device import ArrayDevice, CellParams, spin_wave_efficiency
 from .errors import ConfigError
@@ -46,17 +48,21 @@ class NoiseParams:
 
     where dt is the gap between the end of the second control pulse and the
     window start.  ``offresonant_echo_leak`` holds extra per-window means for
-    specific (input, output) cell pairs during cross-talk scans.
+    specific (input, output) cell pairs during cross-talk scans; the record
+    keeps a read-only view of a copy of the mapping it was given, since a
+    loader hands the same record to every load of one file's text.
     """
 
     base_noise_per_window: float
     fluorescence_amplitude: float
     fluorescence_decay: float  # us
     dark_rate: float           # Hz
-    offresonant_echo_leak: dict[tuple[int, int], float] = field(
+    offresonant_echo_leak: Mapping[tuple[int, int], float] = field(
         default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "offresonant_echo_leak",
+                           MappingProxyType(dict(self.offresonant_echo_leak)))
         # "not 0 <= v < inf" refuses NaN too, for which "v < 0" is false.
         for name in ("base_noise_per_window", "fluorescence_amplitude",
                      "dark_rate"):

@@ -16,6 +16,7 @@ import csv_oracle
 import ini_oracle
 import memarray.io
 from memarray.analysis import CrossTalkMatrix, ModeStats, NetworkProjection
+from memarray.cli import main
 from memarray.defaults import (
     NOISE_MODELS,
     PLANS,
@@ -403,6 +404,117 @@ class TestLoadNoise:
         with pytest.raises(ConfigError, match="cell 3 has 0.9") as err:
             load_noise(p)
         assert err.value.path == p
+
+    def test_offresonant_table_is_read_only(self):
+        noise, _ = load_noise(default_noise_path("crosstalk"))
+        with pytest.raises(TypeError):
+            noise.offresonant_echo_leak[(1, 1)] = 5.0
+        assert (1, 1) not in load_noise(
+            default_noise_path("crosstalk"))[0].offresonant_echo_leak
+
+
+_PLAN_60 = default_plan_path("60mode").read_text()
+
+
+class TestParsedOncePerText:
+    """A loader reads and hashes its file on every call and parses each
+    distinct text once per process; it never keeps a refusal."""
+
+    def test_a_second_load_of_one_text_parses_nothing(self, tmp_path,
+                                                      monkeypatch):
+        memarray.io._parsed.cache_clear()
+        scans = []
+        scan = memarray.io._load_ini
+        monkeypatch.setattr(memarray.io, "_load_ini",
+                            lambda text: scans.append(text) or scan(text))
+        text = _PLAN_60.replace("tau_us = 10.0", "tau_us = 10.5")
+        paths = [tmp_path / "a.ini", tmp_path / "b.ini"]
+        for path in paths:
+            path.write_text(text)
+        plans = [load_plan(p) for p in paths + paths]
+        assert scans == [text]
+        assert all(plan is plans[0] for plan in plans)
+
+    def test_edited_file_loads_to_the_new_record(self, tmp_path):
+        path = tmp_path / "plan.ini"
+        path.write_text(_PLAN_60)
+        assert load_plan(path).tau == 10.0
+        path.write_text(_PLAN_60.replace("tau_us = 10.0", "tau_us = 10.5"))
+        assert load_plan(path).tau == 10.5
+
+    def test_bad_file_is_refused_on_every_call(self, tmp_path):
+        path = tmp_path / "plan.ini"
+        path.write_text(_PLAN_60.replace("tau_us = 10.0", "tau_us = -1"))
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ConfigError) as err:
+                load_plan(path)
+            messages.append(str(err.value))
+        assert messages == [f"{path}: tau must be finite and positive, "
+                            f"got -1.0"] * 2
+
+    @pytest.mark.parametrize("bad", [
+        _PLAN_60.replace("tau_us = 10.0", "tau_us = ten"), "oops\n"],
+        ids=["value", "syntax"])
+    def test_same_bad_bytes_refused_under_each_path(self, tmp_path, bad):
+        paths = [tmp_path / "a.ini", tmp_path / "b.ini"]
+        for path in paths:
+            path.write_text(bad)
+        at_fault, messages = [], []
+        for path in paths:
+            with pytest.raises(ConfigError) as err:
+                load_plan(path)
+            at_fault.append(err.value.path)
+            messages.append(str(err.value))
+        assert at_fault == paths
+        assert messages[0].startswith(f"{paths[0]}, line ")
+        assert messages[1] == messages[0].replace(str(paths[0]), str(paths[1]))
+
+    def test_same_good_bytes_load_to_equal_records(self, tmp_path):
+        text = default_noise_path("crosstalk").read_text()
+        paths = [tmp_path / "a.ini", tmp_path / "b.ini"]
+        for path in paths:
+            path.write_text(text)
+        first, second = (load_noise(p) for p in paths)
+        assert first == second == load_noise(default_noise_path("crosstalk"))
+
+    def test_default_dark_rate_is_part_of_the_key(self, tmp_path):
+        path = tmp_path / "noise.ini"
+        path.write_text("[noise]\nbase_noise_per_window = 1e-5\n"
+                        "fluorescence_amplitude = 0\n"
+                        "fluorescence_decay_us = 2.0\n")
+        rates = [load_noise(path, default_dark_rate=r)[0].dark_rate
+                 for r in (42.0, 7.0, 42.0, 7)]
+        assert rates == [42.0, 7.0, 42.0, 7]
+        assert type(rates[3]) is int
+
+    def test_a_second_load_records_the_digest(self, tmp_path):
+        path = tmp_path / "device.ini"
+        path.write_text(default_device_path().read_text())
+        load_device(path)
+        with file_digests() as digests:
+            load_device(path)
+        assert digests == {path: _sha256(path)}
+
+    def test_two_same_seed_runs_in_one_process(self, tmp_path):
+        names = {"plan": default_plan_path("crosstalk"),
+                 "device": default_device_path(),
+                 "noise": default_noise_path("crosstalk")}
+        argv = ["run", "--mode", "crosstalk", "--trials", "300", "--seed",
+                "5"]
+        for name, shipped in names.items():
+            copy = tmp_path / f"{name}.ini"
+            copy.write_text(shipped.read_text())
+            argv += [f"--{name}", str(copy)]
+        counts, manifests = [], []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(argv + ["--out-dir", str(out)]) == 0
+            counts.append((out / "counts_crosstalk.csv").read_bytes())
+            manifest = json.loads((out / "manifest_crosstalk.json").read_text())
+            del manifest["duration_seconds"]
+            manifests.append(manifest)
+        assert counts[0] == counts[1]
+        assert manifests[0] == manifests[1]
 
 
 @pytest.mark.parametrize("schema, record, unread", [
@@ -804,13 +916,12 @@ def _ini_outcome(read, path):
 @example(text="[a]\x0bk = 1\x0c\u3000c\x1cj = 2\x1d\x1e[b]\x85"
               "k = 3\u2028\xa0c2\u2029x = 4\r\ny = 5\rz = 6")
 @example(text="[a]\nk = 1\n\xa0;c\n\u3000#c\n\t x\n")
-def test_ini_scanner_matches_the_line_loop(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "scan.ini"
-    path.write_bytes(text.encode())
+def test_ini_scanner_matches_the_line_loop(text):
+    path = Path("scan.ini")  # the loaders name the file through _in_file
 
     def new():
-        sections, at = memarray.io._load_ini(path)
-        assert at == path
+        with memarray.io._in_file(path):
+            sections = memarray.io._load_ini(text)
         return {name: sec.entries for name, sec in sections.items()}
 
     assert (_ini_outcome(new, path)

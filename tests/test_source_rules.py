@@ -124,6 +124,8 @@ def test_file_access_only_through_the_io_record():
 MEMO_ALLOWED = {
     "cli.build_parser": "building the argparse tree costs more than parsing "
                         "a short command line with it",
+    "io._parsed": "parsing and checking a config file costs more than "
+                  "reading and hashing it, for repeated in-process calls",
     "sequence.SequencePlan.modes": "the one definition of a frozen plan's "
                                    "mode order, read by the engine, the "
                                    "expected means and analyze",
