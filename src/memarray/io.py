@@ -15,7 +15,11 @@ and holds no copy of the parsed configuration: the file whose bytes match
 the hash loads again to the same records.  A loader reads and hashes its
 file on every call, but parses and checks each distinct text only once per
 process and hands every later call the same frozen records; a refused file
-is parsed and refused again on every call.  A table or manifest whose write
+is parsed and refused again on every call.  Counts tables go the same way:
+``read_counts_csv`` reads and hashes its file on every call, and a counts
+text written or read in the process (one of the last few) is parsed at
+most once, so ``analyze`` takes back the runs that a ``run`` of the same
+process just wrote without parsing them.  A table or manifest whose write
 fails leaves no partial file behind, and a ``file_digests()`` block that
 raises removes every file written in it: a command runs in one such block.
 A path argument may be a ``str`` or a ``Path``, and a ``Path`` is used as
@@ -456,11 +460,15 @@ def _write_text(path, text: str) -> Path:
     return path
 
 
+def _table(columns, row_format: str, rows) -> str:
+    """The ``columns`` header and then one line of ``row_format % row`` for
+    each tuple of ``rows``."""
+    return (",".join(columns) + "\n"
+            + "".join(map((row_format + "\n").__mod__, rows)))
+
+
 def _write_table(path, columns, row_format: str, rows) -> Path:
-    """Write the ``columns`` header and then one line of
-    ``row_format % row`` for each tuple of ``rows``."""
-    return _write_text(path, ",".join(columns) + "\n"
-                       + "".join(map((row_format + "\n").__mod__, rows)))
+    return _write_text(path, _table(columns, row_format, rows))
 
 
 COUNTS_HEADER = ["run_kind", "input_cell", "output_cell", "temporal_index",
@@ -474,15 +482,21 @@ def write_counts_csv(path, result: TrialCounts) -> Path:
     A signal or noise run's (cell, k) key becomes input = output = cell at
     temporal index k; a scan's (input, output) key is written at temporal
     index 1.  The run kind and n_trials, the same on every row, are part
-    of the row format.
+    of the row format.  Once the file is written, ``_COUNTS_MEMO`` keeps
+    its text with ``result``, so a read of it in this process parses
+    nothing.
     """
     kind, n = result.kind.value, result.n_trials
-    a, b = [*zip(*result.keys)] or [(), ()]  # the key columns
+    a, b = zip(*result.keys)  # the key columns
     if result.kind is RunKind.CROSSTALK:
-        return _write_table(path, COUNTS_HEADER, f"{kind},%s,%s,1,%s,{n}",
-                            zip(a, b, result.totals))
-    return _write_table(path, COUNTS_HEADER, f"{kind},%s,%s,%s,%s,{n}",
-                        zip(a, a, b, result.totals))
+        text = _table(COUNTS_HEADER, f"{kind},%s,%s,1,%s,{n}",
+                      zip(a, b, result.totals))
+    else:
+        text = _table(COUNTS_HEADER, f"{kind},%s,%s,%s,%s,{n}",
+                      zip(a, a, b, result.totals))
+    path = _write_text(path, text)
+    _COUNTS_MEMO[text] = result
+    return path
 
 
 _RUN_KINDS = {kind.value: kind for kind in RunKind}
@@ -505,62 +519,101 @@ def read_counts_csv(path) -> TrialCounts:
     rows need input_cell == output_cell; scan rows need temporal_index 1.
     A duplicated (input_cell, output_cell, temporal_index) key is refused,
     and so is a row without exactly one field per header column or a line
-    the CSV reader cannot split.  The file is read a row at a time, and
-    each refusal names the file and the line.
+    the CSV reader cannot split.  Each refusal names the file and the line.
+
+    The file is read, and its sha256 recorded, on every call; its text is
+    parsed only when ``_COUNTS_MEMO`` holds no run for it.
     """
     path = path if isinstance(path, Path) else Path(path)
+    with _in_file(path):
+        return _COUNTS_MEMO[_read_text(path)]
+
+
+class _CountsMemo(dict):
+    """The run of each of the last ``_COUNTS_KEPT`` distinct counts texts
+    written or read, oldest first; a text written again becomes the newest.
+
+    It is kept apart from ``_parsed``: ``write_counts_csv`` fills it with
+    the run it was given, which an ``lru_cache`` cannot take, and a table
+    is 10-100 times the size of a config text, so it gets a bound of its
+    own.  Only a text that parses is kept; a refusal is raised again on
+    every read.  A kept run equals what a cold parse of its text gives,
+    because ``TrialCounts`` holds only runs whose written file reads back
+    equal.
+    """
+
+    def __missing__(self, text: str) -> TrialCounts:
+        run = self[text] = _parse_counts(text)
+        return run
+
+    def __setitem__(self, text: str, run: TrialCounts) -> None:
+        self.pop(text, None)
+        if len(self) >= _COUNTS_KEPT:
+            del self[next(iter(self))]
+        super().__setitem__(text, run)
+
+
+# An analyze reads back the signal and noise runs that the process has just
+# written: 8 texts are four such pairs.  A 250-mode entry, its text and its
+# run, takes about 47 kB.
+_COUNTS_KEPT = 8
+_COUNTS_MEMO = _CountsMemo()
+
+
+def _parse_counts(text: str) -> TrialCounts:
+    """The run of a counts text, parsed a row at a time; each refusal names
+    its line, and ``read_counts_csv`` names the file."""
     kind, n_trials = None, None
     key_lines: dict[tuple[int, int], int] = {}  # each key's line, file order
     totals: list[int] = []
-    with _in_file(path):
-        rows = _csv_rows(_read_text(path))
-        if (header := next(rows, None)) is None:
-            raise ConfigError("empty counts file")
-        if header != COUNTS_HEADER:
-            raise ConfigError(f"unexpected counts header {header}", line=1)
-        for lineno, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != len(COUNTS_HEADER):
-                raise ConfigError(f"bad counts row: {row} (expected "
-                                  f"{len(COUNTS_HEADER)} fields, got "
-                                  f"{len(row)})", line=lineno)
-            try:
-                kind_text, i, j, k, total, n = row
-                i, j, k, total, n = int(i), int(j), int(k), int(total), int(n)
-                row_kind = _RUN_KINDS[kind_text]
-            except (ValueError, KeyError) as exc:
-                raise ConfigError(f"bad counts row: {row}",
-                                  line=lineno) from exc
-            if kind is None:
-                kind, n_trials = row_kind, n
-                scan = kind is RunKind.CROSSTALK
-            key = (i, j) if scan else (i, k)
-            if total < 0 or n < 1:
-                msg = (f"bad counts row: {row} (total_counts must be >= 0 "
-                       f"and n_trials >= 1)")
-            elif row_kind is not kind:
-                msg = (f"mixed run kinds in one file: {kind.value} and "
-                       f"{row_kind.value}")
-            elif n != n_trials:
-                msg = (f"inconsistent n_trials across rows: {n} here, "
-                       f"{n_trials} on the first row")
-            elif scan and k != 1:
-                msg = f"scan rows must have temporal_index 1, got {k}"
-            elif not scan and i != j:
-                msg = (f"{kind.value} rows must have input_cell == "
-                       f"output_cell, got ({i}, {j})")
-            elif key in key_lines:
-                msg = (f"duplicate row for (input_cell, output_cell, "
-                       f"temporal_index) = {(i, j, k)}: lines "
-                       f"{key_lines[key]} and {lineno}")
-            else:
-                key_lines[key] = lineno
-                totals.append(total)
-                continue
-            raise ConfigError(msg, line=lineno)
+    rows = _csv_rows(text)
+    if (header := next(rows, None)) is None:
+        raise ConfigError("empty counts file")
+    if header != COUNTS_HEADER:
+        raise ConfigError(f"unexpected counts header {header}", line=1)
+    for lineno, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != len(COUNTS_HEADER):
+            raise ConfigError(f"bad counts row: {row} (expected "
+                              f"{len(COUNTS_HEADER)} fields, got "
+                              f"{len(row)})", line=lineno)
+        try:
+            kind_text, i, j, k, total, n = row
+            i, j, k, total, n = int(i), int(j), int(k), int(total), int(n)
+            row_kind = _RUN_KINDS[kind_text]
+        except (ValueError, KeyError) as exc:
+            raise ConfigError(f"bad counts row: {row}",
+                              line=lineno) from exc
         if kind is None:
-            raise ConfigError("counts file has no data rows")
+            kind, n_trials = row_kind, n
+            scan = kind is RunKind.CROSSTALK
+        key = (i, j) if scan else (i, k)
+        if total < 0 or n < 1:
+            msg = (f"bad counts row: {row} (total_counts must be >= 0 "
+                   f"and n_trials >= 1)")
+        elif row_kind is not kind:
+            msg = (f"mixed run kinds in one file: {kind.value} and "
+                   f"{row_kind.value}")
+        elif n != n_trials:
+            msg = (f"inconsistent n_trials across rows: {n} here, "
+                   f"{n_trials} on the first row")
+        elif scan and k != 1:
+            msg = f"scan rows must have temporal_index 1, got {k}"
+        elif not scan and i != j:
+            msg = (f"{kind.value} rows must have input_cell == "
+                   f"output_cell, got ({i}, {j})")
+        elif key in key_lines:
+            msg = (f"duplicate row for (input_cell, output_cell, "
+                   f"temporal_index) = {(i, j, k)}: lines "
+                   f"{key_lines[key]} and {lineno}")
+        else:
+            key_lines[key] = lineno
+            totals.append(total)
+            continue
+        raise ConfigError(msg, line=lineno)
+    if kind is None:
+        raise ConfigError("counts file has no data rows")
     return TrialCounts(kind, tuple(key_lines), totals, n_trials)
 
 

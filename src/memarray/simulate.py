@@ -119,6 +119,17 @@ def _integer(value, rule: str) -> int:
         raise ConfigError(f"{rule}, got {value}") from None
 
 
+def _pair(key) -> tuple[int, int]:
+    """``key`` as a pair of ``int`` if it is two integers of any type;
+    otherwise ConfigError and the key."""
+    try:
+        a, b = key
+        return index(a), index(b)
+    except (TypeError, ValueError):
+        raise ConfigError(f"keys must be pairs of integers, got {key!r}"
+                          ) from None
+
+
 @dataclass(frozen=True)
 class TrialCounts:
     """Window totals of one run over ``n_trials`` trials: ``totals[i]`` is
@@ -128,9 +139,11 @@ class TrialCounts:
 
     The columns, given in any order, are sorted by key, so each cell's
     windows are one slice, and the sorted keys are walked for a repeated
-    one.  A repeated key, a negative total, a total or ``n_trials`` that is
-    not an integer and columns of two lengths (ValueError) are refused.
-    Integers of other types, such as numpy's, are kept as ``int``.
+    one.  Refused: a run without keys, a repeated key, a key that is not a
+    pair of integers, a negative total, a total or ``n_trials`` that is not
+    an integer, and columns of two lengths (ValueError).  Integers of other
+    types, such as numpy's or ``bool``, are kept as ``int``, so the counts
+    file that ``write_counts_csv`` writes of a run reads back equal to it.
     """
 
     kind: RunKind
@@ -142,15 +155,29 @@ class TrialCounts:
         n_trials = _integer(self.n_trials, "n_trials must be an integer")
         if n_trials < 1:
             raise ConfigError("n_trials must be >= 1")
-        totals = [_integer(total, "counts must be integers")
-                  for total in self.totals]
-        rows = sorted(zip(self.keys, totals, strict=True))
+        totals = tuple(self.totals)
+        try:
+            totals = list(map(index, totals))
+        except TypeError:  # name the first total that is no integer
+            for total in totals:
+                _integer(total, "counts must be integers")
+            raise
+        keys = tuple(self.keys)
+        try:
+            keys = [(index(a), index(b)) for a, b in keys]
+        except (TypeError, ValueError):  # name the first key that is no pair
+            for key in keys:
+                _pair(key)
+            raise
+        rows = sorted(zip(keys, totals, strict=True))
+        if not rows:
+            raise ConfigError("a run needs at least one window")
         keys = tuple([key for key, _ in rows])
         totals = tuple([total for _, total in rows])
         for a, b in zip(keys, keys[1:]):
             if a == b:
                 raise ConfigError(f"repeated key {a}")
-        if min(totals, default=0) < 0:
+        if min(totals) < 0:
             raise ConfigError("counts must be non-negative")
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "totals", totals)

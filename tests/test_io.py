@@ -9,6 +9,7 @@ import re
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -1030,6 +1031,147 @@ class TestCountsRoundTrip:
         assert not path.is_symlink() and not path.exists()
 
 
+def _counting_parses(monkeypatch) -> list:
+    """The list to which every later counts parse appends its text."""
+    parses = []
+    parse = memarray.io._parse_counts
+    monkeypatch.setattr(memarray.io, "_parse_counts",
+                        lambda text: parses.append(text) or parse(text))
+    return parses
+
+
+class TestCountsParsedOncePerText:
+    """A counts table written or read in a process is parsed at most once
+    per distinct text; the file is read and hashed on every call, and a
+    refused text is refused every time and never kept."""
+
+    def test_a_written_run_reads_back_without_a_parse(self, tmp_path,
+                                                      monkeypatch):
+        parses = _counting_parses(monkeypatch)
+        run = _run(RunKind.SIGNAL, {(c, k): 7 * c + k for c in (1, 2, 10)
+                                    for k in (1, 2)}, 500)
+        path = write_counts_csv(tmp_path / "counts.csv", run)
+        copy = tmp_path / "copy.csv"
+        copy.write_bytes(path.read_bytes())
+        assert [read_counts_csv(p) for p in (path, copy, path)] == [run] * 3
+        assert parses == []
+
+    def test_a_read_text_is_parsed_once(self, tmp_path, monkeypatch):
+        memarray.io._COUNTS_MEMO.clear()
+        parses = _counting_parses(monkeypatch)
+        path = tmp_path / "counts.csv"
+        path.write_text(",".join(COUNTS_HEADER) + "\nnoise,2,2,1,4,9\n")
+        first, second = read_counts_csv(path), read_counts_csv(path)
+        assert first == second == _run(RunKind.NOISE, {(2, 1): 4}, 9)
+        assert parses == [path.read_text()]
+
+    def test_an_edited_total_reads_as_edited(self, tmp_path):
+        run = _run(RunKind.NOISE, {(1, 1): 3, (1, 2): 5}, 10)
+        path = write_counts_csv(tmp_path / "counts.csv", run)
+        assert read_counts_csv(path) == run
+        path.write_text(path.read_text().replace("noise,1,1,2,5,10",
+                                                 "noise,1,1,2,6,10"))
+        assert read_counts_csv(path) == _run(RunKind.NOISE,
+                                             {(1, 1): 3, (1, 2): 6}, 10)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "{path}: counts file has no data rows"),
+        (["noise,1,1,1,3,10", "noise,1,1,1,4,10"],
+         "{path}, line 3: duplicate row for (input_cell, output_cell, "
+         "temporal_index) = (1, 1, 1): lines 2 and 3"),
+    ], ids=["no-rows", "duplicate-row"])
+    def test_a_refused_text_is_refused_every_time(self, tmp_path, rows,
+                                                  message):
+        memarray.io._COUNTS_MEMO.clear()
+        text = "\n".join([",".join(COUNTS_HEADER), *rows]) + "\n"
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            path.write_text(text)
+        messages = []
+        for path in paths + paths:
+            with pytest.raises(ConfigError) as err:
+                read_counts_csv(path)
+            messages.append(str(err.value))
+        assert messages == [message.format(path=path) for path in paths + paths]
+        assert memarray.io._COUNTS_MEMO == {}
+
+    def test_a_hit_records_the_digest(self, tmp_path):
+        run = _run(RunKind.CROSSTALK, {(1, 1): 9, (1, 2): 0}, 4)
+        path = write_counts_csv(tmp_path / "scan.csv", run)
+        with file_digests() as digests:
+            assert read_counts_csv(path) == run
+        assert digests == {path: _sha256(path)}
+
+    def test_the_bound_holds_on_both_fill_paths(self, tmp_path):
+        memo, kept = memarray.io._COUNTS_MEMO, memarray.io._COUNTS_KEPT
+        memo.clear()
+        runs = [_run(RunKind.NOISE, {(1, 1): total}, 10)
+                for total in range(kept + 3)]
+        texts = [write_counts_csv(tmp_path / f"w{i}.csv", run).read_text()
+                 for i, run in enumerate(runs)]
+        assert list(memo) == texts[-kept:]
+        assert list(memo.values()) == runs[-kept:]
+        texts = []
+        for i in range(kept + 3):
+            path = tmp_path / f"r{i}.csv"
+            path.write_text(",".join(COUNTS_HEADER) + f"\nsignal,1,1,1,{i},7\n")
+            read_counts_csv(path)
+            texts.append(path.read_text())
+        assert list(memo) == texts[-kept:]
+
+    def test_a_rewritten_text_evicts_nothing(self, tmp_path):
+        # Writing a kept text again moves it to the newest end of a full
+        # memo and drops no other text.
+        memo = memarray.io._COUNTS_MEMO
+        memo.clear()
+        runs = [_run(RunKind.NOISE, {(1, 1): total}, 10)
+                for total in range(memarray.io._COUNTS_KEPT)]
+        for i, run in enumerate(runs + runs[1:2]):
+            write_counts_csv(tmp_path / f"{i}.csv", run)
+        assert list(memo.values()) == runs[:1] + runs[2:] + runs[1:2]
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(),
+                        reason="needs a device that refuses every write")
+    def test_a_failed_write_keeps_nothing(self, tmp_path):
+        memarray.io._COUNTS_MEMO.clear()
+        path = tmp_path / "counts.csv"
+        path.symlink_to("/dev/full")
+        with pytest.raises(OSError):
+            write_counts_csv(path, _run(RunKind.NOISE, {(1, 1): 3}, 10))
+        assert memarray.io._COUNTS_MEMO == {}
+
+    @pytest.mark.parametrize("plan, noise, kinds, analyze", [
+        ("60mode", "storage", ("signal", "noise"),
+         ["--plan", "60mode", "--device", "10cell"]),
+        ("crosstalk", "crosstalk", ("crosstalk", "noise"), []),
+    ], ids=["storage", "scan"])
+    def test_run_run_analyze_matches_a_cold_analyze(self, tmp_path,
+                                                    monkeypatch, plan, noise,
+                                                    kinds, analyze):
+        # The in-process analyze reads both runs from the memo; the cold
+        # one, with the memo emptied, parses both files.
+        runs = tmp_path / "runs"
+        for seed, kind in enumerate(kinds, start=2718):
+            assert main(["run", "--plan", plan, "--noise", noise, "--mode",
+                         kind, "--trials", "14227", "--seed", str(seed),
+                         "--out-dir", str(runs)]) == 0
+        argv = ["analyze", "--signal", str(runs / f"counts_{kinds[0]}.csv"),
+                "--noise", str(runs / "counts_noise.csv"), *analyze]
+        parses = _counting_parses(monkeypatch)
+        outputs = {}
+        for side in ("warm", "cold"):
+            if side == "cold":
+                memarray.io._COUNTS_MEMO.clear()
+            assert main(argv + ["--out-dir", str(tmp_path / side)]) == 0
+            outputs[side] = {p.name: p.read_bytes()
+                             for p in (tmp_path / side).iterdir()}
+            if side == "warm":
+                assert parses == []
+        assert len(parses) == 2
+        assert len(outputs["warm"]) == 3
+        assert outputs["warm"] == outputs["cold"]
+
+
 class TestTimelineCsv:
     def test_event_rows(self, tmp_path):
         plan = load_plan(default_plan_path("crosstalk"))
@@ -1099,7 +1241,7 @@ _ID = st.integers(-3, 2 ** 64) | st.just(0)
 _COUNT = st.integers(0, 2 ** 70) | st.sampled_from([0, 2 ** 53 + 1])
 _COUNTS = st.builds(
     _run, st.sampled_from(RunKind),
-    st.dictionaries(st.tuples(_ID, _ID), _COUNT, max_size=8),
+    st.dictionaries(st.tuples(_ID, _ID), _COUNT, min_size=1, max_size=8),
     st.integers(1, 2 ** 70))
 _EVENTS = st.lists(st.builds(
     TimelineEvent, kind=st.sampled_from(EventKind), cell_id=_ID,
@@ -1159,6 +1301,43 @@ def _written(tmp_path_factory, write, *args) -> bytes:
 def test_counts_csv_matches_oracle(tmp_path_factory, run):
     assert (_written(tmp_path_factory, write_counts_csv, run)
             == csv_oracle.counts_bytes(run))
+
+
+# Integers of every type that TrialCounts takes, a few below its bounds.
+_INTEGER = (st.integers(-1, 2 ** 64) | st.booleans()
+            | st.integers(-1, 2 ** 62).map(np.int64))
+
+
+@st.composite
+def _columns(draw):
+    """TrialCounts arguments, some of which it refuses."""
+    keys = draw(st.lists(st.tuples(_INTEGER, _INTEGER)
+                         | st.lists(_INTEGER, min_size=2, max_size=2),
+                         max_size=8))
+    totals = draw(st.lists(_INTEGER, min_size=len(keys), max_size=len(keys)))
+    return draw(st.sampled_from(RunKind)), keys, totals, draw(_INTEGER)
+
+
+@settings(max_examples=60, deadline=None)
+@given(args=_columns())
+@example(args=(RunKind.SIGNAL, [[np.int64(2), True], (1, 2)],
+               [np.int64(3), False], np.int64(7)))
+@example(args=(RunKind.CROSSTALK, [(True, 1)], [True], True))
+def test_every_accepted_run_reads_back_equal_when_parsed(tmp_path_factory,
+                                                        args):
+    # A read that hits the counts memo returns the written run, so every
+    # run that TrialCounts accepts must read back equal from a cold parse.
+    try:
+        run = TrialCounts(*args)
+    except (ConfigError, ValueError):
+        return
+    path = write_counts_csv(tmp_path_factory.getbasetemp() / "run.csv", run)
+    memarray.io._COUNTS_MEMO.clear()
+    back = read_counts_csv(path)
+    assert back == run
+    for record in (run, back):
+        assert {type(x) for key in record.keys for x in key} == {int}
+        assert {type(t) for t in record.totals} == {type(record.n_trials)} == {int}
 
 
 @settings(max_examples=30, deadline=None)

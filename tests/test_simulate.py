@@ -729,6 +729,36 @@ class TestRecordRefusals:
         assert run.totals == (4, 5, 6) and run.n_trials == 10
         assert {type(t) for t in run.totals} == {type(run.n_trials)} == {int}
 
+    def test_trial_counts_empty_run(self):
+        # A counts file without rows is refused, so no run may have none.
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, (), (), n_trials=10)
+        assert str(err.value) == "a run needs at least one window"
+
+    @pytest.mark.parametrize("key", [("a", 1), (2.0, 1), (1, None), (1,),
+                                     (1, 2, 3), 5, "12"])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_trial_counts_key_not_a_pair_of_integers(self, at, key):
+        keys = list(_KEYS3)
+        keys[at] = key
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, keys, (4, 5, 6), n_trials=10)
+        assert str(err.value) == f"keys must be pairs of integers, got {key!r}"
+
+    def test_trial_counts_first_bad_key_named(self):
+        with pytest.raises(ConfigError) as err:
+            TrialCounts(RunKind.SIGNAL, [(1, 1), (2.0, 1), "ab"], (4, 5, 6),
+                        n_trials=10)
+        assert str(err.value) == "keys must be pairs of integers, got (2.0, 1)"
+
+    def test_trial_counts_integer_keys_kept_as_int_pairs(self):
+        run = TrialCounts(RunKind.SIGNAL,
+                          [[np.int64(2), True], (1, np.int32(2)), (True, 1)],
+                          (4, 5, 6), n_trials=10)
+        assert run.keys == ((1, 1), (1, 2), (2, 1)) and run.totals == (6, 5, 4)
+        assert {type(key) for key in run.keys} == {tuple}
+        assert {type(x) for key in run.keys for x in key} == {int}
+
     @pytest.mark.parametrize("keys, repeated", [
         (((1, 1), (1, 1), (1, 2), (2, 1)), (1, 1)),
         (((1, 1), (1, 2), (1, 2), (2, 1)), (1, 2)),

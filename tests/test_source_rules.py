@@ -126,6 +126,9 @@ MEMO_ALLOWED = {
                         "a short command line with it",
     "io._parsed": "parsing and checking a config file costs more than "
                   "reading and hashing it, for repeated in-process calls",
+    "io._CountsMemo.__missing__": "parsing a counts table costs more than "
+                                  "reading and hashing it, when analyze "
+                                  "runs in the process that wrote it",
     "sequence.SequencePlan.modes": "the one definition of a frozen plan's "
                                    "mode order, read by the engine, the "
                                    "expected means and analyze",
